@@ -75,9 +75,6 @@ class UniPoly:
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return None
-
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -111,11 +108,12 @@ class UniPoly:
     def __rmul__(self, other):
         return UniPoly([other * c for c in self.coeffs])
 
-    def __call__(self, u0):
-        """Exact evaluation at a scalar point (Horner)."""
+    def __call__(self, u0, zero=Fraction(0)):
+        """Exact evaluation at a scalar point (Horner); the zero polynomial
+        evaluates to ``zero``, which matrix-valued callers pass."""
         u0 = Fraction(u0)
         if not self.coeffs:
-            return Fraction(0)
+            return zero
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * u0 + c
@@ -139,34 +137,31 @@ def poly_shift(p, c):
     return UniPoly(out)
 
 
-def lagrange_interpolate(nodes, values, degree_bound):
-    """Unique polynomial of degree <= degree_bound through (node, value) pairs.
-
-    Values may be scalars or any coefficient object supporting * Fraction
-    and +.
-    """
-    nodes = [Fraction(x) for x in nodes]
+def lagrange_basis(nodes):
+    """Scalar Lagrange basis polynomials L_j, L_j(nodes[m]) = [j == m]."""
     if len(set(nodes)) != len(nodes):
         raise DegenerateNodes("interpolation nodes must be pairwise distinct")
-    if len(nodes) != len(values) or len(nodes) != degree_bound + 1:
-        raise ArityError(
-            "need exactly degree_bound+1 nodes and values (got %d nodes, %d values,"
-            " bound %d)" % (len(nodes), len(values), degree_bound)
-        )
-    result = None
+    polys = []
     for j, xj in enumerate(nodes):
-        # scalar Lagrange basis polynomial for node j
-        basis = UniPoly([Fraction(1)])
-        denom = Fraction(1)
+        num = UniPoly([Fraction(1)])
+        den = Fraction(1)
         for m, xm in enumerate(nodes):
             if m == j:
                 continue
-            basis = basis * UniPoly([-xm, Fraction(1)])
-            denom *= xj - xm
-        term_coeffs = [values[j] * (c / denom) for c in basis.coeffs]
-        term = UniPoly(term_coeffs)
-        result = term if result is None else result + term
-    return result if result is not None else UniPoly([])
+            num = num * UniPoly([-xm, Fraction(1)])
+            den *= xj - xm
+        polys.append(UniPoly([c / den for c in num.coeffs]))
+    return polys
+
+
+def perm_sign(sigma):
+    """Sign of a permutation given as a sequence of distinct comparables."""
+    sgn = 1
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] > sigma[b]:
+                sgn = -sgn
+    return sgn
 
 
 class InvSeries:
@@ -204,9 +199,6 @@ class InvSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return None
 
     def __add__(self, other):
         r = min(self.order, other.order)

@@ -7,8 +7,9 @@ polynomial, and the coefficients of the column determinant below the top
 must act as central scalars."""
 
 from fractions import Fraction
+from itertools import permutations
 
-from .arith import InvSeries, UniPoly, poly_shift
+from .arith import InvSeries, UniPoly, perm_sign, poly_shift
 from .errors import InvariantViolation
 from .sparse import SparseMatrix
 
@@ -106,29 +107,17 @@ def _poly_product_shifted(factors, dim):
 
 def column_determinant(T, n, dim):
     """cdet T(u) = sum_sigma sgn(sigma) T_{sigma(1)1}(u) ... T_{sigma(n)n}(u-n+1)."""
-    from itertools import permutations
-
     total = None
     for sigma in permutations(range(1, n + 1)):
-        sgn = _perm_sign(sigma)
         prod = _poly_product_shifted(
             [T[(sigma[c], c + 1)] for c in range(n)], dim
         )
-        prod = prod * Fraction(sgn)
+        prod = prod * Fraction(perm_sign(sigma))
         total = prod if total is None else total + prod
     return total
 
 
-def _perm_sign(sigma):
-    sgn = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sgn = -sgn
-    return sgn
-
-
-def central_coefficients(rep, gens, T=None):
+def central_coefficients(rep, cdet):
     """Scalars d_s, s = 1..p_1+...+p_n, from the column determinant.
 
     Checks that cdet T(u) is monic of the full degree, that each lower
@@ -137,9 +126,6 @@ def central_coefficients(rep, gens, T=None):
     pyr = rep.pyramid
     n = pyr.n
     P = pyr.row_block_size(n)
-    if T is None:
-        T = build_t_matrix(gens)
-    cdet = column_determinant(T, n, rep.dim)
     if cdet.degree != P:
         raise InvariantViolation(
             "column determinant has degree %d, expected %d" % (cdet.degree, P)
@@ -164,44 +150,30 @@ def central_coefficients(rep, gens, T=None):
             if mat.commutator(g):
                 raise InvariantViolation("cdet coefficient d_%d is not central" % s)
         scalars[s] = c
-    return scalars, cdet
+    return scalars
 
 
-def quasideterminant_check(rep, gens, T=None):
-    """For n = 2: cdet T(u) must equal D_2(u-1) with
+def quasideterminant_check(T, cdet):
+    """For two rows: cdet T(u) must equal D_2(u-1) with
     D_2(u) = T_{11}(u+1) T_{22}(u) - T_{21}(u+1) T_{12}(u)."""
-    if rep.n != 2:
+    if len(T) != 4:
         raise ValueError("this cross-check is specific to two rows")
-    if T is None:
-        T = build_t_matrix(gens)
     D2 = (poly_shift(T[(1, 1)], 1) * T[(2, 2)]
           - poly_shift(T[(2, 1)], 1) * T[(1, 2)])
-    cdet = column_determinant(T, 2, rep.dim)
-    return cdet == poly_shift(D2, -1), cdet, D2
+    return cdet == poly_shift(D2, -1)
 
 
-def cdet_vs_top_row(rep, gens, samples=(0, 7, -3), T=None):
+def cdet_vs_top_row(rep, cdet, samples=(0, 7, -3)):
     """Record (not assert) the ratio cdet T(u0) / A_n(u0) at sample points.
 
     A_n(u) acts by the same scalar on every basis vector, so both sides
     are scalars wherever A_n(u0) is nonzero."""
-    if T is None:
-        T = build_t_matrix(gens)
-    cdet = column_determinant(T, rep.n, rep.dim)
+    zero = SparseMatrix(rep.dim)
     out = []
     for u0 in samples:
         u0 = Fraction(u0)
-        cval = _eval_scalar(cdet, u0, rep.dim)
-        aval = _eval_scalar(rep.A[rep.n], u0, rep.dim)
+        cval = cdet(u0, zero).scalar_part()
+        aval = rep.A[rep.n](u0, zero).scalar_part()
         ratio = None if (aval is None or cval is None or not aval) else cval / aval
         out.append((u0, cval, aval, ratio))
     return out
-
-
-def _eval_scalar(pm, u0, dim):
-    if not pm.coeffs:
-        return Fraction(0)
-    acc = pm.coeffs[-1]
-    for c in reversed(pm.coeffs[:-1]):
-        acc = acc * u0 + c
-    return acc.scalar_part()

@@ -12,7 +12,7 @@ to degree one."""
 from fractions import Fraction
 from itertools import permutations
 
-from .arith import UniPoly
+from .arith import UniPoly, perm_sign
 from .errors import InvariantViolation, OrderError
 from .mpoly import MPoly
 
@@ -59,7 +59,7 @@ def dcoeff_determinant(ring, r, s):
     top-left r x r block."""
     det = None
     for sigma in permutations(range(1, r + 1)):
-        sgn = _perm_sign(sigma)
+        sgn = perm_sign(sigma)
         prod = UniPoly([MPoly.const(ring.names, 1)])
         for j in range(1, r + 1):
             prod = prod * ring.entry_poly(sigma[j - 1], j)
@@ -77,7 +77,7 @@ def dcoeff_direct(ring, r, s):
     pyr = ring.pyramid
     total = MPoly.zero(ring.names)
     for sigma in permutations(range(1, r + 1)):
-        sgn = _perm_sign(sigma)
+        sgn = perm_sign(sigma)
         partial = [(MPoly.const(ring.names, Fraction(sgn)), s)]
         for j in range(1, r + 1):
             i = sigma[j - 1]
@@ -100,15 +100,6 @@ def dcoeff_direct(ring, r, s):
             if rem == 0:
                 total = total + mono
     return total
-
-
-def _perm_sign(sigma):
-    sgn = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sgn = -sgn
-    return sgn
 
 
 def build_weight(pyr):

@@ -72,9 +72,6 @@ class MPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return None
-
     def _chk(self, other):
         if self.names != other.names:
             raise ValueError("mixed variable sets: %r vs %r" % (self.names, other.names))
@@ -295,9 +292,6 @@ class MRat:
         if not isinstance(other, MRat):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return None
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+from .arith import perm_sign
 from .errors import NotInvariant, InvariantViolation
 from .mpoly import MPoly, MRat
 
@@ -76,9 +77,6 @@ class WeylElement:
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return None
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -235,9 +233,6 @@ class ShiftAlgebraElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return None
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, r in other.terms.items():
@@ -372,7 +367,7 @@ def jacobian_inverse(n):
          for i in range(n)]
     det = MPoly.zero(names)
     for sigma in permutations(range(n)):
-        sgn = _perm_sign(sigma)
+        sgn = perm_sign(sigma)
         prod = MPoly.const(names, Fraction(sgn))
         for i in range(n):
             prod = prod * J[i][sigma[i]]
@@ -390,7 +385,7 @@ def jacobian_inverse(n):
             ]
             cof = MPoly.zero(names)
             for tau in permutations(range(n - 1)):
-                sgn = _perm_sign(tau)
+                sgn = perm_sign(tau)
                 prod = MPoly.const(names, Fraction(sgn))
                 for a in range(n - 1):
                     prod = prod * minor[a][tau[a]]
@@ -398,15 +393,6 @@ def jacobian_inverse(n):
             sign = Fraction((-1) ** (i + j))
             inv[j][i] = MRat(cof * sign, det)
     return inv, det
-
-
-def _perm_sign(sigma):
-    sgn = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sgn = -sgn
-    return sgn
 
 
 class RatOp:
@@ -444,9 +430,6 @@ class RatOp:
         if set(self.terms) != set(other.terms):
             return False
         return all(self.terms[b] == other.terms[b] for b in self.terms)
-
-    def __hash__(self):
-        return None
 
     def __add__(self, other):
         out = dict(self.terms)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .arith import (
     UniPoly,
+    lagrange_basis,
     poly_to_inv_series,
     series_arg_shift,
     series_inverse,
@@ -44,32 +45,6 @@ class Representation:
         return c if c is not None else SparseMatrix(self.dim)
 
 
-def evaluate(pm, u0, dim=None):
-    """Exact evaluation of a matrix-valued polynomial at a scalar point."""
-    if not pm.coeffs:
-        return SparseMatrix(dim) if dim is not None else None
-    u0 = Fraction(u0)
-    acc = pm.coeffs[-1]
-    for c in reversed(pm.coeffs[:-1]):
-        acc = acc * u0 + c
-    return acc
-
-
-def _lagrange_basis(nodes):
-    """Scalar Lagrange basis polynomials for the given distinct nodes."""
-    polys = []
-    for j, xj in enumerate(nodes):
-        num = UniPoly([Fraction(1)])
-        den = Fraction(1)
-        for m, xm in enumerate(nodes):
-            if m == j:
-                continue
-            num = num * UniPoly([-xm, Fraction(1)])
-            den *= xj - xm
-        polys.append(UniPoly([c / den for c in num.coeffs]))
-    return polys
-
-
 def build_representation(pyramid, weight):
     """Construct the pattern basis and the A/B/C polynomial matrices."""
     basis = enumerate_patterns(weight)
@@ -99,11 +74,12 @@ def build_representation(pyramid, weight):
         cco = [dict() for _ in range(block)]
         for col, mu in enumerate(basis):
             nodes = [-l for l in mu.row_l_values(r)]
-            if len(set(nodes)) != len(nodes):
+            try:
+                lag = lagrange_basis(nodes)
+            except DegenerateNodes:
                 raise DegenerateNodes(
                     "repeated l-values in row %d of pattern %r" % (r, mu)
-                )
-            lag = _lagrange_basis(nodes)
+                ) from None
             for slot_idx, (i, k) in enumerate(entry_slots(pyramid, r)):
                 u0 = nodes[slot_idx]
                 up = shift_pattern(mu, r, i, k, +1)
@@ -161,16 +137,14 @@ def _sanity_check(rep):
 class SeriesGenerators:
     """Matrices of the series generators through a truncation order."""
 
-    def __init__(self, rep, order, d, dprime, e, f, a):
+    def __init__(self, rep, order, d, dprime, e, f):
         self.rep = rep
         self.order = order
         self._d = d          # {i: [M_0..M_R]}
         self._dprime = dprime
         self._e = e          # {i: [M_0..M_R]}, zeros below the start index
         self._f = f
-        self.a_series = a    # kept for the gamma/center modules
         self._zero = SparseMatrix(rep.dim)
-        self._id = SparseMatrix.identity(rep.dim)
 
     def _get(self, table, i, r):
         if r < 0:
@@ -204,7 +178,6 @@ def generator_series(rep, R):
     n = pyr.n
     N = rep.dim
     ident = SparseMatrix.identity(N)
-    one_series = None
 
     a = {}
     for i in range(1, n + 1):
@@ -219,8 +192,6 @@ def generator_series(rep, R):
         ainv[i] = series_inverse(a[i])
         left = ainv[i] * a[i]
         right = a[i] * ainv[i]
-        if one_series is None:
-            one_series = left
         for r in range(R + 1):
             want = ident if r == 0 else SparseMatrix(N)
             if left.coeffs[r] != want or right.coeffs[r] != want:
@@ -247,7 +218,6 @@ def generator_series(rep, R):
         {i: dprime[i].coeffs for i in dprime},
         {i: e[i].coeffs for i in e},
         {i: f[i].coeffs for i in f},
-        a,
     )
     _series_invariants(gens)
     return gens
@@ -307,10 +277,9 @@ class RelationReport:
         return sum(c for _, c, _ in self.families)
 
 
-def verify_defining_relations(rep, R, gens=None):
+def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R."""
-    if gens is None or gens.order < 2 * R:
-        gens = generator_series(rep, 2 * R)
+    gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
     N = rep.dim

@@ -1,39 +1,18 @@
 """Exact sparse square matrices over the rationals.
 
-Storage is dict-of-rows {row: {col: Fraction}}; the inner loops live in a
-compiled kernel when available (see setup.py), with a pure-Python fallback
-selected at import time.
+Storage is dict-of-rows {row: {col: Fraction}} with zero entries and empty
+rows never stored, so equal matrices have equal dicts.
 """
 
 from fractions import Fraction
 
 from .errors import SingularLead
 
-try:
-    from . import _ckernel as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _pykernel as _kernel
-
-from . import _pykernel
-
-KERNEL_BACKEND = _kernel.BACKEND
+# Reported by tools that print the arithmetic backend; there is only one.
+KERNEL_BACKEND = "python"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def use_kernel(name):
-    """Force the kernel backend ('cython' or 'python'); used by benchmarks."""
-    global _kernel, KERNEL_BACKEND
-    if name == "python":
-        _kernel = _pykernel
-    elif name == "cython":
-        from . import _ckernel
-
-        _kernel = _ckernel
-    else:
-        raise ValueError("unknown kernel backend %r" % name)
-    KERNEL_BACKEND = _kernel.BACKEND
 
 
 class SparseMatrix:
@@ -81,13 +60,6 @@ class SparseMatrix:
             return NotImplemented
         return self.dim == other.dim and self.rows == other.rows
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return None  # mutable-style container, not hashable
-
     def zero_like(self):
         return SparseMatrix(self.dim)
 
@@ -107,30 +79,59 @@ class SparseMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return SparseMatrix(self.dim, _kernel.add(self.rows, other.rows), _clean=True)
+        out = {i: dict(row) for i, row in self.rows.items()}
+        for i, brow in other.rows.items():
+            row = out.setdefault(i, {})
+            for j, bv in brow.items():
+                if j in row:
+                    s = row[j] + bv
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+                else:
+                    row[j] = bv
+            if not row:
+                del out[i]
+        return SparseMatrix(self.dim, out, _clean=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SparseMatrix(self.dim, _kernel.scale(self.rows, Fraction(-1)), _clean=True)
+        return self._scaled(Fraction(-1))
 
     def __mul__(self, other):
-        if isinstance(other, SparseMatrix):
-            self._check(other)
-            return SparseMatrix(
-                self.dim, _kernel.matmul(self.rows, other.rows), _clean=True
-            )
-        c = Fraction(other)
-        if not c:
-            return SparseMatrix(self.dim)
-        return SparseMatrix(self.dim, _kernel.scale(self.rows, c), _clean=True)
+        if not isinstance(other, SparseMatrix):
+            return self._scaled(Fraction(other))
+        self._check(other)
+        brows = other.rows
+        out = {}
+        for i, arow in self.rows.items():
+            acc = {}
+            for k, av in arow.items():
+                brow = brows.get(k)
+                if not brow:
+                    continue
+                for j, bv in brow.items():
+                    prod = av * bv
+                    if j in acc:
+                        acc[j] += prod
+                    else:
+                        acc[j] = prod
+            acc = {j: v for j, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return SparseMatrix(self.dim, out, _clean=True)
 
     def __rmul__(self, other):
-        c = Fraction(other)
+        return self._scaled(Fraction(other))
+
+    def _scaled(self, c):
         if not c:
             return SparseMatrix(self.dim)
-        return SparseMatrix(self.dim, _kernel.scale(self.rows, c), _clean=True)
+        rows = {i: {j: v * c for j, v in row.items()} for i, row in self.rows.items()}
+        return SparseMatrix(self.dim, rows, _clean=True)
 
     def _check(self, other):
         if self.dim != other.dim:

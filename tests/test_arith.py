@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +7,15 @@ from hypothesis import given, strategies as st
 from wrep.arith import (
     InvSeries,
     UniPoly,
-    lagrange_interpolate,
+    lagrange_basis,
+    perm_sign,
     poly_shift,
     poly_to_inv_series,
     series_arg_shift,
     series_inverse,
 )
 from wrep.errors import ArityError, DegenerateNodes
+from wrep.sparse import SparseMatrix
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -42,16 +45,42 @@ def test_poly_shift_evaluates(a, c, x):
 def test_lagrange_reproduces_values():
     nodes = [Fraction(0), Fraction(1), Fraction(5, 2)]
     values = [Fraction(3), Fraction(-1), Fraction(7, 3)]
-    p = lagrange_interpolate(nodes, values, 2)
+    basis = lagrange_basis(nodes)
+    assert all(b.degree == len(nodes) - 1 for b in basis)
+    for j, b in enumerate(basis):
+        assert [b(x) for x in nodes] == [int(j == m) for m in range(len(nodes))]
+    p = UniPoly([])
+    for b, v in zip(basis, values):
+        p = p + b * v
     for x, v in zip(nodes, values):
         assert p(x) == v
 
 
 def test_lagrange_errors():
     with pytest.raises(DegenerateNodes):
-        lagrange_interpolate([0, 0], [1, 2], 1)
-    with pytest.raises(ArityError):
-        lagrange_interpolate([0, 1], [1, 2], 3)
+        lagrange_basis([Fraction(0), Fraction(1), Fraction(0)])
+    assert lagrange_basis([]) == []
+
+
+def test_perm_sign():
+    # parity of the transposition count, by sorting with adjacent swaps
+    for sigma in permutations(range(5)):
+        seq, swaps = list(sigma), 0
+        for end in range(len(seq) - 1, 0, -1):
+            for k in range(end):
+                if seq[k] > seq[k + 1]:
+                    seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                    swaps += 1
+        assert perm_sign(sigma) == (-1) ** swaps
+
+
+def test_unipoly_evaluates_matrices():
+    zero = SparseMatrix(2)
+    m = SparseMatrix.from_entries(2, [(0, 1, 1), (1, 1, 2)])
+    p = UniPoly([m, SparseMatrix.identity(2)])
+    assert p(3, zero) == m + 3 * SparseMatrix.identity(2)
+    assert UniPoly([])(3, zero) == zero
+    assert UniPoly([])(3) == 0
 
 
 def test_series_inverse_two_sided():

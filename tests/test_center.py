@@ -16,16 +16,16 @@ from wrep.sparse import SparseMatrix
 
 
 def make(rows, weight=None):
+    """Representation, T matrix and column determinant for a shape."""
     pyr = Pyramid(rows=rows)
     w = weight if weight is not None else generic_weight(pyr)
     rep = build_representation(pyr, w)
-    gens = generator_series(rep, max(pyr.rows) + 3)
-    return rep, gens
+    T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
+    return rep, T, column_determinant(T, pyr.n, rep.dim)
 
 
 def test_t_matrix_polynomial_degrees():
-    rep, gens = make((1, 2))
-    T = build_t_matrix(gens)
+    rep, T, _ = make((1, 2))
     assert T[(1, 1)].degree == 1
     assert T[(2, 2)].degree == 2
     # diagonal entries are monic
@@ -34,8 +34,8 @@ def test_t_matrix_polynomial_degrees():
 
 @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 1, 1)])
 def test_central_scalars(rows):
-    rep, gens = make(rows)
-    scalars, cdet = central_coefficients(rep, gens)
+    rep, _, cdet = make(rows)
+    scalars = central_coefficients(rep, cdet)
     assert len(scalars) == rep.pyramid.row_block_size(rep.n)
     assert cdet.coeffs[-1] == SparseMatrix.identity(rep.dim)
 
@@ -43,23 +43,21 @@ def test_central_scalars(rows):
 def test_gl2_quasideterminant():
     pyr = Pyramid(rows=(1, 1))
     w = HighestWeight(pyr, [[Fraction(5, 2)], [Fraction(1, 2)]])
-    rep, gens = make((1, 1), w)
-    ok, cdet, D2 = quasideterminant_check(rep, gens)
-    assert ok
+    rep, T, cdet = make((1, 1), w)
+    assert quasideterminant_check(T, cdet)
     # for the one-column weight, cdet(u) = (u + 5/2)(u - 1/2) acts as A_2
     assert cdet == rep.A[2]
 
 
 @pytest.mark.parametrize("rows", [(1, 2), (2, 2)])
 def test_quasideterminant_two_rows(rows):
-    rep, gens = make(rows)
-    ok, _, _ = quasideterminant_check(rep, gens)
-    assert ok
+    _, T, cdet = make(rows)
+    assert quasideterminant_check(T, cdet)
 
 
 def test_ratio_recorded():
-    rep, gens = make((1, 2))
-    out = cdet_vs_top_row(rep, gens)
+    rep, _, cdet = make((1, 2))
+    out = cdet_vs_top_row(rep, cdet)
     assert len(out) == 3
     for u0, cval, aval, ratio in out:
         assert cval is not None and aval is not None
@@ -68,7 +66,6 @@ def test_ratio_recorded():
 
 
 def test_column_determinant_n1():
-    rep, gens = make((1, 1))
-    T = build_t_matrix(gens)
+    rep, T, _ = make((1, 1))
     one = column_determinant({(1, 1): T[(1, 1)]}, 1, rep.dim)
     assert one == T[(1, 1)]

@@ -81,3 +81,17 @@ def test_fibers_and_leading(capsys, config):
     code, rec = run(capsys, "leading", "--rows", "1 2")
     assert code == 0
     assert rec["checks"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rows", "1 1", "--rmax", "0"],
+    ["center", "--rows", "1 1", "--rmax", "-1"],
+    ["galois-check", "--rows", "1 1", "--points", "1/0"],
+], ids=["rmax-zero", "rmax-negative", "points-zero-denominator"])
+def test_bad_argument_exit_code(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from wrep.errors import OrderError
-from wrep.patterns import HighestWeight, generic_weight
+from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
+from wrep.galois import cross_check
+from wrep import rep as rep_mod
+from wrep.patterns import GTPattern, HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import (
     build_representation,
-    evaluate,
     generator_series,
     verify_defining_relations,
 )
@@ -50,8 +51,8 @@ def test_gl2_matrices():
 
 def test_evaluate():
     rep = gl2_rep()
-    m = evaluate(rep.A[1], Fraction(1, 2), rep.dim)
-    assert m.get(0, 0) == 1 and m.get(2, 2) == 3
+    m = rep.A[1](Fraction(1, 2), SparseMatrix(rep.dim))
+    assert m == SparseMatrix.diagonal([1, 2, 3])
 
 
 def test_a_coefficient_accessor():
@@ -94,3 +95,30 @@ def test_relation_report_structure():
     names = [n for n, _, _ in report.families]
     assert "[d,d]=0" in names and "d_1 vanishing" in names
     assert report.total_instances() > 0
+
+
+def test_b_coefficient_mutation_detected():
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    coeff = rep.B[1].coeffs[0]
+    (i, j, _), = coeff.entries()
+    rep.B[1].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+    failed = {name: fails for name, _, fails in
+              verify_defining_relations(rep, 3).families if fails}
+    assert list(failed) == ["[e,f]"]
+    assert failed["[e,f]"][0] == "i=1 j=1 r=2 s=1: entry (1,1) differs by 1"
+    with pytest.raises(InvariantViolation, match="disagrees with the matrix"):
+        cross_check(rep)
+
+
+def test_degenerate_nodes_name_row_and_pattern(monkeypatch):
+    # a non-generic pattern (equal entries in row 1) that enumeration
+    # would reject, injected directly
+    pyr = Pyramid(rows=(2, 2))
+    third = Fraction(1, 3)
+    mu = GTPattern(pyr, {(1, 1, 1): third, (1, 1, 2): third,
+                         (2, 1, 1): third + 1, (2, 1, 2): third + 1,
+                         (2, 2, 1): third, (2, 2, 2): third})
+    monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda weight: [mu])
+    with pytest.raises(DegenerateNodes, match=r"row 1 of pattern"):
+        build_representation(pyr, None)

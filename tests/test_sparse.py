@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wrep.arith import UniPoly
 from wrep.errors import SingularLead
-from wrep.sparse import SparseMatrix, use_kernel
-from wrep import sparse as sparse_mod
+from wrep.mpoly import MPoly
+from wrep.sparse import SparseMatrix
 
 
 def entry_list(dim):
@@ -51,21 +52,65 @@ def test_commutator():
     assert c.get(0, 0) == 1 and c.get(1, 1) == -1
 
 
-@settings(max_examples=30)
-@given(entry_list(5), entry_list(5))
-def test_kernels_agree(ea, eb):
-    a = SparseMatrix.from_entries(5, ea)
-    b = SparseMatrix.from_entries(5, eb)
-    results = {}
-    original = sparse_mod.KERNEL_BACKEND
-    try:
-        for backend in ("python", "cython"):
-            try:
-                use_kernel(backend)
-            except ImportError:
-                continue
-            results[backend] = (a * b, a + b)
-    finally:
-        use_kernel(original)
-    if len(results) == 2:
-        assert results["python"] == results["cython"]
+def dense(m):
+    return [[m.get(i, j) for j in range(m.dim)] for i in range(m.dim)]
+
+
+def dense_mul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+             for j in range(n)] for i in range(n)]
+
+
+def dense_det(a):
+    """Laplace expansion along the first row."""
+    if not a:
+        return Fraction(1)
+    return sum((
+        (-1) ** j * a[0][j] * dense_det([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a)) if a[0][j]
+    ), Fraction(0))
+
+
+def assert_canonical(m):
+    # equality compares the row dicts, so zeros and empty rows must be absent
+    assert all(m.rows.values())
+    assert all(v for row in m.rows.values() for v in row.values())
+
+
+@settings(max_examples=60)
+@given(entry_list(4), entry_list(4),
+       st.fractions(min_value=-9, max_value=9, max_denominator=5))
+def test_matches_dense_reference(ea, eb, c):
+    a = SparseMatrix.from_entries(4, ea)
+    b = SparseMatrix.from_entries(4, eb)
+    da, db = dense(a), dense(b)
+    results = {
+        "a*b": (a * b, dense_mul(da, db)),
+        "a+b": (a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
+        "a-b": (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
+        "-a": (-a, [[-x for x in ra] for ra in da]),
+        "a*c": (a * c, [[x * c for x in ra] for ra in da]),
+        "c*a": (c * a, [[c * x for x in ra] for ra in da]),
+    }
+    for label, (got, want) in results.items():
+        assert_canonical(got)
+        assert dense(got) == want, label
+    if dense_det(da):
+        inv = a.inverse()
+        assert_canonical(inv)
+        ident = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        assert dense_mul(da, dense(inv)) == ident
+    else:
+        with pytest.raises(SingularLead):
+            a.inverse()
+
+
+@pytest.mark.parametrize("value", [
+    SparseMatrix.identity(2),
+    UniPoly([Fraction(1), Fraction(2)]),
+    MPoly.const(("x",), 3),
+], ids=lambda v: type(v).__name__)
+def test_unhashable(value):
+    with pytest.raises(TypeError):
+        hash(value)
