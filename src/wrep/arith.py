@@ -4,10 +4,13 @@ Coefficients are either Fraction scalars or objects exposing the same
 arithmetic protocol (SparseMatrix, MPoly): +, -, *, unary -, truthiness
 for zero-testing.  Polynomials are coefficient lists in ascending powers
 of u; inverse series are truncated expansions c_0 + c_1 u^{-1} + ... up
-to a stated order.
+to a stated order.  Terms is the shared base of the sparse linear
+combinations (MPoly and the skew and operator algebras), and leibniz_det
+the one permutation-sum determinant.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 from .errors import ArityError, DegenerateNodes, SingularLead
@@ -17,12 +20,6 @@ def _zero_like(x):
     if isinstance(x, Fraction):
         return Fraction(0)
     return x.zero_like()
-
-
-def _one_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return x.one_like()
 
 
 def _invert(x):
@@ -43,14 +40,6 @@ class UniPoly:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls):
-        return cls([])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     @classmethod
     def from_roots(cls, roots):
@@ -164,6 +153,54 @@ def perm_sign(sigma):
     return sgn
 
 
+def leibniz_det(n, entry):
+    """sum over permutations sigma of sgn(sigma) entry(sigma(0), 0) ...
+    entry(sigma(n-1), n-1) for n >= 1.
+
+    Each product is taken left to right in column order, so the entries
+    need not commute (column determinants of matrix-valued entries)."""
+    total = None
+    for sigma in permutations(range(n)):
+        prod = entry(sigma[0], 0)
+        for c in range(1, n):
+            prod = prod * entry(sigma[c], c)
+        if perm_sign(sigma) < 0:
+            prod = -prod
+        total = prod if total is None else total + prod
+    return total
+
+
+class Terms:
+    """Sparse linear combination: a dict {key: coefficient} that never
+    stores a zero coefficient.  Subclasses supply _new(terms), which
+    builds a sibling in the same context (variables, rank, model)."""
+
+    __slots__ = ("terms",)
+
+    def _new(self, terms):
+        raise NotImplementedError
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
 class InvSeries:
     """Truncated series c_0 + c_1 u^{-1} + ... + c_R u^{-R}."""
 
@@ -180,18 +217,8 @@ class InvSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def one(cls, order, one=Fraction(1)):
-        zero = _zero_like(one)
-        return cls([one] + [zero] * order, order)
-
     def coeff(self, r):
         return self.coeffs[r]
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ArityError("cannot extend a truncated series")
-        return InvSeries(self.coeffs[: order + 1], order)
 
     def __eq__(self, other):
         return (
@@ -228,21 +255,17 @@ class InvSeries:
         return InvSeries([other * c for c in self.coeffs], self.order)
 
 
-def series_inverse(s, order=None):
-    """Two-sided inverse of s through the given order (default: s.order)."""
-    if order is None:
-        order = s.order
-    if order > s.order:
-        raise ArityError("requested order exceeds the input's order")
+def series_inverse(s):
+    """Two-sided inverse of s through its order."""
     c0inv = _invert(s.coeffs[0])
     out = [c0inv]
-    for r in range(1, order + 1):
+    for r in range(1, s.order + 1):
         acc = None
         for t in range(1, r + 1):
             term = s.coeffs[t] * out[r - t]
             acc = term if acc is None else acc + term
         out.append(-(c0inv * acc))
-    return InvSeries(out, order)
+    return InvSeries(out, s.order)
 
 
 def series_arg_shift(s, c):

@@ -7,9 +7,8 @@ polynomial, and the coefficients of the column determinant below the top
 must act as central scalars."""
 
 from fractions import Fraction
-from itertools import permutations
 
-from .arith import InvSeries, UniPoly, perm_sign, poly_shift
+from .arith import InvSeries, UniPoly, leibniz_det, poly_shift
 from .errors import InvariantViolation
 from .sparse import SparseMatrix
 
@@ -94,27 +93,11 @@ def build_t_matrix(gens):
     return T
 
 
-def _poly_product_shifted(factors, dim):
-    """prod_k F_k(u - k) for k = 0, 1, ... in order."""
-    acc = None
-    for k, p in enumerate(factors):
-        q = poly_shift(p, -k) if k else p
-        acc = q if acc is None else acc * q
-    if acc is None:
-        return UniPoly([SparseMatrix.identity(dim)])
-    return acc
-
-
-def column_determinant(T, n, dim):
+def column_determinant(T, n):
     """cdet T(u) = sum_sigma sgn(sigma) T_{sigma(1)1}(u) ... T_{sigma(n)n}(u-n+1)."""
-    total = None
-    for sigma in permutations(range(1, n + 1)):
-        prod = _poly_product_shifted(
-            [T[(sigma[c], c + 1)] for c in range(n)], dim
-        )
-        prod = prod * Fraction(perm_sign(sigma))
-        total = prod if total is None else total + prod
-    return total
+    shifted = {(i, c): poly_shift(T[(i + 1, c + 1)], -c)
+               for i in range(n) for c in range(n)}
+    return leibniz_det(n, lambda i, c: shifted[(i, c)])
 
 
 def central_coefficients(rep, cdet):
@@ -163,15 +146,14 @@ def quasideterminant_check(T, cdet):
     return cdet == poly_shift(D2, -1)
 
 
-def cdet_vs_top_row(rep, cdet, samples=(0, 7, -3)):
-    """Record (not assert) the ratio cdet T(u0) / A_n(u0) at sample points.
+def cdet_vs_top_row(rep, cdet):
+    """Record (not assert) the ratio cdet T(u0) / A_n(u0) at u0 = 0, 7, -3.
 
     A_n(u) acts by the same scalar on every basis vector, so both sides
     are scalars wherever A_n(u0) is nonzero."""
     zero = SparseMatrix(rep.dim)
     out = []
-    for u0 in samples:
-        u0 = Fraction(u0)
+    for u0 in (Fraction(0), Fraction(7), Fraction(-3)):
         cval = cdet(u0, zero).scalar_part()
         aval = rep.A[rep.n](u0, zero).scalar_part()
         ratio = None if (aval is None or cval is None or not aval) else cval / aval

@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import WrepError
+from .errors import ConfigError, WrepError
 from .patterns import HighestWeight, generic_weight, enumerate_patterns
 from .pyramid import (
     Pyramid,
@@ -36,11 +36,15 @@ def _parse_fraction_list(text):
 
 
 def _load_config(path):
+    """The file's sections as plain dicts.  Every value is read, and so
+    interpolated, here: a malformed file fails before any work starts."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise WrepError("cannot read config file %r" % path)
-    return cp
+    try:
+        if not cp.read(path):
+            raise ConfigError("cannot read config file %r" % path)
+        return {name: dict(cp[name]) for name in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError("malformed config file: %s" % " ".join(str(exc).split())) from None
 
 
 def _pyramid_from(args, cfg):
@@ -48,7 +52,7 @@ def _pyramid_from(args, cfg):
         return Pyramid(rows=[int(t) for t in args.rows.replace(",", " ").split()])
     if args.cols:
         return Pyramid(cols=[int(t) for t in args.cols.replace(",", " ").split()])
-    if cfg and cfg.has_section("pyramid"):
+    if "pyramid" in cfg:
         sec = cfg["pyramid"]
         if "rows" in sec:
             return Pyramid(rows=[int(t) for t in sec["rows"].split()])
@@ -58,7 +62,7 @@ def _pyramid_from(args, cfg):
 
 
 def _weight_from(pyr, cfg):
-    if cfg and cfg.has_section("weight"):
+    if "weight" in cfg:
         parts = []
         for i in range(1, pyr.n + 1):
             key = "lambda%d" % i
@@ -124,13 +128,13 @@ def _run_build(args, cfg):
     return {"dimension": rep.dim, "matrices": _dump_matrices(rep)}, []
 
 
-def _rmax_from(args, cfg, default=3):
+def _rmax_from(args, cfg):
     if args.rmax is not None:
         rmax = args.rmax
-    elif cfg and cfg.has_section("run") and "rmax" in cfg["run"]:
+    elif "rmax" in cfg.get("run", {}):
         rmax = int(cfg["run"]["rmax"])
     else:
-        return default
+        return 3
     if rmax < 1:
         raise WrepError("rmax must be at least 1, got %d" % rmax)
     return rmax
@@ -139,7 +143,7 @@ def _rmax_from(args, cfg, default=3):
 def _points_from(args, cfg):
     if args.points:
         return _parse_fraction_list(args.points)
-    if cfg and cfg.has_section("run") and "points" in cfg["run"]:
+    if "points" in cfg.get("run", {}):
         return _parse_fraction_list(cfg["run"]["points"])
     return [Fraction(0), Fraction(7), Fraction(-3)]
 
@@ -197,7 +201,7 @@ def _run_center(args, cfg):
     R = max(max(pyr.rows) + 3, _rmax_from(args, cfg))
     gens = generator_series(rep, R)
     T = build_t_matrix(gens)
-    cdet = column_determinant(T, pyr.n, rep.dim)
+    cdet = column_determinant(T, pyr.n)
     checks = []
     try:
         scalars = central_coefficients(rep, cdet)
@@ -353,7 +357,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config) if args.config else None
+        cfg = _load_config(args.config) if args.config else {}
         t0 = time.perf_counter()
         info, checks = _COMMANDS[args.command](args, cfg)
         elapsed = time.perf_counter() - t0

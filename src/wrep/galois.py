@@ -9,6 +9,7 @@ action."""
 
 from fractions import Fraction
 
+from .arith import Terms
 from .errors import EvaluationError, InvariantViolation, NotInvariant
 from .mpoly import MPoly, MRat
 from .patterns import entry_slots
@@ -75,10 +76,10 @@ class GaloisModel:
         return tuple(out)
 
 
-class SkewElement:
+class SkewElement(Terms):
     """Finite sum of terms coefficient * shift-monomial."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model",)
 
     def __init__(self, model, terms=None):
         self.model = model
@@ -88,26 +89,13 @@ class SkewElement:
                 if a:
                     self.terms[d] = a
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _new(self, terms):
+        return SkewElement(self.model, terms)
 
     def __eq__(self, other):
         if not isinstance(other, SkewElement):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[d] == other.terms[d] for d in self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, a in other.terms.items():
-            s = out.get(d)
-            s = a if s is None else s + a
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return SkewElement(self.model, out)
+        return self.terms == other.terms
 
     def apply_swap(self, slot_a, slot_b):
         """Image under the transposition of two same-row slots."""
@@ -127,16 +115,6 @@ class SkewElement:
             self.apply_swap(sa, sb) == self
             for sa, sb in self.model.generators()
         )
-
-
-def _row_product(model, r, u_or_x, skip=None):
-    """prod over row-r slots of (u_or_x + x) or (x - u_or_x)."""
-    acc = MPoly.const(model.names, 1)
-    for (i, k) in model.row_slots[r]:
-        if skip == (i, k):
-            continue
-        acc = acc * (u_or_x + model.x(r, i, k))
-    return acc
 
 
 def t_image_a(model, j):

@@ -12,7 +12,7 @@ to degree one."""
 from fractions import Fraction
 from itertools import permutations
 
-from .arith import UniPoly, perm_sign
+from .arith import UniPoly, leibniz_det, perm_sign
 from .errors import InvariantViolation, OrderError
 from .mpoly import MPoly
 
@@ -57,14 +57,9 @@ class GradedRing:
 def dcoeff_determinant(ring, r, s):
     """d_{rs} as the coefficient of u^{p_1+...+p_r - s} in det of the
     top-left r x r block."""
-    det = None
-    for sigma in permutations(range(1, r + 1)):
-        sgn = perm_sign(sigma)
-        prod = UniPoly([MPoly.const(ring.names, 1)])
-        for j in range(1, r + 1):
-            prod = prod * ring.entry_poly(sigma[j - 1], j)
-        prod = prod * Fraction(sgn)
-        det = prod if det is None else det + prod
+    entries = {(i, j): ring.entry_poly(i + 1, j + 1)
+               for i in range(r) for j in range(r)}
+    det = leibniz_det(r, lambda i, j: entries[(i, j)])
     block = ring.pyramid.row_block_size(r)
     c = det.coeff(block - s)
     return c if c is not None else MPoly.zero(ring.names)

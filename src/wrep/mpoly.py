@@ -9,6 +9,7 @@ lex-leading coefficient 1.
 
 from fractions import Fraction
 
+from .arith import Terms
 from .errors import EvaluationError
 
 _RING_CACHE = {}
@@ -25,8 +26,8 @@ def _sympy_ring(names):
     return ring
 
 
-class MPoly:
-    __slots__ = ("names", "terms")
+class MPoly(Terms):
+    __slots__ = ("names",)
 
     def __init__(self, names, terms=None, _clean=False):
         self.names = tuple(names)
@@ -59,11 +60,8 @@ class MPoly:
     def zero_like(self):
         return MPoly(self.names)
 
-    def one_like(self):
-        return MPoly.const(self.names, 1)
-
-    def __bool__(self):
-        return bool(self.terms)
+    def _new(self, terms):
+        return MPoly(self.names, terms, _clean=True)
 
     def __eq__(self, other):
         return (
@@ -80,24 +78,9 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.names, other)
         self._chk(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.names, out, _clean=True)
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly(self.names, {e: -c for e, c in self.terms.items()}, _clean=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(self.names, other)
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -115,12 +98,9 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.names, out, _clean=True)
+                s = out.get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return MPoly(self.names, {e: c for e, c in out.items() if c}, _clean=True)
 
     __rmul__ = __mul__
 
@@ -167,12 +147,8 @@ class MPoly:
         for e, c in self.terms.items():
             k = e[index]
             e2 = e[:index] + (0,) + e[index + 1 :]
-            s = out.get(e2, 0) + c * value**k
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return MPoly(self.names, out, _clean=True)
+            out[e2] = out.get(e2, 0) + c * value**k
+        return MPoly(self.names, out)
 
     def permute_vars(self, perm):
         """perm maps old variable index -> new variable index."""
@@ -335,9 +311,6 @@ class MRat:
         if not d:
             raise EvaluationError("denominator vanishes at the evaluation point")
         return self.num.evaluate(point) / d
-
-    def substitute(self, index, value):
-        return MRat(self.num.substitute(index, value), self.den.substitute(index, value))
 
     def permute_vars(self, perm):
         return MRat(self.num.permute_vars(perm), self.den.permute_vars(perm))

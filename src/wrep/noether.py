@@ -13,10 +13,10 @@ the sigma divided by a power of the discriminant; RatOp composition
 rebuilds the operator from that data for a round-trip identity check."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 from math import comb, factorial
 
-from .arith import perm_sign
+from .arith import Terms, leibniz_det
 from .errors import NotInvariant, InvariantViolation
 from .mpoly import MPoly, MRat
 
@@ -37,10 +37,15 @@ def _snames(n):
     return tuple("s%d" % (i + 1) for i in range(n))
 
 
-class WeylElement:
+# Largest discriminant power rewrite_in_sigma tries when clearing the
+# denominator of a coefficient.
+MAX_DISC_POWER = 6
+
+
+class WeylElement(Terms):
     """Normal-ordered sum of terms c * x^a d^b; a may have negative parts."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -68,8 +73,8 @@ class WeylElement:
         b[i] = power
         return cls(n, {((0,) * n, tuple(b)): Fraction(1)})
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _new(self, terms):
+        return WeylElement(self.n, terms)
 
     def __eq__(self, other):
         return (
@@ -77,22 +82,6 @@ class WeylElement:
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return WeylElement(self.n, out)
-
-    def __neg__(self):
-        return WeylElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -105,7 +94,7 @@ class WeylElement:
                 # d^b1 x^a2 = sum_t prod binom(b1,t) falling(a2,t) x^{a2-t} d^{b1-t}
                 ranges = [range(min(b, max(a, 0)) + 1) if a >= 0 else range(b + 1)
                           for a, b in zip(a2, b1)]
-                for t in _product(ranges):
+                for t in product(*ranges):
                     f = c1 * c2
                     for i in range(self.n):
                         f *= comb(b1[i], t[i]) * falling(a2[i], t[i])
@@ -113,11 +102,7 @@ class WeylElement:
                         continue
                     a = tuple(a1[i] + a2[i] - t[i] for i in range(self.n))
                     b = tuple(b1[i] + b2[i] - t[i] for i in range(self.n))
-                    s = out.get((a, b), 0) + f
-                    if s:
-                        out[(a, b)] = s
-                    else:
-                        out.pop((a, b), None)
+                    out[(a, b)] = out.get((a, b), 0) + f
         return WeylElement(self.n, out)
 
     __rmul__ = __mul__
@@ -174,15 +159,6 @@ class WeylElement:
         return out
 
 
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _product(ranges[1:]):
-            yield (head,) + tail
-
-
 def check_weyl_relations(n):
     """d_i x_j - x_j d_i = delta_ij for all i, j; returns the check count."""
     count = 0
@@ -196,12 +172,12 @@ def check_weyl_relations(n):
     return count
 
 
-class ShiftAlgebraElement:
+class ShiftAlgebraElement(Terms):
     """Sum of terms r(t) * m with m in the integer lattice; the product
     twists by (r1 m1)(r2 m2) = r1 * r2^{m1} (m1 + m2), where r^{m} shifts
     t_k to t_k - m_k."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -226,29 +202,15 @@ class ShiftAlgebraElement:
     def const(cls, n, c):
         return cls(n, {(0,) * n: MPoly.const(_tnames(n), c)})
 
+    def _new(self, terms):
+        return ShiftAlgebraElement(self.n, terms)
+
     def __eq__(self, other):
         return (
             isinstance(other, ShiftAlgebraElement)
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, r in other.terms.items():
-            s = out.get(m)
-            s = r if s is None else s + r
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ShiftAlgebraElement(self.n, out)
-
-    def __neg__(self):
-        return ShiftAlgebraElement(self.n, {m: -r for m, r in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         out = {}
@@ -261,11 +223,7 @@ class ShiftAlgebraElement:
                 m = tuple(m1[k] + m2[k] for k in range(self.n))
                 prod = r1 * shifted
                 s = out.get(m)
-                s = prod if s is None else s + prod
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = prod if s is None else s + prod
         return ShiftAlgebraElement(self.n, out)
 
 
@@ -365,13 +323,7 @@ def jacobian_inverse(n):
     names = _xnames(n)
     J = [[elementary_poly(names, i + 1).derivative(j) for j in range(n)]
          for i in range(n)]
-    det = MPoly.zero(names)
-    for sigma in permutations(range(n)):
-        sgn = perm_sign(sigma)
-        prod = MPoly.const(names, Fraction(sgn))
-        for i in range(n):
-            prod = prod * J[i][sigma[i]]
-        det = det + prod
+    det = leibniz_det(n, lambda i, j: J[i][j])
     delta = vandermonde(names)
     if det != delta and det != -delta:
         raise InvariantViolation("det J is not +/- the Vandermonde factor")
@@ -383,23 +335,20 @@ def jacobian_inverse(n):
                 [J[a][b] for b in range(n) if b != j]
                 for a in range(n) if a != i
             ]
-            cof = MPoly.zero(names)
-            for tau in permutations(range(n - 1)):
-                sgn = perm_sign(tau)
-                prod = MPoly.const(names, Fraction(sgn))
-                for a in range(n - 1):
-                    prod = prod * minor[a][tau[a]]
-                cof = cof + prod
+            if n == 1:  # the empty minor's determinant
+                cof = MPoly.const(names, 1)
+            else:
+                cof = leibniz_det(n - 1, lambda a, b: minor[a][b])
             sign = Fraction((-1) ** (i + j))
             inv[j][i] = MRat(cof * sign, det)
     return inv, det
 
 
-class RatOp:
+class RatOp(Terms):
     """Differential operator with rational-function coefficients:
     dict {derivative multi-index: MRat in the x-variables}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -426,34 +375,18 @@ class RatOp:
     def coefficient(cls, n, c):
         return cls(n, {(0,) * n: c})
 
+    def _new(self, terms):
+        return RatOp(self.n, terms)
+
     def __eq__(self, other):
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[b] == other.terms[b] for b in self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b)
-            s = c if s is None else s + c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return RatOp(self.n, out)
-
-    def __neg__(self):
-        return RatOp(self.n, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self.terms == other.terms
 
     def __mul__(self, other):
         """Operator composition via the Leibniz rule."""
         out = {}
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
-                for t in _product([range(x + 1) for x in b1]):
+                for t in product(*(range(x + 1) for x in b1)):
                     factor = Fraction(1)
                     for i in range(self.n):
                         factor *= comb(b1[i], t[i])
@@ -466,11 +399,7 @@ class RatOp:
                     b = tuple(b1[i] - t[i] + b2[i] for i in range(self.n))
                     term = c1 * g * factor
                     s = out.get(b)
-                    s = term if s is None else s + term
-                    if s:
-                        out[b] = s
-                    else:
-                        out.pop(b, None)
+                    out[b] = term if s is None else s + term
         return RatOp(self.n, out)
 
 
@@ -486,7 +415,7 @@ class SymData:
         self.parts = parts  # {beta: (MPoly in s-names, int N)}
 
 
-def rewrite_in_sigma(w, max_disc_power=6):
+def rewrite_in_sigma(w):
     """Express a symmetric WeylElement as sum_beta c_beta(sigma) D^beta.
 
     The coefficients are recovered by applying the operator to sigma
@@ -500,7 +429,7 @@ def rewrite_in_sigma(w, max_disc_power=6):
     maxord = w.d_order()
 
     betas = sorted(
-        (b for b in _product([range(maxord + 1)] * n) if sum(b) <= maxord),
+        (b for b in product(range(maxord + 1), repeat=n) if sum(b) <= maxord),
         key=lambda b: (sum(b), b),
     )
     coeffs = {}
@@ -536,7 +465,7 @@ def rewrite_in_sigma(w, max_disc_power=6):
         cleared = None
         power = None
         cand = c
-        for N in range(max_disc_power + 1):
+        for N in range(MAX_DISC_POWER + 1):
             if N:
                 cand = cand * delta2
             if cand.is_polynomial():
@@ -591,13 +520,12 @@ def sigma_expand(sp, n):
     return out
 
 
-def round_trip(w, data=None):
-    """Rebuild the operator from its sigma-data and compare.
+def round_trip(w):
+    """Rewrite the operator in sigma-data, rebuild it and compare.
 
     Returns the SymData when the composed RatOp equals the original."""
     n = w.n
-    if data is None:
-        data = rewrite_in_sigma(w)
+    data = rewrite_in_sigma(w)
     jinv, _ = jacobian_inverse(n)
     D = []
     for j in range(n):

@@ -44,10 +44,9 @@ class HighestWeight:
         )
 
 
-def validate_highest_weight(weight, pyramid=None):
+def validate_highest_weight(weight):
     """Structured dominance/genericity diagnostics; never raises."""
-    if pyramid is None:
-        pyramid = weight.pyramid
+    pyramid = weight.pyramid
     problems = []
     n = pyramid.n
     # dominance: same column k down consecutive rows
@@ -76,18 +75,12 @@ def validate_highest_weight(weight, pyramid=None):
     return problems
 
 
-def generic_weight(pyramid, gaps=1, base=0):
-    """Deterministic generic dominant weight: column k carries the
-    fractional part 1/(k+2), consecutive rows differ by `gaps` (an int or a
-    per-column dict)."""
-    parts = []
+def generic_weight(pyramid):
+    """Deterministic generic dominant weight: row i, column k carries
+    (n - i) + 1/(k+2), so consecutive rows differ by 1."""
     n = pyramid.n
-    for i in range(1, n + 1):
-        row = []
-        for k in range(1, pyramid.p(i) + 1):
-            g = gaps[k] if isinstance(gaps, dict) else gaps
-            row.append(Fraction(base + (n - i) * g) + Fraction(1, k + 2))
-        parts.append(row)
+    parts = [[(n - i) + Fraction(1, k + 2) for k in range(1, pyramid.p(i) + 1)]
+             for i in range(1, n + 1)]
     w = HighestWeight(pyramid, parts)
     problems = validate_highest_weight(w)
     if problems:

@@ -63,9 +63,6 @@ class SparseMatrix:
     def zero_like(self):
         return SparseMatrix(self.dim)
 
-    def one_like(self):
-        return SparseMatrix.identity(self.dim)
-
     def get(self, i, j):
         return self.rows.get(i, {}).get(j, _ZERO)
 

@@ -153,7 +153,7 @@ def test_criterion_06_central_elements():
         pyr = rep.pyramid
         gens = generator_series(rep, max(pyr.rows) + 3)
         T = build_t_matrix(gens)
-        cdet = column_determinant(T, pyr.n, rep.dim)
+        cdet = column_determinant(T, pyr.n)
         try:
             scalars = central_coefficients(rep, cdet)
         except Exception as exc:  # noqa: BLE001 - recorded as a failure

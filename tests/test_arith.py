@@ -8,6 +8,7 @@ from wrep.arith import (
     InvSeries,
     UniPoly,
     lagrange_basis,
+    leibniz_det,
     perm_sign,
     poly_shift,
     poly_to_inv_series,
@@ -131,3 +132,17 @@ def test_poly_to_inv_series_degree_guard():
     p = UniPoly.from_roots([0, 1, 2])
     with pytest.raises(ArityError):
         poly_to_inv_series(p, [(0, 2)], 3)
+
+
+def test_leibniz_det_keeps_column_order():
+    # non-commuting entries: each product must run down the columns
+    e = {(0, 0): SparseMatrix.from_entries(2, [(0, 1, 1)]),
+         (1, 1): SparseMatrix.from_entries(2, [(1, 0, 1)]),
+         (1, 0): SparseMatrix.from_entries(2, [(0, 0, 2), (1, 1, 3)]),
+         (0, 1): SparseMatrix.from_entries(2, [(0, 1, 5)])}
+    det = leibniz_det(2, lambda i, c: e[(i, c)])
+    assert det == e[(0, 0)] * e[(1, 1)] - e[(1, 0)] * e[(0, 1)]
+    # neither the row-order nor the reversed column-order expansion
+    assert det != e[(0, 0)] * e[(1, 1)] - e[(0, 1)] * e[(1, 0)]
+    assert det != e[(1, 1)] * e[(0, 0)] - e[(0, 1)] * e[(1, 0)]
+    assert leibniz_det(1, lambda i, c: e[(1, 1)]) == e[(1, 1)]

@@ -9,6 +9,7 @@ from wrep.center import (
     column_determinant,
     quasideterminant_check,
 )
+from wrep.errors import InvariantViolation
 from wrep.patterns import HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation, generator_series
@@ -21,7 +22,7 @@ def make(rows, weight=None):
     w = weight if weight is not None else generic_weight(pyr)
     rep = build_representation(pyr, w)
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
-    return rep, T, column_determinant(T, pyr.n, rep.dim)
+    return rep, T, column_determinant(T, pyr.n)
 
 
 def test_t_matrix_polynomial_degrees():
@@ -66,6 +67,14 @@ def test_ratio_recorded():
 
 
 def test_column_determinant_n1():
-    rep, T, _ = make((1, 1))
-    one = column_determinant({(1, 1): T[(1, 1)]}, 1, rep.dim)
+    _, T, _ = make((1, 1))
+    one = column_determinant({(1, 1): T[(1, 1)]}, 1)
     assert one == T[(1, 1)]
+
+
+def test_off_diagonal_cdet_coefficient_detected():
+    rep, _, cdet = make((1, 2))
+    lower = cdet.coeffs[0]
+    cdet.coeffs[0] = lower + SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+    with pytest.raises(InvariantViolation, match="not scalar"):
+        central_coefficients(rep, cdet)

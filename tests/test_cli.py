@@ -95,3 +95,22 @@ def test_bad_argument_exit_code(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "rows = 1 1\n",
+    "[pyramid]\nrows = 1 1\n[pyramid]\nrows = 1 2\n",
+    "[pyramid]\nrows = 1 1\nrows = 1 2\n",
+    "[pyramid]\nrows = 1 1\n[run]\nrmax = %(x)s\n",
+    "[pyramid]\nrows 1 1\n",
+], ids=["no-section-header", "duplicate-section", "duplicate-option",
+        "bad-interpolation", "line-without-equals"])
+def test_malformed_config_exit_code(capsys, tmp_path, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = main(["verify", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -103,10 +103,12 @@ def test_shift_algebra_twisted_product():
 
 
 def test_jacobian_determinant():
-    for n in (2, 3):
+    for n in (1, 2, 3):
         _, det = jacobian_inverse(n)
         delta = vandermonde(_xnames(n))
         assert det == delta or det == -delta
+    # the 1 x 1 cofactor is the determinant of the empty minor
+    assert jacobian_inverse(1)[0] == [[1]]
 
 
 def test_symmetric_reduce_power_sum():
@@ -148,7 +150,7 @@ def test_sum_d_rewrite():
             assert data.parts[beta] == (want, 0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("make", [euler, sum_d, sum_x2d])
 def test_round_trips(n, make):
     round_trip(make(n))

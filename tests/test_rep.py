@@ -97,18 +97,27 @@ def test_relation_report_structure():
     assert report.total_instances() > 0
 
 
-def test_b_coefficient_mutation_detected():
+def _assert_ladder_mutation_detected(family, diff):
     pyr = Pyramid(rows=(1, 2))
     rep = build_representation(pyr, generic_weight(pyr))
-    coeff = rep.B[1].coeffs[0]
+    poly = getattr(rep, family)[1]
+    coeff = poly.coeffs[0]
     (i, j, _), = coeff.entries()
-    rep.B[1].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+    poly.coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
     failed = {name: fails for name, _, fails in
               verify_defining_relations(rep, 3).families if fails}
     assert list(failed) == ["[e,f]"]
-    assert failed["[e,f]"][0] == "i=1 j=1 r=2 s=1: entry (1,1) differs by 1"
+    assert failed["[e,f]"][0] == "i=1 j=1 r=2 s=1: entry (1,1) differs by " + diff
     with pytest.raises(InvariantViolation, match="disagrees with the matrix"):
         cross_check(rep)
+
+
+def test_b_coefficient_mutation_detected():
+    _assert_ladder_mutation_detected("B", "1")
+
+
+def test_c_coefficient_mutation_detected():
+    _assert_ladder_mutation_detected("C", "-13/12")
 
 
 def test_degenerate_nodes_name_row_and_pattern(monkeypatch):
