@@ -6,7 +6,8 @@ fractions), and an optional [run] section with rmax / points.  Every
 subcommand emits a record {"schema": 1, ...} with stable key order and no
 timestamps; timing is printed separately so records are byte-identical
 across runs.  Exit status: 0 all checks pass, 1 a check fails, 2 usage or
-configuration error."""
+configuration error, 3 an internal error (an unexpected exception, reported
+on one line)."""
 
 import argparse
 import configparser
@@ -364,6 +365,10 @@ def main(argv=None):
     except (WrepError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of the input or of a checked claim
+        print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
     record = {
         "schema": 1,

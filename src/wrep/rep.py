@@ -255,10 +255,13 @@ def _series_invariants(gens):
             raise InvariantViolation("f_%d^{(0)} nonzero" % i)
 
 
-def _first_diff(got, want):
+def _first_diff(got, want, basis):
+    """Witness for got != want: an entry of the difference, with the
+    patterns that index its row and column."""
     delta = got - want
     for i, j, v in delta.entries():
-        return "entry (%d,%d) differs by %s" % (i, j, v)
+        return ("entry (%d,%d) differs by %s; row pattern %r, column pattern %r"
+                % (i, j, v, basis[i], basis[j]))
     return None
 
 
@@ -295,7 +298,7 @@ def verify_defining_relations(rep, R):
         for label, got, want in cases:
             count += 1
             if got != want:
-                fails.append("%s: %s" % (label, _first_diff(got, want)))
+                fails.append("%s: %s" % (label, _first_diff(got, want, rep.basis)))
         report.add(name, count, fails)
 
     def cases_dd():
@@ -405,37 +408,24 @@ def verify_defining_relations(rep, R):
                                gens.f(i, r).commutator(gens.f(j, s)), zero)
     check("distant rows", cases_far())
 
-    def cases_serre_e():
+    def cases_serre(x, start):
+        # inner[(s, t)] = [x_{i,s}, x_{j,t}], built once per (i, j) block
         for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) != 1:
+            for j in (i - 1, i + 1):
+                if not 1 <= j < n:
                     continue
-                for r in range(estart(i), R + 1):
-                    for s in range(estart(i), R + 1):
-                        for t in range(estart(j), R + 1):
-                            lhs = (gens.e(i, r).commutator(
-                                      gens.e(i, s).commutator(gens.e(j, t)))
-                                   + gens.e(i, s).commutator(
-                                      gens.e(i, r).commutator(gens.e(j, t))))
+                si, sj = range(start(i), R + 1), range(start(j), R + 1)
+                inner = {(s, t): x(i, s).commutator(x(j, t)) for s in si for t in sj}
+                for r in si:
+                    for s in si:
+                        for t in sj:
+                            lhs = (x(i, r).commutator(inner[(s, t)])
+                                   + x(i, s).commutator(inner[(r, t)]))
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
                                    lhs, zero)
-    check("Serre e", cases_serre_e())
-
-    def cases_serre_f():
-        for i in range(1, n):
-            for j in range(1, n):
-                if abs(i - j) != 1:
-                    continue
-                for r in range(1, R + 1):
-                    for s in range(1, R + 1):
-                        for t in range(1, R + 1):
-                            lhs = (gens.f(i, r).commutator(
-                                      gens.f(i, s).commutator(gens.f(j, t)))
-                                   + gens.f(i, s).commutator(
-                                      gens.f(i, r).commutator(gens.f(j, t))))
-                            yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
-                                   lhs, zero)
-    check("Serre f", cases_serre_f())
+                del inner
+    check("Serre e", cases_serre(gens.e, estart))
+    check("Serre f", cases_serre(gens.f, lambda i: 1))
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):

@@ -1,10 +1,14 @@
 """Exact sparse square matrices over the rationals.
 
 Storage is dict-of-rows {row: {col: Fraction}} with zero entries and empty
-rows never stored, so equal matrices have equal dicts.
+rows never stored, so equal matrices have equal dicts.  Products and
+commutators are summed in integer numerator/denominator pairs by the one
+product loop, ``_accumulate``, and ``_finish`` builds one Fraction per
+nonzero entry.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import SingularLead
 
@@ -75,11 +79,20 @@ class SparseMatrix:
         return sum(len(r) for r in self.rows.values())
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, subtract):
+        """self + other, or self - other when ``subtract``."""
         self._check(other)
         out = {i: dict(row) for i, row in self.rows.items()}
         for i, brow in other.rows.items():
             row = out.setdefault(i, {})
             for j, bv in brow.items():
+                if subtract:
+                    bv = -bv
                 if j in row:
                     s = row[j] + bv
                     if s:
@@ -92,34 +105,17 @@ class SparseMatrix:
                 del out[i]
         return SparseMatrix(self.dim, out, _clean=True)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
-        return self._scaled(Fraction(-1))
+        rows = {i: {j: -v for j, v in row.items()} for i, row in self.rows.items()}
+        return SparseMatrix(self.dim, rows, _clean=True)
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
             return self._scaled(Fraction(other))
         self._check(other)
-        brows = other.rows
         out = {}
-        for i, arow in self.rows.items():
-            acc = {}
-            for k, av in arow.items():
-                brow = brows.get(k)
-                if not brow:
-                    continue
-                for j, bv in brow.items():
-                    prod = av * bv
-                    if j in acc:
-                        acc[j] += prod
-                    else:
-                        acc[j] = prod
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return SparseMatrix(self.dim, out, _clean=True)
+        _accumulate(out, self.rows, other.rows, 1)
+        return _finish(self.dim, out)
 
     def __rmul__(self, other):
         return self._scaled(Fraction(other))
@@ -135,7 +131,12 @@ class SparseMatrix:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
 
     def commutator(self, other):
-        return self * other - other * self
+        """self*other - other*self, summed before any entry is normalised."""
+        self._check(other)
+        out = {}
+        _accumulate(out, self.rows, other.rows, 1)
+        _accumulate(out, other.rows, self.rows, -1)
+        return _finish(self.dim, out)
 
     def scalar_part(self):
         """Return c if the matrix equals c * identity, else None."""
@@ -151,8 +152,14 @@ class SparseMatrix:
         return all(i == j for i, j, _ in self.entries())
 
     def inverse(self):
-        """Exact inverse by Gaussian elimination; SingularLead if singular."""
+        """Exact inverse: entrywise reciprocals for a diagonal matrix,
+        Gaussian elimination otherwise; SingularLead if singular."""
         n = self.dim
+        if self.is_diagonal():
+            if len(self.rows) != n:
+                raise SingularLead("matrix is singular")
+            return SparseMatrix(n, {i: {i: 1 / self.rows[i][i]} for i in range(n)},
+                                _clean=True)
         a = [[self.get(i, j) for j in range(n)] for i in range(n)]
         inv = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -175,3 +182,46 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
+
+
+def _accumulate(out, arows, brows, sign):
+    """Add sign * (A*B) into out = {i: {j: [num, den]}} in plain ints.
+
+    Terms over the running denominator add without a gcd; otherwise the
+    running denominator becomes the lcm.  Nothing is reduced here:
+    ``_finish`` normalises each entry once.
+    """
+    for i, arow in arows.items():
+        acc = None
+        for k, av in arow.items():
+            brow = brows.get(k)
+            if not brow:
+                continue
+            if acc is None:
+                acc = out.get(i)
+                if acc is None:
+                    acc = out[i] = {}
+            an = sign * av.numerator
+            ad = av.denominator
+            for j, bv in brow.items():
+                num = an * bv.numerator
+                den = ad * bv.denominator
+                cur = acc.get(j)
+                if cur is None:
+                    acc[j] = [num, den]
+                elif cur[1] == den:
+                    cur[0] += num
+                else:
+                    g = gcd(cur[1], den)
+                    cur[0] = cur[0] * (den // g) + num * (cur[1] // g)
+                    cur[1] = cur[1] // g * den
+
+
+def _finish(dim, out):
+    """The matrix of an accumulator: one Fraction per nonzero entry."""
+    rows = {}
+    for i, acc in out.items():
+        row = {j: Fraction(num, den) for j, (num, den) in acc.items() if num}
+        if row:
+            rows[i] = row
+    return SparseMatrix(dim, rows, _clean=True)

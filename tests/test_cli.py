@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wrep import cli
 from wrep.cli import main
 
 
@@ -114,3 +115,15 @@ def test_malformed_config_exit_code(capsys, tmp_path, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # exit 1 means a failed check; an unexpected exception is exit 3
+    def broken(args, cfg):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setitem(cli._COMMANDS, "dim", broken)
+    code = main(["dim", "--rows", "1 1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal: ZeroDivisionError: division by zero\n"

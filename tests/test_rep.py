@@ -107,7 +107,11 @@ def _assert_ladder_mutation_detected(family, diff):
     failed = {name: fails for name, _, fails in
               verify_defining_relations(rep, 3).families if fails}
     assert list(failed) == ["[e,f]"]
-    assert failed["[e,f]"][0] == "i=1 j=1 r=2 s=1: entry (1,1) differs by " + diff
+    pattern = "GTPattern[4/3 | 4/3 1/3 1/4]"
+    assert repr(rep.basis[1]) == pattern
+    assert failed["[e,f]"][0] == (
+        "i=1 j=1 r=2 s=1: entry (1,1) differs by %s; row pattern %s, "
+        "column pattern %s" % (diff, pattern, pattern))
     with pytest.raises(InvariantViolation, match="disagrees with the matrix"):
         cross_check(rep)
 
@@ -131,3 +135,33 @@ def test_degenerate_nodes_name_row_and_pattern(monkeypatch):
     monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda weight: [mu])
     with pytest.raises(DegenerateNodes, match=r"row 1 of pattern"):
         build_representation(pyr, None)
+
+
+def test_serre_mutation_detected():
+    # Serre needs three rows; one bumped B_2 entry breaks the e series
+    pyr = Pyramid(rows=(1, 1, 1))
+    rep = build_representation(pyr, generic_weight(pyr))
+    coeff = rep.B[2].coeffs[0]
+    i, j, _ = min(coeff.entries())
+    rep.B[2].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+    failed = {name: fails for name, _, fails in
+              verify_defining_relations(rep, 3).families if fails}
+    assert "Serre f" not in failed
+    assert failed["Serre e"][0] == (
+        "i=1 j=2 r=1 s=1 t=2: entry (6,0) differs by 8; row pattern %r, "
+        "column pattern %r" % (rep.basis[6], rep.basis[0]))
+    # the suite builds each inner commutator once per (i, j) block; every
+    # witness must match the instance built from plain nested commutators
+    gens = generator_series(rep, 6)
+    e, zero = gens.e, SparseMatrix(rep.dim)
+    want = []
+    for i, j in ((1, 2), (2, 1)):
+        for r in range(gens.e_start(i), 4):
+            for s in range(gens.e_start(i), 4):
+                for t in range(gens.e_start(j), 4):
+                    lhs = (e(i, r).commutator(e(i, s).commutator(e(j, t)))
+                           + e(i, s).commutator(e(i, r).commutator(e(j, t))))
+                    if lhs:
+                        want.append("i=%d j=%d r=%d s=%d t=%d: %s" % (
+                            i, j, r, s, t, rep_mod._first_diff(lhs, zero, rep.basis)))
+    assert failed["Serre e"] == want

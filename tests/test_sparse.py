@@ -80,13 +80,18 @@ def assert_canonical(m):
 
 @settings(max_examples=60)
 @given(entry_list(4), entry_list(4),
-       st.fractions(min_value=-9, max_value=9, max_denominator=5))
-def test_matches_dense_reference(ea, eb, c):
+       st.fractions(min_value=-9, max_value=9, max_denominator=5),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                min_size=4, max_size=4))
+def test_matches_dense_reference(ea, eb, c, diag):
     a = SparseMatrix.from_entries(4, ea)
     b = SparseMatrix.from_entries(4, eb)
     da, db = dense(a), dense(b)
     results = {
         "a*b": (a * b, dense_mul(da, db)),
+        "[a,b]": (a.commutator(b),
+                  [[x - y for x, y in zip(ra, rb)]
+                   for ra, rb in zip(dense_mul(da, db), dense_mul(db, da))]),
         "a+b": (a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
         "a-b": (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
         "-a": (-a, [[-x for x in ra] for ra in da]),
@@ -104,6 +109,28 @@ def test_matches_dense_reference(ea, eb, c):
     else:
         with pytest.raises(SingularLead):
             a.inverse()
+    # a diagonal inverts entrywise; a zero (so unstored) entry is singular
+    d = SparseMatrix.diagonal(diag)
+    if all(diag):
+        inv = d.inverse()
+        assert_canonical(inv)
+        assert inv == SparseMatrix.diagonal([1 / x for x in diag])
+    else:
+        with pytest.raises(SingularLead):
+            d.inverse()
+
+
+def test_commutator_drops_cancelled_entries():
+    # [D, B] has entries (d_i - d_j) b_ij: the diagonal of B cancels, and
+    # row 1, which holds only a diagonal entry, cancels to an empty row
+    d = SparseMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)])
+    b = SparseMatrix.from_entries(2, [(0, 0, Fraction(5, 7)), (0, 1, 1),
+                                      (1, 1, Fraction(3, 5))])
+    assert d * b != b * d
+    c = d.commutator(b)
+    assert_canonical(c)
+    assert c.rows == {0: {1: Fraction(1, 6)}}
+    assert d.commutator(d) == SparseMatrix(2) and not d.commutator(d).rows
 
 
 @pytest.mark.parametrize("value", [
