@@ -22,6 +22,20 @@ def _zero_like(x):
     return x.zero_like()
 
 
+def _sum_products(pairs):
+    """The sum of a*b over a nonempty list of (a, b) pairs.  A coefficient
+    type with a fused ``sum_products`` (SparseMatrix) normalises each entry
+    of the sum once; other types add the products one by one."""
+    a, b = pairs[0]
+    fused = getattr(type(a), "sum_products", None)
+    if fused is not None and type(b) is type(a):
+        return fused(pairs)
+    acc = a * b
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc
+
+
 def _invert(x):
     if isinstance(x, Fraction):
         if not x:
@@ -243,13 +257,10 @@ class InvSeries:
         if not isinstance(other, InvSeries):
             return InvSeries([c * other for c in self.coeffs], self.order)
         r = min(self.order, other.order)
-        out = []
-        for m in range(r + 1):
-            acc = self.coeffs[0] * other.coeffs[m]
-            for t in range(1, m + 1):
-                acc = acc + self.coeffs[t] * other.coeffs[m - t]
-            out.append(acc)
-        return InvSeries(out, r)
+        a, b = self.coeffs, other.coeffs
+        return InvSeries(
+            [_sum_products([(a[t], b[m - t]) for t in range(m + 1)])
+             for m in range(r + 1)], r)
 
     def __rmul__(self, other):
         return InvSeries([other * c for c in self.coeffs], self.order)
@@ -260,10 +271,7 @@ def series_inverse(s):
     c0inv = _invert(s.coeffs[0])
     out = [c0inv]
     for r in range(1, s.order + 1):
-        acc = None
-        for t in range(1, r + 1):
-            term = s.coeffs[t] * out[r - t]
-            acc = term if acc is None else acc + term
+        acc = _sum_products([(s.coeffs[t], out[r - t]) for t in range(1, r + 1)])
         out.append(-(c0inv * acc))
     return InvSeries(out, s.order)
 

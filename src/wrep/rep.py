@@ -18,7 +18,7 @@ from .arith import (
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
 from .patterns import entry_slots, enumerate_patterns, shift_pattern
-from .sparse import SparseMatrix
+from .sparse import Combination, SparseMatrix
 
 
 class Representation:
@@ -190,12 +190,9 @@ def generator_series(rep, R):
     ainv = {}
     for i in range(1, n + 1):
         ainv[i] = series_inverse(a[i])
-        left = ainv[i] * a[i]
-        right = a[i] * ainv[i]
-        for r in range(R + 1):
-            want = ident if r == 0 else SparseMatrix(N)
-            if left.coeffs[r] != want or right.coeffs[r] != want:
-                raise InvariantViolation("a_%d inverse is not two-sided" % i)
+        x, y = ainv[i].coeffs, a[i].coeffs
+        if _inverse_defect(x, y) is not None or _inverse_defect(y, x) is not None:
+            raise InvariantViolation("a_%d inverse is not two-sided" % i)
         if i == 1:
             d[1] = a[1]
         else:
@@ -223,6 +220,21 @@ def generator_series(rep, R):
     return gens
 
 
+def _inverse_defect(x, y):
+    """The first r at which sum_t x_t y_{r-t} is not [r == 0] * identity,
+    or None: each sum is zero-tested without building a Fraction."""
+    dim = x[0].dim
+    for r in range(len(x)):
+        comb = Combination(dim)
+        for t in range(r + 1):
+            comb.product(x[t], y[r - t])
+        if r == 0:
+            comb.add(SparseMatrix.identity(dim), -1)
+        if not comb.is_zero():
+            return r
+    return None
+
+
 def _series_invariants(gens):
     rep = gens.rep
     pyr = rep.pyramid
@@ -234,13 +246,10 @@ def _series_invariants(gens):
         if gens.d(i, 0) != ident:
             raise InvariantViolation("d_%d^{(0)} is not the identity" % i)
         # defining property of d'
-        for r in range(R + 1):
-            acc = zero
-            for t in range(r + 1):
-                acc = acc + gens.d(i, t) * gens.dprime(i, r - t)
-            if acc != (ident if r == 0 else zero):
-                raise InvariantViolation("d_%d' fails its defining relation at r=%d"
-                                         % (i, r))
+        r = _inverse_defect(gens._d[i], gens._dprime[i])
+        if r is not None:
+            raise InvariantViolation("d_%d' fails its defining relation at r=%d"
+                                     % (i, r))
     for r in range(pyr.p(1) + 1, R + 1):
         if gens.d(1, r) != zero:
             raise InvariantViolation("d_1^{(%d)} nonzero past p_1" % r)
@@ -280,13 +289,36 @@ class RelationReport:
         return sum(c for _, c, _ in self.families)
 
 
+# Relation terms: (Combination method, matrix operands..., sign).
+def _comm(a, b, sign=1):
+    return (Combination.commutator, a, b, sign)
+
+
+def _prod(a, b, sign=1):
+    return (Combination.product, a, b, sign)
+
+
+def _mat(a, sign=1):
+    return (Combination.add, a, sign)
+
+
+def _fill(comb, terms, sign):
+    """Add sign times each term to the combination."""
+    for op, *operands, s in terms:
+        op(comb, *operands, s * sign)
+    return comb
+
+
 def verify_defining_relations(rep, R):
-    """Evaluate every defining relation for all admissible indices <= R."""
+    """Evaluate every defining relation for all admissible indices <= R.
+
+    Each instance is a pair of term lists, lhs and rhs; lhs - rhs is summed
+    in one Combination and zero-tested, and only a failing instance builds
+    its two sides as matrices for the witness."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
     N = rep.dim
-    zero = SparseMatrix(N)
     report = RelationReport()
 
     def estart(i):
@@ -295,9 +327,11 @@ def verify_defining_relations(rep, R):
     def check(name, cases):
         fails = []
         count = 0
-        for label, got, want in cases:
+        for label, lhs, rhs in cases:
             count += 1
-            if got != want:
+            if not _fill(_fill(Combination(N), lhs, 1), rhs, -1).is_zero():
+                got = _fill(Combination(N), lhs, 1).finish()
+                want = _fill(Combination(N), rhs, 1).finish()
                 fails.append("%s: %s" % (label, _first_diff(got, want, rep.basis)))
         report.add(name, count, fails)
 
@@ -307,7 +341,7 @@ def verify_defining_relations(rep, R):
                 for r in range(1, R + 1):
                     for s in range(1, R + 1):
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               gens.d(i, r).commutator(gens.d(j, s)), zero)
+                               [_comm(gens.d(i, r), gens.d(j, s))], [])
     check("[d,d]=0", cases_dd())
 
     def cases_ef():
@@ -315,12 +349,12 @@ def verify_defining_relations(rep, R):
             for j in range(1, n):
                 for r in range(estart(i), R + 1):
                     for s in range(1, R + 1):
-                        lhs = gens.e(i, r).commutator(gens.f(j, s))
-                        rhs = zero
+                        rhs = []
                         if i == j:
-                            for t in range(r + s):
-                                rhs = rhs - gens.dprime(i, t) * gens.d(i + 1, r + s - t - 1)
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s), lhs, rhs)
+                            rhs = [_prod(gens.dprime(i, t), gens.d(i + 1, r + s - t - 1), -1)
+                                   for t in range(r + s)]
+                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
+                               [_comm(gens.e(i, r), gens.f(j, s))], rhs)
     check("[e,f]", cases_ef())
 
     def cases_de():
@@ -329,13 +363,12 @@ def verify_defining_relations(rep, R):
                 sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
                 for r in range(1, R + 1):
                     for s in range(estart(j), R + 1):
-                        lhs = gens.d(i, r).commutator(gens.e(j, s))
-                        rhs = zero
+                        rhs = []
                         if sign:
-                            for t in range(r):
-                                rhs = rhs + gens.d(i, t) * gens.e(j, r + s - t - 1)
-                            rhs = sign * rhs
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s), lhs, rhs)
+                            rhs = [_prod(gens.d(i, t), gens.e(j, r + s - t - 1), sign)
+                                   for t in range(r)]
+                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
+                               [_comm(gens.d(i, r), gens.e(j, s))], rhs)
     check("[d,e]", cases_de())
 
     def cases_df():
@@ -344,53 +377,54 @@ def verify_defining_relations(rep, R):
                 sign = (1 if i == j + 1 else 0) - (1 if i == j else 0)
                 for r in range(1, R + 1):
                     for s in range(1, R + 1):
-                        lhs = gens.d(i, r).commutator(gens.f(j, s))
-                        rhs = zero
+                        rhs = []
                         if sign:
-                            for t in range(r):
-                                rhs = rhs + gens.f(j, r + s - t - 1) * gens.d(i, t)
-                            rhs = sign * rhs
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s), lhs, rhs)
+                            rhs = [_prod(gens.f(j, r + s - t - 1), gens.d(i, t), sign)
+                                   for t in range(r)]
+                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
+                               [_comm(gens.d(i, r), gens.f(j, s))], rhs)
     check("[d,f]", cases_df())
 
     def cases_ee_same():
+        e = gens.e
         for i in range(1, n):
             for r in range(estart(i), R + 1):
                 for s in range(estart(i), R + 1):
-                    lhs = (gens.e(i, r).commutator(gens.e(i, s + 1))
-                           - gens.e(i, r + 1).commutator(gens.e(i, s)))
-                    rhs = gens.e(i, r) * gens.e(i, s) + gens.e(i, s) * gens.e(i, r)
-                    yield ("i=%d r=%d s=%d" % (i, r, s), lhs, rhs)
+                    yield ("i=%d r=%d s=%d" % (i, r, s),
+                           [_comm(e(i, r), e(i, s + 1)), _comm(e(i, r + 1), e(i, s), -1)],
+                           [_prod(e(i, r), e(i, s)), _prod(e(i, s), e(i, r))])
     check("e same-row", cases_ee_same())
 
     def cases_ff_same():
+        f = gens.f
         for i in range(1, n):
             for r in range(1, R + 1):
                 for s in range(1, R + 1):
-                    lhs = (gens.f(i, r + 1).commutator(gens.f(i, s))
-                           - gens.f(i, r).commutator(gens.f(i, s + 1)))
-                    rhs = gens.f(i, r) * gens.f(i, s) + gens.f(i, s) * gens.f(i, r)
-                    yield ("i=%d r=%d s=%d" % (i, r, s), lhs, rhs)
+                    yield ("i=%d r=%d s=%d" % (i, r, s),
+                           [_comm(f(i, r + 1), f(i, s)), _comm(f(i, r), f(i, s + 1), -1)],
+                           [_prod(f(i, r), f(i, s)), _prod(f(i, s), f(i, r))])
     check("f same-row", cases_ff_same())
 
     def cases_ee_adj():
+        e = gens.e
         for i in range(1, n - 1):
             for r in range(estart(i), R + 1):
                 for s in range(estart(i + 1), R + 1):
-                    lhs = (gens.e(i, r).commutator(gens.e(i + 1, s + 1))
-                           - gens.e(i, r + 1).commutator(gens.e(i + 1, s)))
-                    rhs = -(gens.e(i, r) * gens.e(i + 1, s))
-                    yield ("i=%d r=%d s=%d" % (i, r, s), lhs, rhs)
+                    yield ("i=%d r=%d s=%d" % (i, r, s),
+                           [_comm(e(i, r), e(i + 1, s + 1)),
+                            _comm(e(i, r + 1), e(i + 1, s), -1)],
+                           [_prod(e(i, r), e(i + 1, s), -1)])
     check("e adjacent", cases_ee_adj())
 
     def cases_ff_adj():
+        f = gens.f
         for i in range(1, n - 1):
             for r in range(1, R + 1):
                 for s in range(1, R + 1):
-                    lhs = (gens.f(i, r + 1).commutator(gens.f(i + 1, s))
-                           - gens.f(i, r).commutator(gens.f(i + 1, s + 1)))
-                    rhs = -(gens.f(i + 1, s) * gens.f(i, r))
-                    yield ("i=%d r=%d s=%d" % (i, r, s), lhs, rhs)
+                    yield ("i=%d r=%d s=%d" % (i, r, s),
+                           [_comm(f(i, r + 1), f(i + 1, s)),
+                            _comm(f(i, r), f(i + 1, s + 1), -1)],
+                           [_prod(f(i + 1, s), f(i, r), -1)])
     check("f adjacent", cases_ff_adj())
 
     def cases_far():
@@ -401,11 +435,11 @@ def verify_defining_relations(rep, R):
                 for r in range(estart(i), R + 1):
                     for s in range(estart(j), R + 1):
                         yield ("e i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               gens.e(i, r).commutator(gens.e(j, s)), zero)
+                               [_comm(gens.e(i, r), gens.e(j, s))], [])
                 for r in range(1, R + 1):
                     for s in range(1, R + 1):
                         yield ("f i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               gens.f(i, r).commutator(gens.f(j, s)), zero)
+                               [_comm(gens.f(i, r), gens.f(j, s))], [])
     check("distant rows", cases_far())
 
     def cases_serre(x, start):
@@ -419,17 +453,16 @@ def verify_defining_relations(rep, R):
                 for r in si:
                     for s in si:
                         for t in sj:
-                            lhs = (x(i, r).commutator(inner[(s, t)])
-                                   + x(i, s).commutator(inner[(r, t)]))
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
-                                   lhs, zero)
+                                   [_comm(x(i, r), inner[(s, t)]),
+                                    _comm(x(i, s), inner[(r, t)])], [])
                 del inner
     check("Serre e", cases_serre(gens.e, estart))
     check("Serre f", cases_serre(gens.f, lambda i: 1))
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):
-            yield ("r=%d" % r, gens.d(1, r), zero)
+            yield ("r=%d" % r, [_mat(gens.d(1, r))], [])
     check("d_1 vanishing", cases_quotient())
 
     return report

@@ -1,10 +1,11 @@
 """Exact sparse square matrices over the rationals.
 
 Storage is dict-of-rows {row: {col: Fraction}} with zero entries and empty
-rows never stored, so equal matrices have equal dicts.  Products and
-commutators are summed in integer numerator/denominator pairs by the one
-product loop, ``_accumulate``, and ``_finish`` builds one Fraction per
-nonzero entry.
+rows never stored, so equal matrices have equal dicts.  Signed sums of
+matrices, products and commutators are summed in integer
+numerator/denominator pairs by a ``Combination``, which holds the one
+product loop; ``finish`` builds one Fraction per nonzero entry, and
+``is_zero`` decides whether the sum vanishes without building any.
 """
 
 from fractions import Fraction
@@ -112,10 +113,16 @@ class SparseMatrix:
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
             return self._scaled(Fraction(other))
-        self._check(other)
-        out = {}
-        _accumulate(out, self.rows, other.rows, 1)
-        return _finish(self.dim, out)
+        return Combination(self.dim).product(self, other).finish()
+
+    @classmethod
+    def sum_products(cls, pairs):
+        """The sum of a*b over a nonempty list of (a, b) pairs, normalised
+        once per entry."""
+        comb = Combination(pairs[0][0].dim)
+        for a, b in pairs:
+            comb.product(a, b)
+        return comb.finish()
 
     def __rmul__(self, other):
         return self._scaled(Fraction(other))
@@ -132,11 +139,7 @@ class SparseMatrix:
 
     def commutator(self, other):
         """self*other - other*self, summed before any entry is normalised."""
-        self._check(other)
-        out = {}
-        _accumulate(out, self.rows, other.rows, 1)
-        _accumulate(out, other.rows, self.rows, -1)
-        return _finish(self.dim, out)
+        return Combination(self.dim).commutator(self, other).finish()
 
     def scalar_part(self):
         """Return c if the matrix equals c * identity, else None."""
@@ -184,28 +187,73 @@ class SparseMatrix:
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
 
 
-def _accumulate(out, arows, brows, sign):
-    """Add sign * (A*B) into out = {i: {j: [num, den]}} in plain ints.
+class Combination:
+    """A signed sum of matrices, products and commutators, accumulated in
+    plain ints as {i: {j: [num, den]}}.
 
-    Terms over the running denominator add without a gcd; otherwise the
-    running denominator becomes the lcm.  Nothing is reduced here:
-    ``_finish`` normalises each entry once.
+    A term over the running denominator of its entry adds without a gcd;
+    otherwise the running denominator becomes the lcm.  Nothing is reduced
+    while terms are added: ``finish`` normalises each entry once, and
+    ``is_zero`` tests the sum without building a Fraction.  Each term
+    method returns the combination, so calls chain.
     """
-    for i, arow in arows.items():
-        acc = None
-        for k, av in arow.items():
-            brow = brows.get(k)
-            if not brow:
-                continue
-            if acc is None:
-                acc = out.get(i)
+
+    __slots__ = ("dim", "out")
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.out = {}
+
+    def _check(self, m):
+        if m.dim != self.dim:
+            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, m.dim))
+
+    def product(self, a, b, sign=1):
+        """Add sign * a*b; the one product loop."""
+        self._check(a)
+        self._check(b)
+        out, brows = self.out, b.rows
+        for i, arow in a.rows.items():
+            acc = None
+            for k, av in arow.items():
+                brow = brows.get(k)
+                if not brow:
+                    continue
                 if acc is None:
-                    acc = out[i] = {}
-            an = sign * av.numerator
-            ad = av.denominator
-            for j, bv in brow.items():
-                num = an * bv.numerator
-                den = ad * bv.denominator
+                    acc = out.get(i)
+                    if acc is None:
+                        acc = out[i] = {}
+                an = sign * av.numerator
+                ad = av.denominator
+                for j, bv in brow.items():
+                    num = an * bv.numerator
+                    den = ad * bv.denominator
+                    cur = acc.get(j)
+                    if cur is None:
+                        acc[j] = [num, den]
+                    elif cur[1] == den:
+                        cur[0] += num
+                    else:
+                        g = gcd(cur[1], den)
+                        cur[0] = cur[0] * (den // g) + num * (cur[1] // g)
+                        cur[1] = cur[1] // g * den
+        return self
+
+    def commutator(self, a, b, sign=1):
+        """Add sign * (a*b - b*a)."""
+        return self.product(a, b, sign).product(b, a, -sign)
+
+    def add(self, a, sign=1):
+        """Add sign * a."""
+        self._check(a)
+        out = self.out
+        for i, row in a.rows.items():
+            acc = out.get(i)
+            if acc is None:
+                acc = out[i] = {}
+            for j, v in row.items():
+                num = sign * v.numerator
+                den = v.denominator
                 cur = acc.get(j)
                 if cur is None:
                     acc[j] = [num, den]
@@ -215,13 +263,18 @@ def _accumulate(out, arows, brows, sign):
                     g = gcd(cur[1], den)
                     cur[0] = cur[0] * (den // g) + num * (cur[1] // g)
                     cur[1] = cur[1] // g * den
+        return self
 
+    def is_zero(self):
+        """Whether the sum vanishes: every numerator is 0 (denominators
+        are never 0), so no entry needs normalising."""
+        return not any(cur[0] for acc in self.out.values() for cur in acc.values())
 
-def _finish(dim, out):
-    """The matrix of an accumulator: one Fraction per nonzero entry."""
-    rows = {}
-    for i, acc in out.items():
-        row = {j: Fraction(num, den) for j, (num, den) in acc.items() if num}
-        if row:
-            rows[i] = row
-    return SparseMatrix(dim, rows, _clean=True)
+    def finish(self):
+        """The matrix of the sum: one Fraction per nonzero entry."""
+        rows = {}
+        for i, acc in self.out.items():
+            row = {j: Fraction(num, den) for j, (num, den) in acc.items() if num}
+            if row:
+                rows[i] = row
+        return SparseMatrix(self.dim, rows, _clean=True)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wrep.arith import (
     InvSeries,
@@ -101,6 +101,45 @@ def test_series_inverse_property(coeffs):
     prod = s * series_inverse(s)
     assert prod.coeffs[0] == 1
     assert all(not c for c in prod.coeffs[1:])
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+matrix_entries = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), small),
+                          max_size=5)
+
+
+@st.composite
+def matrix_series(draw, length):
+    """Matrix-coefficient series of the given length with an invertible
+    lead: a nonzero diagonal, plus strictly upper entries (so the lead goes
+    through Gaussian elimination) when the draw asks for them."""
+    diag = draw(st.lists(small.filter(bool), min_size=3, max_size=3))
+    lead = SparseMatrix.diagonal(diag)
+    if draw(st.booleans()):
+        upper = draw(st.lists(st.tuples(st.integers(0, 1), small), max_size=3))
+        lead = lead + SparseMatrix.from_entries(3, [(i, 2, v) for i, v in upper])
+    rest = [SparseMatrix.from_entries(3, draw(matrix_entries))
+            for _ in range(length - 1)]
+    return InvSeries([lead] + rest)
+
+
+def plain_series_product(a, b):
+    # coefficient by coefficient, one + per product
+    return [sum((a[t] * b[m - t] for t in range(1, m + 1)), a[0] * b[m])
+            for m in range(len(a))]
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(matrix_series(k), matrix_series(k))))
+def test_matrix_series_fused_products(pair):
+    s, t = pair
+    assert (s * t).coeffs == plain_series_product(s.coeffs, t.coeffs)
+    inv = series_inverse(s)
+    ident, zero = SparseMatrix.identity(3), SparseMatrix(3)
+    unit = [ident] + [zero] * s.order
+    assert plain_series_product(s.coeffs, inv.coeffs) == unit
+    assert plain_series_product(inv.coeffs, s.coeffs) == unit
+    assert inv * s == InvSeries(unit) == s * inv
 
 
 def test_series_arg_shift_against_geometric():

@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep import rep as rep_mod
-from wrep.patterns import GTPattern, HighestWeight, generic_weight
+from wrep.patterns import (
+    GTPattern,
+    HighestWeight,
+    generic_weight,
+    validate_highest_weight,
+)
 from wrep.pyramid import Pyramid
 from wrep.rep import (
     build_representation,
@@ -97,6 +103,11 @@ def test_relation_report_structure():
     assert report.total_instances() > 0
 
 
+def _failures(rep):
+    return {name: fails for name, _, fails in
+            verify_defining_relations(rep, 3).families if fails}
+
+
 def _assert_ladder_mutation_detected(family, diff):
     pyr = Pyramid(rows=(1, 2))
     rep = build_representation(pyr, generic_weight(pyr))
@@ -104,8 +115,7 @@ def _assert_ladder_mutation_detected(family, diff):
     coeff = poly.coeffs[0]
     (i, j, _), = coeff.entries()
     poly.coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
-    failed = {name: fails for name, _, fails in
-              verify_defining_relations(rep, 3).families if fails}
+    failed = _failures(rep)
     assert list(failed) == ["[e,f]"]
     pattern = "GTPattern[4/3 | 4/3 1/3 1/4]"
     assert repr(rep.basis[1]) == pattern
@@ -144,8 +154,7 @@ def test_serre_mutation_detected():
     coeff = rep.B[2].coeffs[0]
     i, j, _ = min(coeff.entries())
     rep.B[2].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
-    failed = {name: fails for name, _, fails in
-              verify_defining_relations(rep, 3).families if fails}
+    failed = _failures(rep)
     assert "Serre f" not in failed
     assert failed["Serre e"][0] == (
         "i=1 j=2 r=1 s=1 t=2: entry (6,0) differs by 8; row pattern %r, "
@@ -165,3 +174,86 @@ def test_serre_mutation_detected():
                         want.append("i=%d j=%d r=%d s=%d t=%d: %s" % (
                             i, j, r, s, t, rep_mod._first_diff(lhs, zero, rep.basis)))
     assert failed["Serre e"] == want
+
+
+def _names_patterns(witness):
+    return "row pattern GTPattern[" in witness and "column pattern GTPattern[" in witness
+
+
+def test_a_coefficient_mutation_detected():
+    # A_1 stays diagonal, so [d,d] holds, but the ladder relations break
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    coeff = rep.A[1].coeffs[0]
+    i, _, _ = min(coeff.entries())
+    rep.A[1].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, i, 1)])
+    failed = _failures(rep)
+    assert set(failed) == {"[e,f]", "[d,e]", "[d,f]"}
+    assert all(_names_patterns(w) for fails in failed.values() for w in fails)
+    assert failed["[e,f]"][0] == (
+        "i=1 j=1 r=2 s=1: entry (0,0) differs by 13/6; row pattern %r, "
+        "column pattern %r" % (rep.basis[0], rep.basis[0]))
+
+
+def test_e_series_mutation_reaches_failure_branch(monkeypatch):
+    # one bumped entry of e_1^{(1)}, injected after the series are built,
+    # so only the zero test of each relation instance can catch it
+    pyr = Pyramid(rows=(1, 1, 1))
+    rep = build_representation(pyr, generic_weight(pyr))
+    built = []
+
+    def mutated_series(rep, R):
+        gens = generator_series(rep, R)
+        coeff = gens.e(1, 1)
+        i, j, _ = min(coeff.entries())
+        gens._e[1][1] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+        built.append(gens)
+        return gens
+
+    monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
+    failed = _failures(rep)
+    assert set(failed) == {"[e,f]", "[d,e]", "e adjacent", "Serre e"}
+    assert all(_names_patterns(w) for fails in failed.values() for w in fails)
+    # the witness is the difference of the two sides built as plain matrices
+    gens, = built
+    d, e = gens.d, gens.e
+    lhs = d(1, 2).commutator(e(1, 1))
+    rhs = d(1, 0) * e(1, 2) + d(1, 1) * e(1, 1)
+    assert lhs != rhs
+    assert failed["[d,e]"][0] == "i=1 j=1 r=2 s=1: %s" % rep_mod._first_diff(
+        lhs, rhs, rep.basis)
+
+
+@st.composite
+def dominant_weights(draw, rows):
+    """Dominant weights with row gaps 0, 1 or 2 in each column, kept when
+    validate_highest_weight finds them generic."""
+    pyr = Pyramid(rows=rows)
+    n = pyr.n
+    parts = [[None] * pyr.p(i) for i in range(1, n + 1)]
+    for k in range(1, pyr.p(n) + 1):
+        value = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+        for i in range(n, 0, -1):
+            if pyr.p(i) < k:
+                break
+            parts[i - 1][k - 1] = value
+            value += draw(st.integers(0, 2))
+    weight = HighestWeight(pyr, parts)
+    assume(not validate_highest_weight(weight))
+    return weight
+
+
+@pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1)])
+def test_relations_hold_for_random_generic_weights(rows):
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dominant_weights(rows))
+    def run(weight):
+        pyr = weight.pyramid
+        rep = build_representation(pyr, weight)
+        report = verify_defining_relations(rep, 3)
+        assert report.ok, [f for _, _, f in report.families if f]
+        # 3 sample points for each of A_1..A_n, B_r and C_r
+        assert cross_check(rep) == 3 * (3 * pyr.n - 2)
+
+    run()

@@ -6,17 +6,17 @@ from hypothesis import given, settings, strategies as st
 from wrep.arith import UniPoly
 from wrep.errors import SingularLead
 from wrep.mpoly import MPoly
-from wrep.sparse import SparseMatrix
+from wrep.sparse import Combination, SparseMatrix
 
 
-def entry_list(dim):
+def entry_list(dim, max_size=12):
     return st.lists(
         st.tuples(
             st.integers(0, dim - 1),
             st.integers(0, dim - 1),
             st.fractions(min_value=-9, max_value=9, max_denominator=5),
         ),
-        max_size=12,
+        max_size=max_size,
     )
 
 
@@ -62,6 +62,11 @@ def dense_mul(a, b):
              for j in range(n)] for i in range(n)]
 
 
+def dense_commutator(a, b):
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(dense_mul(a, b), dense_mul(b, a))]
+
+
 def dense_det(a):
     """Laplace expansion along the first row."""
     if not a:
@@ -89,9 +94,7 @@ def test_matches_dense_reference(ea, eb, c, diag):
     da, db = dense(a), dense(b)
     results = {
         "a*b": (a * b, dense_mul(da, db)),
-        "[a,b]": (a.commutator(b),
-                  [[x - y for x, y in zip(ra, rb)]
-                   for ra, rb in zip(dense_mul(da, db), dense_mul(db, da))]),
+        "[a,b]": (a.commutator(b), dense_commutator(da, db)),
         "a+b": (a + b, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
         "a-b": (a - b, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]),
         "-a": (-a, [[-x for x in ra] for ra in da]),
@@ -131,6 +134,63 @@ def test_commutator_drops_cancelled_entries():
     assert_canonical(c)
     assert c.rows == {0: {1: Fraction(1, 6)}}
     assert d.commutator(d) == SparseMatrix(2) and not d.commutator(d).rows
+
+
+# entries over denominators up to 5, so running sums take the lcm path
+combination_terms = st.lists(
+    st.tuples(st.sampled_from(["add", "product", "commutator"]),
+              st.sampled_from([1, -1, 3]), entry_list(3, 5), entry_list(3, 5)),
+    max_size=4,
+)
+
+
+@settings(max_examples=50)
+@given(combination_terms)
+def test_combination_matches_dense_reference(terms):
+    comb = Combination(3)
+    want = [[Fraction(0)] * 3 for _ in range(3)]
+    for kind, sign, ea, eb in terms:
+        a = SparseMatrix.from_entries(3, ea)
+        b = SparseMatrix.from_entries(3, eb)
+        if kind == "add":
+            comb.add(a, sign)
+            term = dense(a)
+        elif kind == "product":
+            comb.product(a, b, sign)
+            term = dense_mul(dense(a), dense(b))
+        else:
+            comb.commutator(a, b, sign)
+            term = dense_commutator(dense(a), dense(b))
+        want = [[w + sign * t for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
+    got = comb.finish()
+    assert_canonical(got)
+    assert dense(got) == want
+    assert comb.is_zero() == (not any(x for row in want for x in row))
+    # finish leaves the accumulator as it was: taking the sum away again
+    # cancels every entry, across whatever denominators it carries
+    assert comb.finish() == got
+    assert comb.add(got, -1).is_zero()
+    assert comb.finish() == SparseMatrix(3) and not comb.finish().rows
+
+
+def test_combination_cancels_across_denominators():
+    # (ab)_00 = 1/2 * 2/3 + 1/5 * 3/7 sums as 2/6, then 88/210 through the
+    # lcm; the finished ab holds 44/105, a third denominator
+    a = SparseMatrix.from_entries(2, [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 5))])
+    b = SparseMatrix.from_entries(2, [(0, 0, Fraction(2, 3)), (1, 0, Fraction(3, 7))])
+    ab = a * b
+    assert ab.get(0, 0) == Fraction(44, 105)
+    assert not Combination(2).product(a, b).is_zero()
+    comb = Combination(2).product(a, b).add(ab, -1)
+    assert comb.is_zero()
+    assert comb.finish().rows == {}
+    # [a, b] + ba - ab = 0, each term over its own denominators
+    comb = Combination(2).commutator(a, b).product(b, a).add(ab, -1)
+    assert comb.is_zero()
+    assert comb.finish().rows == {}
+    assert not Combination(2).commutator(a, b).add(ab, -1).is_zero()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Combination(3).add(a)
 
 
 @pytest.mark.parametrize("value", [
