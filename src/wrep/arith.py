@@ -146,12 +146,10 @@ def lagrange_basis(nodes):
         raise DegenerateNodes("interpolation nodes must be pairwise distinct")
     polys = []
     for j, xj in enumerate(nodes):
-        num = UniPoly([Fraction(1)])
+        others = nodes[:j] + nodes[j + 1:]
+        num = UniPoly.from_roots(others)
         den = Fraction(1)
-        for m, xm in enumerate(nodes):
-            if m == j:
-                continue
-            num = num * UniPoly([-xm, Fraction(1)])
+        for xm in others:
             den *= xj - xm
         polys.append(UniPoly([c / den for c in num.coeffs]))
     return polys

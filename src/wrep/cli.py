@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from .errors import ConfigError, WrepError
 from .patterns import HighestWeight, generic_weight, enumerate_patterns
@@ -122,10 +123,27 @@ def _dump_matrices(rep):
     return out
 
 
-def _run_build(args, cfg):
+def _representation(args, cfg):
+    """The representation of the configured pyramid and weight."""
     pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    rep = build_representation(pyr, w)
+    return build_representation(pyr, _weight_from(pyr, cfg))
+
+
+def _check(name, passed, witness):
+    return {"name": name, "status": "PASS" if passed else "FAIL", "witness": witness}
+
+
+def _guarded(name, compute):
+    """The check ``name`` from compute() -> (passed, witness); a WrepError
+    it raises is a FAIL with the error message as witness."""
+    try:
+        return _check(name, *compute())
+    except WrepError as exc:
+        return _check(name, False, str(exc))
+
+
+def _run_build(args, cfg):
+    rep = _representation(args, cfg)
     return {"dimension": rep.dim, "matrices": _dump_matrices(rep)}, []
 
 
@@ -150,45 +168,37 @@ def _points_from(args, cfg):
 
 
 def _run_verify(args, cfg):
-    pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    rep = build_representation(pyr, w)
+    rep = _representation(args, cfg)
     R = _rmax_from(args, cfg)
     report = verify_defining_relations(rep, R)
-    checks = []
-    for name, count, fails in report.families:
-        checks.append({
-            "name": "relations: %s" % name,
-            "status": "FAIL" if fails else "PASS",
-            "witness": fails[0] if fails else "%d instances verified" % count,
-        })
+    checks = [_check("relations: %s" % name, not fails,
+                     fails[0] if fails else "%d instances verified" % count)
+              for name, count, fails in report.families]
     return {"dimension": rep.dim, "order": R}, checks
 
 
 def _run_fibers(args, cfg):
     from .gamma import check_fiber_bound, fiber_bound, fibers, gamma_commutes
 
-    pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    rep = build_representation(pyr, w)
-    checks = []
-    checks.append({
-        "name": "diagonal coefficients commute",
-        "status": "PASS" if gamma_commutes(rep) else "FAIL",
-        "witness": "",
-    })
-    fib, singl = fibers(rep)
-    checks.append({
-        "name": "joint-spectrum fibers are singletons",
-        "status": "PASS" if singl else "FAIL",
-        "witness": "%d fibers over %d basis vectors" % (len(fib), rep.dim),
-    })
-    biggest, ok = check_fiber_bound(rep)
-    checks.append({
-        "name": "fiber size within the factorial bound",
-        "status": "PASS" if ok else "FAIL",
-        "witness": "max fiber %d, bound %d" % (biggest, fiber_bound(pyr)),
-    })
+    rep = _representation(args, cfg)
+    pyr = rep.pyramid
+    checks = [_check("diagonal coefficients commute", gamma_commutes(rep), "")]
+    fib = {}
+
+    def singletons():
+        found, singl = fibers(rep)
+        fib.update(found)
+        return singl, "%d fibers over %d basis vectors" % (len(fib), rep.dim)
+
+    checks.append(_guarded("joint-spectrum fibers are singletons", singletons))
+    name = "fiber size within the factorial bound"
+    if fib:
+        biggest, ok = check_fiber_bound(pyr, fib)
+        checks.append(_check(name, ok, "max fiber %d, bound %d"
+                             % (biggest, fiber_bound(pyr))))
+    else:
+        checks.append({"name": name, "status": "SKIP",
+                       "witness": "no fibers: the characters are inconsistent"})
     return {"dimension": rep.dim}, checks
 
 
@@ -196,71 +206,43 @@ def _run_center(args, cfg):
     from .center import (build_t_matrix, cdet_vs_top_row, central_coefficients,
                          column_determinant, quasideterminant_check)
 
-    pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    rep = build_representation(pyr, w)
+    rep = _representation(args, cfg)
+    pyr = rep.pyramid
     R = max(max(pyr.rows) + 3, _rmax_from(args, cfg))
     gens = generator_series(rep, R)
     T = build_t_matrix(gens)
     cdet = column_determinant(T, pyr.n)
-    checks = []
-    try:
-        scalars = central_coefficients(rep, cdet)
-        checks.append({
-            "name": "determinant coefficients are central scalars",
-            "status": "PASS",
-            "witness": {str(s): _fraction_str(v) for s, v in sorted(scalars.items())},
-        })
-    except WrepError as exc:
-        checks.append({
-            "name": "determinant coefficients are central scalars",
-            "status": "FAIL",
-            "witness": str(exc),
-        })
+
+    def scalars():
+        found = central_coefficients(rep, cdet)
+        return True, {str(s): _fraction_str(v) for s, v in sorted(found.items())}
+
+    checks = [_guarded("determinant coefficients are central scalars", scalars)]
+    name = "two-row quasideterminant shift identity"
     if pyr.n == 2:
-        checks.append({
-            "name": "two-row quasideterminant shift identity",
-            "status": "PASS" if quasideterminant_check(T, cdet) else "FAIL",
-            "witness": "",
-        })
+        checks.append(_check(name, quasideterminant_check(T, cdet), ""))
     else:
-        checks.append({
-            "name": "two-row quasideterminant shift identity",
-            "status": "SKIP",
-            "witness": "only defined for two rows",
-        })
+        checks.append({"name": name, "status": "SKIP",
+                       "witness": "only defined for two rows"})
     ratios = cdet_vs_top_row(rep, cdet)
     record = [[_fraction_str(u), None if r is None else _fraction_str(r)]
               for (u, _, _, r) in ratios]
-    checks.append({
-        "name": "determinant / top-row ratio (recorded, not asserted)",
-        "status": "PASS",
-        "witness": record,
-    })
+    checks.append(_check("determinant / top-row ratio (recorded, not asserted)",
+                         True, record))
     return {"dimension": rep.dim, "order": R}, checks
 
 
 def _run_galois(args, cfg):
     from .galois import cross_check
 
-    pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    rep = build_representation(pyr, w)
+    rep = _representation(args, cfg)
     points = _points_from(args, cfg)
-    try:
+
+    def comparisons():
         count = cross_check(rep, tuple(points))
-        checks = [{
-            "name": "skew-model action matches the matrices",
-            "status": "PASS",
-            "witness": "%d comparisons at points %s"
-                       % (count, [str(p) for p in points]),
-        }]
-    except WrepError as exc:
-        checks = [{
-            "name": "skew-model action matches the matrices",
-            "status": "FAIL",
-            "witness": str(exc),
-        }]
+        return True, "%d comparisons at points %s" % (count, [str(p) for p in points])
+
+    checks = [_guarded("skew-model action matches the matrices", comparisons)]
     return {"dimension": rep.dim}, checks
 
 
@@ -268,38 +250,29 @@ def _run_leading(args, cfg):
     from .grord import verify_leading_claims
 
     pyr = _pyramid_from(args, cfg)
-    try:
+
+    def claims():
         count = verify_leading_claims(pyr)
-        checks = [{
-            "name": "weighted leading monomials",
-            "status": "PASS",
-            "witness": "%d coefficient polynomials checked" % count,
-        }]
-    except WrepError as exc:
-        checks = [{
-            "name": "weighted leading monomials",
-            "status": "FAIL",
-            "witness": str(exc),
-        }]
-    return {}, checks
+        return True, "%d coefficient polynomials checked" % count
+
+    return {}, [_guarded("weighted leading monomials", claims)]
+
+
+def _round_trip_witness(op):
+    from .noether import round_trip
+
+    data = round_trip(op)
+    return True, {str(b): [repr(sp), N] for b, (sp, N) in sorted(data.parts.items())}
 
 
 def _run_noether(args, cfg):
-    from .noether import (WeylElement, check_shift_iso, check_weyl_relations,
-                          round_trip)
+    from .noether import WeylElement, check_shift_iso, check_weyl_relations
 
     checks = []
     for n in (2, 3):
-        checks.append({
-            "name": "Weyl relations (n=%d)" % n,
-            "status": "PASS" if check_weyl_relations(n) else "FAIL",
-            "witness": "",
-        })
-        checks.append({
-            "name": "shift-algebra embedding (n=%d)" % n,
-            "status": "PASS" if check_shift_iso(n) else "FAIL",
-            "witness": "",
-        })
+        checks.append(_check("Weyl relations (n=%d)" % n, check_weyl_relations(n), ""))
+        checks.append(_check("shift-algebra embedding (n=%d)" % n,
+                             check_shift_iso(n), ""))
         ops = {}
         e = WeylElement(n, {})
         sd = WeylElement(n, {})
@@ -312,21 +285,9 @@ def _run_noether(args, cfg):
         ops["sum of derivatives"] = sd
         ops["sum of x^2 d"] = sx
         for label, op in ops.items():
-            try:
-                data = round_trip(op)
-                witness = {
-                    str(b): [repr(sp), N]
-                    for b, (sp, N) in sorted(data.parts.items())
-                }
-                status = "PASS"
-            except WrepError as exc:
-                witness = str(exc)
-                status = "FAIL"
-            checks.append({
-                "name": "symmetric rewrite round trip: %s (n=%d)" % (label, n),
-                "status": status,
-                "witness": witness,
-            })
+            checks.append(_guarded(
+                "symmetric rewrite round trip: %s (n=%d)" % (label, n),
+                partial(_round_trip_witness, op)))
     return {}, checks
 
 

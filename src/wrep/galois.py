@@ -215,10 +215,7 @@ def act_on_basis(model, rep, element, u0):
 
     Each term a * phi sends xi_mu to a(l-values of mu) * xi_{mu + phi};
     vectors at arrays outside the basis are zero, so those terms drop."""
-    from .patterns import GTPattern, is_pattern
-
     N = rep.dim
-    pyr = rep.pyramid
     entries = []
     for col, mu in enumerate(rep.basis):
         point = _pattern_point(model, mu, u0)
@@ -229,13 +226,11 @@ def act_on_basis(model, rep, element, u0):
                 raise EvaluationError(
                     "coefficient denominator vanishes at pattern %r" % (mu,)
                 )
-            new_entries = dict(mu.entries)
-            for idx, step in enumerate(d):
-                if step:
-                    r, i, k = model.delta_slots[idx]
-                    new_entries[(r, i, k)] += step
-            if val and is_pattern(pyr, new_entries):
-                tgt = rep.index[GTPattern(pyr, new_entries).key()]
+            if not val:
+                continue
+            tgt = rep.shifted(col, {model.delta_slots[idx]: step
+                                    for idx, step in enumerate(d) if step})
+            if tgt is not None:
                 entries.append((tgt, col, val))
     return SparseMatrix.from_entries(N, entries)
 

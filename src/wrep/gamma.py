@@ -3,7 +3,6 @@ on the pattern basis, joint-spectrum fibers, and the factorial fiber
 bound."""
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .errors import InvariantViolation
@@ -19,20 +18,20 @@ def gamma_coefficients(rep):
 
 
 def gamma_commutes(rep):
-    """True when every pair of A-coefficients commutes on the basis."""
-    mats = list(gamma_coefficients(rep).values())
-    return all(not a.commutator(b) for a, b in combinations(mats, 2))
+    """True when the A-coefficients commute on the basis: each a_r^{(k)}
+    is diagonal there, and diagonal matrices commute."""
+    return all(m.is_diagonal() for m in gamma_coefficients(rep).values())
 
 
-def elementary_symmetric(values, k):
-    values = list(values)
-    acc = Fraction(0)
-    for combo in combinations(values, k):
-        term = Fraction(1)
-        for v in combo:
-            term *= v
-        acc += term
-    return acc
+def elementary_symmetric(values):
+    """[e_0, ..., e_p] of the p values: after each value v, every e_k
+    gains v * e_{k-1}."""
+    e = [Fraction(1)]
+    for v in values:
+        e.append(Fraction(0))
+        for k in range(len(e) - 1, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
 
 
 def character_of(rep, mu):
@@ -44,9 +43,9 @@ def character_of(rep, mu):
     col = rep.index[mu.key()]
     chi = {}
     for r in range(1, rep.n + 1):
-        lvals = mu.row_l_values(r)
-        for k in range(1, len(lvals) + 1):
-            predicted = elementary_symmetric(lvals, k)
+        esym = elementary_symmetric(mu.row_l_values(r))
+        for k in range(1, len(esym)):
+            predicted = esym[k]
             actual = rep.a_coefficient(r, k).get(col, col)
             if predicted != actual:
                 raise InvariantViolation(
@@ -80,8 +79,8 @@ def fiber_bound(pyr):
     return b
 
 
-def check_fiber_bound(rep):
-    """Largest fiber size and whether it respects the factorial bound."""
-    fib, _ = fibers(rep)
+def check_fiber_bound(pyr, fib):
+    """Largest size among the fibers from ``fibers`` and whether it
+    respects the factorial bound of the pyramid."""
     biggest = max(len(v) for v in fib.values())
-    return biggest, biggest <= fiber_bound(rep.pyramid)
+    return biggest, biggest <= fiber_bound(pyr)

@@ -15,6 +15,12 @@ def entry_slots(pyr, r):
     return [(i, k) for i in range(1, r + 1) for k in range(1, pyr.p(i) + 1)]
 
 
+def key_slots(pyr):
+    """Index triples (r, i, k) in the order of a pattern's key: rows
+    bottom-up, each row in slot order."""
+    return [(r, i, k) for r in range(1, pyr.n + 1) for (i, k) in entry_slots(pyr, r)]
+
+
 class HighestWeight:
     """Per-row root lists: lambda_i(u) = prod_k (u + parts[i-1][k-1])."""
 
@@ -96,11 +102,7 @@ class GTPattern:
     def __init__(self, pyramid, entries):
         self.pyramid = pyramid
         self.entries = dict(entries)
-        self._key = tuple(
-            self.entries[(r, i, k)]
-            for r in range(1, pyramid.n + 1)
-            for (i, k) in entry_slots(pyramid, r)
-        )
+        self._key = tuple(self.entries[slot] for slot in key_slots(pyramid))
 
     def entry(self, r, i, k):
         return self.entries[(r, i, k)]
@@ -154,7 +156,10 @@ def _interlaces(pyramid, entries, r, i, k):
 
 
 def is_pattern(pyramid, entries, weight=None):
-    """Full validity: top row matches the weight, interlacing everywhere."""
+    """Full validity: top row matches the weight, interlacing everywhere.
+
+    An oracle for the tests: the program decides membership by looking a
+    key up in the basis index (``Representation.shifted``)."""
     n = pyramid.n
     if weight is not None:
         for i in range(1, n + 1):
@@ -204,20 +209,6 @@ def enumerate_patterns(weight):
     pats = [GTPattern(pyramid, e) for e in partials]
     pats.sort(key=GTPattern.key)
     return pats
-
-
-def shift_pattern(mu, r, i, k, direction):
-    """Entry (r,i,k) +- 1; None when the result violates interlacing."""
-    pyramid = mu.pyramid
-    if not (1 <= i <= r <= pyramid.n - 1) or not (1 <= k <= pyramid.p(i)):
-        raise IndexError("no entry (r=%d, i=%d, k=%d)" % (r, i, k))
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    entries = dict(mu.entries)
-    entries[(r, i, k)] += direction
-    if not is_pattern(pyramid, entries):
-        return None
-    return GTPattern(pyramid, entries)
 
 
 def weyl_dimension(top_row):

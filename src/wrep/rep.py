@@ -3,8 +3,8 @@ verification of the defining relations on the pattern basis.
 
 A_r(u) acts diagonally; B_r(u) and C_r(u) are rebuilt column by column from
 their values at each pattern's own nodes u = -l_{ri}^{(k)} by Lagrange
-interpolation (one term per node, zero when the shifted array fails
-interlacing).
+interpolation (one term per node, zero when the shifted array is not a
+basis pattern).
 """
 
 from fractions import Fraction
@@ -17,7 +17,7 @@ from .arith import (
     series_inverse,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
-from .patterns import entry_slots, enumerate_patterns, shift_pattern
+from .patterns import entry_slots, enumerate_patterns, key_slots
 from .sparse import Combination, SparseMatrix
 
 
@@ -29,6 +29,7 @@ class Representation:
         self.weight = weight
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
+        self._key_pos = {slot: pos for pos, slot in enumerate(key_slots(pyramid))}
         self.dim = len(basis)
         self.A = A  # A[r] for r=1..n, UniPoly over SparseMatrix
         self.B = B  # B[r] for r=1..n-1
@@ -44,34 +45,37 @@ class Representation:
         c = self.A[r].coeff(block - k)
         return c if c is not None else SparseMatrix(self.dim)
 
+    def shifted(self, col, steps):
+        """Column of the pattern basis[col] with each entry (r, i, k) of
+        ``steps`` moved by its step, or None when that array is no pattern.
+
+        The basis holds every pattern with the weight as top row, so an
+        array is a pattern exactly when its key is indexed; a shifted top
+        row never is."""
+        key = list(self.basis[col].key())
+        for slot, step in steps.items():
+            key[self._key_pos[slot]] += step
+        return self.index.get(tuple(key))
+
 
 def build_representation(pyramid, weight):
     """Construct the pattern basis and the A/B/C polynomial matrices."""
-    basis = enumerate_patterns(weight)
-    index = {mu.key(): idx for idx, mu in enumerate(basis)}
-    N = len(basis)
+    rep = Representation(pyramid, weight, enumerate_patterns(weight), {}, {}, {})
+    basis = rep.basis
+    N = rep.dim
     n = pyramid.n
 
-    A = {}
     for r in range(1, n + 1):
-        block = pyramid.row_block_size(r)
-        coeff_entries = [dict() for _ in range(block + 1)]
-        for col, mu in enumerate(basis):
-            # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l)
-            eig = UniPoly.from_roots([-l for l in mu.row_l_values(r)])
-            for d, c in enumerate(eig.coeffs):
-                if c:
-                    coeff_entries[d][(col, col)] = c
-        A[r] = UniPoly(
-            [SparseMatrix(N, {i: {j: v} for (i, j), v in ent.items()})
-             for d, ent in enumerate(coeff_entries)]
-        )
+        # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l)
+        eigs = [UniPoly.from_roots([-l for l in mu.row_l_values(r)]).coeffs
+                for mu in basis]
+        rep.A[r] = UniPoly([SparseMatrix.diagonal(column) for column in zip(*eigs)])
 
-    B, C = {}, {}
     for r in range(1, n):
-        block = pyramid.row_block_size(r)
-        bco = [dict() for _ in range(block)]
-        cco = [dict() for _ in range(block)]
+        slots = entry_slots(pyramid, r)
+        # (table, step of the entry, adjacent row, sign): B raises, C lowers
+        ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
+        entries = [[[] for _ in range(pyramid.row_block_size(r))] for _ in ladders]
         for col, mu in enumerate(basis):
             nodes = [-l for l in mu.row_l_values(r)]
             try:
@@ -80,36 +84,23 @@ def build_representation(pyramid, weight):
                 raise DegenerateNodes(
                     "repeated l-values in row %d of pattern %r" % (r, mu)
                 ) from None
-            for slot_idx, (i, k) in enumerate(entry_slots(pyramid, r)):
+            for slot_idx, (i, k) in enumerate(slots):
                 u0 = nodes[slot_idx]
-                up = shift_pattern(mu, r, i, k, +1)
-                if up is not None:
-                    coeff = Fraction(-1)
-                    for j in range(1, r + 2):
-                        coeff *= mu.lam(r + 1, j, u0 - j + 1)
+                for (_, step, adj, sign), per_degree in zip(ladders, entries):
+                    tgt = rep.shifted(col, {(r, i, k): step})
+                    if tgt is None:
+                        continue
+                    # sign * prod_{j <= adj} lambda_{adj,j}(u0 - j + 1)
+                    coeff = Fraction(sign)
+                    for j in range(1, adj + 1):
+                        coeff *= mu.lam(adj, j, u0 - j + 1)
                     if coeff:
-                        tgt = index[up.key()]
                         for d, c in enumerate(lag[slot_idx].coeffs):
                             if c:
-                                key = (tgt, col)
-                                bco[d][key] = bco[d].get(key, Fraction(0)) + coeff * c
-                down = shift_pattern(mu, r, i, k, -1)
-                if down is not None:
-                    coeff = Fraction(1)
-                    for j in range(1, r):
-                        coeff *= mu.lam(r - 1, j, u0 - j + 1)
-                    if coeff:
-                        tgt = index[down.key()]
-                        for d, c in enumerate(lag[slot_idx].coeffs):
-                            if c:
-                                key = (tgt, col)
-                                cco[d][key] = cco[d].get(key, Fraction(0)) + coeff * c
-        B[r] = UniPoly([SparseMatrix.from_entries(
-            N, ((i, j, v) for (i, j), v in ent.items())) for ent in bco])
-        C[r] = UniPoly([SparseMatrix.from_entries(
-            N, ((i, j, v) for (i, j), v in ent.items())) for ent in cco])
+                                per_degree[d].append((tgt, col, coeff * c))
+        for (table, _, _, _), per_degree in zip(ladders, entries):
+            table[r] = UniPoly([SparseMatrix.from_entries(N, ent) for ent in per_degree])
 
-    rep = Representation(pyramid, weight, basis, A, B, C)
     _sanity_check(rep)
     return rep
 

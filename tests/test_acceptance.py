@@ -130,10 +130,10 @@ def test_criterion_05_diagonal_subalgebra():
         rep = reference_rep(rows)
         if not gamma_commutes(rep):
             problems.append("%r: coefficients do not commute" % (rows,))
-        _, singl = fibers(rep)  # character_of raises on inconsistency
+        fib, singl = fibers(rep)  # character_of raises on inconsistency
         if not singl:
             problems.append("%r: non-singleton fiber" % (rows,))
-        biggest, ok = check_fiber_bound(rep)
+        biggest, ok = check_fiber_bound(rep.pyramid, fib)
         if not ok:
             problems.append("%r: fiber %d exceeds bound %d"
                             % (rows, biggest, fiber_bound(rep.pyramid)))

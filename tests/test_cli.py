@@ -4,6 +4,8 @@ import pytest
 
 from wrep import cli
 from wrep.cli import main
+from wrep.rep import build_representation
+from wrep.sparse import SparseMatrix
 
 
 @pytest.fixture()
@@ -82,6 +84,24 @@ def test_fibers_and_leading(capsys, config):
     code, rec = run(capsys, "leading", "--rows", "1 2")
     assert code == 0
     assert rec["checks"][0]["status"] == "PASS"
+
+
+def test_fibers_character_mismatch_is_a_failed_check(capsys, monkeypatch):
+    # a diagonal entry of a_1^{(2)} no longer matches the pattern's character
+    def bumped(pyr, w):
+        rep = build_representation(pyr, w)
+        a = rep.A[1].coeffs[0]
+        rep.A[1].coeffs[0] = a + SparseMatrix.from_entries(rep.dim, [(0, 0, 1)])
+        return rep
+    monkeypatch.setattr(cli, "build_representation", bumped)
+    code, rec = run(capsys, "fibers", "--rows", "2 2")
+    assert code == 1
+    status = {c["name"]: (c["status"], c["witness"]) for c in rec["checks"]}
+    assert status["diagonal coefficients commute"][0] == "PASS"
+    singletons = status["joint-spectrum fibers are singletons"]
+    assert singletons[0] == "FAIL"
+    assert singletons[1].startswith("character mismatch at pattern")
+    assert status["fiber size within the factorial bound"][0] == "SKIP"
 
 
 @pytest.mark.parametrize("argv", [

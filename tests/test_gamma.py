@@ -1,7 +1,11 @@
+import copy
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from wrep.arith import UniPoly
 from wrep.gamma import (
     character_of,
     check_fiber_bound,
@@ -14,6 +18,7 @@ from wrep.gamma import (
 from wrep.patterns import generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation
+from wrep.sparse import SparseMatrix
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +32,24 @@ def reps():
 
 def test_elementary_symmetric():
     vals = [Fraction(1), Fraction(2), Fraction(3)]
-    assert elementary_symmetric(vals, 1) == 6
-    assert elementary_symmetric(vals, 2) == 11
-    assert elementary_symmetric(vals, 3) == 6
+    assert elementary_symmetric(vals) == [1, 6, 11, 6]
+
+
+def test_elementary_symmetric_against_subset_sums():
+    rng = random.Random(7)
+    for _ in range(40):
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(0, 6))]
+        want = []
+        for k in range(len(vals) + 1):
+            total = Fraction(0)
+            for subset in combinations(vals, k):
+                term = Fraction(1)
+                for v in subset:
+                    term *= v
+                total += term
+            want.append(total)
+        assert elementary_symmetric(vals) == want
 
 
 def test_coefficient_count(reps):
@@ -41,6 +61,17 @@ def test_coefficient_count(reps):
 def test_commutativity(reps):
     for rep in reps.values():
         assert gamma_commutes(rep)
+
+
+def test_off_diagonal_coefficient_detected(reps):
+    rep = reps[(2, 2)]
+    mutated = copy.copy(rep)
+    mutated.A = dict(rep.A)
+    coeffs = list(rep.A[2].coeffs)
+    coeffs[1] = coeffs[1] + SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+    mutated.A[2] = UniPoly(coeffs)
+    assert not gamma_commutes(mutated)
+    assert gamma_commutes(rep)
 
 
 def test_character_consistency(reps):
@@ -62,5 +93,6 @@ def test_fiber_bound():
     for rows in [(1, 1), (2, 2), (1, 2, 2)]:
         pyr = Pyramid(rows=rows)
         rep = build_representation(pyr, generic_weight(pyr))
-        biggest, ok = check_fiber_bound(rep)
+        fib, _ = fibers(rep)
+        biggest, ok = check_fiber_bound(pyr, fib)
         assert ok and biggest == 1

@@ -10,11 +10,11 @@ from wrep.patterns import (
     enumerate_patterns,
     generic_weight,
     is_pattern,
-    shift_pattern,
     validate_highest_weight,
     weyl_dimension,
 )
 from wrep.pyramid import Pyramid
+from wrep.rep import build_representation
 
 
 def gl2_weight():
@@ -71,14 +71,34 @@ def test_l_values_and_lam():
     assert mu.lam(2, 1, 1) == Fraction(7, 2)
 
 
-def test_shift_pattern():
-    pats = enumerate_patterns(gl2_weight())
-    lo, mid, hi = pats
-    assert shift_pattern(lo, 1, 1, 1, +1) == mid
-    assert shift_pattern(lo, 1, 1, 1, -1) is None
-    assert shift_pattern(hi, 1, 1, 1, +1) is None
-    with pytest.raises(IndexError):
-        shift_pattern(lo, 2, 1, 1, +1)
+def test_shifted():
+    w = gl2_weight()
+    rep = build_representation(w.pyramid, w)
+    lo, mid, hi = range(3)
+    assert rep.basis[mid] == enumerate_patterns(w)[1]
+    assert rep.shifted(lo, {(1, 1, 1): +1}) == mid
+    assert rep.shifted(lo, {(1, 1, 1): -1}) is None
+    assert rep.shifted(hi, {(1, 1, 1): +1}) is None
+    # a shifted top row is never a pattern of this weight
+    assert rep.shifted(lo, {(2, 1, 1): +1}) is None
+    assert rep.shifted(lo, {(1, 1, 1): +1, (2, 2, 1): +1}) is None
+
+
+@pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1), (1, 2, 2)])
+def test_shifted_matches_interlacing_oracle(rows):
+    pyr = Pyramid(rows=rows)
+    w = generic_weight(pyr)
+    rep = build_representation(pyr, w)
+    slots = [(r, i, k) for r in range(1, pyr.n) for (i, k) in entry_slots(pyr, r)]
+    for col, mu in enumerate(rep.basis):
+        for slot in slots:
+            for step in (1, -1):
+                entries = dict(mu.entries)
+                entries[slot] += step
+                tgt = rep.shifted(col, {slot: step})
+                assert (tgt is not None) == is_pattern(pyr, entries, w)
+                if tgt is not None:
+                    assert rep.basis[tgt].entries == entries
 
 
 def test_is_pattern_matches_enumeration():
