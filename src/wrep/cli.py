@@ -27,7 +27,12 @@ from .pyramid import (
     pbw_variable_count,
     shift_group_rank,
 )
-from .rep import build_representation, generator_series, verify_defining_relations
+from .rep import (
+    RELATION_FAMILIES,
+    build_representation,
+    generator_series,
+    verify_defining_relations,
+)
 
 
 def _parse_fraction_list(text):
@@ -133,6 +138,10 @@ def _check(name, passed, witness):
     return {"name": name, "status": "PASS" if passed else "FAIL", "witness": witness}
 
 
+def _skip(name, why):
+    return {"name": name, "status": "SKIP", "witness": why}
+
+
 def _guarded(name, compute):
     """The check ``name`` from compute() -> (passed, witness); a WrepError
     it raises is a FAIL with the error message as witness."""
@@ -140,6 +149,13 @@ def _guarded(name, compute):
         return _check(name, *compute())
     except WrepError as exc:
         return _check(name, False, str(exc))
+
+
+def _fault(name, exc, dependents):
+    """Checks for a fault ``exc`` that stops a run: a FAIL of ``name`` with
+    the error message as witness, then a SKIP of each dependent check."""
+    return [_check(name, False, str(exc))] + [
+        _skip(d, "not run: %s failed" % name) for d in dependents]
 
 
 def _run_build(args, cfg):
@@ -170,11 +186,16 @@ def _points_from(args, cfg):
 def _run_verify(args, cfg):
     rep = _representation(args, cfg)
     R = _rmax_from(args, cfg)
-    report = verify_defining_relations(rep, R)
+    info = {"dimension": rep.dim, "order": R}
+    try:
+        report = verify_defining_relations(rep, R)
+    except WrepError as exc:
+        return info, _fault("generator series", exc,
+                            ["relations: %s" % name for name in RELATION_FAMILIES])
     checks = [_check("relations: %s" % name, not fails,
                      fails[0] if fails else "%d instances verified" % count)
               for name, count, fails in report.families]
-    return {"dimension": rep.dim, "order": R}, checks
+    return info, checks
 
 
 def _run_fibers(args, cfg):
@@ -197,8 +218,7 @@ def _run_fibers(args, cfg):
         checks.append(_check(name, ok, "max fiber %d, bound %d"
                              % (biggest, fiber_bound(pyr))))
     else:
-        checks.append({"name": name, "status": "SKIP",
-                       "witness": "no fibers: the characters are inconsistent"})
+        checks.append(_skip(name, "no fibers: the characters are inconsistent"))
     return {"dimension": rep.dim}, checks
 
 
@@ -209,27 +229,30 @@ def _run_center(args, cfg):
     rep = _representation(args, cfg)
     pyr = rep.pyramid
     R = max(max(pyr.rows) + 3, _rmax_from(args, cfg))
-    gens = generator_series(rep, R)
-    T = build_t_matrix(gens)
+    info = {"dimension": rep.dim, "order": R}
+    central = "determinant coefficients are central scalars"
+    quasi = "two-row quasideterminant shift identity"
+    ratio = "determinant / top-row ratio (recorded, not asserted)"
+    try:
+        T = build_t_matrix(generator_series(rep, R))
+    except WrepError as exc:
+        return info, _fault("generator series and T-matrix", exc, [central, quasi, ratio])
     cdet = column_determinant(T, pyr.n)
 
     def scalars():
         found = central_coefficients(rep, cdet)
         return True, {str(s): _fraction_str(v) for s, v in sorted(found.items())}
 
-    checks = [_guarded("determinant coefficients are central scalars", scalars)]
-    name = "two-row quasideterminant shift identity"
+    checks = [_guarded(central, scalars)]
     if pyr.n == 2:
-        checks.append(_check(name, quasideterminant_check(T, cdet), ""))
+        checks.append(_check(quasi, quasideterminant_check(T, cdet), ""))
     else:
-        checks.append({"name": name, "status": "SKIP",
-                       "witness": "only defined for two rows"})
+        checks.append(_skip(quasi, "only defined for two rows"))
     ratios = cdet_vs_top_row(rep, cdet)
     record = [[_fraction_str(u), None if r is None else _fraction_str(r)]
               for (u, _, _, r) in ratios]
-    checks.append(_check("determinant / top-row ratio (recorded, not asserted)",
-                         True, record))
-    return {"dimension": rep.dim, "order": R}, checks
+    checks.append(_check(ratio, True, record))
+    return info, checks
 
 
 def _run_galois(args, cfg):

@@ -5,15 +5,91 @@ of symmetric groups G acts by permuting each row block; the free abelian
 shift group acts by integer translations of the variables of rows below
 the top.  Images of the generating polynomials are explicit skew elements
 whose evaluation at a pattern's l-values must reproduce the matrix
-action."""
+action.
 
+Every coefficient of an image is a constant times a product of linear
+forms (u + x, x - x'), over another such product, and is kept in that
+factored shape: evaluation multiplies one value per factor, a slot swap
+relabels the factors, and equality is a compare of canonical factor lists
+with no polynomial gcd."""
+
+from collections import Counter
 from fractions import Fraction
 
-from .arith import Terms
 from .errors import EvaluationError, InvariantViolation, NotInvariant
-from .mpoly import MPoly, MRat
 from .patterns import entry_slots
+from .rep import _first_diff
 from .sparse import SparseMatrix
+
+
+def _linear_form(pairs):
+    """(scale, form) with scale * form = sum c * var_i over the (i, c) pairs,
+    which have distinct indices and nonzero coefficients: form holds them
+    sorted by index and scaled so that the first coefficient is 1."""
+    items = sorted(pairs)
+    lead = Fraction(items[0][1])
+    return lead, tuple((i, c / lead) for i, c in items)
+
+
+class Factored:
+    """Rational function const * prod(num) / prod(den) over canonical
+    linear forms (see _linear_form), each factor list sorted.
+
+    Factors common to numerator and denominator cancel on construction,
+    and zero has no factors.  Distinct canonical forms are non-associate
+    irreducibles of the UFD Q[u, x], so two values are equal as rational
+    functions exactly when their (const, num, den) agree."""
+
+    __slots__ = ("const", "num", "den")
+
+    def __init__(self, const, num=(), den=()):
+        """num and den are iterables of forms, each form an iterable of
+        (variable index, coefficient) pairs."""
+        const = Fraction(const)
+        top, bottom = Counter(), Counter()
+        for pairs in num:
+            scale, form = _linear_form(pairs)
+            const *= scale
+            top[form] += 1
+        for pairs in den:
+            scale, form = _linear_form(pairs)
+            const /= scale
+            bottom[form] += 1
+        if not const:
+            top, bottom = Counter(), Counter()
+        common = top & bottom
+        self.const = const
+        self.num = tuple(sorted((top - common).elements()))
+        self.den = tuple(sorted((bottom - common).elements()))
+
+    def __bool__(self):
+        return bool(self.const)
+
+    def __eq__(self, other):
+        if not isinstance(other, Factored):
+            return NotImplemented
+        return (self.const, self.num, self.den) == (other.const, other.num, other.den)
+
+    def evaluate(self, point):
+        """Value at point, one Fraction per variable index."""
+        def product(forms):
+            val = 1
+            for form in forms:
+                val *= sum(c * point[i] for i, c in form)
+            return val
+        d = product(self.den)
+        if not d:
+            raise EvaluationError("denominator vanishes at the evaluation point")
+        return self.const * product(self.num) / d
+
+    def permute_vars(self, perm):
+        """perm maps old variable index -> new variable index."""
+        def relabel(forms):
+            return [[(perm[i], c) for i, c in form] for form in forms]
+        return Factored(self.const, relabel(self.num), relabel(self.den))
+
+    def __repr__(self):
+        return "Factored(%s, %r, %r)" % (self.const, self.num, self.den)
 
 
 class GaloisModel:
@@ -36,12 +112,6 @@ class GaloisModel:
         ]
         self.delta_index = {s: idx for idx, s in enumerate(self.delta_slots)}
         self.zero_delta = (0,) * len(self.delta_slots)
-
-    def x(self, r, i, k):
-        return MPoly.var(self.names, self.xindex[(r, i, k)])
-
-    def uvar(self):
-        return MPoly.var(self.names, 0)
 
     def delta(self, r, i, k, step=1):
         d = [0] * len(self.delta_slots)
@@ -75,22 +145,23 @@ class GaloisModel:
             out[ia], out[ib] = out[ib], out[ia]
         return tuple(out)
 
+    def u_plus(self, slot):
+        """The linear form u + x_{slot}."""
+        return ((0, 1), (self.xindex[slot], 1))
 
-class SkewElement(Terms):
+    def difference(self, slot_a, slot_b):
+        """The linear form x_{slot_a} - x_{slot_b}."""
+        return ((self.xindex[slot_a], 1), (self.xindex[slot_b], -1))
+
+
+class SkewElement:
     """Finite sum of terms coefficient * shift-monomial."""
 
-    __slots__ = ("model",)
+    __slots__ = ("model", "terms")
 
-    def __init__(self, model, terms=None):
+    def __init__(self, model, terms):
         self.model = model
-        self.terms = {}
-        if terms:
-            for d, a in terms.items():
-                if a:
-                    self.terms[d] = a
-
-    def _new(self, terms):
-        return SkewElement(self.model, terms)
+        self.terms = {d: a for d, a in terms.items() if a}
 
     def __eq__(self, other):
         if not isinstance(other, SkewElement):
@@ -98,17 +169,13 @@ class SkewElement(Terms):
         return self.terms == other.terms
 
     def apply_swap(self, slot_a, slot_b):
-        """Image under the transposition of two same-row slots."""
-        perm = self.model.var_perm(slot_a, slot_b)
-        out = {}
-        for d, a in self.terms.items():
-            d2 = self.model.delta_perm(slot_a, slot_b, d)
-            a2 = a.permute_vars(perm)
-            if d2 in out:
-                out[d2] = out[d2] + a2
-            else:
-                out[d2] = a2
-        return SkewElement(self.model, out)
+        """Image under the transposition of two same-row slots; the swap
+        permutes the shift monomials, so no two terms land on one."""
+        model = self.model
+        perm = model.var_perm(slot_a, slot_b)
+        return SkewElement(model, {
+            model.delta_perm(slot_a, slot_b, d): a.permute_vars(perm)
+            for d, a in self.terms.items()})
 
     def is_invariant(self):
         return all(
@@ -119,11 +186,8 @@ class SkewElement(Terms):
 
 def t_image_a(model, j):
     """Image of the diagonal polynomial: prod_{row-j slots} (u + x)."""
-    acc = MPoly.const(model.names, 1)
-    u = model.uvar()
-    for (i, k) in model.row_slots[j]:
-        acc = acc * (u + model.x(j, i, k))
-    return SkewElement(model, {model.zero_delta: MRat.from_poly(acc)})
+    coeff = Factored(1, [model.u_plus((j,) + s) for s in model.row_slots[j]])
+    return SkewElement(model, {model.zero_delta: coeff})
 
 
 def _ladder_coefficient(model, r, slot, sign):
@@ -132,40 +196,32 @@ def _ladder_coefficient(model, r, slot, sign):
     Numerator: the Lagrange factor prod_{other row-r slots}(u + x) times
     the full adjacent-row product prod (x_adj - x_slot); denominator:
     prod_{other row-r slots}(x - x_slot)."""
-    (i, k) = slot
-    xs = model.x(r, i, k)
-    u = model.uvar()
-    num = MPoly.const(model.names, 1)
-    den = MPoly.const(model.names, 1)
-    for (i2, k2) in model.row_slots[r]:
-        if (i2, k2) == slot:
-            continue
-        num = num * (u + model.x(r, i2, k2))
-        den = den * (model.x(r, i2, k2) - xs)
+    here = (r,) + slot
+    others = [(r,) + s for s in model.row_slots[r] if s != slot]
+    num = [model.u_plus(other) for other in others]
+    den = [model.difference(other, here) for other in others]
     adj_row = r + 1 if sign > 0 else r - 1
     if adj_row >= 1:
-        for (q, m) in model.row_slots[adj_row]:
-            num = num * (model.x(adj_row, q, m) - xs)
-    coeff = MRat(num, den)
-    return -coeff if sign > 0 else coeff
+        num += [model.difference((adj_row,) + s, here) for s in model.row_slots[adj_row]]
+    return Factored(-sign, num, den)
+
+
+def _ladder_image(model, r, sign):
+    """Sum over the row-r slots of the ladder coefficient times the shift
+    of that slot by sign."""
+    return SkewElement(model, {
+        model.delta(r, i, k, sign): _ladder_coefficient(model, r, (i, k), sign)
+        for (i, k) in model.row_slots[r]})
 
 
 def t_image_b(model, r):
     """Image of the raising polynomial of row r."""
-    terms = {}
-    for slot in model.row_slots[r]:
-        d = model.delta(r, slot[0], slot[1], +1)
-        terms[d] = _ladder_coefficient(model, r, slot, +1)
-    return SkewElement(model, terms)
+    return _ladder_image(model, r, +1)
 
 
 def t_image_c(model, r):
     """Image of the lowering polynomial of row r."""
-    terms = {}
-    for slot in model.row_slots[r]:
-        d = model.delta(r, slot[0], slot[1], -1)
-        terms[d] = _ladder_coefficient(model, r, slot, -1)
-    return SkewElement(model, terms)
+    return _ladder_image(model, r, -1)
 
 
 def orbit_sum(model, coeff, delta):
@@ -248,7 +304,7 @@ def cross_check(rep, u_samples=(0, 7, -3)):
         img = t_image_a(model, j)
         if not img.is_invariant():
             raise NotInvariant("diagonal image of row %d is not invariant" % j)
-        images.append((img, rep.A[j]))
+        images.append(("a_%d" % j, img, rep.A[j]))
     for r in range(1, n):
         img = t_image_b(model, r)
         if not img.is_invariant():
@@ -258,20 +314,21 @@ def cross_check(rep, u_samples=(0, 7, -3)):
                 "raising image of row %d is not the orbit sum of its "
                 "first term" % r
             )
-        images.append((img, rep.B[r]))
+        images.append(("b_%d" % r, img, rep.B[r]))
         img = t_image_c(model, r)
         if not img.is_invariant():
             raise NotInvariant("lowering image of row %d is not invariant" % r)
-        images.append((img, rep.C[r]))
+        images.append(("c_%d" % r, img, rep.C[r]))
     zero = SparseMatrix(rep.dim)
     checks = 0
-    for img, pm in images:
+    for label, img, pm in images:
         for u0 in u_samples:
             got = act_on_basis(model, rep, img, u0)
             want = pm(u0, zero)
             if got != want:
                 raise InvariantViolation(
-                    "skew-model action disagrees with the matrix at u=%s" % u0
+                    "skew-model action of %s disagrees with the matrix at u=%s: %s"
+                    % (label, u0, _first_diff(got, want, rep.basis))
                 )
             checks += 1
     return checks

@@ -300,12 +300,19 @@ def _fill(comb, terms, sign):
     return comb
 
 
+# Relation families in the order verify_defining_relations reports them.
+RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same-row",
+                     "e adjacent", "f adjacent", "distant rows", "Serre e", "Serre f",
+                     "d_1 vanishing")
+
+
 def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R.
 
     Each instance is a pair of term lists, lhs and rhs; lhs - rhs is summed
     in one Combination and zero-tested, and only a failing instance builds
-    its two sides as matrices for the witness."""
+    its two sides as matrices for the witness.  The only errors raised are
+    those of generator_series(rep, 2 * R); a failing instance is reported."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+import wrep.center
+import wrep.rep
 from wrep import cli
 from wrep.cli import main
-from wrep.rep import build_representation
+from wrep.errors import InvariantViolation
+from wrep.rep import RELATION_FAMILIES, build_representation
 from wrep.sparse import SparseMatrix
 
 
@@ -147,3 +150,69 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: internal: ZeroDivisionError: division by zero\n"
+
+
+def _raise_invariant(message):
+    def broken(*args):
+        raise InvariantViolation(message)
+    return broken
+
+
+def _fault_record(capsys, argv):
+    code, rec = run(capsys, *argv)
+    assert code == 1
+    return [(c["name"], c["status"], c["witness"]) for c in rec["checks"]]
+
+
+def test_verify_series_fault_is_a_failed_check(capsys, monkeypatch):
+    # a fault found while recovering the series fails the run (exit 1) with
+    # a record, and every relation family, which needs the series, is SKIP
+    monkeypatch.setattr(wrep.rep, "generator_series",
+                        _raise_invariant("a_1 inverse is not two-sided"))
+    checks = _fault_record(capsys, ["verify", "--rows", "1 2", "--rmax", "2"])
+    skip = "not run: generator series failed"
+    assert checks == (
+        [("generator series", "FAIL", "a_1 inverse is not two-sided")]
+        + [("relations: %s" % name, "SKIP", skip) for name in RELATION_FAMILIES])
+
+
+@pytest.mark.parametrize("module, function", [(cli, "generator_series"),
+                                              (wrep.center, "build_t_matrix")])
+def test_center_fault_is_a_failed_check(capsys, monkeypatch, module, function):
+    message = "t_{12}^{(3)} nonzero beyond the column degree 2"
+    monkeypatch.setattr(module, function, _raise_invariant(message))
+    checks = _fault_record(capsys, ["center", "--rows", "2 2"])
+    skip = "not run: generator series and T-matrix failed"
+    assert checks == [
+        ("generator series and T-matrix", "FAIL", message),
+        ("determinant coefficients are central scalars", "SKIP", skip),
+        ("two-row quasideterminant shift identity", "SKIP", skip),
+        ("determinant / top-row ratio (recorded, not asserted)", "SKIP", skip),
+    ]
+
+
+# Witnesses of a bumped constant coefficient at rows (1,2,2) under the
+# generic weight, whose patterns read GTPattern[row 1 | row 2 | row 3].
+_TOP = "4/3 1/3 1/4 | 7/3 4/3 5/4 1/3 1/4]"
+
+
+@pytest.mark.parametrize("family, index, witness", [
+    ("B", 1, "b_1 disagrees with the matrix at u=0: entry (4,0) differs by -1; "
+             "row pattern GTPattern[4/3 | %s, column pattern GTPattern[1/3 | %s"),
+    ("C", 1, "c_1 disagrees with the matrix at u=0: entry (0,4) differs by -1; "
+             "row pattern GTPattern[1/3 | %s, column pattern GTPattern[4/3 | %s"),
+    ("A", 2, "a_2 disagrees with the matrix at u=0: entry (0,0) differs by -1; "
+             "row pattern GTPattern[1/3 | %s, column pattern GTPattern[1/3 | %s"),
+], ids=["B", "C", "A"])
+def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witness):
+    def bumped(pyr, w):
+        rep = build_representation(pyr, w)
+        poly = getattr(rep, family)[index]
+        coeff = poly.coeffs[0]
+        i, j, _ = min(coeff.entries())
+        poly.coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+        return rep
+    monkeypatch.setattr(cli, "build_representation", bumped)
+    checks = _fault_record(capsys, ["galois-check", "--rows", "1 2 2"])
+    assert checks == [("skew-model action matches the matrices", "FAIL",
+                       "skew-model action of " + witness % (_TOP, _TOP))]

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from wrep.errors import NotInvariant
+from wrep import galois
+from wrep.errors import EvaluationError, NotInvariant
 from wrep.galois import (
+    Factored,
     GaloisModel,
     SkewElement,
     act_on_basis,
@@ -54,12 +57,27 @@ def test_invariance_of_images():
     assert t_image_c(model, 1).is_invariant()
 
 
+def _x(model, r, i, k):
+    """The coefficient x_{r,i,k} alone."""
+    return Factored(1, [[(model.xindex[(r, i, k)], 1)]])
+
+
 def test_non_invariant_detected():
     model = GaloisModel(Pyramid(rows=(2, 2)))
-    lone = SkewElement(
-        model, {model.zero_delta: MRat.from_poly(model.x(1, 1, 1))}
-    )
+    lone = SkewElement(model, {model.zero_delta: _x(model, 1, 1, 1)})
     assert not lone.is_invariant()
+
+
+def test_non_invariant_image_fails_cross_check(monkeypatch):
+    # the lowering image of row 1 keeps only the term of its first slot
+    def one_term(model, r):
+        img = t_image_c(model, r)
+        first = min(img.terms)
+        return SkewElement(model, {first: img.terms[first]})
+    monkeypatch.setattr(galois, "t_image_c", one_term)
+    pyr = Pyramid(rows=(2, 2))
+    with pytest.raises(NotInvariant, match="lowering image of row 1"):
+        cross_check(build_representation(pyr, generic_weight(pyr)))
 
 
 def test_orbit_sum_identity():
@@ -73,7 +91,7 @@ def test_orbit_sum_ill_defined():
     model = GaloisModel(Pyramid(rows=(2, 2)))
     # coefficient not invariant under the stabilizer of the zero shift
     with pytest.raises(NotInvariant):
-        orbit_sum(model, MRat.from_poly(model.x(1, 1, 1)), model.zero_delta)
+        orbit_sum(model, _x(model, 1, 1, 1), model.zero_delta)
 
 
 def test_action_matches_matrices_gl2():
@@ -87,8 +105,100 @@ def test_action_matches_matrices_gl2():
         assert got == rep.A[2](u0, zero)
 
 
-@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 2, 2), (2, 2, 2)])
 def test_cross_check(rows):
     pyr = Pyramid(rows=rows)
     rep = build_representation(pyr, generic_weight(pyr))
     assert cross_check(rep) >= 3 * (2 * pyr.n - 1)
+
+
+# Oracle for Factored: the same factors multiplied out into MPoly and
+# reduced as an MRat through sympy's gcd.
+NAMES = ("u", "x1", "x2", "x3")
+
+
+def _random_form(rng):
+    """A linear form u + x_i or c * (x_i - x_j), as (index, coefficient)
+    pairs in random order and orientation."""
+    if rng.random() < 0.3:
+        pairs = [(0, 1), (rng.randrange(1, 4), 1)]
+    else:
+        i, j = rng.sample(range(1, 4), 2)
+        c = rng.choice([1, 1, -1, 2, Fraction(-1, 3)])
+        pairs = [(i, c), (j, -c)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _random_factors(rng):
+    const = rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))])
+    num = [_random_form(rng) for _ in range(rng.randint(0, 4))]
+    den = [_random_form(rng) for _ in range(rng.randint(0, 3))]
+    return const, num, den
+
+
+def _poly(pairs):
+    return sum((MPoly.var(NAMES, i) * c for i, c in pairs), MPoly.zero(NAMES))
+
+
+def _expand(const, num, den):
+    top = MPoly.const(NAMES, const)
+    bottom = MPoly.const(NAMES, 1)
+    for form in num:
+        top = top * _poly(form)
+    for form in den:
+        bottom = bottom * _poly(form)
+    return MRat(top, bottom)
+
+
+def _same_function(rng, const, num, den):
+    """Other factors for the same rational function: each factor rescaled
+    (sign flips included) and reordered, and a cancelling pair added."""
+    num2, den2 = [], []
+    for forms, out in ((num, num2), (den, den2)):
+        for form in forms:
+            scale = rng.choice([1, -1, 2, Fraction(1, 2)])
+            out.append([(i, c * scale) for i, c in form])
+            const = const / scale if out is num2 else const * scale
+        rng.shuffle(out)
+    extra = _random_form(rng)
+    num2.append(extra)
+    den2.insert(0, [(i, -c) for i, c in extra])
+    return -const, num2, den2
+
+
+def test_factored_against_expanded_oracle():
+    rng = random.Random(11)
+    for _ in range(60):
+        raw = _random_factors(rng)
+        value, oracle = Factored(*raw), _expand(*raw)
+        # evaluation, poles included
+        for _ in range(3):
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in NAMES]
+            try:
+                want = oracle.evaluate(point)
+            except EvaluationError:
+                with pytest.raises(EvaluationError):
+                    value.evaluate(point)
+            else:
+                assert value.evaluate(point) == want
+        # relabelling commutes with multiplying out
+        perm = list(range(len(NAMES)))
+        rng.shuffle(perm)
+        moved = value.permute_vars(perm)
+        assert _expand(moved.const, moved.num, moved.den) == oracle.permute_vars(perm)
+        # equality is equality of rational functions
+        assert Factored(*_same_function(rng, *raw)) == value
+        for other in (_random_factors(rng), (raw[0] + 1,) + raw[1:],
+                      (raw[0], raw[1] + [_random_form(rng)], raw[2])):
+            assert (Factored(*other) == value) == (_expand(*other) == oracle)
+
+
+def test_factored_canonical_form():
+    # -(x2 - x1) / (2 x1 - 2 x2) = 1/2, and the sign folds into the constant
+    assert Factored(-1, [[(2, 1), (1, -1)]], [[(1, 2), (2, -2)]]) == Factored(Fraction(1, 2))
+    flipped = Factored(1, [[(2, 1), (1, -1)]])
+    assert (flipped.const, flipped.num) == (-1, (((1, 1), (2, -1)),))
+    repeated = Factored(3, [[(0, 1), (1, 1)]] * 2, [[(0, 1), (1, 1)]])
+    assert repeated == Factored(3, [[(1, 1), (0, 1)]])
+    assert not Factored(0, [[(0, 1)]], [[(1, 1)]]) and Factored(0) == Factored(0, [[(0, 1)]])

@@ -14,6 +14,7 @@ from wrep.patterns import (
 )
 from wrep.pyramid import Pyramid
 from wrep.rep import (
+    RELATION_FAMILIES,
     build_representation,
     generator_series,
     verify_defining_relations,
@@ -100,6 +101,8 @@ def test_relation_report_structure():
     report = verify_defining_relations(rep, 3)
     names = [n for n, _, _ in report.families]
     assert "[d,d]=0" in names and "d_1 vanishing" in names
+    # the CLI names the families from this tuple when the series fail
+    assert tuple(names) == RELATION_FAMILIES
     assert report.total_instances() > 0
 
 
