@@ -285,7 +285,9 @@ def _round_trip_witness(op):
     from .noether import round_trip
 
     data = round_trip(op)
-    return True, {str(b): [repr(sp), N] for b, (sp, N) in sorted(data.parts.items())}
+    # the second field is the coefficient's discriminant power, always 0:
+    # every coefficient is a sigma-polynomial
+    return True, {str(b): [repr(sp), 0] for b, sp in sorted(data.parts.items())}
 
 
 def _run_noether(args, cfg):

@@ -270,23 +270,29 @@ def act_on_basis(model, rep, element, u0):
     """Matrix of the skew element on the pattern basis with u = u0.
 
     Each term a * phi sends xi_mu to a(l-values of mu) * xi_{mu + phi};
-    vectors at arrays outside the basis are zero, so those terms drop."""
+    vectors at arrays outside the basis are zero, so those terms drop
+    before their coefficient is evaluated.  Skipping those evaluations
+    hides no vanishing denominator: every denominator is a product of
+    differences of row-r l-values of mu itself, r < n, and
+    build_representation raises DegenerateNodes on any basis pattern with
+    a repeated l-value in such a row."""
     N = rep.dim
+    steps = [({model.delta_slots[idx]: step for idx, step in enumerate(d) if step}, a)
+             for d, a in element.terms.items()]
     entries = []
     for col, mu in enumerate(rep.basis):
         point = _pattern_point(model, mu, u0)
-        for d, a in element.terms.items():
+        for step, a in steps:
+            tgt = rep.shifted(col, step)
+            if tgt is None:
+                continue
             try:
                 val = a.evaluate(point)
             except EvaluationError:
                 raise EvaluationError(
                     "coefficient denominator vanishes at pattern %r" % (mu,)
                 )
-            if not val:
-                continue
-            tgt = rep.shifted(col, {model.delta_slots[idx]: step
-                                    for idx, step in enumerate(d) if step})
-            if tgt is not None:
+            if val:
                 entries.append((tgt, col, val))
     return SparseMatrix.from_entries(N, entries)
 

@@ -2,9 +2,12 @@
 
 MPoly is a sparse dict {exponent tuple: Fraction} tied to a fixed tuple of
 variable names.  MRat is a reduced quotient of two MPoly; lowest-terms
-cancellation is delegated to sympy's sparse polynomial rings (the one
-"bought" primitive here), and the canonical form makes the denominator's
-lex-leading coefficient 1.
+cancellation is delegated to sympy's sparse polynomial rings, and the
+canonical form makes the denominator's lex-leading coefficient 1.
+
+No wrep command uses MRat, MPoly.gcd or MPoly.exact_div: they are the
+reference the tests compare galois's factored coefficients and noether's
+det-power operators against, and sympy is imported only when they run.
 """
 
 from fractions import Fraction

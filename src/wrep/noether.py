@@ -8,9 +8,11 @@ k-th lattice generator to x_k and t_k to x_k d_k.
 
 rewrite_in_sigma expresses a symmetric operator in terms of the
 elementary symmetric polynomials and the pushed-forward derivations
-D_j = sum_i (J^{-1})_{ji} d_i, with coefficients that are polynomials in
-the sigma divided by a power of the discriminant; RatOp composition
-rebuilds the operator from that data for a round-trip identity check."""
+D_j = sum_i (J^{-1})_{ij} d_i, with coefficients that are polynomials in
+the sigma.  Every entry of J^{-1} is a cofactor over det J, so RatOp keeps
+its coefficients as polynomials over one power of det J; its composition
+rebuilds the operator from the sigma data for an exact round-trip check
+with no rational-function gcd."""
 
 from fractions import Fraction
 from itertools import product
@@ -18,7 +20,7 @@ from math import comb, factorial
 
 from .arith import Terms, leibniz_det
 from .errors import NotInvariant, InvariantViolation
-from .mpoly import MPoly, MRat
+from .mpoly import MPoly
 
 
 def falling(c, t):
@@ -35,11 +37,6 @@ def _xnames(n):
 
 def _snames(n):
     return tuple("s%d" % (i + 1) for i in range(n))
-
-
-# Largest discriminant power rewrite_in_sigma tries when clearing the
-# denominator of a coefficient.
-MAX_DISC_POWER = 6
 
 
 class WeylElement(Terms):
@@ -272,10 +269,11 @@ def check_shift_iso(n):
     gens = [ShiftAlgebraElement.t(n, k) for k in range(n)]
     gens += [ShiftAlgebraElement.sigma(n, k) for k in range(n)]
     gens += [ShiftAlgebraElement.sigma(n, k, -1) for k in range(n)]
+    images = [shift_algebra_iso(g) for g in gens]
     count = 0
-    for a in gens:
-        for b in gens:
-            if shift_algebra_iso(a * b) != shift_algebra_iso(a) * shift_algebra_iso(b):
+    for a, image_a in zip(gens, images):
+        for b, image_b in zip(gens, images):
+            if shift_algebra_iso(a * b) != image_a * image_b:
                 raise InvariantViolation("the shift-algebra map is not multiplicative")
             count += 1
     for k in range(n):
@@ -318,8 +316,8 @@ def vandermonde(names):
 
 
 def jacobian_inverse(n):
-    """The matrix J^{-1} over MRat, with J_{ij} = d sigma_i / d x_j; also
-    returns det J, which must be +/- the Vandermonde factor."""
+    """The adjugate of J, J_{ij} = d sigma_i / d x_j, and det J, so that
+    J^{-1} = adj / det J; det J must be +/- the Vandermonde factor."""
     names = _xnames(n)
     J = [[elementary_poly(names, i + 1).derivative(j) for j in range(n)]
          for i in range(n)]
@@ -327,10 +325,10 @@ def jacobian_inverse(n):
     delta = vandermonde(names)
     if det != delta and det != -delta:
         raise InvariantViolation("det J is not +/- the Vandermonde factor")
-    inv = [[None] * n for _ in range(n)]
+    adj = [[None] * n for _ in range(n)]
     for j in range(n):
         for i in range(n):
-            # cofactor expansion: (J^{-1})_{ji} = cof_{ij} / det
+            # cofactor expansion: adj_{ji} = (-1)^{i+j} minor_{ij}
             minor = [
                 [J[a][b] for b in range(n) if b != j]
                 for a in range(n) if a != i
@@ -339,88 +337,100 @@ def jacobian_inverse(n):
                 cof = MPoly.const(names, 1)
             else:
                 cof = leibniz_det(n - 1, lambda a, b: minor[a][b])
-            sign = Fraction((-1) ** (i + j))
-            inv[j][i] = MRat(cof * sign, det)
-    return inv, det
+            adj[j][i] = cof * (-1) ** (i + j)
+    return adj, det
 
 
 class RatOp(Terms):
-    """Differential operator with rational-function coefficients:
-    dict {derivative multi-index: MRat in the x-variables}."""
+    """Differential operator sum_b (Q_b / det^k) d^b over one power k of a
+    fixed nonzero polynomial det: dict {derivative multi-index: MPoly
+    numerator Q_b}."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "det", "k")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, det, k=0, terms=None):
         self.n = n
+        self.det = det
+        self.k = k
         self.terms = {}
         if terms:
-            for b, c in terms.items():
-                if c:
-                    self.terms[b] = c
+            for b, q in terms.items():
+                if q:
+                    self.terms[b] = q
 
     @classmethod
-    def from_weyl(cls, w):
+    def from_weyl(cls, w, det):
         names = _xnames(w.n)
         out = {}
         for (a, b), c in w.terms.items():
             if any(e < 0 for e in a):
                 raise InvariantViolation("Laurent term has no RatOp image")
-            mono = MRat.from_poly(MPoly(names, {a: c}))
-            s = out.get(b)
-            s = mono if s is None else s + mono
-            out[b] = s
-        return cls(w.n, {b: c for b, c in out.items() if c})
-
-    @classmethod
-    def coefficient(cls, n, c):
-        return cls(n, {(0,) * n: c})
+            mono = MPoly(names, {a: c})
+            out[b] = out[b] + mono if b in out else mono
+        return cls(w.n, det, 0, out)
 
     def _new(self, terms):
-        return RatOp(self.n, terms)
+        return RatOp(self.n, self.det, self.k, terms)
+
+    def lift(self, k):
+        """The same operator written over det^k, for k >= self.k."""
+        if k == self.k:
+            return self
+        f = self.det ** (k - self.k)
+        return RatOp(self.n, self.det, k, {b: q * f for b, q in self.terms.items()})
+
+    def __add__(self, other):
+        k = max(self.k, other.k)
+        return Terms.__add__(self.lift(k), other.lift(k))
 
     def __eq__(self, other):
-        return self.terms == other.terms
+        # det is nonzero, so over a common power the numerators decide
+        k = max(self.k, other.k)
+        return self.lift(k).terms == other.lift(k).terms
 
     def __mul__(self, other):
-        """Operator composition via the Leibniz rule."""
-        out = {}
+        """Operator composition via the Leibniz rule.  A coefficient's
+        derivative stays over a power of det by the quotient rule
+        d_i(Q / det^m) = (d_i Q * det - m * Q * d_i det) / det^(m+1)."""
+        n, det = self.n, self.det
+        out = RatOp(n, det, self.k + other.k)
         for b1, c1 in self.terms.items():
             for b2, c2 in other.terms.items():
                 for t in product(*(range(x + 1) for x in b1)):
-                    factor = Fraction(1)
-                    for i in range(self.n):
+                    g, m = c2, other.k
+                    factor = 1
+                    for i in range(n):
                         factor *= comb(b1[i], t[i])
-                    g = c2
-                    for i in range(self.n):
                         for _ in range(t[i]):
-                            g = g.derivative(i)
-                    if not g:
-                        continue
-                    b = tuple(b1[i] - t[i] + b2[i] for i in range(self.n))
-                    term = c1 * g * factor
-                    s = out.get(b)
-                    out[b] = term if s is None else s + term
-        return RatOp(self.n, out)
+                            if m:
+                                g = g.derivative(i) * det - g * det.derivative(i) * m
+                                m += 1
+                            else:
+                                g = g.derivative(i)
+                    b = tuple(b1[i] - t[i] + b2[i] for i in range(n))
+                    out = out + RatOp(n, det, self.k + m, {b: c1 * g * factor})
+        return out
 
 
 class SymData:
     """Result of rewriting a symmetric operator: for each derivation
-    multi-index beta, a polynomial in the sigma plus the discriminant
-    power N_beta with coefficient sigma_poly / Delta^N."""
+    multi-index beta, the coefficient of D^beta as a polynomial in the
+    sigma."""
 
     __slots__ = ("n", "parts")
 
     def __init__(self, n, parts):
         self.n = n
-        self.parts = parts  # {beta: (MPoly in s-names, int N)}
+        self.parts = parts  # {beta: MPoly in s-names}
 
 
 def rewrite_in_sigma(w):
     """Express a symmetric WeylElement as sum_beta c_beta(sigma) D^beta.
 
     The coefficients are recovered by applying the operator to sigma
-    powers in graded order; each rational coefficient is then cleared by
-    the smallest discriminant power and reduced to a sigma-polynomial."""
+    powers in graded order: c_beta is w(sigma^beta) minus polynomial
+    multiples of the earlier c_gamma, divided by an integer factorial, so
+    it is a polynomial, rewritten in the sigma by symmetric_reduce."""
     n = w.n
     if not w.is_symmetric():
         raise NotInvariant("the operator is not symmetric")
@@ -437,7 +447,7 @@ def rewrite_in_sigma(w):
         sp = MPoly.const(names, 1)
         for j in range(n):
             sp = sp * sig[j] ** beta[j]
-        rhs = MRat.from_poly(w.apply_to_poly(sp))
+        rhs = w.apply_to_poly(sp)
         for gamma in betas:
             if gamma == beta:
                 break
@@ -452,33 +462,12 @@ def rewrite_in_sigma(w):
             for j in range(n):
                 rest = rest * sig[j] ** (beta[j] - gamma[j])
             rhs = rhs - coeffs[gamma] * rest * f
-        fact = Fraction(1)
+        fact = 1
         for j in range(n):
             fact *= factorial(beta[j])
-        coeffs[beta] = rhs / fact
-
-    delta2 = vandermonde(names) ** 2
-    parts = {}
-    for beta, c in coeffs.items():
-        if not c:
-            continue
-        cleared = None
-        power = None
-        cand = c
-        for N in range(MAX_DISC_POWER + 1):
-            if N:
-                cand = cand * delta2
-            if cand.is_polynomial():
-                cleared = cand.num * (Fraction(1) / cand.den.constant_value())
-                power = N
-                break
-        if cleared is None:
-            raise InvariantViolation(
-                "coefficient at %r is not a sigma-polynomial over a "
-                "discriminant power" % (beta,)
-            )
-        parts[beta] = (symmetric_reduce(cleared), power)
-    return SymData(n, parts)
+        coeffs[beta] = rhs * Fraction(1, fact)
+    return SymData(n, {beta: symmetric_reduce(c)
+                       for beta, c in coeffs.items() if c})
 
 
 def symmetric_reduce(p):
@@ -526,27 +515,23 @@ def round_trip(w):
     Returns the SymData when the composed RatOp equals the original."""
     n = w.n
     data = rewrite_in_sigma(w)
-    jinv, _ = jacobian_inverse(n)
+    adj, det = jacobian_inverse(n)
     D = []
     for j in range(n):
         terms = {}
         for i in range(n):
             b = [0] * n
             b[i] = 1
-            # dx_i/dsigma_j = (J^{-1})_{ij}
-            terms[tuple(b)] = jinv[i][j]
-        D.append(RatOp(n, terms))
-    delta2 = MRat.from_poly(vandermonde(_xnames(n)) ** 2)
-    total = RatOp(n, {})
-    for beta, (sp, power) in data.parts.items():
-        c = MRat.from_poly(sigma_expand(sp, n))
-        for _ in range(power):
-            c = c / delta2
-        op = RatOp.coefficient(n, c)
+            # dx_i/dsigma_j = (J^{-1})_{ij} = adj_{ij} / det
+            terms[tuple(b)] = adj[i][j]
+        D.append(RatOp(n, det, 1, terms))
+    total = RatOp(n, det)
+    for beta, sp in data.parts.items():
+        op = RatOp(n, det, 0, {(0,) * n: sigma_expand(sp, n)})
         for j in range(n):
             for _ in range(beta[j]):
                 op = op * D[j]
         total = total + op
-    if total != RatOp.from_weyl(w):
+    if total != RatOp.from_weyl(w, det):
         raise InvariantViolation("round trip does not reproduce the operator")
     return data

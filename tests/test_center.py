@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from random_weights import dominant_weights
 
 from wrep.center import (
     build_t_matrix,
@@ -39,6 +41,21 @@ def test_central_scalars(rows):
     scalars = central_coefficients(rep, cdet)
     assert len(scalars) == rep.pyramid.row_block_size(rep.n)
     assert cdet.coeffs[-1] == SparseMatrix.identity(rep.dim)
+
+
+@pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1)])
+def test_central_scalars_for_random_generic_weights(rows):
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(dominant_weights(rows))
+    def run(weight):
+        rep, T, cdet = make(rows, weight)
+        scalars = central_coefficients(rep, cdet)
+        assert len(scalars) == rep.pyramid.row_block_size(rep.n)
+        if rep.n == 2:
+            assert quasideterminant_check(T, cdet)
+
+    run()
 
 
 def test_gl2_quasideterminant():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wrep
 import wrep.center
 import wrep.rep
 from wrep import cli
@@ -216,3 +221,23 @@ def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witne
     checks = _fault_record(capsys, ["galois-check", "--rows", "1 2 2"])
     assert checks == [("skew-model action matches the matrices", "FAIL",
                        "skew-model action of " + witness % (_TOP, _TOP))]
+
+
+def test_commands_do_not_import_sympy():
+    # sympy is a test-only dependency; a fresh interpreter shows whether a
+    # command loads it, which this one (where tests may have) cannot
+    script = """
+import contextlib, io, sys
+from wrep.cli import main
+for argv in (["noether-demo"], ["galois-check", "--rows", "1 2"],
+             ["leading", "--rows", "1 2 2"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+print("sympy" in sys.modules)
+"""
+    src = str(Path(wrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
-from wrep.errors import NotInvariant
-from wrep.mpoly import MPoly
+from wrep import noether
+from wrep.cli import main
+from wrep.errors import InvariantViolation, NotInvariant
+from wrep.mpoly import MPoly, MRat
 from wrep.noether import (
     RatOp,
     ShiftAlgebraElement,
@@ -42,6 +47,28 @@ def sum_x2d(n):
     for i in range(n):
         w = w + WeylElement.x(n, i, 2) * WeylElement.d(n, i)
     return w
+
+
+def sum_d2(n):
+    w = WeylElement(n, {})
+    for i in range(n):
+        w = w + WeylElement.d(n, i, 2)
+    return w
+
+
+def sum_xd2(n):
+    w = WeylElement(n, {})
+    for i in range(n):
+        w = w + WeylElement.x(n, i) * WeylElement.d(n, i, 2)
+    return w
+
+
+def sum_d_squared(n):
+    return sum_d(n) * sum_d(n)
+
+
+def euler_squared(n):
+    return euler(n) * euler(n)
 
 
 def test_falling():
@@ -87,8 +114,20 @@ def test_symmetry_detection():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_shift_iso(n):
-    assert check_shift_iso(n) > 0
+def test_shift_iso(n, monkeypatch):
+    calls = []
+    iso = noether.shift_algebra_iso
+
+    def counted(el):
+        calls.append(el)
+        return iso(el)
+
+    monkeypatch.setattr(noether, "shift_algebra_iso", counted)
+    # 3n generators squared, then n^2 twisted commutations
+    assert check_shift_iso(n) == 9 * n * n + n * n
+    # each generator is mapped once; each product and each side of a
+    # commutation once more
+    assert len(calls) == 3 * n + 9 * n * n + 2 * n * n
 
 
 def test_shift_algebra_twisted_product():
@@ -108,7 +147,7 @@ def test_jacobian_determinant():
         delta = vandermonde(_xnames(n))
         assert det == delta or det == -delta
     # the 1 x 1 cofactor is the determinant of the empty minor
-    assert jacobian_inverse(1)[0] == [[1]]
+    assert jacobian_inverse(1)[0] == [[MPoly.const(_xnames(1), 1)]]
 
 
 def test_symmetric_reduce_power_sum():
@@ -133,8 +172,8 @@ def test_rewrite_rejects_asymmetric():
 def test_euler_rewrite_n2():
     data = rewrite_in_sigma(euler(2))
     sn = _snames(2)
-    assert data.parts[(1, 0)] == (MPoly.var(sn, 0), 0)
-    assert data.parts[(0, 1)] == (2 * MPoly.var(sn, 1), 0)
+    assert data.parts[(1, 0)] == MPoly.var(sn, 0)
+    assert data.parts[(0, 1)] == 2 * MPoly.var(sn, 1)
     assert set(data.parts) == {(1, 0), (0, 1)}
 
 
@@ -147,18 +186,99 @@ def test_sum_d_rewrite():
             beta = tuple(1 if i == j - 1 else 0 for i in range(n))
             want = MPoly.const(sn, n - j + 1) if j == 1 else \
                 (n - j + 1) * MPoly.var(sn, j - 2)
-            assert data.parts[beta] == (want, 0)
+            assert data.parts[beta] == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("make", [euler, sum_d, sum_x2d])
+@pytest.mark.parametrize("make", [euler, sum_d, sum_x2d, sum_d2, sum_xd2,
+                                  sum_d_squared, euler_squared])
 def test_round_trips(n, make):
     round_trip(make(n))
 
 
+def _bump_first_part(monkeypatch):
+    """Make rewrite_in_sigma add 1 to its lowest sigma-coefficient."""
+    rewrite = noether.rewrite_in_sigma
+
+    def bumped(w):
+        data = rewrite(w)
+        beta = min(data.parts)
+        data.parts[beta] = data.parts[beta] + 1
+        return data
+
+    monkeypatch.setattr(noether, "rewrite_in_sigma", bumped)
+
+
+@pytest.mark.parametrize("make", [euler, sum_d2])
+def test_bumped_sigma_coefficient_fails_round_trip(monkeypatch, make):
+    _bump_first_part(monkeypatch)
+    with pytest.raises(InvariantViolation, match="round trip"):
+        round_trip(make(3))
+
+
+def test_bumped_sigma_coefficient_fails_noether_demo(monkeypatch, capsys):
+    _bump_first_part(monkeypatch)
+    assert main(["noether-demo"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL symmetric rewrite round trip: euler (n=2)" in err
+    assert "PASS Weyl relations (n=2)" in err
+
+
 def test_ratop_composition():
     n = 2
-    op = RatOp.from_weyl(euler(n))
+    det = jacobian_inverse(n)[1]
+    op = RatOp.from_weyl(euler(n), det)
     sq = op * op
-    want = RatOp.from_weyl(euler(n) * euler(n))
+    want = RatOp.from_weyl(euler(n) * euler(n), det)
     assert sq == want
+
+
+def _random_ratop(rng, n, det, k):
+    names = _xnames(n)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        b = tuple(rng.randint(0, 1) for _ in range(n))
+        q = MPoly(names, {tuple(rng.randint(0, 2) for _ in range(n)):
+                          rng.randint(-3, 3) for _ in range(3)})
+        terms[b] = terms[b] + q if b in terms else q
+    return RatOp(n, det, k, terms)
+
+
+def _mrat_compose(a, b):
+    """Leibniz composition with every coefficient an MRat: the reference
+    for RatOp's quotient rule over powers of det."""
+    n = a.n
+    out = {}
+    for b1, q1 in a.terms.items():
+        c1 = MRat(q1, a.det ** a.k)
+        for b2, q2 in b.terms.items():
+            for t in product(*(range(x + 1) for x in b1)):
+                g = MRat(q2, b.det ** b.k)
+                factor = 1
+                for i in range(n):
+                    factor *= comb(b1[i], t[i])
+                    for _ in range(t[i]):
+                        g = g.derivative(i)
+                key = tuple(b1[i] - t[i] + b2[i] for i in range(n))
+                term = c1 * g * factor
+                out[key] = out[key] + term if key in out else term
+    return {key: c for key, c in out.items() if c}
+
+
+def test_ratop_composition_against_mrat_oracle():
+    # n = 2: at n = 3 the MRat side costs about 1 s a sample; the
+    # second-order round trips cover the quotient rule there
+    n = 2
+    rng = random.Random(n)
+    det = jacobian_inverse(n)[1]
+    for _ in range(10):
+        # a right factor over det^1 takes the quotient rule wherever the
+        # left one differentiates it
+        a = _random_ratop(rng, n, det, rng.randint(0, 1))
+        b = _random_ratop(rng, n, det, 1)
+        got = a * b
+        want = _mrat_compose(a, b)
+        assert set(got.terms) == set(want)
+        for key, q in got.terms.items():
+            # q / det^k == num / den, cross-multiplied
+            assert q * want[key].den == want[key].num * det ** got.k

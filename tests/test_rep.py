@@ -1,17 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
+from random_weights import dominant_weights
 
 from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep import rep as rep_mod
-from wrep.patterns import (
-    GTPattern,
-    HighestWeight,
-    generic_weight,
-    validate_highest_weight,
-)
+from wrep.patterns import GTPattern, HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import (
     RELATION_FAMILIES,
@@ -225,25 +221,6 @@ def test_e_series_mutation_reaches_failure_branch(monkeypatch):
     assert lhs != rhs
     assert failed["[d,e]"][0] == "i=1 j=1 r=2 s=1: %s" % rep_mod._first_diff(
         lhs, rhs, rep.basis)
-
-
-@st.composite
-def dominant_weights(draw, rows):
-    """Dominant weights with row gaps 0, 1 or 2 in each column, kept when
-    validate_highest_weight finds them generic."""
-    pyr = Pyramid(rows=rows)
-    n = pyr.n
-    parts = [[None] * pyr.p(i) for i in range(1, n + 1)]
-    for k in range(1, pyr.p(n) + 1):
-        value = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
-        for i in range(n, 0, -1):
-            if pyr.p(i) < k:
-                break
-            parts[i - 1][k - 1] = value
-            value += draw(st.integers(0, 2))
-    weight = HighestWeight(pyr, parts)
-    assume(not validate_highest_weight(weight))
-    return weight
 
 
 @pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1)])
