@@ -4,9 +4,14 @@ Coefficients are either Fraction scalars or objects exposing the same
 arithmetic protocol (SparseMatrix, MPoly): +, -, *, unary -, truthiness
 for zero-testing.  Polynomials are coefficient lists in ascending powers
 of u; inverse series are truncated expansions c_0 + c_1 u^{-1} + ... up
-to a stated order.  Terms is the shared base of the sparse linear
-combinations (MPoly and the skew and operator algebras), and leibniz_det
-the one permutation-sum determinant.
+to a stated order.  Each output coefficient of a product, shift or series
+inverse is one sum, taken by _sum_products (sums of a*b) or _sum_scaled
+(sums of a*f, f a scalar); a type with a fused sum_products / sum_scaled
+(SparseMatrix) normalises each entry once, others add term by term.
+from_roots and lagrange_basis work on scalar coefficient lists in
+O(p^2).  Terms is the shared base of the sparse linear combinations (MPoly
+and the skew and operator algebras), and leibniz_det the one
+permutation-sum determinant.
 """
 
 from fractions import Fraction
@@ -36,6 +41,20 @@ def _sum_products(pairs):
     return acc
 
 
+def _sum_scaled(pairs):
+    """The sum of a*f over a nonempty list of (a, f) pairs, each f a scalar.
+    A coefficient type with a fused ``sum_scaled`` (SparseMatrix) normalises
+    each entry of the sum once; other types scale and add term by term."""
+    a, f = pairs[0]
+    fused = getattr(type(a), "sum_scaled", None)
+    if fused is not None:
+        return fused(pairs)
+    acc = a * f
+    for a, f in pairs[1:]:
+        acc = acc + a * f
+    return acc
+
+
 def _invert(x):
     if isinstance(x, Fraction):
         if not x:
@@ -57,11 +76,16 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots):
-        """Monic scalar polynomial prod (u - r)."""
-        p = cls([Fraction(1)])
+        """Monic scalar polynomial prod (u - r): after each root r, every
+        coefficient c_k becomes c_{k-1} - r c_k."""
+        c = [Fraction(1)]
         for r in roots:
-            p = p * cls([-Fraction(r), Fraction(1)])
-        return p
+            r = Fraction(r)
+            c.append(c[-1])
+            for k in range(len(c) - 2, 0, -1):
+                c[k] = c[k - 1] - r * c[k]
+            c[0] = -r * c[0]
+        return cls(c)
 
     @property
     def degree(self):
@@ -96,17 +120,15 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UniPoly([])
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
-        z = _zero_like(self.coeffs[0] * other.coeffs[0])
-        return UniPoly([z if c is None else c for c in out])
+        # coefficient of u^m: sum_{i + j = m} a_i b_j
+        last = len(b) - 1
+        return UniPoly(
+            [_sum_products([(a[i], b[m - i])
+                            for i in range(max(0, m - last), min(m, len(a) - 1) + 1)])
+             for m in range(len(a) + last)])
 
     def __rmul__(self, other):
         return UniPoly([other * c for c in self.coeffs])
@@ -126,32 +148,38 @@ class UniPoly:
 def poly_shift(p, c):
     """P(u) -> P(u + c), exact binomial expansion."""
     c = Fraction(c)
-    n = len(p.coeffs)
+    a = p.coeffs
+    n = len(a)
     if n == 0 or not c:
-        return UniPoly(list(p.coeffs))
-    out = [_zero_like(p.coeffs[0]) for _ in range(n)]
-    for k, a in enumerate(p.coeffs):
-        if not a:
-            continue
-        pw = Fraction(1)
-        for j in range(k, -1, -1):
-            out[j] = out[j] + a * (comb(k, k - j) * pw)
-            pw *= c
-    return UniPoly(out)
+        return UniPoly(list(a))
+    pw = [Fraction(1)]
+    for _ in range(1, n):
+        pw.append(pw[-1] * c)
+    # coefficient of u^j: sum_{k >= j} binom(k, j) c^{k-j} a_k
+    return UniPoly([_sum_scaled([(a[k], comb(k, j) * pw[k - j]) for k in range(j, n)])
+                    for j in range(n)])
 
 
 def lagrange_basis(nodes):
-    """Scalar Lagrange basis polynomials L_j, L_j(nodes[m]) = [j == m]."""
+    """Scalar Lagrange basis polynomials L_j, L_j(nodes[m]) = [j == m].
+
+    Each numerator prod_{m != j} (u - x_m) is the master polynomial
+    prod_m (u - x_m) divided by (u - x_j) synthetically."""
     if len(set(nodes)) != len(nodes):
         raise DegenerateNodes("interpolation nodes must be pairwise distinct")
+    master = UniPoly.from_roots(nodes).coeffs
+    p = len(nodes)
     polys = []
     for j, xj in enumerate(nodes):
-        others = nodes[:j] + nodes[j + 1:]
-        num = UniPoly.from_roots(others)
+        num = [None] * p
+        num[p - 1] = master[p]
+        for k in range(p - 1, 0, -1):
+            num[k - 1] = master[k] + xj * num[k]
         den = Fraction(1)
-        for xm in others:
-            den *= xj - xm
-        polys.append(UniPoly([c / den for c in num.coeffs]))
+        for m, xm in enumerate(nodes):
+            if m != j:
+                den *= xj - xm
+        polys.append(UniPoly([c / den for c in num]))
     return polys
 
 
@@ -280,17 +308,14 @@ def series_arg_shift(s, c):
     R = s.order
     if not c:
         return InvSeries(list(s.coeffs), R)
+    pw = [Fraction(1)]
+    for _ in range(R):
+        pw.append(pw[-1] * -c)
+    # coefficient of v^{-m}: sum_{r=1..m} binom(m-1, m-r) (-c)^{m-r} s_r
     out = [s.coeffs[0]]
     for m in range(1, R + 1):
-        acc = None
-        for r in range(1, m + 1):
-            t = m - r
-            factor = Fraction((-1) ** t * comb(r + t - 1, t)) * c**t
-            if not factor:
-                continue
-            term = s.coeffs[r] * factor
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else _zero_like(s.coeffs[0]))
+        out.append(_sum_scaled([(s.coeffs[r], comb(m - 1, m - r) * pw[m - r])
+                                for r in range(1, m + 1)]))
     return InvSeries(out, R)
 
 

@@ -248,14 +248,14 @@ def shift_algebra_iso(el):
     """The embedding sending the k-th lattice generator to x_k and t_k to
     x_k d_k (monomials t^a m map to (x d)^a x^m)."""
     n = el.n
+    xd = [WeylElement.x(n, k) * WeylElement.d(n, k) for k in range(n)]
     out = WeylElement(n, {})
     for m, r in el.terms.items():
         for e, c in r.terms.items():
             w = WeylElement.const(n, c)
-            for k in range(n):
-                xd = WeylElement.x(n, k) * WeylElement.d(n, k)
-                for _ in range(e[k]):
-                    w = w * xd
+            for k, power in enumerate(e):
+                for _ in range(power):
+                    w = w * xd[k]
             w = w * WeylElement(
                 n, {(m, (0,) * n): Fraction(1)}
             )

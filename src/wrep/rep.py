@@ -66,9 +66,15 @@ def build_representation(pyramid, weight):
     n = pyramid.n
 
     for r in range(1, n + 1):
-        # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l)
-        eigs = [UniPoly.from_roots([-l for l in mu.row_l_values(r)]).coeffs
-                for mu in basis]
+        # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l), once
+        # per distinct row of l-values
+        eig_of = {}
+        eigs = []
+        for mu in basis:
+            row = tuple(mu.row_l_values(r))
+            if row not in eig_of:
+                eig_of[row] = UniPoly.from_roots([-l for l in row]).coeffs
+            eigs.append(eig_of[row])
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column) for column in zip(*eigs)])
 
     for r in range(1, n):
@@ -76,14 +82,18 @@ def build_representation(pyramid, weight):
         # (table, step of the entry, adjacent row, sign): B raises, C lowers
         ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
         entries = [[[] for _ in range(pyramid.row_block_size(r))] for _ in ladders]
+        lag_of = {}  # Lagrange basis per distinct row of l-values
         for col, mu in enumerate(basis):
-            nodes = [-l for l in mu.row_l_values(r)]
-            try:
-                lag = lagrange_basis(nodes)
-            except DegenerateNodes:
-                raise DegenerateNodes(
-                    "repeated l-values in row %d of pattern %r" % (r, mu)
-                ) from None
+            row = tuple(mu.row_l_values(r))
+            nodes = [-l for l in row]
+            lag = lag_of.get(row)
+            if lag is None:
+                try:
+                    lag = lag_of[row] = lagrange_basis(nodes)
+                except DegenerateNodes:
+                    raise DegenerateNodes(
+                        "repeated l-values in row %d of pattern %r" % (r, mu)
+                    ) from None
             for slot_idx, (i, k) in enumerate(slots):
                 u0 = nodes[slot_idx]
                 for (_, step, adj, sign), per_degree in zip(ladders, entries):

@@ -1,7 +1,7 @@
 """Exact sparse square matrices over the rationals.
 
 Storage is dict-of-rows {row: {col: Fraction}} with zero entries and empty
-rows never stored, so equal matrices have equal dicts.  Signed sums of
+rows never stored, so equal matrices have equal dicts.  Scaled sums of
 matrices, products and commutators are summed in integer
 numerator/denominator pairs by a ``Combination``, which holds the one
 product loop; ``finish`` builds one Fraction per nonzero entry, and
@@ -43,9 +43,17 @@ class SparseMatrix:
         """Build from an iterable of (row, col, value), summing duplicates."""
         rows = {}
         for i, j, v in entries:
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
             row = rows.setdefault(i, {})
-            row[j] = row.get(j, _ZERO) + Fraction(v)
-        return cls(dim, rows)
+            cur = row.get(j)
+            row[j] = v if cur is None else cur + v
+        clean = {}
+        for i, row in rows.items():
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                clean[i] = row
+        return cls(dim, clean, _clean=True)
 
     @classmethod
     def identity(cls, dim):
@@ -124,6 +132,15 @@ class SparseMatrix:
             comb.product(a, b)
         return comb.finish()
 
+    @classmethod
+    def sum_scaled(cls, pairs):
+        """The sum of a*f over a nonempty list of (a, f) pairs, each f a
+        scalar, normalised once per entry."""
+        comb = Combination(pairs[0][0].dim)
+        for a, f in pairs:
+            comb.add(a, f)
+        return comb.finish()
+
     def __rmul__(self, other):
         return self._scaled(Fraction(other))
 
@@ -188,8 +205,8 @@ class SparseMatrix:
 
 
 class Combination:
-    """A signed sum of matrices, products and commutators, accumulated in
-    plain ints as {i: {j: [num, den]}}.
+    """A sum of scaled matrices and signed products and commutators,
+    accumulated in plain ints as {i: {j: [num, den]}}.
 
     A term over the running denominator of its entry adds without a gcd;
     otherwise the running denominator becomes the lcm.  Nothing is reduced
@@ -243,17 +260,18 @@ class Combination:
         """Add sign * (a*b - b*a)."""
         return self.product(a, b, sign).product(b, a, -sign)
 
-    def add(self, a, sign=1):
-        """Add sign * a."""
+    def add(self, a, factor=1):
+        """Add factor * a, for an int or Fraction factor."""
         self._check(a)
         out = self.out
+        fn, fd = factor.numerator, factor.denominator
         for i, row in a.rows.items():
             acc = out.get(i)
             if acc is None:
                 acc = out[i] = {}
             for j, v in row.items():
-                num = sign * v.numerator
-                den = v.denominator
+                num = fn * v.numerator
+                den = fd * v.denominator
                 cur = acc.get(j)
                 if cur is None:
                     acc[j] = [num, den]

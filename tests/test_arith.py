@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,3 +186,77 @@ def test_leibniz_det_keeps_column_order():
     assert det != e[(0, 0)] * e[(1, 1)] - e[(0, 1)] * e[(1, 0)]
     assert det != e[(1, 1)] * e[(0, 0)] - e[(0, 1)] * e[(1, 0)]
     assert leibniz_det(1, lambda i, c: e[(1, 1)]) == e[(1, 1)]
+
+
+def linear_product(roots):
+    """Ascending coefficients of prod (u - r), one linear factor at a time,
+    by schoolbook convolution."""
+    out = [Fraction(1)]
+    for r in roots:
+        factor = [-Fraction(r), Fraction(1)]
+        prod = [Fraction(0)] * (len(out) + 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@settings(max_examples=50)
+@given(st.lists(fractions, max_size=6))
+def test_from_roots_against_linear_factors(roots):
+    assert UniPoly.from_roots(roots).coeffs == linear_product(roots)
+
+
+@settings(max_examples=50)
+@given(st.lists(fractions, max_size=6, unique=True))
+def test_lagrange_basis_against_definition(nodes):
+    basis = lagrange_basis(nodes)
+    assert len(basis) == len(nodes)
+    for j, xj in enumerate(nodes):
+        others = nodes[:j] + nodes[j + 1:]
+        den = Fraction(1)
+        for xm in others:
+            den *= xj - xm
+        assert basis[j].coeffs == [c / den for c in linear_product(others)]
+        assert [basis[j](x) for x in nodes] == [int(j == m) for m in range(len(nodes))]
+
+
+matrix_coeffs = st.lists(st.builds(lambda e: SparseMatrix.from_entries(3, e), matrix_entries),
+                         min_size=1, max_size=4)
+
+
+def plain_sum(terms, dim=3):
+    # one + per term, from the zero matrix
+    acc = SparseMatrix(dim)
+    for t in terms:
+        acc = acc + t
+    return acc
+
+
+@settings(max_examples=40)
+@given(matrix_coeffs, matrix_coeffs)
+def test_matrix_unipoly_product_against_plain(a, b):
+    want = [plain_sum(a[i] * b[m - i] for i in range(len(a)) if 0 <= m - i < len(b))
+            for m in range(len(a) + len(b) - 1)]
+    assert (UniPoly(a) * UniPoly(b)).coeffs == UniPoly(want).coeffs
+
+
+@settings(max_examples=40)
+@given(matrix_coeffs, small)
+def test_matrix_poly_shift_against_plain(a, c):
+    # coefficient of u^j in P(u + c) is sum_k binom(k, j) c^{k-j} a_k
+    want = [plain_sum(a[k] * (comb(k, j) * c ** (k - j)) for k in range(j, len(a)))
+            for j in range(len(a))]
+    assert poly_shift(UniPoly(a), c) == UniPoly(want)
+
+
+@settings(max_examples=40)
+@given(matrix_coeffs, small)
+def test_matrix_series_arg_shift_against_plain(coeffs, c):
+    # 1/(v + c)^r = sum_t binom(r + t - 1, t) (-c)^t v^{-r-t}
+    s = InvSeries(coeffs)
+    want = [coeffs[0]] + [
+        plain_sum(coeffs[r] * (comb(m - 1, m - r) * (-c) ** (m - r)) for r in range(1, m + 1))
+        for m in range(1, s.order + 1)]
+    assert series_arg_shift(s, c).coeffs == want

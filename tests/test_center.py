@@ -54,6 +54,13 @@ def test_central_scalars_for_random_generic_weights(rows):
         assert len(scalars) == rep.pyramid.row_block_size(rep.n)
         if rep.n == 2:
             assert quasideterminant_check(T, cdet)
+        # both sides act by scalars, so a ratio is recorded wherever the
+        # top row does not vanish
+        for u0, cval, aval, ratio in cdet_vs_top_row(rep, cdet):
+            assert cval is not None and aval is not None
+            assert (ratio is None) == (aval == 0)
+            if ratio is not None:
+                assert ratio == cval / aval
 
     run()
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from random_weights import dominant_weights
 
+from wrep.arith import UniPoly
 from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep import rep as rep_mod
@@ -144,6 +145,33 @@ def test_degenerate_nodes_name_row_and_pattern(monkeypatch):
     monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda weight: [mu])
     with pytest.raises(DegenerateNodes, match=r"row 1 of pattern"):
         build_representation(pyr, None)
+
+
+def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
+    # (2,3,3) has 128 patterns but 9, 32 and 1 distinct l-value rows in
+    # rows 1, 2 and 3: one eigenvalue polynomial per distinct row of each
+    # A_r, one Lagrange basis (and its master polynomial) per distinct
+    # row below the top
+    calls = {"lagrange": 0, "roots": 0}
+    lagrange, from_roots = rep_mod.lagrange_basis, UniPoly.from_roots.__func__
+
+    def counted_lagrange(nodes):
+        calls["lagrange"] += 1
+        return lagrange(nodes)
+
+    def counted_roots(cls, roots):
+        calls["roots"] += 1
+        return from_roots(cls, roots)
+
+    monkeypatch.setattr(rep_mod, "lagrange_basis", counted_lagrange)
+    monkeypatch.setattr(UniPoly, "from_roots", classmethod(counted_roots))
+    pyr = Pyramid(rows=(2, 3, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    distinct = [len({tuple(mu.row_l_values(r)) for mu in rep.basis})
+                for r in range(1, pyr.n + 1)]
+    assert rep.dim == 128 and distinct == [9, 32, 1]
+    assert calls["lagrange"] == 9 + 32
+    assert calls["roots"] == (9 + 32 + 1) + calls["lagrange"]
 
 
 def test_serre_mutation_detected():

@@ -173,6 +173,36 @@ def test_combination_matches_dense_reference(terms):
     assert comb.finish() == SparseMatrix(3) and not comb.finish().rows
 
 
+scale_factors = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(scale_factors, entry_list(3, 5)), min_size=1, max_size=4))
+def test_scaled_add_matches_dense_reference(terms):
+    comb = Combination(3)
+    want = [[Fraction(0)] * 3 for _ in range(3)]
+    pairs = []
+    for factor, entries in terms:
+        a = SparseMatrix.from_entries(3, entries)
+        comb.add(a, factor)
+        pairs.append((a, factor))
+        want = [[w + factor * x for w, x in zip(rw, ra)] for rw, ra in zip(want, dense(a))]
+    got = comb.finish()
+    assert_canonical(got)
+    assert dense(got) == want
+    assert comb.is_zero() == (not any(x for row in want for x in row))
+    assert SparseMatrix.sum_scaled(pairs) == got
+
+
+def test_from_entries_drops_cancelled_sums():
+    # row 0 sums to zero in every column, so it is not stored at all
+    m = SparseMatrix.from_entries(2, [(0, 0, Fraction(1, 3)), (1, 1, 2),
+                                      (0, 0, Fraction(-1, 3)), (0, 1, 0),
+                                      (1, 0, 1), (1, 0, Fraction(1, 2))])
+    assert_canonical(m)
+    assert m.rows == {1: {1: 2, 0: Fraction(3, 2)}}
+
+
 def test_combination_cancels_across_denominators():
     # (ab)_00 = 1/2 * 2/3 + 1/5 * 3/7 sums as 2/6, then 88/210 through the
     # lcm; the finished ab holds 44/105, a third denominator
