@@ -133,12 +133,11 @@ class UniPoly:
     def __rmul__(self, other):
         return UniPoly([other * c for c in self.coeffs])
 
-    def __call__(self, u0, zero=Fraction(0)):
-        """Exact evaluation at a scalar point (Horner); the zero polynomial
-        evaluates to ``zero``, which matrix-valued callers pass."""
+    def __call__(self, u0):
+        """Exact evaluation at a scalar point (Horner)."""
         u0 = Fraction(u0)
         if not self.coeffs:
-            return zero
+            return Fraction(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * u0 + c

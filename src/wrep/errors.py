@@ -34,7 +34,7 @@ class OrderError(WrepError):
 
 
 class EvaluationError(WrepError):
-    """A denominator vanished at an evaluation point (non-generic data)."""
+    """A denominator vanished at a point, or holds the variable kept free."""
 
 
 class NotInvariant(WrepError):

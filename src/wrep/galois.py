@@ -4,8 +4,8 @@ Variables are u plus x_{r,i,k} for every row-r slot (i, k); the product
 of symmetric groups G acts by permuting each row block; the free abelian
 shift group acts by integer translations of the variables of rows below
 the top.  Images of the generating polynomials are explicit skew elements
-whose evaluation at a pattern's l-values must reproduce the matrix
-action.
+whose evaluation at a pattern's l-values, u kept free, must reproduce the
+matrix polynomials.
 
 Every coefficient of an image is a constant times a product of linear
 forms (u + x, x - x'), over another such product, and is kept in that
@@ -13,9 +13,11 @@ factored shape: evaluation multiplies one value per factor, a slot swap
 relabels the factors, and equality is a compare of canonical factor lists
 with no polynomial gcd."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
+from math import prod
 
+from .arith import UniPoly
 from .errors import EvaluationError, InvariantViolation, NotInvariant
 from .patterns import entry_slots
 from .rep import _first_diff
@@ -29,6 +31,11 @@ def _linear_form(pairs):
     items = sorted(pairs)
     lead = Fraction(items[0][1])
     return lead, tuple((i, c / lead) for i, c in items)
+
+
+def _value(forms, point):
+    """Product of the linear forms at point."""
+    return prod(sum(c * point[i] for i, c in form) for form in forms)
 
 
 class Factored:
@@ -70,17 +77,24 @@ class Factored:
             return NotImplemented
         return (self.const, self.num, self.den) == (other.const, other.num, other.den)
 
-    def evaluate(self, point):
-        """Value at point, one Fraction per variable index."""
-        def product(forms):
-            val = 1
-            for form in forms:
-                val *= sum(c * point[i] for i, c in form)
-            return val
-        d = product(self.den)
+    def evaluate(self, point, num=None):
+        """Value at point, one Fraction per variable index; ``num``, a
+        sublist of the numerator forms, replaces the numerator."""
+        d = _value(self.den, point)
         if not d:
             raise EvaluationError("denominator vanishes at the evaluation point")
-        return self.const * product(self.num) / d
+        return self.const * _value(self.num if num is None else num, point) / d
+
+    def in_u(self, point):
+        """Scalar polynomial in u with the other variables at point, which
+        gives no value of u.  A canonical form holding u (index 0) is u + y,
+        a root at -y; u in a denominator raises EvaluationError."""
+        if any(form[0][0] == 0 for form in self.den):
+            raise EvaluationError("u occurs in a denominator")
+        roots = [-sum(c * point[i] for i, c in form[1:])
+                 for form in self.num if form[0][0] == 0]
+        scalar = self.evaluate(point, [form for form in self.num if form[0][0]])
+        return scalar * UniPoly.from_roots(roots)
 
     def permute_vars(self, perm):
         """perm maps old variable index -> new variable index."""
@@ -258,51 +272,49 @@ def orbit_sum_identity(model, r):
     return orbit_sum(model, img.terms[d], d) == img
 
 
-def _pattern_point(model, mu, u0):
-    point = [Fraction(u0)]
-    for (rik, idx) in sorted(model.xindex.items(), key=lambda t: t[1]):
-        r, i, k = rik
-        point.append(mu.l_value(r, i, k))
+def _pattern_point(model, mu):
+    """mu's l-values by variable index; u's slot (index 0) is not read."""
+    point = [None] * len(model.names)
+    for (r, i, k), idx in model.xindex.items():
+        point[idx] = mu.l_value(r, i, k)
     return point
 
 
-def act_on_basis(model, rep, element, u0):
-    """Matrix of the skew element on the pattern basis with u = u0.
+def act_on_basis(model, rep, element):
+    """Matrix polynomial in u of the skew element on the pattern basis.
 
-    Each term a * phi sends xi_mu to a(l-values of mu) * xi_{mu + phi};
-    vectors at arrays outside the basis are zero, so those terms drop
-    before their coefficient is evaluated.  Skipping those evaluations
-    hides no vanishing denominator: every denominator is a product of
-    differences of row-r l-values of mu itself, r < n, and
-    build_representation raises DegenerateNodes on any basis pattern with
-    a repeated l-value in such a row."""
-    N = rep.dim
+    Each term a * phi sends xi_mu to a(l-values of mu, u) * xi_{mu + phi},
+    a polynomial in u (Factored.in_u); vectors at arrays outside the basis
+    are zero, so those terms drop before their coefficient is evaluated.
+    Skipping those evaluations hides no vanishing denominator: every
+    denominator is a product of differences of row-r l-values of mu itself,
+    r < n, and build_representation raises DegenerateNodes on any basis
+    pattern with a repeated l-value in such a row."""
     steps = [({model.delta_slots[idx]: step for idx, step in enumerate(d) if step}, a)
              for d, a in element.terms.items()]
-    entries = []
+    entries = defaultdict(list)  # power of u -> (row, column, value)
     for col, mu in enumerate(rep.basis):
-        point = _pattern_point(model, mu, u0)
+        point = _pattern_point(model, mu)
         for step, a in steps:
             tgt = rep.shifted(col, step)
             if tgt is None:
                 continue
             try:
-                val = a.evaluate(point)
-            except EvaluationError:
-                raise EvaluationError(
-                    "coefficient denominator vanishes at pattern %r" % (mu,)
-                )
-            if val:
-                entries.append((tgt, col, val))
-    return SparseMatrix.from_entries(N, entries)
+                poly = a.in_u(point)
+            except EvaluationError as exc:
+                raise EvaluationError("coefficient at pattern %r: %s" % (mu, exc)) from None
+            for power, val in enumerate(poly.coeffs):
+                entries[power].append((tgt, col, val))
+    return UniPoly([SparseMatrix.from_entries(rep.dim, entries[power])
+                    for power in range(max(entries, default=-1) + 1)])
 
 
-def cross_check(rep, u_samples=(0, 7, -3)):
-    """Compare the skew-model action with the representation matrices for
-    every generator polynomial at each sample point.
+def cross_check(rep):
+    """Compare the skew-model action of every generator polynomial with its
+    representation matrix, as polynomials in u.
 
     Also asserts invariance of every image and the orbit-sum identity for
-    the raising images.  Returns the number of comparisons made."""
+    the raising images.  Returns the number of comparisons, one per image."""
     model = GaloisModel(rep.pyramid)
     n = rep.n
     images = []
@@ -325,16 +337,14 @@ def cross_check(rep, u_samples=(0, 7, -3)):
         if not img.is_invariant():
             raise NotInvariant("lowering image of row %d is not invariant" % r)
         images.append(("c_%d" % r, img, rep.C[r]))
-    zero = SparseMatrix(rep.dim)
-    checks = 0
     for label, img, pm in images:
-        for u0 in u_samples:
-            got = act_on_basis(model, rep, img, u0)
-            want = pm(u0, zero)
-            if got != want:
-                raise InvariantViolation(
-                    "skew-model action of %s disagrees with the matrix at u=%s: %s"
-                    % (label, u0, _first_diff(got, want, rep.basis))
-                )
-            checks += 1
-    return checks
+        got = act_on_basis(model, rep, img)
+        if got != pm:
+            # the witness: an entry of the lowest power of u that differs
+            diff = got - pm
+            power, coeff = next((k, c) for k, c in enumerate(diff.coeffs) if c)
+            raise InvariantViolation(
+                "skew-model action of %s disagrees with the matrix in the "
+                "coefficient of u^%d: %s" % (label, power, _first_diff(
+                    coeff, coeff.zero_like(), rep.basis)))
+    return len(images)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from random_weights import dominant_weights
 
+from wrep.arith import UniPoly
 from wrep.center import (
     build_t_matrix,
     cdet_vs_top_row,
@@ -54,13 +55,8 @@ def test_central_scalars_for_random_generic_weights(rows):
         assert len(scalars) == rep.pyramid.row_block_size(rep.n)
         if rep.n == 2:
             assert quasideterminant_check(T, cdet)
-        # both sides act by scalars, so a ratio is recorded wherever the
-        # top row does not vanish
-        for u0, cval, aval, ratio in cdet_vs_top_row(rep, cdet):
-            assert cval is not None and aval is not None
-            assert (ratio is None) == (aval == 0)
-            if ratio is not None:
-                assert ratio == cval / aval
+        # observed (not asserted in the library): cdet T(u) is A_n(u)
+        assert cdet_vs_top_row(rep, cdet)
 
     run()
 
@@ -80,14 +76,17 @@ def test_quasideterminant_two_rows(rows):
     assert quasideterminant_check(T, cdet)
 
 
-def test_ratio_recorded():
+def test_top_row_recorded():
     rep, _, cdet = make((1, 2))
-    out = cdet_vs_top_row(rep, cdet)
-    assert len(out) == 3
-    for u0, cval, aval, ratio in out:
-        assert cval is not None and aval is not None
-        # observed (not asserted in the library): the ratio is 1 here
-        assert ratio == 1
+    # observed (not asserted in the library): cdet T(u) is A_n(u) here
+    assert cdet_vs_top_row(rep, cdet) is True
+    # c u(u-7)(u+3) I agrees with A_n at u = 0, 7 and -3, the points the
+    # record once sampled, and differs as a polynomial
+    ident = SparseMatrix.identity(rep.dim)
+    bump = UniPoly([5 * c * ident for c in UniPoly.from_roots([0, 7, -3]).coeffs])
+    mutant = cdet + bump
+    assert all(mutant(u0) == rep.A[rep.n](u0) for u0 in (0, 7, -3))
+    assert cdet_vs_top_row(rep, mutant) is False
 
 
 def test_column_determinant_n1():

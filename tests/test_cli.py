@@ -10,6 +10,7 @@ import wrep
 import wrep.center
 import wrep.rep
 from wrep import cli
+from wrep.arith import UniPoly
 from wrep.cli import main
 from wrep.errors import InvariantViolation
 from wrep.rep import RELATION_FAMILIES, build_representation
@@ -22,7 +23,7 @@ def config(tmp_path):
     path.write_text(
         "[pyramid]\nrows = 1 1\n\n"
         "[weight]\nlambda1 = 5/2\nlambda2 = 1/2\n\n"
-        "[run]\nrmax = 3\npoints = 0 7 -3\n"
+        "[run]\nrmax = 3\n"
     )
     return str(path)
 
@@ -112,29 +113,55 @@ def test_fibers_character_mismatch_is_a_failed_check(capsys, monkeypatch):
     assert status["fiber size within the factorial bound"][0] == "SKIP"
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--rows", "1 1", "--rmax", "0"],
-    ["center", "--rows", "1 1", "--rmax", "-1"],
-    ["galois-check", "--rows", "1 1", "--points", "1/0"],
-], ids=["rmax-zero", "rmax-negative", "points-zero-denominator"])
-def test_bad_argument_exit_code(capsys, argv):
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--rows", "1 1", "--rmax", "0"], None),
+    (["center", "--rows", "1 1", "--rmax", "-1"], None),
+    (["galois-check"], "[pyramid]\nrows = 1 1\n[weight]\nlambda1 = 1/0\nlambda2 = 0\n"),
+], ids=["rmax-zero", "rmax-negative", "weight-zero-denominator"])
+def test_bad_argument_exit_code(capsys, tmp_path, argv, text):
+    if text is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+    if text is not None:
+        assert captured.err == "error: zero denominator in '1/0'\n"
 
 
-@pytest.mark.parametrize("text", [
-    "rows = 1 1\n",
-    "[pyramid]\nrows = 1 1\n[pyramid]\nrows = 1 2\n",
-    "[pyramid]\nrows = 1 1\nrows = 1 2\n",
-    "[pyramid]\nrows = 1 1\n[run]\nrmax = %(x)s\n",
-    "[pyramid]\nrows 1 1\n",
+def test_points_option_is_gone(capsys):
+    # galois-check compares polynomials in u; there are no sample points
+    with pytest.raises(SystemExit) as exc:
+        main(["galois-check", "--rows", "1 1", "--points", "0,7,-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --points" in capsys.readouterr().err
+
+
+_WEIGHT = "[weight]\nlambda1 = 5/2\nlambda2 = 1/2\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("rows = 1 1\n", None),
+    ("[pyramid]\nrows = 1 1\n[pyramid]\nrows = 1 2\n", None),
+    ("[pyramid]\nrows = 1 1\nrows = 1 2\n", None),
+    ("[pyramid]\nrows = 1 1\n[run]\nrmax = %(x)s\n", None),
+    ("[pyramid]\nrows 1 1\n", None),
+    ("[pyramid]\nrows = 1 1\n" + _WEIGHT.replace("weight", "weights"),
+     "unknown config section [weights]"),
+    ("[pyramid]\nrows = 1 1\n[run]\nrmx = 1\n",
+     "unknown key 'rmx' in config section [run]"),
+    ("[pyramid]\nrows = 1 1\n[run]\npoints = 0 7 -3\n",
+     "unknown key 'points' in config section [run]"),
+    ("[pyramid]\nrows = 1 1\n" + _WEIGHT + "lambda3 = 0\n",
+     "unknown key 'lambda3' in config section [weight] (2-row pyramid)"),
 ], ids=["no-section-header", "duplicate-section", "duplicate-option",
-        "bad-interpolation", "line-without-equals"])
-def test_malformed_config_exit_code(capsys, tmp_path, text):
+        "bad-interpolation", "line-without-equals", "unknown-section",
+        "unknown-run-key", "stale-points-key", "weight-key-past-last-row"])
+def test_malformed_config_exit_code(capsys, tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
     code = main(["verify", "--config", str(path)])
@@ -142,7 +169,10 @@ def test_malformed_config_exit_code(capsys, tmp_path, text):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    if named is not None:
+        assert captured.err == "error: %s\n" % named
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -192,7 +222,8 @@ def test_center_fault_is_a_failed_check(capsys, monkeypatch, module, function):
         ("generator series and T-matrix", "FAIL", message),
         ("determinant coefficients are central scalars", "SKIP", skip),
         ("two-row quasideterminant shift identity", "SKIP", skip),
-        ("determinant / top-row ratio (recorded, not asserted)", "SKIP", skip),
+        ("determinant equals the top-row polynomial (recorded, not asserted)", "SKIP",
+         skip),
     ]
 
 
@@ -202,11 +233,14 @@ _TOP = "4/3 1/3 1/4 | 7/3 4/3 5/4 1/3 1/4]"
 
 
 @pytest.mark.parametrize("family, index, witness", [
-    ("B", 1, "b_1 disagrees with the matrix at u=0: entry (4,0) differs by -1; "
+    ("B", 1, "b_1 disagrees with the matrix in the coefficient of u^0: "
+             "entry (4,0) differs by -1; "
              "row pattern GTPattern[4/3 | %s, column pattern GTPattern[1/3 | %s"),
-    ("C", 1, "c_1 disagrees with the matrix at u=0: entry (0,4) differs by -1; "
+    ("C", 1, "c_1 disagrees with the matrix in the coefficient of u^0: "
+             "entry (0,4) differs by -1; "
              "row pattern GTPattern[1/3 | %s, column pattern GTPattern[4/3 | %s"),
-    ("A", 2, "a_2 disagrees with the matrix at u=0: entry (0,0) differs by -1; "
+    ("A", 2, "a_2 disagrees with the matrix in the coefficient of u^0: "
+             "entry (0,0) differs by -1; "
              "row pattern GTPattern[1/3 | %s, column pattern GTPattern[1/3 | %s"),
 ], ids=["B", "C", "A"])
 def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witness):
@@ -221,6 +255,26 @@ def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witne
     checks = _fault_record(capsys, ["galois-check", "--rows", "1 2 2"])
     assert checks == [("skew-model action matches the matrices", "FAIL",
                        "skew-model action of " + witness % (_TOP, _TOP))]
+
+
+def test_galois_mutation_vanishing_at_old_sample_points(capsys, monkeypatch):
+    # u(u-7)(u+3) E_{0,1} added to B_2 at rows (2,2,3) vanishes at u = 0, 7
+    # and -3; compared as a polynomial in u it fails at its u^1 coefficient
+    def bumped(pyr, w):
+        rep = build_representation(pyr, w)
+        unit = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+        bump = UniPoly([c * unit for c in UniPoly.from_roots([0, 7, -3]).coeffs])
+        rep.B[2] = rep.B[2] + bump
+        return rep
+    monkeypatch.setattr(cli, "build_representation", bumped)
+    (name, status, witness), = _fault_record(capsys, ["galois-check", "--rows", "2 2 3"])
+    assert (name, status) == ("skew-model action matches the matrices", "FAIL")
+    top = "7/3 9/4 4/3 5/4 1/3 1/4 1/5]"
+    assert witness == (
+        "skew-model action of b_2 disagrees with the matrix in the coefficient of "
+        "u^1: entry (0,1) differs by 21; "
+        "row pattern GTPattern[1/3 1/4 | 4/3 5/4 1/3 1/4 | %s, "
+        "column pattern GTPattern[1/3 1/4 | 4/3 9/4 1/3 1/4 | %s" % (top, top))
 
 
 def test_commands_do_not_import_sympy():

@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from random_weights import dominant_weights
 
 from wrep import galois
-from wrep.errors import EvaluationError, NotInvariant
+from wrep.arith import UniPoly
+from wrep.center import build_t_matrix, cdet_vs_top_row, column_determinant
+from wrep.errors import EvaluationError, InvariantViolation, NotInvariant
 from wrep.galois import (
     Factored,
     GaloisModel,
@@ -18,9 +22,9 @@ from wrep.galois import (
     t_image_c,
 )
 from wrep.mpoly import MPoly, MRat
-from wrep.patterns import HighestWeight, generic_weight
+from wrep.patterns import HighestWeight, enumerate_patterns, generic_weight
 from wrep.pyramid import Pyramid
-from wrep.rep import build_representation
+from wrep.rep import build_representation, generator_series
 from wrep.sparse import SparseMatrix
 
 
@@ -97,19 +101,56 @@ def test_orbit_sum_ill_defined():
 def test_action_matches_matrices_gl2():
     rep = gl2()
     model = GaloisModel(rep.pyramid)
-    zero = SparseMatrix(rep.dim)
-    for u0 in (0, 7, -3):
-        got = act_on_basis(model, rep, t_image_b(model, 1), u0)
-        assert got == rep.B[1](u0, zero)
-        got = act_on_basis(model, rep, t_image_a(model, 2), u0)
-        assert got == rep.A[2](u0, zero)
+    for img, poly in ((t_image_b(model, 1), rep.B[1]), (t_image_c(model, 1), rep.C[1]),
+                      (t_image_a(model, 1), rep.A[1]), (t_image_a(model, 2), rep.A[2])):
+        assert act_on_basis(model, rep, img) == poly
+    assert rep.A[2].degree == 2
 
 
 @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 2, 2), (2, 2, 2)])
 def test_cross_check(rows):
     pyr = Pyramid(rows=rows)
     rep = build_representation(pyr, generic_weight(pyr))
-    assert cross_check(rep) >= 3 * (2 * pyr.n - 1)
+    # one comparison for each of A_1..A_n, B_r and C_r
+    assert cross_check(rep) == 3 * pyr.n - 2
+
+
+def test_mutation_vanishing_at_sample_points_detected():
+    # u(u-7)(u+3) E_{0,1} added to B_2 vanishes at u = 0, 7 and -3, so only
+    # a comparison of whole polynomials in u sees it
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    bump = UniPoly.from_roots([0, 7, -3])
+    unit = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+    rep.B[2] = rep.B[2] + UniPoly([c * unit for c in bump.coeffs])
+    with pytest.raises(InvariantViolation) as exc:
+        cross_check(rep)
+    assert str(exc.value).startswith(
+        "skew-model action of b_2 disagrees with the matrix in the coefficient "
+        "of u^1: entry (0,1) differs by 21; row pattern %r, column pattern %r"
+        % (rep.basis[0], rep.basis[1]))
+
+
+@st.composite
+def small_pyramid_weights(draw):
+    """Generic dominant weights of pyramids with n <= 3 rows, each at most 3
+    long, whose pattern basis has at most 64 vectors."""
+    n = draw(st.integers(1, 3))
+    rows = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+    weight = draw(dominant_weights(rows))
+    assume(len(enumerate_patterns(weight)) <= 64)
+    return weight
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+def test_identities_in_u_for_random_pyramids(weight):
+    pyr = weight.pyramid
+    rep = build_representation(pyr, weight)
+    assert cross_check(rep) == 3 * pyr.n - 2
+    T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
+    assert cdet_vs_top_row(rep, column_determinant(T, pyr.n))
 
 
 # Oracle for Factored: the same factors multiplied out into MPoly and
@@ -178,10 +219,19 @@ def test_factored_against_expanded_oracle():
             try:
                 want = oracle.evaluate(point)
             except EvaluationError:
+                want = None
                 with pytest.raises(EvaluationError):
                     value.evaluate(point)
             else:
                 assert value.evaluate(point) == want
+            # the polynomial in u at the x-values of point, which reads no
+            # value of u: it exists when no denominator holds u or vanishes
+            at_x = [None] + point[1:]
+            if want is None or oracle.den.degree_in(0):
+                with pytest.raises(EvaluationError):
+                    value.in_u(at_x)
+            else:
+                assert value.in_u(at_x)(point[0]) == want
         # relabelling commutes with multiplying out
         perm = list(range(len(NAMES)))
         rng.shuffle(perm)
