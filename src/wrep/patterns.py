@@ -95,14 +95,25 @@ def generic_weight(pyramid):
 
 
 class GTPattern:
-    """Triangular array of exact entries; immutable and hashable."""
+    """Triangular array of exact entries; immutable and hashable.
+
+    The key holds each entry's offset from the top-row entry (n, n, k) of
+    its column k, in key-slot order: plain ints, since every entry of a
+    column differs from it by an integer, and ordered as the entries."""
 
     __slots__ = ("pyramid", "entries", "_key")
 
-    def __init__(self, pyramid, entries):
+    def __init__(self, pyramid, entries, key=None):
+        """``key``, when given, must be the offsets of ``entries``."""
         self.pyramid = pyramid
         self.entries = dict(entries)
-        self._key = tuple(self.entries[slot] for slot in key_slots(pyramid))
+        if key is None:
+            n = pyramid.n
+            key = [self.entries[slot] - self.entries[(n, n, slot[2])]
+                   for slot in key_slots(pyramid)]
+            if any(z.denominator != 1 for z in key):
+                raise ValidationError("entries of a column differ by a non-integer: %r" % self)
+        self._key = tuple(int(z) for z in key)
 
     def entry(self, r, i, k):
         return self.entries[(r, i, k)]
@@ -126,7 +137,7 @@ class GTPattern:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, GTPattern) and self._key == other._key
+        return isinstance(other, GTPattern) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self._key)
@@ -175,38 +186,37 @@ def is_pattern(pyramid, entries, weight=None):
 
 def enumerate_patterns(weight):
     """All patterns with the given top row, ordered lexicographically on the
-    flattened entry tuple (rows bottom-up)."""
+    flattened entry tuple (rows bottom-up), which is the order of their
+    integer keys.  Enumeration runs on the keys' offsets."""
     pyramid = weight.pyramid
     problems = validate_highest_weight(weight)
     if problems:
         raise ValidationError("invalid highest weight: %r" % problems)
     n = pyramid.n
-    top = {
-        (n, i, k): weight.part(i, k)
-        for i in range(1, n + 1)
-        for k in range(1, pyramid.p(i) + 1)
-    }
+    base = {k: weight.part(n, k) for k in range(1, pyramid.p(n) + 1)}
+    # integers: dominance makes each column's differences integral
+    top = {(n, i, k): int(weight.part(i, k) - base[k])
+           for i in range(1, n + 1) for k in range(1, pyramid.p(i) + 1)}
     partials = [top]
     for r in range(n - 1, 0, -1):
         slots = entry_slots(pyramid, r)
         extended = []
-        for entries in partials:
-            choices = [entries]
+        for offsets in partials:
+            choices = [offsets]
             for (i, k) in slots:
-                hi = entries[(r + 1, i, k)]
-                lo = entries[(r + 1, i + 1, k)]
-                nxt = []
-                steps = hi - lo
-                assert steps.denominator == 1 and steps >= 0
-                for cur in choices:
-                    for t in range(int(steps) + 1):
-                        e = dict(cur)
-                        e[(r, i, k)] = lo + t
-                        nxt.append(e)
-                choices = nxt
+                lo, hi = offsets[(r + 1, i + 1, k)], offsets[(r + 1, i, k)]
+                choices = [cur | {(r, i, k): z}
+                           for cur in choices for z in range(lo, hi + 1)]
             extended.extend(choices)
         partials = extended
-    pats = [GTPattern(pyramid, e) for e in partials]
+    # every offset of column k lies between 0 and the top row's largest
+    value = {(k, z): b + z for k, b in base.items()
+             for z in range(max(top[(n, i, k)] for i in range(1, n + 1)
+                                if pyramid.p(i) >= k) + 1)}
+    slots = key_slots(pyramid)
+    pats = [GTPattern(pyramid, {slot: value[slot[2], z] for slot, z in offsets.items()},
+                      tuple(offsets[slot] for slot in slots))
+            for offsets in partials]
     pats.sort(key=GTPattern.key)
     return pats
 

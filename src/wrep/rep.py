@@ -8,6 +8,7 @@ basis pattern).
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .arith import (
     UniPoly,
@@ -65,15 +66,20 @@ def build_representation(pyramid, weight):
     N = rep.dim
     n = pyramid.n
 
+    # row r's slice of a key (rows bottom-up; row 0 is empty): two rows
+    # have equal l-values exactly when their slices are equal
+    ends = list(accumulate((len(entry_slots(pyramid, r)) for r in range(1, n + 1)), initial=0))
+    spans = [slice(0, 0)] + [slice(a, b) for a, b in zip(ends, ends[1:])]
+
     for r in range(1, n + 1):
         # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l), once
-        # per distinct row of l-values
+        # per distinct row
         eig_of = {}
         eigs = []
         for mu in basis:
-            row = tuple(mu.row_l_values(r))
+            row = mu.key()[spans[r]]
             if row not in eig_of:
-                eig_of[row] = UniPoly.from_roots([-l for l in row]).coeffs
+                eig_of[row] = UniPoly.from_roots([-l for l in mu.row_l_values(r)]).coeffs
             eigs.append(eig_of[row])
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column) for column in zip(*eigs)])
 
@@ -82,37 +88,46 @@ def build_representation(pyramid, weight):
         # (table, step of the entry, adjacent row, sign): B raises, C lowers
         ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
         entries = [[[] for _ in range(pyramid.row_block_size(r))] for _ in ladders]
-        lag_of = {}  # Lagrange basis per distinct row of l-values
+        lag_of = {}  # nodes and Lagrange basis per distinct row r
+        terms_of = {}  # a slot's terms per distinct row r and adjacent row
         for col, mu in enumerate(basis):
-            row = tuple(mu.row_l_values(r))
-            nodes = [-l for l in row]
-            lag = lag_of.get(row)
-            if lag is None:
+            key = mu.key()
+            row = key[spans[r]]
+            if row not in lag_of:
+                nodes = [-l for l in mu.row_l_values(r)]
                 try:
-                    lag = lag_of[row] = lagrange_basis(nodes)
+                    lag_of[row] = nodes, lagrange_basis(nodes)
                 except DegenerateNodes:
                     raise DegenerateNodes(
                         "repeated l-values in row %d of pattern %r" % (r, mu)
                     ) from None
+            nodes, lag = lag_of[row]
             for slot_idx, (i, k) in enumerate(slots):
-                u0 = nodes[slot_idx]
                 for (_, step, adj, sign), per_degree in zip(ladders, entries):
                     tgt = rep.shifted(col, {(r, i, k): step})
                     if tgt is None:
                         continue
-                    # sign * prod_{j <= adj} lambda_{adj,j}(u0 - j + 1)
-                    coeff = Fraction(sign)
-                    for j in range(1, adj + 1):
-                        coeff *= mu.lam(adj, j, u0 - j + 1)
-                    if coeff:
-                        for d, c in enumerate(lag[slot_idx].coeffs):
-                            if c:
-                                per_degree[d].append((tgt, col, coeff * c))
+                    memo = (slot_idx, step, row, key[spans[adj]])
+                    terms = terms_of.get(memo)
+                    if terms is None:
+                        terms = terms_of[memo] = _ladder_terms(
+                            mu, adj, sign, nodes[slot_idx], lag[slot_idx])
+                    for d, c in terms:
+                        per_degree[d].append((tgt, col, c))
         for (table, _, _, _), per_degree in zip(ladders, entries):
             table[r] = UniPoly([SparseMatrix.from_entries(N, ent) for ent in per_degree])
 
     _sanity_check(rep)
     return rep
+
+
+def _ladder_terms(mu, adj, sign, u0, lag):
+    """(degree, value) for each nonzero coefficient of the Lagrange
+    polynomial ``lag`` times sign * prod_{j <= adj} lambda_{adj,j}(u0 - j + 1)."""
+    coeff = Fraction(sign)
+    for j in range(1, adj + 1):
+        coeff *= mu.lam(adj, j, u0 - j + 1)
+    return [(d, coeff * c) for d, c in enumerate(lag.coeffs) if c and coeff]
 
 
 def _sanity_check(rep):

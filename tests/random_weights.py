@@ -1,16 +1,17 @@
-"""Hypothesis strategy of random generic dominant weights, shared by the
-relation and central-element tests."""
+"""Hypothesis strategies of random generic dominant weights, shared by the
+relation, central-element and skew-model tests."""
 
 from hypothesis import assume, strategies as st
 
-from wrep.patterns import HighestWeight, validate_highest_weight
+from wrep.patterns import HighestWeight, enumerate_patterns, validate_highest_weight
 from wrep.pyramid import Pyramid
 
 
 @st.composite
 def dominant_weights(draw, rows):
-    """Dominant weights with row gaps 0, 1 or 2 in each column, kept when
-    validate_highest_weight finds them generic."""
+    """Dominant weights with row gaps 1 or 2 in each column, kept when
+    validate_highest_weight finds them generic.  No gap is 0, so every
+    pyramid of two or more rows has a basis of two or more vectors."""
     pyr = Pyramid(rows=rows)
     n = pyr.n
     parts = [[None] * pyr.p(i) for i in range(1, n + 1)]
@@ -20,7 +21,19 @@ def dominant_weights(draw, rows):
             if pyr.p(i) < k:
                 break
             parts[i - 1][k - 1] = value
-            value += draw(st.integers(0, 2))
+            value += draw(st.integers(1, 2))
     weight = HighestWeight(pyr, parts)
     assume(not validate_highest_weight(weight))
+    return weight
+
+
+@st.composite
+def small_pyramid_weights(draw):
+    """Generic dominant weights of pyramids with 2 or 3 rows, each at most 3
+    long, whose pattern basis has at most 64 vectors.  A one-row pyramid
+    is left out: its basis is the top row alone."""
+    n = draw(st.integers(2, 3))
+    rows = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))))
+    weight = draw(dominant_weights(rows))
+    assume(len(enumerate_patterns(weight)) <= 64)
     return weight

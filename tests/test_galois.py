@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
-from random_weights import dominant_weights
+from hypothesis import HealthCheck, given, settings
+from random_weights import small_pyramid_weights
 
 from wrep import galois
 from wrep.arith import UniPoly
@@ -22,7 +22,7 @@ from wrep.galois import (
     t_image_c,
 )
 from wrep.mpoly import MPoly, MRat
-from wrep.patterns import HighestWeight, enumerate_patterns, generic_weight
+from wrep.patterns import HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation, generator_series
 from wrep.sparse import SparseMatrix
@@ -129,17 +129,6 @@ def test_mutation_vanishing_at_sample_points_detected():
         "skew-model action of b_2 disagrees with the matrix in the coefficient "
         "of u^1: entry (0,1) differs by 21; row pattern %r, column pattern %r"
         % (rep.basis[0], rep.basis[1]))
-
-
-@st.composite
-def small_pyramid_weights(draw):
-    """Generic dominant weights of pyramids with n <= 3 rows, each at most 3
-    long, whose pattern basis has at most 64 vectors."""
-    n = draw(st.integers(1, 3))
-    rows = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))))
-    weight = draw(dominant_weights(rows))
-    assume(len(enumerate_patterns(weight)) <= 64)
-    return weight
 
 
 @settings(max_examples=15, deadline=None,

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from random_weights import dominant_weights
+from random_weights import dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
+from wrep.center import build_t_matrix, central_coefficients, column_determinant
 from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
+from wrep.gamma import check_fiber_bound, fibers, gamma_commutes
 from wrep import rep as rep_mod
 from wrep.patterns import GTPattern, HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
@@ -132,6 +134,25 @@ def test_b_coefficient_mutation_detected():
 
 def test_c_coefficient_mutation_detected():
     _assert_ladder_mutation_detected("C", "-13/12")
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+def test_verify_center_fibers_for_random_pyramids(weight):
+    # the checks of `wrep verify --rmax 2`, `center` (its central scalars)
+    # and `fibers`, on random pyramids rather than fixed shapes
+    pyr = weight.pyramid
+    rep = build_representation(pyr, weight)
+    report = verify_defining_relations(rep, 2)
+    assert report.ok, [f for _, _, f in report.families if f]
+    T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
+    scalars = central_coefficients(rep, column_determinant(T, pyr.n))
+    assert len(scalars) == pyr.row_block_size(pyr.n)
+    assert gamma_commutes(rep)
+    fib, singletons = fibers(rep)
+    assert singletons and len(fib) == rep.dim
+    assert check_fiber_bound(pyr, fib) == (1, True)
 
 
 def test_degenerate_nodes_name_row_and_pattern(monkeypatch):

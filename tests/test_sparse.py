@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,9 +79,12 @@ def dense_det(a):
 
 
 def assert_canonical(m):
-    # equality compares the row dicts, so zeros and empty rows must be absent
+    # equality compares (dim, den, rows), so zeros and empty rows must be
+    # absent and den must share no factor with the numerators
     assert all(m.rows.values())
     assert all(v for row in m.rows.values() for v in row.values())
+    assert m.den > 0 and gcd(m.den, *(v for row in m.rows.values() for v in row.values())) == 1
+    assert m or m.den == 1
 
 
 @settings(max_examples=60)
@@ -132,7 +136,8 @@ def test_commutator_drops_cancelled_entries():
     assert d * b != b * d
     c = d.commutator(b)
     assert_canonical(c)
-    assert c.rows == {0: {1: Fraction(1, 6)}}
+    assert list(c.entries()) == [(0, 1, Fraction(1, 6))] and c.nnz() == 1
+    assert c.get(0, 0) == c.get(1, 1) == 0
     assert d.commutator(d) == SparseMatrix(2) and not d.commutator(d).rows
 
 
@@ -200,7 +205,8 @@ def test_from_entries_drops_cancelled_sums():
                                       (0, 0, Fraction(-1, 3)), (0, 1, 0),
                                       (1, 0, 1), (1, 0, Fraction(1, 2))])
     assert_canonical(m)
-    assert m.rows == {1: {1: 2, 0: Fraction(3, 2)}}
+    assert sorted(m.entries()) == [(1, 0, Fraction(3, 2)), (1, 1, 2)] and m.nnz() == 2
+    assert m.get(0, 0) == m.get(0, 1) == 0
 
 
 def test_combination_cancels_across_denominators():
@@ -221,6 +227,89 @@ def test_combination_cancels_across_denominators():
     assert not Combination(2).commutator(a, b).add(ab, -1).is_zero()
     with pytest.raises(ValueError, match="dimension mismatch"):
         Combination(3).add(a)
+
+
+# Denominators 1..9 mix coprime and shared factors, so a later term's
+# denominator often fails to divide the running one.
+mixed_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+def mixed_entry_list(dim, max_size=6):
+    return st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                              mixed_fractions), max_size=max_size)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.booleans(), mixed_fractions, mixed_entry_list(3),
+                          mixed_entry_list(3)), min_size=1, max_size=5))
+def test_running_denominator_rescales(terms):
+    # after every term the finished sum equals the dense reference, and the
+    # running denominator is a multiple of each term's denominator so far
+    comb = Combination(3)
+    want = [[Fraction(0)] * 3 for _ in range(3)]
+    for is_product, factor, ea, eb in terms:
+        a = SparseMatrix.from_entries(3, ea)
+        b = SparseMatrix.from_entries(3, eb)
+        before = comb.den
+        if is_product:
+            comb.product(a, b)
+            term, den = dense_mul(dense(a), dense(b)), a.den * b.den
+        else:
+            comb.add(a, factor)
+            term, den = [[factor * x for x in row] for row in dense(a)], factor.denominator * a.den
+        want = [[w + t for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
+        assert comb.den % before == 0
+        if is_product or (factor and a):
+            assert comb.den % den == 0
+        got = comb.finish()
+        assert_canonical(got)
+        assert dense(got) == want
+
+
+def test_rescale_path_by_hand():
+    a = SparseMatrix.from_entries(2, [(0, 0, Fraction(1, 4)), (0, 1, Fraction(1, 2))])
+    b = SparseMatrix.from_entries(2, [(0, 1, Fraction(1, 6)), (1, 1, Fraction(5, 6))])
+    assert (a.den, a.rows) == (4, {0: {0: 1, 1: 2}})
+    comb = Combination(2).add(a)
+    assert comb.den == 4
+    # 6 * 3 does not divide 4: the running denominator becomes 36 and the
+    # accumulated numerators are scaled by 9
+    comb.add(b, Fraction(2, 3))
+    assert comb.den == 36 and comb.out == {0: {0: 9, 1: 22}, 1: {1: 20}}
+    got = comb.finish()
+    assert (got.den, got.rows) == (36, {0: {0: 9, 1: 22}, 1: {1: 20}})
+    assert dense(got) == [[Fraction(1, 4), Fraction(11, 18)], [0, Fraction(5, 9)]]
+    # a term over a divisor of 36 adds without rescaling
+    comb.add(a, -1)
+    assert comb.den == 36 and comb.finish() == Fraction(2, 3) * b
+
+
+@settings(max_examples=40)
+@given(mixed_entry_list(3, 8), mixed_fractions)
+def test_sum_cancelling_to_zero_is_the_zero_matrix(entries, factor):
+    m = SparseMatrix.from_entries(3, entries)
+    scalar = SparseMatrix.diagonal([factor] * 3)
+    comb = Combination(3).add(m, factor).product(m, scalar, -1)
+    assert comb.is_zero()
+    zero = comb.finish()
+    assert zero == SparseMatrix(3) and zero.den == 1 and not zero.rows
+    assert (m - m).den == 1 and (m * 0).den == 1 and (m + -m).den == 1
+
+
+@settings(max_examples=30)
+@given(mixed_entry_list(4, 10), mixed_fractions.filter(bool))
+def test_three_constructions_agree(entries, c):
+    # from_entries, a product and sum_scaled all reach the same canonical
+    # (den, rows), whatever denominators they passed through
+    m = SparseMatrix.from_entries(4, entries)
+    scaled = SparseMatrix.from_entries(4, [(i, j, v / c) for i, j, v in entries])
+    product = SparseMatrix.diagonal([c] * 4) * scaled
+    half = SparseMatrix.from_entries(4, entries[::2])
+    rest = SparseMatrix.from_entries(4, entries[1::2])
+    summed = SparseMatrix.sum_scaled([(half, 1), (scaled, c), (half, -1), (rest, 0)])
+    for other in (product, summed, scaled * c, c * scaled):
+        assert (other.den, other.rows) == (m.den, m.rows)
+    assert_canonical(m)
 
 
 @pytest.mark.parametrize("value", [
