@@ -104,7 +104,8 @@ class GTPattern:
     __slots__ = ("pyramid", "entries", "_key")
 
     def __init__(self, pyramid, entries, key=None):
-        """``key``, when given, must be the offsets of ``entries``."""
+        """``key``, when given, must be the offsets of ``entries``; it is
+        not checked (enumerate_patterns passes the offsets it ran on)."""
         self.pyramid = pyramid
         self.entries = dict(entries)
         if key is None:

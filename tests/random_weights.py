@@ -29,10 +29,9 @@ def dominant_weights(draw, rows):
 
 @st.composite
 def small_pyramid_weights(draw):
-    """Generic dominant weights of pyramids with 2 or 3 rows, each at most 3
-    long, whose pattern basis has at most 64 vectors.  A one-row pyramid
-    is left out: its basis is the top row alone."""
-    n = draw(st.integers(2, 3))
+    """Generic dominant weights of pyramids with n <= 3 rows, each at most 3
+    long, whose pattern basis has at most 64 vectors."""
+    n = draw(st.integers(1, 3))
     rows = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))))
     weight = draw(dominant_weights(rows))
     assume(len(enumerate_patterns(weight)) <= 64)

@@ -142,6 +142,17 @@ def test_identities_in_u_for_random_pyramids(weight):
     assert cdet_vs_top_row(rep, column_determinant(T, pyr.n))
 
 
+@pytest.mark.parametrize("rows", [(1,), (2,), (3,)])
+def test_identities_in_u_for_one_row_pyramids(rows):
+    # no B or C ladders and a 1x1 column determinant
+    pyr = Pyramid(rows=rows)
+    rep = build_representation(pyr, generic_weight(pyr))
+    assert rep.dim == 1
+    assert cross_check(rep) == 1
+    T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
+    assert cdet_vs_top_row(rep, column_determinant(T, pyr.n))
+
+
 # Oracle for Factored: the same factors multiplied out into MPoly and
 # reduced as an MRat through sympy's gcd.
 NAMES = ("u", "x1", "x2", "x3")

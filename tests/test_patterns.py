@@ -180,7 +180,9 @@ def test_one_column_counts_match_weyl():
 @given(st.one_of(small_pyramid_weights(),
                  st.sampled_from([(1, 2), (2, 2), (1, 1, 1)]).flatmap(dominant_weights)))
 def test_drawn_weights_have_more_than_one_basis_vector(weight):
-    assert len(enumerate_patterns(weight)) > 1
+    # a one-row pyramid's basis is its top row alone, whatever the weight
+    if weight.pyramid.n > 1:
+        assert len(enumerate_patterns(weight)) > 1
 
 
 @settings(max_examples=15, deadline=None)
