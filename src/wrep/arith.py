@@ -8,14 +8,16 @@ to a stated order.  Each output coefficient of a product, shift or series
 inverse is one sum, taken by _sum_products (sums of a*b) or _sum_scaled
 (sums of a*f, f a scalar); a type with a fused sum_products / sum_scaled
 (SparseMatrix) normalises each entry once, others add term by term.
-from_roots and lagrange_basis work on scalar coefficient lists in
-O(p^2).  Terms is the shared base of the sparse linear combinations (MPoly
-and the skew and operator algebras), and leibniz_det the one
-permutation-sum determinant.
+UniPoly has a fused sum_products too, so a sum of polynomial products
+sums each output coefficient once.  from_roots and lagrange_basis work on
+scalar coefficient lists in O(p^2).  Terms is the shared base of the
+sparse linear combinations (MPoly and the skew and operator algebras), and
+column_det the one determinant: prefix recursion in column order, so the
+entries need not commute.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations
 from math import comb
 
 from .errors import ArityError, DegenerateNodes, SingularLead
@@ -28,9 +30,10 @@ def _zero_like(x):
 
 
 def _sum_products(pairs):
-    """The sum of a*b over a nonempty list of (a, b) pairs.  A coefficient
-    type with a fused ``sum_products`` (SparseMatrix) normalises each entry
-    of the sum once; other types add the products one by one."""
+    """The sum of a*b over a nonempty list of (a, b) pairs.  A type with a
+    fused ``sum_products`` sums each output coefficient once (SparseMatrix
+    normalises each entry once, UniPoly takes one sum per power of u);
+    other types add the products one by one."""
     a, b = pairs[0]
     fused = getattr(type(a), "sum_products", None)
     if fused is not None and type(b) is type(a):
@@ -120,15 +123,21 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return UniPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        return UniPoly.sum_products([(self, other)])
+
+    @classmethod
+    def sum_products(cls, pairs):
+        """The sum of a*b over a list of (a, b) polynomial pairs: the
+        coefficient of u^m is one sum of a_i b_{m-i} over every pair."""
+        pairs = [(a.coeffs, b.coeffs) for a, b in pairs if a.coeffs and b.coeffs]
+        if not pairs:
             return UniPoly([])
-        # coefficient of u^m: sum_{i + j = m} a_i b_j
-        last = len(b) - 1
-        return UniPoly(
-            [_sum_products([(a[i], b[m - i])
-                            for i in range(max(0, m - last), min(m, len(a) - 1) + 1)])
-             for m in range(len(a) + last)])
+        terms = [[] for _ in range(max(len(a) + len(b) for a, b in pairs) - 1)]
+        for a, b in pairs:
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    terms[i + j].append((x, y))
+        return UniPoly([_sum_products(t) for t in terms])
 
     def __rmul__(self, other):
         return UniPoly([other * c for c in self.coeffs])
@@ -192,21 +201,27 @@ def perm_sign(sigma):
     return sgn
 
 
-def leibniz_det(n, entry):
+def column_det(n, entry):
     """sum over permutations sigma of sgn(sigma) entry(sigma(0), 0) ...
-    entry(sigma(n-1), n-1) for n >= 1.
+    entry(sigma(n-1), n-1) for n >= 1, each product taken left to right in
+    column order, so the entries need not commute.
 
-    Each product is taken left to right in column order, so the entries
-    need not commute (column determinants of matrix-valued entries)."""
-    total = None
-    for sigma in permutations(range(n)):
-        prod = entry(sigma[0], 0)
-        for c in range(1, n):
-            prod = prod * entry(sigma[c], c)
-        if perm_sign(sigma) < 0:
-            prod = -prod
-        total = prod if total is None else total + prod
-    return total
+    Prefix recursion: the minor on row set S and columns 0..|S|-1 is
+    sum_{i in S} (-1)^{#{s in S: s > i}} minor(S - i) entry(i, |S|-1), so
+    level k forms k products for each k-subset, n(2^(n-1) - 1) products in
+    all, and each minor is one sum of its products."""
+    minors = {(i,): entry(i, 0) for i in range(n)}
+    for c in range(1, n):
+        column = [entry(i, c) for i in range(n)]
+        signed = (column, [-x for x in column])
+        nxt = {}
+        for rows in combinations(range(n), c + 1) if c < n - 1 else [tuple(range(n))]:
+            # the row at position p of S has c - p larger rows in S
+            nxt[rows] = _sum_products(
+                [(minors[rows[:p] + rows[p + 1:]], signed[(c - p) & 1][i])
+                 for p, i in enumerate(rows)])
+        minors = nxt
+    return minors[tuple(range(n))]
 
 
 class Terms:

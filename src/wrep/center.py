@@ -2,13 +2,13 @@
 
 Higher-root coefficients are produced from the simple ones by commutator
 recursions; the entries t_{ij}(u) assemble from the Gauss decomposition
-sum_k f_{ik}(u) d_k(u) e_{kj}(u); multiplying by u^{p_j} must give a
-polynomial, and the coefficients of the column determinant below the top
-must act as central scalars."""
+sum_{k <= min(i,j)} f_{ik}(u) d_k(u) e_{kj}(u); multiplying by u^{p_j} must
+give a polynomial, and the coefficients of the column determinant below the
+top must act as central scalars."""
 
-from .arith import InvSeries, UniPoly, leibniz_det, poly_shift
+from .arith import UniPoly, column_det, poly_shift
 from .errors import InvariantViolation
-from .sparse import SparseMatrix
+from .sparse import Combination, SparseMatrix
 
 
 def higher_root_coefficients(gens):
@@ -42,52 +42,50 @@ def higher_root_coefficients(gens):
     return e, f
 
 
-def t_entry_series(gens, e_table, f_table, i, j):
-    """Series t_{ij}(u) = sum_k f_{ik}(u) d_k(u) e_{kj}(u)."""
-    rep = gens.rep
-    R = gens.order
-    N = rep.dim
-    zero = SparseMatrix(N)
-    ident = SparseMatrix.identity(N)
-    total = None
-    for k in range(1, min(i, j) + 1):
-        if i == k:
-            fik = InvSeries([ident] + [zero] * R, R)
-        else:
-            fik = InvSeries(f_table[(i, k)], R)
-        if j == k:
-            ekj = InvSeries([ident] + [zero] * R, R)
-        else:
-            ekj = InvSeries(e_table[(k, j)], R)
-        dk = InvSeries([gens.d(k, r) for r in range(R + 1)], R)
-        term = fik * dk * ekj
-        total = term if total is None else total + term
-    return total
-
-
 def build_t_matrix(gens):
     """Polynomial matrix T_{ij}(u) = u^{p_j} t_{ij}(u).
 
-    Raises when any tail coefficient t_{ij}^{(r)}, p_j < r <= R, fails to
-    vanish (polynomiality of the entries)."""
+    Each product g_{ik} = f_{ik} d_k (k < i; g_{kk} = d_k) is formed once
+    and shared by every column j, and each coefficient t_{ij}^{(m)} is one
+    sum over k and t of g_{ik}^{(t)} e_{kj}^{(m-t)} (e_{jj} = 1).  Raises
+    when any tail coefficient t_{ij}^{(r)}, p_j < r <= R, fails to vanish
+    (polynomiality of the entries)."""
     rep = gens.rep
     pyr = rep.pyramid
     n = pyr.n
     R = gens.order
+    N = rep.dim
     e_table, f_table = higher_root_coefficients(gens)
+    g = {}
+    for i in range(1, n + 1):
+        g[(i, i)] = [gens.d(i, r) for r in range(R + 1)]
+        for k in range(1, i):
+            f, d = f_table[(i, k)], g[(k, k)]
+            g[(i, k)] = [SparseMatrix.sum_products([(f[t], d[m - t]) for t in range(m + 1)])
+                         for m in range(R + 1)]
     T = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            s = t_entry_series(gens, e_table, f_table, i, j)
+            t = []
+            for m in range(R + 1):
+                comb = Combination(N)
+                for k in range(1, min(i, j) + 1):
+                    if k == j:
+                        comb.add(g[(i, k)][m])
+                        continue
+                    gik, ekj = g[(i, k)], e_table[(k, j)]
+                    for s in range(m + 1):
+                        comb.product(gik[s], ekj[m - s])
+                t.append(comb)
             pj = pyr.p(j)
             for r in range(pj + 1, R + 1):
-                if s.coeffs[r]:
+                if not t[r].is_zero():
                     raise InvariantViolation(
                         "t_{%d%d}^{(%d)} nonzero beyond the column degree %d"
                         % (i, j, r, pj)
                     )
             # coefficient of u^{p_j - r} is t_{ij}^{(r)}
-            T[(i, j)] = UniPoly([s.coeffs[pj - d] for d in range(pj + 1)])
+            T[(i, j)] = UniPoly([t[pj - d].finish() for d in range(pj + 1)])
     return T
 
 
@@ -95,7 +93,7 @@ def column_determinant(T, n):
     """cdet T(u) = sum_sigma sgn(sigma) T_{sigma(1)1}(u) ... T_{sigma(n)n}(u-n+1)."""
     shifted = {(i, c): poly_shift(T[(i + 1, c + 1)], -c)
                for i in range(n) for c in range(n)}
-    return leibniz_det(n, lambda i, c: shifted[(i, c)])
+    return column_det(n, lambda i, c: shifted[(i, c)])
 
 
 def central_coefficients(rep, cdet):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InvariantViolation
+from .patterns import row_spans
 
 
 def gamma_coefficients(rep):
@@ -34,27 +35,45 @@ def elementary_symmetric(values):
     return e
 
 
-def character_of(rep, mu):
-    """Character of the commutative subalgebra at the pattern mu:
-    (r, k) -> e_k(l-values of row r).
+def _character_reader(rep):
+    """A function mu -> character of the commutative subalgebra at the
+    basis pattern mu: (r, k) -> e_k(l-values of row r).
 
-    Cross-checked against the diagonal entries of the matrices, so the
+    The e_k of a row are computed once per distinct slice of the key in
+    that row, since equal slices have equal l-values.  Each value is
+    cross-checked against the diagonal entry of a_r^{(k)} at mu, so the
     combinatorial formula and the acting operators must agree."""
-    col = rep.index[mu.key()]
-    chi = {}
-    for r in range(1, rep.n + 1):
-        esym = elementary_symmetric(mu.row_l_values(r))
-        for k in range(1, len(esym)):
-            predicted = esym[k]
-            actual = rep.a_coefficient(r, k).get(col, col)
-            if predicted != actual:
-                raise InvariantViolation(
-                    "character mismatch at pattern %r, a_%d^{(%d)}: "
-                    "symmetric-function value %s vs matrix entry %s"
-                    % (mu, r, k, predicted, actual)
-                )
-            chi[(r, k)] = predicted
-    return chi
+    spans = row_spans(rep.pyramid)
+    coeffs = gamma_coefficients(rep)
+    esym_of = [{} for _ in spans]
+
+    def character(mu):
+        col = rep.index[mu.key()]
+        chi = {}
+        for r in range(1, rep.n + 1):
+            row = mu.key()[spans[r]]
+            esym = esym_of[r].get(row)
+            if esym is None:
+                esym = esym_of[r][row] = elementary_symmetric(mu.row_l_values(r))
+            for k in range(1, len(esym)):
+                predicted = esym[k]
+                actual = coeffs[(r, k)].get(col, col)
+                if predicted != actual:
+                    raise InvariantViolation(
+                        "character mismatch at pattern %r, a_%d^{(%d)}: "
+                        "symmetric-function value %s vs matrix entry %s"
+                        % (mu, r, k, predicted, actual)
+                    )
+                chi[(r, k)] = predicted
+        return chi
+
+    return character
+
+
+def character_of(rep, mu):
+    """Character of the commutative subalgebra at the pattern mu, checked
+    against the matrices (see _character_reader)."""
+    return _character_reader(rep)(mu)
 
 
 def fibers(rep):
@@ -62,9 +81,10 @@ def fibers(rep):
 
     Returns (fibers, all_singletons) where fibers maps the flattened
     character tuple to the list of basis patterns realizing it."""
+    character = _character_reader(rep)
     out = {}
     for mu in rep.basis:
-        chi = character_of(rep, mu)
+        chi = character(mu)
         key = tuple(chi[k] for k in sorted(chi))
         out.setdefault(key, []).append(mu)
     all_singletons = all(len(v) == 1 for v in out.values())

@@ -12,7 +12,7 @@ to degree one."""
 from fractions import Fraction
 from itertools import permutations
 
-from .arith import UniPoly, leibniz_det, perm_sign
+from .arith import UniPoly, column_det, perm_sign
 from .errors import InvariantViolation, OrderError
 from .mpoly import MPoly
 
@@ -59,7 +59,7 @@ def dcoeff_determinant(ring, r, s):
     top-left r x r block."""
     entries = {(i, j): ring.entry_poly(i + 1, j + 1)
                for i in range(r) for j in range(r)}
-    det = leibniz_det(r, lambda i, j: entries[(i, j)])
+    det = column_det(r, lambda i, j: entries[(i, j)])
     block = ring.pyramid.row_block_size(r)
     c = det.coeff(block - s)
     return c if c is not None else MPoly.zero(ring.names)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .arith import Terms, leibniz_det
+from .arith import Terms, column_det
 from .errors import NotInvariant, InvariantViolation
 from .mpoly import MPoly
 
@@ -321,7 +321,7 @@ def jacobian_inverse(n):
     names = _xnames(n)
     J = [[elementary_poly(names, i + 1).derivative(j) for j in range(n)]
          for i in range(n)]
-    det = leibniz_det(n, lambda i, j: J[i][j])
+    det = column_det(n, lambda i, j: J[i][j])
     delta = vandermonde(names)
     if det != delta and det != -delta:
         raise InvariantViolation("det J is not +/- the Vandermonde factor")
@@ -336,7 +336,7 @@ def jacobian_inverse(n):
             if n == 1:  # the empty minor's determinant
                 cof = MPoly.const(names, 1)
             else:
-                cof = leibniz_det(n - 1, lambda a, b: minor[a][b])
+                cof = column_det(n - 1, lambda a, b: minor[a][b])
             adj[j][i] = cof * (-1) ** (i + j)
     return adj, det
 

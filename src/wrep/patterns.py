@@ -6,6 +6,7 @@ Interlacing couples only entries with equal superscript k.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ValidationError
 
@@ -19,6 +20,14 @@ def key_slots(pyr):
     """Index triples (r, i, k) in the order of a pattern's key: rows
     bottom-up, each row in slot order."""
     return [(r, i, k) for r in range(1, pyr.n + 1) for (i, k) in entry_slots(pyr, r)]
+
+
+def row_spans(pyr):
+    """Slice of a pattern's key for each row r (index 0 is empty): two
+    patterns have equal l-values in row r exactly when their slices are
+    equal."""
+    ends = list(accumulate((len(entry_slots(pyr, r)) for r in range(1, pyr.n + 1)), initial=0))
+    return [slice(0, 0)] + [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 class HighestWeight:

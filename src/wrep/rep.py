@@ -8,7 +8,6 @@ basis pattern).
 """
 
 from fractions import Fraction
-from itertools import accumulate
 
 from .arith import (
     UniPoly,
@@ -18,7 +17,7 @@ from .arith import (
     series_inverse,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
-from .patterns import entry_slots, enumerate_patterns, key_slots
+from .patterns import entry_slots, enumerate_patterns, key_slots, row_spans
 from .sparse import Combination, SparseMatrix
 
 
@@ -66,10 +65,7 @@ def build_representation(pyramid, weight):
     N = rep.dim
     n = pyramid.n
 
-    # row r's slice of a key (rows bottom-up; row 0 is empty): two rows
-    # have equal l-values exactly when their slices are equal
-    ends = list(accumulate((len(entry_slots(pyramid, r)) for r in range(1, n + 1)), initial=0))
-    spans = [slice(0, 0)] + [slice(a, b) for a, b in zip(ends, ends[1:])]
+    spans = row_spans(pyramid)
 
     for r in range(1, n + 1):
         # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l), once

@@ -5,11 +5,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import leibniz_det
+
 from wrep.arith import (
     InvSeries,
     UniPoly,
+    column_det,
     lagrange_basis,
-    leibniz_det,
     perm_sign,
     poly_shift,
     poly_to_inv_series,
@@ -172,18 +174,77 @@ def test_poly_to_inv_series_degree_guard():
         poly_to_inv_series(p, [(0, 2)], 3)
 
 
-def test_leibniz_det_keeps_column_order():
+def test_column_det_keeps_column_order():
     # non-commuting entries: each product must run down the columns
     e = {(0, 0): SparseMatrix.from_entries(2, [(0, 1, 1)]),
          (1, 1): SparseMatrix.from_entries(2, [(1, 0, 1)]),
          (1, 0): SparseMatrix.from_entries(2, [(0, 0, 2), (1, 1, 3)]),
          (0, 1): SparseMatrix.from_entries(2, [(0, 1, 5)])}
-    det = leibniz_det(2, lambda i, c: e[(i, c)])
+    det = column_det(2, lambda i, c: e[(i, c)])
     assert det == e[(0, 0)] * e[(1, 1)] - e[(1, 0)] * e[(0, 1)]
     # neither the row-order nor the reversed column-order expansion
     assert det != e[(0, 0)] * e[(1, 1)] - e[(0, 1)] * e[(1, 0)]
     assert det != e[(1, 1)] * e[(0, 0)] - e[(0, 1)] * e[(1, 0)]
-    assert leibniz_det(1, lambda i, c: e[(1, 1)]) == e[(1, 1)]
+    assert column_det(1, lambda i, c: e[(1, 1)]) == e[(1, 1)]
+
+
+def test_column_det_of_scalars():
+    # rows of a permutation matrix, and a triangular matrix
+    for sigma in permutations(range(4)):
+        assert column_det(4, lambda i, c: Fraction(int(sigma[c] == i))) == perm_sign(sigma)
+    upper = [[2, 7, 1], [0, 3, 5], [0, 0, Fraction(1, 4)]]
+    assert column_det(3, lambda i, c: Fraction(upper[i][c])) == Fraction(3, 2)
+
+
+dim3 = st.builds(lambda e: SparseMatrix.from_entries(3, e), matrix_entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(dim3, min_size=n * n, max_size=n * n))))
+def test_column_det_against_leibniz_on_matrices(drawn):
+    n, cells = drawn
+    entry = lambda i, c: cells[n * i + c]  # noqa: E731
+    assert column_det(n, entry) == leibniz_det(n, entry)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.lists(dim3, min_size=1, max_size=3),
+                                             min_size=n * n, max_size=n * n))))
+def test_column_det_against_leibniz_on_matrix_polynomials(drawn):
+    n, cells = drawn
+    entry = lambda i, c: UniPoly(cells[n * i + c])  # noqa: E731
+    assert column_det(n, entry).coeffs == leibniz_det(n, entry).coeffs
+
+
+class Counted:
+    """A scalar that counts the products taken of it."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(self.v * other.v)
+
+    def __add__(self, other):
+        return Counted(self.v + other.v)
+
+    def __neg__(self):
+        return Counted(-self.v)
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 2), (3, 9), (4, 28)])
+def test_column_det_work(n, products):
+    # n (2^(n-1) - 1) entry products, against n! (n-1) for the Leibniz sum
+    cells = [[Fraction(3 * i + c * c + 1, c + 2) for c in range(n)] for i in range(n)]
+    Counted.products = 0
+    det = column_det(n, lambda i, c: Counted(cells[i][c]))
+    assert Counted.products == products
+    assert det.v == leibniz_det(n, lambda i, c: cells[i][c])
 
 
 def linear_product(roots):

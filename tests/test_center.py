@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from random_weights import dominant_weights
+from oracles import gauss_t_matrix
+from random_weights import dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
 from wrep.center import (
@@ -26,6 +28,35 @@ def make(rows, weight=None):
     rep = build_representation(pyr, w)
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
     return rep, T, column_determinant(T, pyr.n)
+
+
+@pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1), (2, 2, 3)])
+def test_t_matrix_against_gauss_products(rows):
+    pyr = Pyramid(rows=rows)
+    gens = generator_series(build_representation(pyr, generic_weight(pyr)),
+                            max(pyr.rows) + 3)
+    assert build_t_matrix(gens) == gauss_t_matrix(gens)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_pyramid_weights())
+def test_t_matrix_against_gauss_products_for_random_pyramids(weight):
+    pyr = weight.pyramid
+    gens = generator_series(build_representation(pyr, weight), max(pyr.rows) + 3)
+    assert build_t_matrix(gens) == gauss_t_matrix(gens)
+
+
+def test_t_matrix_tail_fault_detected():
+    # d_1(u) = a_1(u) = 1 + c u^{-1} at rows (1,2); a nonzero d_1^{(5)}
+    # gives t_{11}(u) a term u^{-5} below the column degree p_1 = 1
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    gens = generator_series(rep, 5)
+    build_t_matrix(gens)
+    gens._d[1][5] = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+    message = "t_{11}^{(5)} nonzero beyond the column degree 1"
+    with pytest.raises(InvariantViolation, match="^%s$" % re.escape(message)):
+        build_t_matrix(gens)
 
 
 def test_t_matrix_polynomial_degrees():

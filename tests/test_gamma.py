@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+import wrep.gamma as gamma_mod
 from wrep.arith import UniPoly
+from wrep.errors import InvariantViolation
 from wrep.gamma import (
     character_of,
     check_fiber_bound,
@@ -85,6 +87,39 @@ def test_singleton_fibers(reps):
     for rep in reps.values():
         _, singl = fibers(rep)
         assert singl
+
+
+def test_fibers_make_one_symmetric_function_list_per_distinct_row(monkeypatch):
+    # (2,3,3) has 128 patterns but 9, 32 and 1 distinct l-value rows in
+    # rows 1, 2 and 3: one e_k list per distinct row of each row index
+    calls = []
+    esym = gamma_mod.elementary_symmetric
+
+    def counted(values):
+        calls.append(values)
+        return esym(values)
+
+    monkeypatch.setattr(gamma_mod, "elementary_symmetric", counted)
+    pyr = Pyramid(rows=(2, 3, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    fib, singl = fibers(rep)
+    assert rep.dim == 128 and len(fib) == 128 and singl
+    assert len(calls) == 9 + 32 + 1
+
+
+def test_character_mismatch_detected(reps):
+    # every pattern shares the top row, so its e_k are computed once; the
+    # bumped entry at the last pattern is found only by the per-pattern
+    # cross-check
+    rep = reps[(1, 2)]
+    mutated = copy.copy(rep)
+    mutated.A = dict(rep.A)
+    coeffs = list(rep.A[2].coeffs)
+    coeffs[0] = coeffs[0] + SparseMatrix.diagonal([0] * (rep.dim - 1) + [1])
+    mutated.A[2] = UniPoly(coeffs)
+    with pytest.raises(InvariantViolation, match="character mismatch"):
+        fibers(mutated)
+    fibers(rep)
 
 
 def test_fiber_bound():
