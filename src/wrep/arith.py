@@ -3,17 +3,18 @@
 Coefficients are either Fraction scalars or objects exposing the same
 arithmetic protocol (SparseMatrix, MPoly): +, -, *, unary -, truthiness
 for zero-testing.  Polynomials are coefficient lists in ascending powers
-of u; inverse series are truncated expansions c_0 + c_1 u^{-1} + ... up
-to a stated order.  Each output coefficient of a product, shift or series
-inverse is one sum, taken by _sum_products (sums of a*b) or _sum_scaled
-(sums of a*f, f a scalar); a type with a fused sum_products / sum_scaled
-(SparseMatrix) normalises each entry once, others add term by term.
-UniPoly has a fused sum_products too, so a sum of polynomial products
-sums each output coefficient once.  from_roots and lagrange_basis work on
-scalar coefficient lists in O(p^2).  Terms is the shared base of the
-sparse linear combinations (MPoly and the skew and operator algebras), and
-column_det the one determinant: prefix recursion in column order, so the
-entries need not commute.
+of u (UniPoly); a truncated series c_0 + c_1 u^{-1} + ... + c_R u^{-R} is
+the plain list [c_0, ..., c_R], and series_product is its one truncated
+product.  Each output coefficient of a product, shift, series inverse or
+series quotient is one sum, taken by _sum_products (sums of a*b) or
+_sum_scaled (sums of a*f, f a scalar); a type with a fused sum_products /
+sum_scaled (SparseMatrix) normalises each entry once, others add term by
+term.  UniPoly has a fused sum_products too, so a sum of polynomial
+products sums each output coefficient once.  from_roots and lagrange_basis
+work on scalar coefficient lists in O(p^2).  Terms is the shared base of
+the sparse linear combinations (MPoly and the skew and operator algebras),
+and column_det the one determinant: prefix recursion in column order, so
+the entries need not commute.
 """
 
 from fractions import Fraction
@@ -255,86 +256,40 @@ class Terms:
         return self + (-other)
 
 
-class InvSeries:
-    """Truncated series c_0 + c_1 u^{-1} + ... + c_R u^{-R}."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ArityError("series order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ArityError("coefficient list must have order+1 entries")
-        self.order = order
-        self.coeffs = coeffs
-
-    def coeff(self, r):
-        return self.coeffs[r]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        r = min(self.order, other.order)
-        return InvSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(r + 1)], r
-        )
-
-    def __neg__(self):
-        return InvSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, InvSeries):
-            return InvSeries([c * other for c in self.coeffs], self.order)
-        r = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return InvSeries(
-            [_sum_products([(a[t], b[m - t]) for t in range(m + 1)])
-             for m in range(r + 1)], r)
-
-    def __rmul__(self, other):
-        return InvSeries([other * c for c in self.coeffs], self.order)
+def series_product(a, b):
+    """The truncated product of two series in u^{-1}, as long as the
+    shorter: the coefficient of u^{-m} is one sum of a_t b_{m-t}."""
+    return [_sum_products([(a[t], b[m - t]) for t in range(m + 1)])
+            for m in range(min(len(a), len(b)))]
 
 
 def series_inverse(s):
-    """Two-sided inverse of s through its order."""
-    c0inv = _invert(s.coeffs[0])
+    """Two-sided inverse of s, as long as s."""
+    c0inv = _invert(s[0])
     out = [c0inv]
-    for r in range(1, s.order + 1):
-        acc = _sum_products([(s.coeffs[t], out[r - t]) for t in range(1, r + 1)])
+    for r in range(1, len(s)):
+        acc = _sum_products([(s[t], out[r - t]) for t in range(1, r + 1)])
         out.append(-(c0inv * acc))
-    return InvSeries(out, s.order)
+    return out
 
 
 def series_arg_shift(s, c):
-    """s(u) -> series of s(v + c) in v^{-1}, same truncation order."""
+    """s(u) -> series of s(v + c) in v^{-1}, as long as s."""
     c = Fraction(c)
-    R = s.order
     if not c:
-        return InvSeries(list(s.coeffs), R)
+        return list(s)
     pw = [Fraction(1)]
-    for _ in range(R):
+    for _ in range(len(s) - 1):
         pw.append(pw[-1] * -c)
     # coefficient of v^{-m}: sum_{r=1..m} binom(m-1, m-r) (-c)^{m-r} s_r
-    out = [s.coeffs[0]]
-    for m in range(1, R + 1):
-        out.append(_sum_scaled([(s.coeffs[r], comb(m - 1, m - r) * pw[m - r])
-                                for r in range(1, m + 1)]))
-    return InvSeries(out, R)
+    return [s[0]] + [_sum_scaled([(s[r], comb(m - 1, m - r) * pw[m - r])
+                                  for r in range(1, m + 1)])
+                     for m in range(1, len(s))]
 
 
 def poly_to_inv_series(p, prefactor_roots, order):
-    """Series r(u) with P(u) = prod (u - c)^m * r(u) through the order.
+    """Series r(u) with P(u) = prod (u - c)^m * r(u), coefficients of
+    u^0 .. u^{-order}.
 
     prefactor_roots is a list of (root, multiplicity); requires
     deg P <= total multiplicity so the quotient is a genuine series in
@@ -346,27 +301,15 @@ def poly_to_inv_series(p, prefactor_roots, order):
     mult = len(roots)
     if p.degree > mult:
         raise ArityError("prefactor multiplicity smaller than the degree")
-    den = UniPoly.from_roots(roots)
-    # numerator/denominator coefficients relative to u^{mult}
-    if p.coeffs:
-        zero = _zero_like(p.coeffs[0])
-    else:
-        zero = Fraction(0)
-    num = []
-    for r in range(order + 1):
-        k = mult - r
-        c = p.coeff(k) if k >= 0 else None
-        num.append(c if c is not None else zero)
-    dcoeffs = [
-        den.coeffs[mult - r] if mult - r >= 0 else Fraction(0)
-        for r in range(order + 1)
-    ]
-    # divide by the monic scalar denominator series
+    den = UniPoly.from_roots(roots).coeffs
+    zero = _zero_like(p.coeffs[0]) if p.coeffs else Fraction(0)
+    # r_m = P_{mult-m} - sum_{t=1..m} den_{mult-t} r_{m-t}, the coefficients
+    # taken relative to u^{mult}; den is monic, so no division
     out = []
     for m in range(order + 1):
-        acc = num[m]
-        for t in range(1, m + 1):
-            if dcoeffs[t]:
-                acc = acc - out[m - t] * dcoeffs[t]
-        out.append(acc)
-    return InvSeries(out, order)
+        num = p.coeff(mult - m)
+        num = zero if num is None else num
+        pairs = [(out[m - t], -den[mult - t]) for t in range(1, min(m, mult) + 1)
+                 if den[mult - t]]
+        out.append(_sum_scaled([(num, 1)] + pairs) if pairs else num)
+    return out

@@ -6,7 +6,7 @@ sum_{k <= min(i,j)} f_{ik}(u) d_k(u) e_{kj}(u); multiplying by u^{p_j} must
 give a polynomial, and the coefficients of the column determinant below the
 top must act as central scalars."""
 
-from .arith import UniPoly, column_det, poly_shift
+from .arith import UniPoly, column_det, poly_shift, series_product
 from .errors import InvariantViolation
 from .sparse import Combination, SparseMatrix
 
@@ -60,9 +60,7 @@ def build_t_matrix(gens):
     for i in range(1, n + 1):
         g[(i, i)] = [gens.d(i, r) for r in range(R + 1)]
         for k in range(1, i):
-            f, d = f_table[(i, k)], g[(k, k)]
-            g[(i, k)] = [SparseMatrix.sum_products([(f[t], d[m - t]) for t in range(m + 1)])
-                         for m in range(R + 1)]
+            g[(i, k)] = series_product(f_table[(i, k)], g[(k, k)])
     T = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):

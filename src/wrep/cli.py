@@ -298,9 +298,10 @@ def _run_noether(args, cfg):
 
     checks = []
     for n in (2, 3):
-        checks.append(_check("Weyl relations (n=%d)" % n, check_weyl_relations(n), ""))
-        checks.append(_check("shift-algebra embedding (n=%d)" % n,
-                             check_shift_iso(n), ""))
+        checks.append(_guarded("Weyl relations (n=%d)" % n,
+                               lambda: (check_weyl_relations(n), "")))
+        checks.append(_guarded("shift-algebra embedding (n=%d)" % n,
+                               lambda: (check_shift_iso(n), "")))
         ops = {}
         e = WeylElement(n, {})
         sd = WeylElement(n, {})
@@ -366,8 +367,12 @@ def main(argv=None):
     }
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("error: cannot write %r: %s" % (args.out, exc.strerror), file=sys.stderr)
+            return 2
     else:
         print(text)
     for c in checks:

@@ -15,6 +15,7 @@ from .arith import (
     poly_to_inv_series,
     series_arg_shift,
     series_inverse,
+    series_product,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
 from .patterns import entry_slots, enumerate_patterns, key_slots, row_spans
@@ -195,39 +196,32 @@ def generator_series(rep, R):
     for i in range(1, n + 1):
         roots = [(j, pyr.p(j + 1)) for j in range(i)]
         a[i] = poly_to_inv_series(rep.A[i], roots, R)
-        if a[i].coeffs[0] != ident:
+        if a[i][0] != ident:
             raise InvariantViolation("a_%d(u) does not start at the identity" % i)
 
-    d = {}
+    # d_i reads a_{i-1}^{-1} and e_i, f_i read a_i^{-1} (i < n): a_n^{-1}
+    # is never needed
     ainv = {}
-    for i in range(1, n + 1):
-        ainv[i] = series_inverse(a[i])
-        x, y = ainv[i].coeffs, a[i].coeffs
-        if _inverse_defect(x, y) is not None or _inverse_defect(y, x) is not None:
+    for i in range(1, n):
+        ainv[i] = x = series_inverse(a[i])
+        if _inverse_defect(x, a[i]) is not None or _inverse_defect(a[i], x) is not None:
             raise InvariantViolation("a_%d inverse is not two-sided" % i)
-        if i == 1:
-            d[1] = a[1]
-        else:
-            d[i] = series_arg_shift(ainv[i - 1] * a[i], i - 1)
 
-    dprime = {i: series_inverse(d[i]) for i in range(1, n + 1)}
+    d = {1: a[1]}
+    for i in range(2, n + 1):
+        d[i] = series_arg_shift(series_product(ainv[i - 1], a[i]), i - 1)
+    dprime = {i: series_inverse(d[i]) for i in d}
 
     e, f = {}, {}
     for i in range(1, n):
         eroots = [(j, pyr.p(j + 1)) for j in range(i - 1)] + [(i - 1, pyr.p(i + 1))]
         eraw = poly_to_inv_series(rep.B[i], eroots, R)
-        e[i] = series_arg_shift(ainv[i] * eraw, i - 1)
+        e[i] = series_arg_shift(series_product(ainv[i], eraw), i - 1)
         froots = [(j, pyr.p(j + 1)) for j in range(i)]
         fraw = poly_to_inv_series(rep.C[i], froots, R)
-        f[i] = series_arg_shift(fraw * ainv[i], i - 1)
+        f[i] = series_arg_shift(series_product(fraw, ainv[i]), i - 1)
 
-    gens = SeriesGenerators(
-        rep, R,
-        {i: d[i].coeffs for i in d},
-        {i: dprime[i].coeffs for i in dprime},
-        {i: e[i].coeffs for i in e},
-        {i: f[i].coeffs for i in f},
-    )
+    gens = SeriesGenerators(rep, R, d, dprime, e, f)
     _series_invariants(gens)
     return gens
 

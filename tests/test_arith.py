@@ -5,10 +5,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import leibniz_det
+from oracles import leibniz_det, plain_series_product
 
 from wrep.arith import (
-    InvSeries,
     UniPoly,
     column_det,
     lagrange_basis,
@@ -17,6 +16,7 @@ from wrep.arith import (
     poly_to_inv_series,
     series_arg_shift,
     series_inverse,
+    series_product,
 )
 from wrep.errors import ArityError, DegenerateNodes
 from wrep.sparse import SparseMatrix
@@ -86,22 +86,22 @@ def test_unipoly_evaluates_matrices():
 
 
 def test_series_inverse_two_sided():
-    s = InvSeries([Fraction(1), Fraction(3), Fraction(-2), Fraction(5)])
+    s = [Fraction(1), Fraction(3), Fraction(-2), Fraction(5)]
     inv = series_inverse(s)
-    prod = s * inv
-    assert prod.coeffs[0] == 1 and all(not c for c in prod.coeffs[1:])
-    prod = inv * s
-    assert prod.coeffs[0] == 1 and all(not c for c in prod.coeffs[1:])
+    prod = series_product(s, inv)
+    assert prod[0] == 1 and all(not c for c in prod[1:])
+    prod = series_product(inv, s)
+    assert prod[0] == 1 and all(not c for c in prod[1:])
 
 
 @given(st.lists(fractions, min_size=1, max_size=5))
 def test_series_inverse_property(coeffs):
     if not coeffs[0]:
         coeffs[0] = Fraction(1)
-    s = InvSeries(coeffs)
-    prod = s * series_inverse(s)
-    assert prod.coeffs[0] == 1
-    assert all(not c for c in prod.coeffs[1:])
+    prod = series_product(coeffs, series_inverse(coeffs))
+    assert len(prod) == len(coeffs)
+    assert prod[0] == 1
+    assert all(not c for c in prod[1:])
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -121,51 +121,46 @@ def matrix_series(draw, length):
         lead = lead + SparseMatrix.from_entries(3, [(i, 2, v) for i, v in upper])
     rest = [SparseMatrix.from_entries(3, draw(matrix_entries))
             for _ in range(length - 1)]
-    return InvSeries([lead] + rest)
-
-
-def plain_series_product(a, b):
-    # coefficient by coefficient, one + per product
-    return [sum((a[t] * b[m - t] for t in range(1, m + 1)), a[0] * b[m])
-            for m in range(len(a))]
+    return [lead] + rest
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(matrix_series(k), matrix_series(k))))
 def test_matrix_series_fused_products(pair):
     s, t = pair
-    assert (s * t).coeffs == plain_series_product(s.coeffs, t.coeffs)
+    assert series_product(s, t) == plain_series_product(s, t)
     inv = series_inverse(s)
     ident, zero = SparseMatrix.identity(3), SparseMatrix(3)
-    unit = [ident] + [zero] * s.order
-    assert plain_series_product(s.coeffs, inv.coeffs) == unit
-    assert plain_series_product(inv.coeffs, s.coeffs) == unit
-    assert inv * s == InvSeries(unit) == s * inv
+    unit = [ident] + [zero] * (len(s) - 1)
+    assert plain_series_product(s, inv) == unit
+    assert plain_series_product(inv, s) == unit
+    assert series_product(inv, s) == unit == series_product(s, inv)
 
 
 def test_series_arg_shift_against_geometric():
     # 1/u as a series in (v + c): 1/(v+c) = sum (-c)^k v^{-k-1}
     R = 6
-    s = InvSeries([Fraction(0), Fraction(1)] + [Fraction(0)] * (R - 1), R)
+    s = [Fraction(0), Fraction(1)] + [Fraction(0)] * (R - 1)
     c = Fraction(3)
     t = series_arg_shift(s, c)
+    assert len(t) == R + 1
     for k in range(1, R + 1):
-        assert t.coeffs[k] == (-c) ** (k - 1)
-    assert t.coeffs[0] == 0
+        assert t[k] == (-c) ** (k - 1)
+    assert t[0] == 0
 
 
 def test_poly_to_inv_series_monic():
     # (u-1)(u-2) / u^2 = 1 - 3/u + 2/u^2
     p = UniPoly.from_roots([1, 2])
     s = poly_to_inv_series(p, [(0, 2)], 4)
-    assert s.coeffs[:3] == [Fraction(1), Fraction(-3), Fraction(2)]
+    assert s == [Fraction(1), Fraction(-3), Fraction(2), Fraction(0), Fraction(0)]
 
 
 def test_poly_to_inv_series_strict_degree():
     # constant 1 over (u-1): 1/(u-1) = u^{-1} + u^{-2} + ...
     p = UniPoly([Fraction(1)])
     s = poly_to_inv_series(p, [(1, 1)], 4)
-    assert s.coeffs == [Fraction(0)] + [Fraction(1)] * 4
+    assert s == [Fraction(0)] + [Fraction(1)] * 4
 
 
 def test_poly_to_inv_series_degree_guard():
@@ -281,8 +276,8 @@ def test_lagrange_basis_against_definition(nodes):
         assert [basis[j](x) for x in nodes] == [int(j == m) for m in range(len(nodes))]
 
 
-matrix_coeffs = st.lists(st.builds(lambda e: SparseMatrix.from_entries(3, e), matrix_entries),
-                         min_size=1, max_size=4)
+matrices = st.builds(lambda e: SparseMatrix.from_entries(3, e), matrix_entries)
+matrix_coeffs = st.lists(matrices, min_size=1, max_size=4)
 
 
 def plain_sum(terms, dim=3):
@@ -314,8 +309,54 @@ def test_matrix_poly_shift_against_plain(a, c):
 @given(matrix_coeffs, small)
 def test_matrix_series_arg_shift_against_plain(coeffs, c):
     # 1/(v + c)^r = sum_t binom(r + t - 1, t) (-c)^t v^{-r-t}
-    s = InvSeries(coeffs)
     want = [coeffs[0]] + [
         plain_sum(coeffs[r] * (comb(m - 1, m - r) * (-c) ** (m - r)) for r in range(1, m + 1))
-        for m in range(1, s.order + 1)]
-    assert series_arg_shift(s, c).coeffs == want
+        for m in range(1, len(coeffs))]
+    assert series_arg_shift(coeffs, c) == want
+
+
+def padded_poly_product(a, b, zero):
+    """The first min(len a, len b) coefficients of UniPoly(a) * UniPoly(b):
+    series in u^{-1} multiply as polynomials in u^{-1} do."""
+    k = min(len(a), len(b))
+    return ((UniPoly(a) * UniPoly(b)).coeffs + [zero] * k)[:k]
+
+
+@given(st.lists(fractions, min_size=1, max_size=5), st.lists(fractions, min_size=1, max_size=5))
+def test_series_product_is_truncated_poly_product(a, b):
+    assert series_product(a, b) == padded_poly_product(a, b, Fraction(0))
+
+
+@settings(max_examples=40)
+@given(matrix_coeffs, matrix_coeffs)
+def test_matrix_series_product_is_truncated_poly_product(a, b):
+    assert series_product(a, b) == padded_poly_product(a, b, SparseMatrix(3))
+
+
+@st.composite
+def series_quotients(draw, monic):
+    """(P, prefactor roots, R) with deg P equal to the total multiplicity
+    and P monic, or deg P below it."""
+    roots = draw(st.lists(st.tuples(small, st.integers(1, 2)), min_size=1, max_size=3))
+    mult = sum(m for _, m in roots)
+    if monic:
+        coeffs = draw(st.lists(matrices, min_size=mult, max_size=mult))
+        coeffs.append(SparseMatrix.identity(3))
+    else:
+        coeffs = draw(st.lists(matrices, min_size=1, max_size=mult))
+    return UniPoly(coeffs), roots, draw(st.integers(1, 5))
+
+
+@pytest.mark.parametrize("monic", [True, False], ids=["monic", "strict"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_matrix_poly_to_inv_series_times_denominator(monic, data):
+    # prod (u - c)^m / u^{mult} times P(u) / prod (u - c)^m is P(u) / u^{mult}
+    p, roots, R = data.draw(series_quotients(monic))
+    flat = [c for c, m in roots for _ in range(m)]
+    mult = len(flat)
+    ident, zero = SparseMatrix.identity(3), SparseMatrix(3)
+    den = UniPoly.from_roots(flat).coeffs
+    den_series = [den[mult - r] * ident if r <= mult else zero for r in range(R + 1)]
+    num_series = [p.coeff(mult - r) or zero for r in range(R + 1)]
+    assert series_product(den_series, poly_to_inv_series(p, roots, R)) == num_series

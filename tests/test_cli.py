@@ -9,7 +9,7 @@ import pytest
 import wrep
 import wrep.center
 import wrep.rep
-from wrep import cli
+from wrep import cli, noether
 from wrep.arith import UniPoly
 from wrep.cli import main
 from wrep.errors import InvariantViolation
@@ -175,6 +175,17 @@ def test_malformed_config_exit_code(capsys, tmp_path, text, named):
         assert captured.err == "error: %s\n" % named
 
 
+def test_unwritable_out_path_exit_code(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.json")
+    code = main(["params", "--rows", "1 2", "--out", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %r" % path)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # exit 1 means a failed check; an unexpected exception is exit 3
     def broken(args, cfg):
@@ -225,6 +236,25 @@ def test_center_fault_is_a_failed_check(capsys, monkeypatch, module, function):
         ("determinant equals the top-row polynomial (recorded, not asserted)", "SKIP",
          skip),
     ]
+
+
+@pytest.mark.parametrize("cls, method, name, witness", [
+    (noether.WeylElement, "commutator", "Weyl relations", "Weyl relation fails at (0,0)"),
+    (noether.ShiftAlgebraElement, "__mul__", "shift-algebra embedding",
+     "the shift-algebra map is not multiplicative"),
+], ids=["weyl", "shift-algebra"])
+def test_noether_check_fault_is_a_failed_check(capsys, monkeypatch, cls, method, name,
+                                               witness):
+    # a constant added to each product makes the check raise: the demo still
+    # writes its record, with that check a FAIL and every other check a PASS
+    original = getattr(cls, method)
+
+    def bumped(self, other):
+        return original(self, other) + cls.const(self.n, 1)
+    monkeypatch.setattr(cls, method, bumped)
+    checks = _fault_record(capsys, ["noether-demo"])
+    assert {c: w for c, status, w in checks if status != "PASS"} == {
+        "%s (n=%d)" % (name, n): witness for n in (2, 3)}
 
 
 # Witnesses of a bumped constant coefficient at rows (1,2,2) under the
