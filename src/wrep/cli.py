@@ -290,7 +290,7 @@ def _round_trip_witness(op):
     data = round_trip(op)
     # the second field is the coefficient's discriminant power, always 0:
     # every coefficient is a sigma-polynomial
-    return True, {str(b): [repr(sp), 0] for b, sp in sorted(data.parts.items())}
+    return True, {str(b): [repr(sp), 0] for b, sp in sorted(data.items())}
 
 
 def _run_noether(args, cfg):
@@ -333,6 +333,11 @@ _COMMANDS = {
 }
 
 
+def _cannot_write(path, exc):
+    print("error: cannot write %r: %s" % (path, exc.strerror), file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wrep",
@@ -346,6 +351,13 @@ def main(argv=None):
     parser.add_argument("--out", help="write the JSON record to this file")
     args = parser.parse_args(argv)
 
+    if args.out:
+        # open the file before the run, so a bad path costs no work; "a"
+        # leaves an existing file as it is until the record replaces it
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     try:
         cfg = _load_config(args.config) if args.config else {}
         t0 = time.perf_counter()
@@ -371,8 +383,7 @@ def main(argv=None):
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print("error: cannot write %r: %s" % (args.out, exc.strerror), file=sys.stderr)
-            return 2
+            return _cannot_write(args.out, exc)
     else:
         print(text)
     for c in checks:

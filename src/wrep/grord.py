@@ -54,15 +54,15 @@ class GradedRing:
         return UniPoly(coeffs)
 
 
-def dcoeff_determinant(ring, r, s):
-    """d_{rs} as the coefficient of u^{p_1+...+p_r - s} in det of the
-    top-left r x r block."""
+def dcoeff_determinant(ring, r):
+    """[d_{r,0}, ..., d_{r,P}] with P = p_1+...+p_r: d_{rs} is the
+    coefficient of u^{P - s} in det of the top-left r x r block."""
     entries = {(i, j): ring.entry_poly(i + 1, j + 1)
                for i in range(r) for j in range(r)}
     det = column_det(r, lambda i, j: entries[(i, j)])
     block = ring.pyramid.row_block_size(r)
-    c = det.coeff(block - s)
-    return c if c is not None else MPoly.zero(ring.names)
+    zero = MPoly.zero(ring.names)
+    return [det.coeff(block - s) or zero for s in range(block + 1)]
 
 
 def dcoeff_direct(ring, r, s):
@@ -209,8 +209,9 @@ def verify_leading_claims(pyr):
     seen_slots = {}
     checked = 0
     for r in range(1, pyr.n + 1):
+        d = dcoeff_determinant(ring, r)
         for s in range(1, pyr.row_block_size(r) + 1):
-            d1 = dcoeff_determinant(ring, r, s)
+            d1 = d[s]
             d2 = dcoeff_direct(ring, r, s)
             if d1 != d2:
                 raise InvariantViolation(

@@ -1,9 +1,14 @@
 """Multivariate polynomials and rational functions over exact rationals.
 
 MPoly is a sparse dict {exponent tuple: Fraction} tied to a fixed tuple of
-variable names.  MRat is a reduced quotient of two MPoly; lowest-terms
-cancellation is delegated to sympy's sparse polynomial rings, and the
-canonical form makes the denominator's lex-leading coefficient 1.
+variable names.  MPoly.evaluate is the one substitution: at Fraction points
+it evaluates (MRat.evaluate), at MPoly points it changes variables
+(noether's shift twist t_k -> t_k - m_k, and its passage between sigma-
+and x-polynomials in rewrite_in_sigma, symmetric_reduce and round_trip).
+
+MRat is a reduced quotient of two MPoly; lowest-terms cancellation is
+delegated to sympy's sparse polynomial rings, and the canonical form makes
+the denominator's lex-leading coefficient 1.
 
 No wrep command uses MRat, MPoly.gcd or MPoly.exact_div: they are the
 reference the tests compare galois's factored coefficients and noether's
@@ -132,26 +137,25 @@ class MPoly(Terms):
         return max((e[index] for e in self.terms), default=0)
 
     def evaluate(self, point):
-        """Full evaluation; point is a sequence of Fractions, one per name."""
-        point = [Fraction(p) for p in point]
-        acc = Fraction(0)
+        """Substitute point[i] for the i-th variable.  The points are all
+        Fractions, giving a Fraction, or all MPolys over one variable set,
+        giving an MPoly in those variables (also when self is constant or
+        zero).  Each variable's powers are formed once per call."""
+        if point and isinstance(point[0], MPoly):
+            acc = point[0].zero_like()
+        else:
+            point, acc = [Fraction(p) for p in point], Fraction(0)
+        powers = [[1, p] for p in point]  # powers[i][k] == point[i] ** k
         for e, c in self.terms.items():
             v = c
             for idx, k in enumerate(e):
                 if k:
-                    v *= point[idx] ** k
-            acc += v
+                    pw = powers[idx]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * point[idx])
+                    v = v * pw[k]
+            acc = acc + v
         return acc
-
-    def substitute(self, index, value):
-        """Replace one variable by a rational constant."""
-        value = Fraction(value)
-        out = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            e2 = e[:index] + (0,) + e[index + 1 :]
-            out[e2] = out.get(e2, 0) + c * value**k
-        return MPoly(self.names, out)
 
     def permute_vars(self, perm):
         """perm maps old variable index -> new variable index."""

@@ -8,14 +8,17 @@ k-th lattice generator to x_k and t_k to x_k d_k.
 
 rewrite_in_sigma expresses a symmetric operator in terms of the
 elementary symmetric polynomials and the pushed-forward derivations
-D_j = sum_i (J^{-1})_{ij} d_i, with coefficients that are polynomials in
-the sigma.  Every entry of J^{-1} is a cofactor over det J, so RatOp keeps
-its coefficients as polynomials over one power of det J; its composition
-rebuilds the operator from the sigma data for an exact round-trip check
-with no rational-function gcd."""
+D_j = sum_i (J^{-1})_{ij} d_i: a dict {beta: coefficient of D^beta as a
+polynomial in the sigma}.  The shift twist and every passage between
+sigma- and x-polynomials is one MPoly.evaluate call.  Every entry of
+J^{-1} is a cofactor over det J, so RatOp keeps its coefficients as
+polynomials over one power of det J; its composition rebuilds the
+operator from the sigma data for an exact round-trip check with no
+rational-function gcd."""
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb, factorial
 
 from .arith import Terms, column_det
@@ -211,14 +214,12 @@ class ShiftAlgebraElement(Terms):
 
     def __mul__(self, other):
         out = {}
+        t = [MPoly.var(_tnames(self.n), k) for k in range(self.n)]
         for m1, r1 in self.terms.items():
+            shift = [t[k] - m1[k] for k in range(self.n)]
             for m2, r2 in other.terms.items():
-                shifted = r2
-                for k in range(self.n):
-                    if m1[k]:
-                        shifted = _tshift(shifted, k, -m1[k])
                 m = tuple(m1[k] + m2[k] for k in range(self.n))
-                prod = r1 * shifted
+                prod = r1 * (r2.evaluate(shift) if any(m1) else r2)
                 s = out.get(m)
                 out[m] = prod if s is None else s + prod
         return ShiftAlgebraElement(self.n, out)
@@ -226,22 +227,6 @@ class ShiftAlgebraElement(Terms):
 
 def _tnames(n):
     return tuple("t%d" % (i + 1) for i in range(n))
-
-
-def _tshift(p, k, step):
-    """Substitute t_k -> t_k + step in an MPoly."""
-    names = p.names
-    out = MPoly.zero(names)
-    tk = MPoly.var(names, k) + MPoly.const(names, step)
-    for e, c in p.terms.items():
-        term = MPoly.const(names, c)
-        for idx, power in enumerate(e):
-            if not power:
-                continue
-            base = tk if idx == k else MPoly.var(names, idx)
-            term = term * base**power
-        out = out + term
-    return out
 
 
 def shift_algebra_iso(el):
@@ -293,17 +278,15 @@ def check_shift_iso(n):
 def elementary_poly(names, j):
     """j-th elementary symmetric polynomial of the variables (j >= 0)."""
     n = len(names)
-    out = MPoly.zero(names) if j else MPoly.const(names, 1)
-    if j == 0:
-        return out
-    from itertools import combinations
+    return MPoly(names, {tuple(int(i in combo) for i in range(n)): 1
+                         for combo in combinations(range(n), j)})
 
-    for combo in combinations(range(n), j):
-        e = [0] * n
-        for idx in combo:
-            e[idx] = 1
-        out = out + MPoly(names, {tuple(e): Fraction(1)})
-    return out
+
+@lru_cache(maxsize=None)
+def _sigmas(n):
+    """sigma_1 .. sigma_n of the x-variables, built once per n."""
+    names = _xnames(n)
+    return tuple(elementary_poly(names, j + 1) for j in range(n))
 
 
 def vandermonde(names):
@@ -319,8 +302,7 @@ def jacobian_inverse(n):
     """The adjugate of J, J_{ij} = d sigma_i / d x_j, and det J, so that
     J^{-1} = adj / det J; det J must be +/- the Vandermonde factor."""
     names = _xnames(n)
-    J = [[elementary_poly(names, i + 1).derivative(j) for j in range(n)]
-         for i in range(n)]
+    J = [[sig.derivative(j) for j in range(n)] for sig in _sigmas(n)]
     det = column_det(n, lambda i, j: J[i][j])
     delta = vandermonde(names)
     if det != delta and det != -delta:
@@ -412,20 +394,9 @@ class RatOp(Terms):
         return out
 
 
-class SymData:
-    """Result of rewriting a symmetric operator: for each derivation
-    multi-index beta, the coefficient of D^beta as a polynomial in the
-    sigma."""
-
-    __slots__ = ("n", "parts")
-
-    def __init__(self, n, parts):
-        self.n = n
-        self.parts = parts  # {beta: MPoly in s-names}
-
-
 def rewrite_in_sigma(w):
-    """Express a symmetric WeylElement as sum_beta c_beta(sigma) D^beta.
+    """Express a symmetric WeylElement as sum_beta c_beta(sigma) D^beta:
+    the dict {beta: c_beta}, each c_beta a nonzero MPoly in the s-names.
 
     The coefficients are recovered by applying the operator to sigma
     powers in graded order: c_beta is w(sigma^beta) minus polynomial
@@ -434,8 +405,7 @@ def rewrite_in_sigma(w):
     n = w.n
     if not w.is_symmetric():
         raise NotInvariant("the operator is not symmetric")
-    names = _xnames(n)
-    sig = [elementary_poly(names, j + 1) for j in range(n)]
+    sig, snames = _sigmas(n), _snames(n)
     maxord = w.d_order()
 
     betas = sorted(
@@ -444,10 +414,7 @@ def rewrite_in_sigma(w):
     )
     coeffs = {}
     for beta in betas:
-        sp = MPoly.const(names, 1)
-        for j in range(n):
-            sp = sp * sig[j] ** beta[j]
-        rhs = w.apply_to_poly(sp)
+        rhs = w.apply_to_poly(MPoly(snames, {beta: 1}).evaluate(sig))
         for gamma in betas:
             if gamma == beta:
                 break
@@ -458,26 +425,21 @@ def rewrite_in_sigma(w):
                 f *= falling(beta[j], gamma[j])
             if not f:
                 continue
-            rest = MPoly.const(names, 1)
-            for j in range(n):
-                rest = rest * sig[j] ** (beta[j] - gamma[j])
-            rhs = rhs - coeffs[gamma] * rest * f
+            rest = MPoly(snames, {tuple(b - g for b, g in zip(beta, gamma)): f})
+            rhs = rhs - coeffs[gamma] * rest.evaluate(sig)
         fact = 1
         for j in range(n):
             fact *= factorial(beta[j])
         coeffs[beta] = rhs * Fraction(1, fact)
-    return SymData(n, {beta: symmetric_reduce(c)
-                       for beta, c in coeffs.items() if c})
+    return {beta: symmetric_reduce(c) for beta, c in coeffs.items() if c}
 
 
 def symmetric_reduce(p):
     """Rewrite a symmetric polynomial in the x-variables as a polynomial
     in the elementary symmetric polynomials (classical leading-term
     elimination)."""
-    names = p.names
-    n = len(names)
-    snames = _snames(n)
-    sig = [elementary_poly(names, j + 1) for j in range(n)]
+    n = len(p.names)
+    sig, snames = _sigmas(n), _snames(n)
     out = MPoly.zero(snames)
     work = p
     while work:
@@ -487,32 +449,17 @@ def symmetric_reduce(p):
         sexp = tuple(
             e[i] - (e[i + 1] if i + 1 < n else 0) for i in range(n)
         )
-        out = out + MPoly(snames, {sexp: c})
-        sub = MPoly.const(names, c)
-        for j in range(n):
-            sub = sub * sig[j] ** sexp[j]
-        work = work - sub
-    return out
-
-
-def sigma_expand(sp, n):
-    """Evaluate a sigma-polynomial at the elementary symmetric polynomials,
-    returning an MPoly in the x-variables."""
-    names = _xnames(n)
-    sig = [elementary_poly(names, j + 1) for j in range(n)]
-    out = MPoly.zero(names)
-    for e, c in sp.terms.items():
-        term = MPoly.const(names, c)
-        for j in range(n):
-            term = term * sig[j] ** e[j]
+        term = MPoly(snames, {sexp: c})
         out = out + term
+        work = work - term.evaluate(sig)
     return out
 
 
 def round_trip(w):
     """Rewrite the operator in sigma-data, rebuild it and compare.
 
-    Returns the SymData when the composed RatOp equals the original."""
+    Returns the dict {beta: sigma-polynomial} of rewrite_in_sigma when the
+    composed RatOp equals the original."""
     n = w.n
     data = rewrite_in_sigma(w)
     adj, det = jacobian_inverse(n)
@@ -526,8 +473,8 @@ def round_trip(w):
             terms[tuple(b)] = adj[i][j]
         D.append(RatOp(n, det, 1, terms))
     total = RatOp(n, det)
-    for beta, sp in data.parts.items():
-        op = RatOp(n, det, 0, {(0,) * n: sigma_expand(sp, n)})
+    for beta, sp in data.items():
+        op = RatOp(n, det, 0, {(0,) * n: sp.evaluate(_sigmas(n))})
         for j in range(n):
             for _ in range(beta[j]):
                 op = op * D[j]

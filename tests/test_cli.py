@@ -186,6 +186,22 @@ def test_unwritable_out_path_exit_code(capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+def test_unwritable_out_path_fails_before_the_run(capsys, monkeypatch, tmp_path):
+    called = []
+
+    def command(args, cfg):
+        called.append(args.command)
+        raise AssertionError("the command ran before --out was checked")
+    monkeypatch.setitem(cli._COMMANDS, "verify", command)
+    path = str(tmp_path / "missing" / "x.json")
+    code = main(["verify", "--rows", "2 3 3", "--rmax", "4", "--out", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert called == []
+    assert captured.err.startswith("error: cannot write %r" % path)
+    assert captured.err.count("\n") == 1
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # exit 1 means a failed check; an unexpected exception is exit 3
     def broken(args, cfg):

@@ -1,11 +1,25 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrep.errors import EvaluationError
 from wrep.mpoly import MPoly, MRat
 
 N = ("x", "y")
+M = ("s", "t", "u")
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+def polys(names, max_terms=4):
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    return st.dictionaries(exps, fractions, max_size=max_terms).map(
+        lambda terms: MPoly(names, terms))
+
+
+frac_points = st.lists(fractions, min_size=len(N), max_size=len(N))
+poly_points = st.lists(polys(M, 3), min_size=len(N), max_size=len(N))
 
 
 def x():
@@ -26,7 +40,7 @@ def test_poly_arithmetic():
 
 def test_substitute_and_permute():
     p = x() ** 2 * y() + 3
-    assert p.substitute(0, 2) == 4 * y() + 3
+    assert p.evaluate([MPoly.const(N, 2), y()]) == 4 * y() + 3
     assert p.permute_vars([1, 0]) == y() ** 2 * x() + 3
 
 
@@ -67,3 +81,25 @@ def test_mrat_derivative():
     s = MRat(x(), y())
     ds = s.derivative(1)
     assert ds == MRat(-x(), y() ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(N), polys(N), st.one_of(frac_points, poly_points))
+def test_evaluate_is_a_ring_homomorphism(p, q, point):
+    assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+    assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(N), poly_points, st.lists(fractions, min_size=len(M), max_size=len(M)))
+def test_evaluate_composes(p, inner, outer):
+    composed = [r.evaluate(outer) for r in inner]
+    assert p.evaluate(inner).evaluate(outer) == p.evaluate(composed)
+
+
+@given(fractions, poly_points)
+def test_constant_at_poly_points_is_a_poly(c, point):
+    for p in (MPoly.const(N, c), MPoly.zero(N)):
+        value = p.evaluate(point)
+        assert isinstance(value, MPoly)
+        assert value == MPoly.const(M, p.constant_value())

@@ -172,9 +172,9 @@ def test_rewrite_rejects_asymmetric():
 def test_euler_rewrite_n2():
     data = rewrite_in_sigma(euler(2))
     sn = _snames(2)
-    assert data.parts[(1, 0)] == MPoly.var(sn, 0)
-    assert data.parts[(0, 1)] == 2 * MPoly.var(sn, 1)
-    assert set(data.parts) == {(1, 0), (0, 1)}
+    assert data[(1, 0)] == MPoly.var(sn, 0)
+    assert data[(0, 1)] == 2 * MPoly.var(sn, 1)
+    assert set(data) == {(1, 0), (0, 1)}
 
 
 def test_sum_d_rewrite():
@@ -186,7 +186,7 @@ def test_sum_d_rewrite():
             beta = tuple(1 if i == j - 1 else 0 for i in range(n))
             want = MPoly.const(sn, n - j + 1) if j == 1 else \
                 (n - j + 1) * MPoly.var(sn, j - 2)
-            assert data.parts[beta] == want
+            assert data[beta] == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -202,8 +202,8 @@ def _bump_first_part(monkeypatch):
 
     def bumped(w):
         data = rewrite(w)
-        beta = min(data.parts)
-        data.parts[beta] = data.parts[beta] + 1
+        beta = min(data)
+        data[beta] = data[beta] + 1
         return data
 
     monkeypatch.setattr(noether, "rewrite_in_sigma", bumped)
