@@ -229,11 +229,17 @@ def _tnames(n):
     return tuple("t%d" % (i + 1) for i in range(n))
 
 
+@lru_cache(maxsize=None)
+def _xd(n):
+    """x_k d_k for k < n, built once per n."""
+    return tuple(WeylElement.x(n, k) * WeylElement.d(n, k) for k in range(n))
+
+
 def shift_algebra_iso(el):
     """The embedding sending the k-th lattice generator to x_k and t_k to
     x_k d_k (monomials t^a m map to (x d)^a x^m)."""
     n = el.n
-    xd = [WeylElement.x(n, k) * WeylElement.d(n, k) for k in range(n)]
+    xd = _xd(n)
     out = WeylElement(n, {})
     for m, r in el.terms.items():
         for e, c in r.terms.items():

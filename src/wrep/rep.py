@@ -200,12 +200,15 @@ def generator_series(rep, R):
             raise InvariantViolation("a_%d(u) does not start at the identity" % i)
 
     # d_i reads a_{i-1}^{-1} and e_i, f_i read a_i^{-1} (i < n): a_n^{-1}
-    # is never needed
+    # is never needed.  series_inverse solves a * x = 1 term by term, so
+    # only x * a is checked: a has the identity as lead, so it is a unit of
+    # the truncated series ring, and x * a = 1 makes x its two-sided inverse
     ainv = {}
     for i in range(1, n):
         ainv[i] = x = series_inverse(a[i])
-        if _inverse_defect(x, a[i]) is not None or _inverse_defect(a[i], x) is not None:
-            raise InvariantViolation("a_%d inverse is not two-sided" % i)
+        r = _inverse_defect(x, a[i])
+        if r is not None:
+            raise InvariantViolation("a_%d inverse fails x * a = 1 at r=%d" % (i, r))
 
     d = {1: a[1]}
     for i in range(2, n + 1):
@@ -315,6 +318,59 @@ def _fill(comb, terms, sign):
     return comb
 
 
+def _plain_serre(x, i, j, r, s, t):
+    """A thunk for the Serre lhs terms [x_{i,r}, [x_{i,s}, x_{j,t}]] +
+    (r <-> s), each inner commutator built as a matrix of its own."""
+    return lambda: [_comm(x(i, r), x(i, s).commutator(x(j, t))),
+                    _comm(x(i, s), x(i, r).commutator(x(j, t)))]
+
+
+def _canonical(lhs, rhs):
+    """lhs - rhs as (key, terms), a signed sum of distinct products.
+
+    Each commutator [a, b] expands into +ab and -ba, equal products (and
+    equal plain matrices) merge, and zero coefficients and terms with a
+    zero operand drop.  terms lists (coefficient, operands) in order of
+    first appearance; key is the sorted tuple of (operand ids,
+    coefficient), negated if need be so that its first coefficient is
+    positive.  Two instances with equal keys are the same linear
+    combination of the same matrix products, up to sign, so they vanish
+    together; the ids stay meaningful only while the operands live."""
+    merged = {}
+    for terms, side in ((lhs, 1), (rhs, -1)):
+        for op, *operands, s in terms:
+            if not all(m.rows for m in operands):
+                continue
+            c = s * side
+            if op is Combination.commutator:
+                a, b = operands
+                parts = (((a, b), c), ((b, a), -c))
+            else:
+                parts = ((tuple(operands), c),)
+            for ops, c in parts:
+                k = tuple(map(id, ops))
+                if k in merged:
+                    merged[k][0] += c
+                else:
+                    merged[k] = [c, ops]
+    merged = {k: t for k, t in merged.items() if t[0]}
+    key = sorted((k, c) for k, (c, _) in merged.items())
+    if key and key[0][1] < 0:
+        key = [(k, -c) for k, c in key]
+    return tuple(key), list(merged.values())
+
+
+def _is_zero(dim, terms):
+    """Whether the (coefficient, operands) terms of _canonical sum to 0."""
+    comb = Combination(dim)
+    for c, ops in terms:
+        if len(ops) == 2:
+            comb.product(*ops, c)
+        else:
+            comb.add(*ops, c)
+    return comb.is_zero()
+
+
 # Relation families in the order verify_defining_relations reports them.
 RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same-row",
                      "e adjacent", "f adjacent", "distant rows", "Serre e", "Serre f",
@@ -324,10 +380,16 @@ RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same
 def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R.
 
-    Each instance is a pair of term lists, lhs and rhs; lhs - rhs is summed
-    in one Combination and zero-tested, and only a failing instance builds
-    its two sides as matrices for the witness.  The only errors raised are
-    those of generator_series(rep, 2 * R); a failing instance is reported."""
+    Each instance is a pair of term lists, lhs and rhs.  lhs - rhs is
+    brought to its canonical form (_canonical), and each distinct form is
+    summed once per family in one Combination and zero-tested: a mirrored
+    instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a
+    Serre (s, r, t) beside (r, s, t), is verified because its canonical sum
+    is identical to one that passed, and an empty form is formally zero.
+    Every instance is still counted and labelled, and only a failing
+    instance builds its two sides as matrices for the witness.  The only
+    errors raised are those of generator_series(rep, 2 * R); a failing
+    instance is reported."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
@@ -338,11 +400,24 @@ def verify_defining_relations(rep, R):
         return gens.e_start(i)
 
     def check(name, cases):
+        # canonical key -> terms of an instance that passed; the terms pin
+        # their operands, so no id in a key is reused by a later matrix.
+        # A Serre case carries a thunk for its lhs with plain inner
+        # commutators: a mirrored inner matrix stores its entries in another
+        # order, and the witness names the first differing entry it meets.
+        passed = {}
         fails = []
         count = 0
-        for label, lhs, rhs in cases:
+        for label, lhs, rhs, *plain in cases:
             count += 1
-            if not _fill(_fill(Combination(N), lhs, 1), rhs, -1).is_zero():
+            key, terms = _canonical(lhs, rhs)
+            if key in passed:
+                continue
+            if _is_zero(N, terms):
+                passed[key] = terms
+            else:
+                if plain:
+                    lhs = plain[0]()
                 got = _fill(Combination(N), lhs, 1).finish()
                 want = _fill(Combination(N), rhs, 1).finish()
                 fails.append("%s: %s" % (label, _first_diff(got, want, rep.basis)))
@@ -456,20 +531,21 @@ def verify_defining_relations(rep, R):
     check("distant rows", cases_far())
 
     def cases_serre(x, start):
-        # inner[(s, t)] = [x_{i,s}, x_{j,t}], built once per (i, j) block
-        for i in range(1, n):
-            for j in (i - 1, i + 1):
-                if not 1 <= j < n:
-                    continue
+        # inner[(s, t)] = [x_{i,s}, x_{i+1,t}], built once per adjacent pair;
+        # the block (i+1, i) reads [x_{i+1,s}, x_{i,t}] = -inner[(t, s)]
+        for k in range(1, n - 1):
+            inner = {(s, t): x(k, s).commutator(x(k + 1, t))
+                     for s in range(start(k), R + 1) for t in range(start(k + 1), R + 1)}
+            mirror = {(t, s): m for (s, t), m in inner.items()}
+            for i, j, block, sign in ((k, k + 1, inner, 1), (k + 1, k, mirror, -1)):
                 si, sj = range(start(i), R + 1), range(start(j), R + 1)
-                inner = {(s, t): x(i, s).commutator(x(j, t)) for s in si for t in sj}
                 for r in si:
                     for s in si:
                         for t in sj:
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
-                                   [_comm(x(i, r), inner[(s, t)]),
-                                    _comm(x(i, s), inner[(r, t)])], [])
-                del inner
+                                   [_comm(x(i, r), block[(s, t)], sign),
+                                    _comm(x(i, s), block[(r, t)], sign)], [],
+                                   _plain_serre(x, i, j, r, s, t))
     check("Serre e", cases_serre(gens.e, estart))
     check("Serre f", cases_serre(gens.f, lambda i: 1))
 

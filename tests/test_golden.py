@@ -1,9 +1,10 @@
 """Golden records: the sha256 of the JSON record that ``wrep verify
 --rmax 3``, ``center``, ``fibers`` and ``build`` write for rows (1,2,2)
-and (2,2,3) at the generic weight, and the exit status and sha256 of the
-symbolic commands' records (``noether-demo``, ``leading``,
-``galois-check``).  Kernel work that changes a single record byte fails
-here."""
+and (2,2,3) at the generic weight, of ``verify --rmax 4`` for rows
+(2,3,3) (the largest relations job of the benchmark), and the exit
+status and sha256 of the symbolic commands' records (``noether-demo``,
+``leading``, ``galois-check``).  Kernel work that changes a single record
+byte fails here."""
 
 import hashlib
 
@@ -30,6 +31,13 @@ def test_record_bytes_are_pinned(tmp_path, rows, command):
     extra = ["--rmax", "3"] if command == "verify" else []
     assert main([command, "--rows", rows, "--out", str(out)] + extra) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(rows, command)]
+
+
+def test_largest_verify_record_is_pinned(tmp_path):
+    out = tmp_path / "record.json"
+    assert main(["verify", "--rows", "2,3,3", "--rmax", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cca30d27fbc677c54d12e49f79a0053082517d58668fac283e275a87e6d80f5e")
 
 
 # command line -> (exit status, sha256); leading (2,2,3) is a known FAIL

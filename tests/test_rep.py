@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from wrep.rep import (
     generator_series,
     verify_defining_relations,
 )
-from wrep.sparse import SparseMatrix
+from wrep.sparse import Combination, SparseMatrix
 
 
 def gl2_rep():
@@ -286,3 +287,123 @@ def test_relations_hold_for_random_generic_weights(rows):
         assert cross_check(rep) == 3 * pyr.n - 2
 
     run()
+
+
+def test_a_inverse_is_checked_on_the_side_series_inverse_did_not_solve(monkeypatch):
+    # series_inverse solves a * x = 1 term by term; generator_series checks
+    # only x * a = 1, which a wrong a_1^{-1} must still fail
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    inverse, calls = rep_mod.series_inverse, []
+
+    def bumped(s):
+        out = inverse(s)
+        calls.append(s)
+        if len(calls) == 1:  # a_1^{-1}, the first inverse generator_series takes
+            out[2] = out[2] + SparseMatrix.from_entries(rep.dim, [(0, 0, 1)])
+        return out
+
+    monkeypatch.setattr(rep_mod, "series_inverse", bumped)
+    with pytest.raises(InvariantViolation, match=r"a_1 inverse fails x \* a = 1 at r=2"):
+        generator_series(rep, 4)
+
+
+def _ops(dim, *entry_lists):
+    return [SparseMatrix.from_entries(dim, entries) for entries in entry_lists]
+
+
+def test_canonical_form_of_relation_terms():
+    a, b, c, d = _ops(3, [(0, 1, 1)], [(1, 2, 2)], [(2, 0, 3), (0, 0, 1)], [(1, 1, 5)])
+    zero = SparseMatrix(3)
+    canonical = rep_mod._canonical
+    comm, prod = rep_mod._comm, rep_mod._prod
+    # [a,b] = -[b,a]: the same sum up to sign
+    assert canonical([comm(a, b)], [])[0] == canonical([comm(b, a)], [])[0]
+    # a Serre instance (r, s, t) is (s, r, t) with its two terms swapped
+    inner_s, inner_r = a.commutator(c), b.commutator(c)
+    assert (canonical([comm(a, inner_r), comm(b, inner_s)], [])[0]
+            == canonical([comm(b, inner_s), comm(a, inner_r)], [])[0])
+    # [a,a], and a product equal on both sides, are formally zero
+    assert canonical([comm(a, a)], []) == ((), [])
+    assert canonical([prod(a, b)], [prod(a, b)]) == ((), [])
+    # a zero operand drops its term
+    assert canonical([comm(d, zero), prod(a, b)], []) == canonical([prod(a, b)], [])
+    # r = s in Serre: two equal commutators merge into 2[a,b]
+    key, terms = canonical([comm(a, b), comm(a, b)], [])
+    assert terms == [[2, (a, b)], [-2, (b, a)]]
+    assert sorted(coeff for _, coeff in key) == [-2, 2]
+    assert key[0][1] > 0
+
+
+def _unmemoized_report(monkeypatch, rep, R):
+    # every instance gets a key of its own, so each one is summed
+    canonical, fresh = rep_mod._canonical, itertools.count()
+
+    def unique(lhs, rhs):
+        return (next(fresh),), canonical(lhs, rhs)[1]
+
+    with monkeypatch.context() as m:
+        m.setattr(rep_mod, "_canonical", unique)
+        return verify_defining_relations(rep, R).families
+
+
+def _bump(coeffs, k, i, j):
+    coeffs[k] = coeffs[k] + SparseMatrix.from_entries(coeffs[k].dim, [(i, j, 1)])
+
+
+def _bump_b2(rep, monkeypatch):
+    i, j, _ = min(rep.B[2].coeffs[0].entries())
+    _bump(rep.B[2].coeffs, 0, i, j)
+
+
+def _bump_a1(rep, monkeypatch):
+    i, _, _ = min(rep.A[1].coeffs[0].entries())
+    _bump(rep.A[1].coeffs, 0, i, i)
+
+
+def _bump_e1(rep, monkeypatch):
+    # one bumped entry of e_1^{(1)}, injected after the series are built
+    series = rep_mod.generator_series
+
+    def mutated_series(rep, R):
+        gens = series(rep, R)
+        i, j, _ = min(gens.e(1, 1).entries())
+        _bump(gens._e[1], 1, i, j)
+        return gens
+
+    monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
+
+
+@pytest.mark.parametrize("rows, mutate", [
+    ((1, 2), None), ((1, 1, 1), None), ((2, 2, 3), None),
+    ((1, 1, 1), _bump_b2), ((1, 2), _bump_a1), ((1, 1, 1), _bump_e1),
+], ids=["1-2", "1-1-1", "2-2-3", "B2", "A1", "e1"])
+def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mutate):
+    pyr = Pyramid(rows=rows)
+    rep = build_representation(pyr, generic_weight(pyr))
+    if mutate:
+        mutate(rep, monkeypatch)
+    memoized = verify_defining_relations(rep, 3).families
+    assert memoized == _unmemoized_report(monkeypatch, rep, 3)
+    assert any(fails for _, _, fails in memoized) == (mutate is not None)
+
+
+def test_relation_suite_work_budget(monkeypatch):
+    # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
+    # lost dedup of canonical sums (or a second inverse check) exceeds it
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    product, calls = Combination.product, [0]
+
+    def counted(self, a, b, sign=1):
+        calls[0] += 1
+        return product(self, a, b, sign)
+
+    monkeypatch.setattr(Combination, "product", counted)
+    report = verify_defining_relations(rep, 3)
+    assert report.ok
+    assert calls[0] <= 1282
+    assert [(name, count) for name, count, _ in report.families] == [
+        ("[d,d]=0", 81), ("[e,f]", 30), ("[d,e]", 45), ("[d,f]", 54), ("e same-row", 13),
+        ("f same-row", 18), ("e adjacent", 6), ("f adjacent", 9), ("distant rows", 0),
+        ("Serre e", 30), ("Serre f", 54), ("d_1 vanishing", 4)]
