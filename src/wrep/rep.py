@@ -274,13 +274,16 @@ def _series_invariants(gens):
 
 
 def _first_diff(got, want, basis):
-    """Witness for got != want: an entry of the difference, with the
-    patterns that index its row and column."""
-    delta = got - want
-    for i, j, v in delta.entries():
-        return ("entry (%d,%d) differs by %s; row pattern %r, column pattern %r"
-                % (i, j, v, basis[i], basis[j]))
-    return None
+    """Witness for got != want: the entry of the difference with the
+    smallest (row, column), with the patterns that index its row and
+    column.  It is chosen by value, so the order in which a sum was
+    accumulated cannot change it."""
+    first = min((got - want).entries(), default=None)
+    if first is None:
+        return None
+    i, j, v = first
+    return ("entry (%d,%d) differs by %s; row pattern %r, column pattern %r"
+            % (i, j, v, basis[i], basis[j]))
 
 
 class RelationReport:
@@ -318,13 +321,6 @@ def _fill(comb, terms, sign):
     return comb
 
 
-def _plain_serre(x, i, j, r, s, t):
-    """A thunk for the Serre lhs terms [x_{i,r}, [x_{i,s}, x_{j,t}]] +
-    (r <-> s), each inner commutator built as a matrix of its own."""
-    return lambda: [_comm(x(i, r), x(i, s).commutator(x(j, t))),
-                    _comm(x(i, s), x(i, r).commutator(x(j, t)))]
-
-
 def _canonical(lhs, rhs):
     """lhs - rhs as (key, terms), a signed sum of distinct products.
 
@@ -339,7 +335,7 @@ def _canonical(lhs, rhs):
     merged = {}
     for terms, side in ((lhs, 1), (rhs, -1)):
         for op, *operands, s in terms:
-            if not all(m.rows for m in operands):
+            if not all(operands):
                 continue
             c = s * side
             if op is Combination.commutator:
@@ -401,14 +397,11 @@ def verify_defining_relations(rep, R):
 
     def check(name, cases):
         # canonical key -> terms of an instance that passed; the terms pin
-        # their operands, so no id in a key is reused by a later matrix.
-        # A Serre case carries a thunk for its lhs with plain inner
-        # commutators: a mirrored inner matrix stores its entries in another
-        # order, and the witness names the first differing entry it meets.
+        # their operands, so no id in a key is reused by a later matrix
         passed = {}
         fails = []
         count = 0
-        for label, lhs, rhs, *plain in cases:
+        for label, lhs, rhs in cases:
             count += 1
             key, terms = _canonical(lhs, rhs)
             if key in passed:
@@ -416,8 +409,6 @@ def verify_defining_relations(rep, R):
             if _is_zero(N, terms):
                 passed[key] = terms
             else:
-                if plain:
-                    lhs = plain[0]()
                 got = _fill(Combination(N), lhs, 1).finish()
                 want = _fill(Combination(N), rhs, 1).finish()
                 fails.append("%s: %s" % (label, _first_diff(got, want, rep.basis)))
@@ -544,8 +535,7 @@ def verify_defining_relations(rep, R):
                         for t in sj:
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
                                    [_comm(x(i, r), block[(s, t)], sign),
-                                    _comm(x(i, s), block[(r, t)], sign)], [],
-                                   _plain_serre(x, i, j, r, s, t))
+                                    _comm(x(i, s), block[(r, t)], sign)], [])
     check("Serre e", cases_serre(gens.e, estart))
     check("Serre f", cases_serre(gens.f, lambda i: 1))
 

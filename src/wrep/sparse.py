@@ -1,20 +1,42 @@
 """Exact sparse square matrices over the rationals.
 
-A matrix is integer entries over one common denominator: the value at
-(i, j) is rows[i][j] / den.  The form is canonical: den > 0, den and the
-numerators share no factor, zero entries and empty rows are never
-stored, and the zero matrix has den == 1; so equal matrices have equal
-(dim, den, rows).  Every sum, scaled sum, product and commutator is
-accumulated by a ``Combination`` over one running denominator, so its
-product loop does integer multiply-adds only; ``finish`` divides out the
-content once, and ``is_zero`` decides whether the sum vanishes without
-reducing anything.  Fractions appear only at the boundary: ``get``,
-``entries``, ``scalar_part`` and ``inverse`` return reduced Fractions,
-and ``from_entries`` and ``diagonal`` accept them.
+A matrix is integer numerators over one common denominator ``den``, in
+one of two storage forms:
+
+- dense diagonal: a nonzero matrix whose entries all lie on the diagonal
+  keeps them as one list ``diag`` of ``dim`` numerators (zeros included);
+- general: every other matrix keeps ``{i: {j: numerator}}``, with zero
+  entries and empty rows never stored; the zero matrix is general, with
+  no rows and den == 1.
+
+The form is canonical: den > 0, den and the numerators share no factor,
+and a matrix is stored dense exactly when it is nonzero and diagonal.
+``diagonal``, ``identity``, ``from_entries`` and ``Combination.finish``
+all keep this rule, so equal matrices have equal (dim, den, diag, rows),
+and ``is_diagonal`` reads the form.  ``rows`` of a dense matrix is a view
+built on demand, for tests and for comparing a hand-built general matrix.
+
+The dense form is there because the Gelfand-Tsetlin subalgebra acts by
+characters: on the pattern basis the A coefficients, the a_i and a_i^{-1}
+series and the d_i and d_i' series are all diagonal, and they are the
+operands of most products.
+
+Every sum, scaled sum, product and commutator is accumulated by a
+``Combination`` over one running denominator, so it does integer
+multiply-adds only.  Each term takes a path from its operands' forms:
+diagonal times diagonal is one pass over two lists into a dense
+accumulator; diagonal times general scales rows and general times
+diagonal scales columns into the dict accumulator; general times general
+is the row-by-row loop.  ``finish`` merges the two accumulators and
+divides out the content once, and ``is_zero`` decides whether the merged
+sum vanishes without reducing anything.  Fractions appear only at the
+boundary: ``get``, ``entries``, ``scalar_part`` and ``inverse`` return
+reduced Fractions, and ``from_entries`` and ``diagonal`` accept them.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import SingularLead
 
@@ -27,14 +49,16 @@ _ZERO = Fraction(0)
 class SparseMatrix:
     """Square matrix of integer numerators over one denominator; build
     one with ``from_entries``, ``diagonal`` or ``identity``, since the
-    constructor takes ``rows`` and ``den`` as given (already canonical)."""
+    constructor takes ``rows`` or ``diag`` and ``den`` as given (already
+    canonical)."""
 
-    __slots__ = ("dim", "den", "rows")
+    __slots__ = ("dim", "den", "_rows", "diag")
 
-    def __init__(self, dim, rows=None, den=1):
+    def __init__(self, dim, rows=None, den=1, diag=None):
         self.dim = dim
         self.den = den
-        self.rows = {} if rows is None else rows
+        self.diag = diag
+        self._rows = {} if rows is None and diag is None else rows
 
     @classmethod
     def from_entries(cls, dim, entries):
@@ -56,41 +80,70 @@ class SparseMatrix:
                 kept[i] = row
                 for v in row.values():
                     den = lcm(den, v.denominator)
+        if kept and all(row.keys() == {i} for i, row in kept.items()):
+            return cls.diagonal(kept[i][i] if i in kept else 0 for i in range(dim))
         return cls(dim, {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
                          for i, row in kept.items()}, den)
 
     @classmethod
     def identity(cls, dim):
-        return cls(dim, {i: {i: 1} for i in range(dim)})
+        return cls.diagonal([1] * dim)
 
     @classmethod
     def diagonal(cls, values):
-        values = list(values)
-        return cls.from_entries(len(values), ((i, i, v) for i, v in enumerate(values)))
+        values = [v if v.__class__ is Fraction else Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in values))
+        diag = [v.numerator * (den // v.denominator) for v in values]
+        if not any(diag):
+            return cls(len(diag))
+        return cls(len(diag), den=den, diag=diag)
+
+    @property
+    def rows(self):
+        """{i: {j: numerator}}; for a dense diagonal, a view built on demand."""
+        d = self.diag
+        if d is None:
+            return self._rows
+        return {i: {i: v} for i, v in enumerate(d) if v}
 
     def __bool__(self):
-        return bool(self.rows)
+        return self.diag is not None or bool(self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
+        if (self.diag is None) != (other.diag is None):
+            return self.dim == other.dim and self.den == other.den and self.rows == other.rows
+        return (self.dim == other.dim and self.den == other.den
+                and self.diag == other.diag and self._rows == other._rows)
 
     def zero_like(self):
         return SparseMatrix(self.dim)
 
     def get(self, i, j):
-        v = self.rows.get(i, {}).get(j)
+        d = self.diag
+        if d is not None:
+            return Fraction(d[i], self.den) if i == j else _ZERO
+        v = self._rows.get(i, {}).get(j)
         return _ZERO if v is None else Fraction(v, self.den)
 
     def entries(self):
         den = self.den
-        for i, row in self.rows.items():
+        d = self.diag
+        if d is not None:
+            for i, v in enumerate(d):
+                if v:
+                    yield i, i, Fraction(v, den)
+            return
+        for i, row in self._rows.items():
             for j, v in row.items():
                 yield i, j, Fraction(v, den)
 
     def nnz(self):
-        return sum(len(r) for r in self.rows.values())
+        d = self.diag
+        if d is not None:
+            return len(d) - d.count(0)
+        return sum(len(r) for r in self._rows.values())
 
     def __add__(self, other):
         return Combination(self.dim).add(self).add(other).finish()
@@ -99,7 +152,10 @@ class SparseMatrix:
         return Combination(self.dim).add(self).add(other, -1).finish()
 
     def __neg__(self):
-        rows = {i: {j: -v for j, v in row.items()} for i, row in self.rows.items()}
+        d = self.diag
+        if d is not None:
+            return SparseMatrix(self.dim, den=self.den, diag=[-v for v in d])
+        rows = {i: {j: -v for j, v in row.items()} for i, row in self._rows.items()}
         return SparseMatrix(self.dim, rows, self.den)
 
     def __mul__(self, other):
@@ -133,26 +189,25 @@ class SparseMatrix:
 
     def scalar_part(self):
         """Return c if the matrix equals c * identity, else None."""
-        if not self.rows:
-            return _ZERO
-        c = self.rows.get(0, {}).get(0)
-        if c is None or self.nnz() != self.dim:
+        d = self.diag
+        if d is None:
+            return None if self._rows else _ZERO
+        if d.count(d[0]) != len(d):
             return None
-        if any(self.rows.get(i, {}).get(i) != c for i in range(self.dim)):
-            return None
-        return Fraction(c, self.den)
+        return Fraction(d[0], self.den)
 
     def is_diagonal(self):
-        return all(len(row) == 1 and i in row for i, row in self.rows.items())
+        return self.diag is not None or not self._rows
 
     def inverse(self):
         """Exact inverse: entrywise reciprocals for a diagonal matrix,
         Gaussian elimination otherwise; SingularLead if singular."""
         n = self.dim
-        if self.is_diagonal():
-            if len(self.rows) != n:
+        d = self.diag
+        if d is not None:
+            if not all(d):
                 raise SingularLead("matrix is singular")
-            return SparseMatrix.diagonal(Fraction(self.den, self.rows[i][i]) for i in range(n))
+            return SparseMatrix.diagonal(Fraction(self.den, v) for v in d)
         a = [[self.get(i, j) for j in range(n)] for i in range(n)]
         inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -179,23 +234,27 @@ class SparseMatrix:
 
 class Combination:
     """A sum of scaled matrices and signed products and commutators,
-    accumulated as integer numerators {i: {j: int}} over one running
-    denominator ``den``.
+    accumulated as integer numerators over one running denominator
+    ``den``: terms on the diagonal alone go to the dense list ``diag``
+    (None until the first such term), all others to the dict ``out``
+    {i: {j: int}}.
 
     A term whose denominator does not divide ``den`` raises it to the lcm
-    and rescales the accumulated numerators in one pass; otherwise the
-    term adds with integer multiply-adds only.  Nothing is reduced while
-    terms are added: ``finish`` divides out the content once, and
-    ``is_zero`` tests the sum as it stands.  Each term method returns the
-    combination, so calls chain.
+    and rescales both accumulators in one pass; otherwise the term adds
+    with integer multiply-adds only.  Nothing is reduced while terms are
+    added: ``finish`` merges the accumulators and divides out the content
+    once, and ``is_zero`` tests the merged sum as it stands.  No list
+    held in ``diag`` is changed in place, so it may be shared with a
+    matrix.  Each term method returns the combination, so calls chain.
     """
 
-    __slots__ = ("dim", "den", "out")
+    __slots__ = ("dim", "den", "out", "diag")
 
     def __init__(self, dim):
         self.dim = dim
         self.den = 1
         self.out = {}
+        self.diag = None
 
     def _check(self, m):
         if m.dim != self.dim:
@@ -209,29 +268,68 @@ class Combination:
             for acc in self.out.values():
                 for j in acc:
                     acc[j] *= m
+            if self.diag is not None:
+                self.diag = [v * m for v in self.diag]
             self.den *= m
         return self.den // d
 
+    def _add_diag(self, values, scale):
+        """Add scale times the numerator list (or iterator) ``values`` to
+        the dense accumulator."""
+        if scale != 1:
+            values = map(scale.__mul__, values)
+        acc = self.diag
+        self.diag = list(values) if acc is None else list(map(add, acc, values))
+
     def product(self, a, b, sign=1):
-        """Add sign * a*b; the one product loop."""
+        """Add sign * a*b; the path follows the operands' storage forms."""
         self._check(a)
         self._check(b)
         scale = sign * self._over(a.den * b.den)
-        out, brows = self.out, b.rows
-        for i, arow in a.rows.items():
-            acc = None
-            for k, av in arow.items():
-                brow = brows.get(k)
-                if not brow:
+        out, ad, bd = self.out, a.diag, b.diag
+        if ad is not None and bd is not None:
+            self._add_diag(map(mul, ad, bd), scale)
+        elif ad is not None:
+            # row i of a*b is ad[i] times row i of b
+            for i, brow in b._rows.items():
+                an = scale * ad[i]
+                if not an:
                     continue
+                acc = out.get(i)
                 if acc is None:
-                    acc = out.get(i)
-                    if acc is None:
-                        acc = out[i] = {}
+                    out[i] = {j: an * v for j, v in brow.items()}
+                else:
                     get = acc.get
-                an = scale * av
-                for j, bv in brow.items():
-                    acc[j] = get(j, 0) + an * bv
+                    for j, v in brow.items():
+                        acc[j] = get(j, 0) + an * v
+        elif bd is not None:
+            # column j of a*b is column j of a times bd[j]
+            if scale != 1:
+                bd = [scale * v for v in bd]
+            for i, arow in a._rows.items():
+                acc = out.get(i)
+                if acc is None:
+                    out[i] = {j: v * bd[j] for j, v in arow.items()}
+                else:
+                    get = acc.get
+                    for j, v in arow.items():
+                        acc[j] = get(j, 0) + v * bd[j]
+        else:
+            brows = b._rows
+            for i, arow in a._rows.items():
+                acc = None
+                for k, av in arow.items():
+                    brow = brows.get(k)
+                    if not brow:
+                        continue
+                    if acc is None:
+                        acc = out.get(i)
+                        if acc is None:
+                            acc = out[i] = {}
+                        get = acc.get
+                    an = scale * av
+                    for j, bv in brow.items():
+                        acc[j] = get(j, 0) + an * bv
         return self
 
     def commutator(self, a, b, sign=1):
@@ -241,11 +339,14 @@ class Combination:
     def add(self, a, factor=1):
         """Add factor * a, for an int or Fraction factor."""
         self._check(a)
-        if not factor or not a.rows:
+        if not factor or not a:
             return self
         scale = factor.numerator * self._over(factor.denominator * a.den)
+        if a.diag is not None:
+            self._add_diag(a.diag, scale)
+            return self
         out = self.out
-        for i, row in a.rows.items():
+        for i, row in a._rows.items():
             acc = out.setdefault(i, {})
             get = acc.get
             for j, v in row.items():
@@ -253,22 +354,57 @@ class Combination:
         return self
 
     def is_zero(self):
-        """Whether the sum vanishes: every numerator is 0."""
-        return not any(v for acc in self.out.values() for v in acc.values())
+        """Whether the sum vanishes: every numerator of the merged
+        accumulators is 0."""
+        out, diag = self.out, self.diag
+        if diag is None:
+            return not any(v for acc in out.values() for v in acc.values())
+        diag = list(diag)
+        for i, acc in out.items():
+            for j, v in acc.items():
+                if v:
+                    if j != i:
+                        return False
+                    diag[i] += v
+        return not any(diag)
 
     def finish(self):
-        """The matrix of the sum, in canonical form; the accumulator is
-        left as it was."""
+        """The matrix of the sum, in canonical form; the accumulators are
+        left as they were."""
+        diag = self.diag
+        if diag is not None:
+            diag = list(diag)
         rows = {}
-        g = self.den
         for i, acc in self.out.items():
             row = {j: v for j, v in acc.items() if v}
+            if diag is not None:
+                diag[i] += row.pop(i, 0)
             if row:
                 rows[i] = row
-                if g != 1:
-                    g = gcd(g, *row.values())
-        if not rows:
+        if diag is None and rows and all(row.keys() == {i} for i, row in rows.items()):
+            diag = [0] * self.dim
+            for i, row in rows.items():
+                diag[i] = row[i]
+            rows = {}
+        if diag is not None and not any(diag):
+            diag = None
+        g = self.den
+        if rows:
+            if diag is not None:
+                for i, v in enumerate(diag):
+                    if v:
+                        rows.setdefault(i, {})[i] = v
+            for row in rows.values():
+                if g == 1:
+                    break
+                g = gcd(g, *row.values())
+            if g != 1:
+                rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+            return SparseMatrix(self.dim, rows, self.den // g)
+        if diag is None:
             return SparseMatrix(self.dim)
         if g != 1:
-            rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
-        return SparseMatrix(self.dim, rows, self.den // g)
+            g = gcd(g, *diag)
+            if g != 1:
+                diag = [v // g for v in diag]
+        return SparseMatrix(self.dim, den=self.den // g, diag=diag)

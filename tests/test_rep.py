@@ -120,21 +120,22 @@ def _assert_ladder_mutation_detected(family, diff):
     poly.coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
     failed = _failures(rep)
     assert list(failed) == ["[e,f]"]
-    pattern = "GTPattern[4/3 | 4/3 1/3 1/4]"
-    assert repr(rep.basis[1]) == pattern
+    # the witness is the smallest (row, column) of the difference
+    pattern = "GTPattern[1/3 | 4/3 1/3 1/4]"
+    assert repr(rep.basis[0]) == pattern
     assert failed["[e,f]"][0] == (
-        "i=1 j=1 r=2 s=1: entry (1,1) differs by %s; row pattern %s, "
+        "i=1 j=1 r=2 s=1: entry (0,0) differs by %s; row pattern %s, "
         "column pattern %s" % (diff, pattern, pattern))
     with pytest.raises(InvariantViolation, match="disagrees with the matrix"):
         cross_check(rep)
 
 
 def test_b_coefficient_mutation_detected():
-    _assert_ladder_mutation_detected("B", "1")
+    _assert_ladder_mutation_detected("B", "-1")
 
 
 def test_c_coefficient_mutation_detected():
-    _assert_ladder_mutation_detected("C", "-13/12")
+    _assert_ladder_mutation_detected("C", "13/12")
 
 
 @settings(max_examples=15, deadline=None,
@@ -306,6 +307,33 @@ def test_a_inverse_is_checked_on_the_side_series_inverse_did_not_solve(monkeypat
     monkeypatch.setattr(rep_mod, "series_inverse", bumped)
     with pytest.raises(InvariantViolation, match=r"a_1 inverse fails x \* a = 1 at r=2"):
         generator_series(rep, 4)
+
+
+def test_gamma_coefficients_are_stored_dense(monkeypatch):
+    # Gamma acts by characters: the A coefficients, a_i^{-1} and the d and
+    # d' series are diagonal on the pattern basis, and the kernel's
+    # diagonal paths run only on matrices stored in the dense form
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    inverse, inverses = rep_mod.series_inverse, []
+
+    def recorded(s):
+        inverses.append(inverse(s))
+        return inverses[-1]
+
+    monkeypatch.setattr(rep_mod, "series_inverse", recorded)
+    gens = generator_series(rep, 6)
+
+    def dense(coeffs):
+        nonzero = [m for m in coeffs if m]
+        return bool(nonzero) and all(m.diag is not None for m in nonzero)
+
+    assert all(dense(rep.A[r].coeffs) for r in range(1, pyr.n + 1))
+    # a_1^{-1}, a_2^{-1}, then d_1', d_2', d_3'
+    assert len(inverses) == 2 * pyr.n - 1 and all(dense(x) for x in inverses)
+    assert all(dense(gens._d[i]) and dense(gens._dprime[i]) for i in range(1, pyr.n + 1))
+    # the ladder series move patterns, so they stay general
+    assert all(m.diag is None for i in (1, 2) for m in gens._e[i] + gens._f[i])
 
 
 def _ops(dim, *entry_lists):

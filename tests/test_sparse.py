@@ -21,6 +21,19 @@ def entry_list(dim, max_size=12):
     )
 
 
+def diagonal_values(dim):
+    return st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                    min_size=dim, max_size=dim)
+
+
+def operands(dim, max_size=12):
+    """A matrix in either storage form: a dense diagonal (zero when every
+    value is 0) or one built from entries (dense too when they all lie on
+    the diagonal)."""
+    return st.one_of(diagonal_values(dim).map(SparseMatrix.diagonal),
+                     entry_list(dim, max_size).map(lambda e: SparseMatrix.from_entries(dim, e)))
+
+
 def test_basic_algebra():
     a = SparseMatrix.from_entries(2, [(0, 0, 1), (0, 1, 2), (1, 1, 3)])
     b = SparseMatrix.from_entries(2, [(0, 0, 1), (1, 0, 4)])
@@ -79,22 +92,28 @@ def dense_det(a):
 
 
 def assert_canonical(m):
-    # equality compares (dim, den, rows), so zeros and empty rows must be
-    # absent and den must share no factor with the numerators
-    assert all(m.rows.values())
-    assert all(v for row in m.rows.values() for v in row.values())
-    assert m.den > 0 and gcd(m.den, *(v for row in m.rows.values() for v in row.values())) == 1
+    # equality compares (dim, den, diag, rows), so a nonzero diagonal
+    # matrix must be stored dense and nothing else may be, zeros and empty
+    # rows must be absent, and den must share no factor with the numerators
+    if m.diag is not None:
+        assert len(m.diag) == m.dim and any(m.diag) and m.is_diagonal()
+        numerators = m.diag
+    else:
+        rows = m.rows
+        assert not rows or not all(row.keys() == {i} for i, row in rows.items())
+        assert all(rows.values())
+        assert all(v for row in rows.values() for v in row.values())
+        numerators = [v for row in rows.values() for v in row.values()]
+    assert m.den > 0 and gcd(m.den, *numerators) == 1
     assert m or m.den == 1
 
 
 @settings(max_examples=60)
-@given(entry_list(4), entry_list(4),
-       st.fractions(min_value=-9, max_value=9, max_denominator=5),
-       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
-                min_size=4, max_size=4))
-def test_matches_dense_reference(ea, eb, c, diag):
-    a = SparseMatrix.from_entries(4, ea)
-    b = SparseMatrix.from_entries(4, eb)
+@given(operands(4), operands(4),
+       st.fractions(min_value=-9, max_value=9, max_denominator=5), diagonal_values(4))
+def test_matches_dense_reference(a, b, c, diag):
+    assert_canonical(a)
+    assert_canonical(b)
     da, db = dense(a), dense(b)
     results = {
         "a*b": (a * b, dense_mul(da, db)),
@@ -141,22 +160,22 @@ def test_commutator_drops_cancelled_entries():
     assert d.commutator(d) == SparseMatrix(2) and not d.commutator(d).rows
 
 
-# entries over denominators up to 5, so running sums take the lcm path
+# entries over denominators up to 5, so running sums take the lcm path;
+# operands of both storage forms, so every product path and both
+# accumulators meet in one sum
 combination_terms = st.lists(
     st.tuples(st.sampled_from(["add", "product", "commutator"]),
-              st.sampled_from([1, -1, 3]), entry_list(3, 5), entry_list(3, 5)),
-    max_size=4,
+              st.sampled_from([1, -1, 3]), operands(3, 5), operands(3, 5)),
+    max_size=6,
 )
 
 
-@settings(max_examples=50)
+@settings(max_examples=80)
 @given(combination_terms)
 def test_combination_matches_dense_reference(terms):
     comb = Combination(3)
     want = [[Fraction(0)] * 3 for _ in range(3)]
-    for kind, sign, ea, eb in terms:
-        a = SparseMatrix.from_entries(3, ea)
-        b = SparseMatrix.from_entries(3, eb)
+    for kind, sign, a, b in terms:
         if kind == "add":
             comb.add(a, sign)
             term = dense(a)
@@ -178,17 +197,80 @@ def test_combination_matches_dense_reference(terms):
     assert comb.finish() == SparseMatrix(3) and not comb.finish().rows
 
 
+def test_dense_accumulator_cancels_against_a_general_product():
+    # swap * b is a general product whose value is diagonal: it lands in
+    # the dict accumulator and must cancel the dense diagonal added first
+    d = SparseMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)])
+    swap = SparseMatrix.from_entries(2, [(0, 1, 1), (1, 0, 1)])
+    b = SparseMatrix.from_entries(2, [(0, 1, Fraction(-1, 3)), (1, 0, Fraction(-1, 2))])
+    assert swap.diag is None and b.diag is None and d.diag == [3, 2]
+    product = swap * b
+    assert product == -d and product.diag == [-3, -2]
+    comb = Combination(2).add(d).product(swap, b)
+    assert comb.diag is not None and comb.out
+    assert comb.is_zero()
+    zero = comb.finish()
+    assert zero == SparseMatrix(2) and zero.den == 1 and not zero
+    # one diagonal entry left over: nonzero, and finished dense
+    comb = Combination(2).add(d, 2).product(swap, b)
+    assert not comb.is_zero()
+    assert comb.finish() == d and comb.finish().diag == [3, 2]
+    # an off-diagonal entry left over: the finished sum is general
+    off = SparseMatrix.from_entries(2, [(0, 1, Fraction(1, 5))])
+    comb = Combination(2).add(d).product(swap, b).add(off)
+    assert not comb.is_zero()
+    got = comb.finish()
+    assert_canonical(got)
+    assert got == off and got.diag is None
+    # the same with the dense accumulator holding a product of diagonals
+    comb = Combination(2).product(d, d).add(d * d, -1).add(off).add(off, -1)
+    assert comb.is_zero() and not comb.finish()
+
+
+def test_dense_form_is_read_without_rows(monkeypatch):
+    # the methods a traced run calls on every product, and the product
+    # paths themselves, read the dense list; rows is for tests and __eq__
+    d = SparseMatrix.diagonal([Fraction(1, 2), 0, 3])
+    g = SparseMatrix.from_entries(3, [(0, 1, 1), (2, 0, Fraction(1, 4))])
+
+    def no_rows(self):
+        raise AssertionError("rows built")
+
+    monkeypatch.setattr(SparseMatrix, "rows", property(no_rows))
+    assert d.nnz() == 2 and list(d.entries()) == [(0, 0, Fraction(1, 2)), (2, 2, 3)]
+    assert d.get(0, 0) == Fraction(1, 2) and d.get(0, 2) == 0 and d.get(1, 1) == 0
+    assert d and d.is_diagonal() and d.scalar_part() is None
+    assert (-d).diag == [-1, 0, -6] and (d * d).diag == [1, 0, 36]
+    assert (d * g).nnz() == 2 and (g * d).nnz() == 1 and d.commutator(g).nnz() == 2
+    with pytest.raises(SingularLead):
+        d.inverse()
+    assert (3 * SparseMatrix.identity(3)).scalar_part() == 3
+
+
+def test_diagonal_results_are_stored_dense():
+    # from_entries, finish and diagonal all store a nonzero diagonal densely
+    assert SparseMatrix.from_entries(2, [(1, 1, 2)]).diag == [0, 2]
+    assert SparseMatrix.from_entries(2, [(1, 1, 2), (0, 1, 0)]).diag == [0, 2]
+    assert SparseMatrix.from_entries(2, [(1, 1, 2), (0, 1, 1)]).diag is None
+    assert SparseMatrix.diagonal([0, 0]).diag is None and not SparseMatrix.diagonal([0, 0])
+    a = SparseMatrix.from_entries(2, [(0, 1, 1)])
+    b = SparseMatrix.from_entries(2, [(1, 0, 1)])
+    assert (a * b).diag == [1, 0] and (b * a).diag == [0, 1]
+    assert a.commutator(b).diag == [1, -1]
+    # a hand-built general matrix still equals its dense twin
+    assert SparseMatrix(2, {1: {1: 2}}) == SparseMatrix.diagonal([0, 2])
+
+
 scale_factors = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
 @settings(max_examples=50)
-@given(st.lists(st.tuples(scale_factors, entry_list(3, 5)), min_size=1, max_size=4))
+@given(st.lists(st.tuples(scale_factors, operands(3, 5)), min_size=1, max_size=4))
 def test_scaled_add_matches_dense_reference(terms):
     comb = Combination(3)
     want = [[Fraction(0)] * 3 for _ in range(3)]
     pairs = []
-    for factor, entries in terms:
-        a = SparseMatrix.from_entries(3, entries)
+    for factor, a in terms:
         comb.add(a, factor)
         pairs.append((a, factor))
         want = [[w + factor * x for w, x in zip(rw, ra)] for rw, ra in zip(want, dense(a))]
