@@ -9,7 +9,7 @@ product.  Each output coefficient of a product, shift, series inverse or
 series quotient is one sum, taken by _sum_products (sums of a*b) or
 _sum_scaled (sums of a*f, f a scalar); a type with a fused sum_products /
 sum_scaled (SparseMatrix) normalises each entry once, others add term by
-term.  UniPoly has a fused sum_products too, so a sum of polynomial
+term.  UniPoly and MPoly have fused sum_products too, so a sum of their
 products sums each output coefficient once.  from_roots and lagrange_basis
 work on scalar coefficient lists in O(p^2).  Terms is the shared base of
 the sparse linear combinations (MPoly and the skew and operator algebras),

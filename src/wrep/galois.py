@@ -345,6 +345,5 @@ def cross_check(rep):
             power, coeff = next((k, c) for k, c in enumerate(diff.coeffs) if c)
             raise InvariantViolation(
                 "skew-model action of %s disagrees with the matrix in the "
-                "coefficient of u^%d: %s" % (label, power, _first_diff(
-                    coeff, coeff.zero_like(), rep.basis)))
+                "coefficient of u^%d: %s" % (label, power, _first_diff(coeff, rep.basis)))
     return len(images)

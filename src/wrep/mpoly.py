@@ -1,10 +1,12 @@
 """Multivariate polynomials and rational functions over exact rationals.
 
 MPoly is a sparse dict {exponent tuple: Fraction} tied to a fixed tuple of
-variable names.  MPoly.evaluate is the one substitution: at Fraction points
-it evaluates (MRat.evaluate), at MPoly points it changes variables
-(noether's shift twist t_k -> t_k - m_k, and its passage between sigma-
-and x-polynomials in rewrite_in_sigma, symmetric_reduce and round_trip).
+variable names (exponents may be negative, but evaluate raises on them).
+MPoly.evaluate is the one substitution: at Fraction points it evaluates,
+at MPoly points it changes variables (noether's shift twist and its
+passage between sigma- and x-polynomials), at operator points it
+substitutes (noether's t_k -> x_k d_k).  MPoly.sum_products is the one
+product: each output coefficient of a sum of products is one sum.
 
 MRat is a reduced quotient of two MPoly; lowest-terms cancellation is
 delegated to sympy's sparse polynomial rings, and the canonical form makes
@@ -12,10 +14,11 @@ the denominator's lex-leading coefficient 1.
 
 No wrep command uses MRat, MPoly.gcd or MPoly.exact_div: they are the
 reference the tests compare galois's factored coefficients and noether's
-det-power operators against, and sympy is imported only when they run.
+operators against, and sympy is imported only when they run.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .arith import Terms
 from .errors import EvaluationError
@@ -101,16 +104,25 @@ class MPoly(Terms):
             return MPoly(
                 self.names, {e: v * c for e, v in self.terms.items()}, _clean=True
             )
-        self._chk(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return MPoly(self.names, {e: c for e, c in out.items() if c}, _clean=True)
+        return MPoly.sum_products([(self, other)])
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_products(cls, pairs):
+        """The sum of a*b over a nonempty list of (a, b) pairs over one
+        variable set: each output coefficient is one sum over every pair."""
+        first = pairs[0][0]
+        out = {}
+        for a, b in pairs:
+            first._chk(a)
+            first._chk(b)
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    s = out.get(e)
+                    out[e] = c1 * c2 if s is None else s + c1 * c2
+        return cls(first.names, {e: c for e, c in out.items() if c}, _clean=True)
 
     def __pow__(self, k):
         if k < 0:
@@ -140,8 +152,10 @@ class MPoly(Terms):
         """Substitute point[i] for the i-th variable.  The points are all
         Fractions, giving a Fraction, or all MPolys over one variable set,
         giving an MPoly in those variables (also when self is constant or
-        zero).  Each variable's powers are formed once per call."""
-        if point and isinstance(point[0], MPoly):
+        zero), or commuting operators (noether's x_k d_k), giving an
+        operator.  Each variable's powers are formed once per call.  A
+        Laurent term (a negative exponent) raises ValueError."""
+        if point and not isinstance(point[0], (int, Fraction)):
             acc = point[0].zero_like()
         else:
             point, acc = [Fraction(p) for p in point], Fraction(0)
@@ -150,6 +164,8 @@ class MPoly(Terms):
             v = c
             for idx, k in enumerate(e):
                 if k:
+                    if k < 0:
+                        raise ValueError("negative exponent in %r" % (e,))
                     pw = powers[idx]
                     while len(pw) <= k:
                         pw.append(pw[-1] * point[idx])

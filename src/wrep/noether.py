@@ -1,7 +1,10 @@
 """Symmetric differential operators and the skew group algebra of shifts.
 
-WeylElement models the algebra generated by x_i (Laurent allowed) and
-partial derivatives with the relation d_i x_j - x_j d_i = delta_ij.
+WeylElement is the one operator type, sum_b (Q_b / det^k) d^b: a dict
+{derivative multi-index b: MPoly numerator Q_b in the x-names} over one
+power k >= 0 of det J, J the Jacobian of the elementary symmetric
+polynomials sigma_1 .. sigma_n.  At k = 0 it is a Weyl algebra element
+(d_i x_j - x_j d_i = delta_ij), and only there may a numerator be Laurent.
 ShiftAlgebraElement models polynomials in t_1..t_n twisted by an integer
 lattice whose k-th generator shifts t_k by -1; the isomorphism sends the
 k-th lattice generator to x_k and t_k to x_k d_k.
@@ -11,17 +14,16 @@ elementary symmetric polynomials and the pushed-forward derivations
 D_j = sum_i (J^{-1})_{ij} d_i: a dict {beta: coefficient of D^beta as a
 polynomial in the sigma}.  The shift twist and every passage between
 sigma- and x-polynomials is one MPoly.evaluate call.  Every entry of
-J^{-1} is a cofactor over det J, so RatOp keeps its coefficients as
-polynomials over one power of det J; its composition rebuilds the
-operator from the sigma data for an exact round-trip check with no
+J^{-1} is a cofactor over det J, so each D_j is an operator over det^1,
+and round_trip rebuilds the operator for an exact comparison with no
 rational-function gcd."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .arith import Terms, column_det
+from .arith import Terms, column_det, perm_sign
 from .errors import NotInvariant, InvariantViolation
 from .mpoly import MPoly
 
@@ -43,67 +45,83 @@ def _snames(n):
 
 
 class WeylElement(Terms):
-    """Normal-ordered sum of terms c * x^a d^b; a may have negative parts."""
+    """Differential operator sum_b (Q_b / det^k) d^b; numerators may be
+    Laurent only at k = 0."""
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "k")
 
-    def __init__(self, n, terms=None):
+    def __init__(self, n, terms=None, k=0):
         self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
+        self.k = k
+        self.terms = {b: q for b, q in terms.items() if q} if terms else {}
+        if k and any(min(e) < 0 for q in self.terms.values() for e in q.terms):
+            raise ValueError("Laurent coefficients are allowed only over det^0")
 
     @classmethod
     def const(cls, n, c):
-        z = (0,) * n
-        return cls(n, {(z, z): Fraction(c)})
+        return cls(n, {(0,) * n: MPoly.const(_xnames(n), c)})
 
     @classmethod
     def x(cls, n, i, power=1):
-        a = [0] * n
-        a[i] = power
-        return cls(n, {(tuple(a), (0,) * n): Fraction(1)})
+        return cls(n, {(0,) * n: MPoly.var(_xnames(n), i, power)})
 
     @classmethod
     def d(cls, n, i, power=1):
         b = [0] * n
         b[i] = power
-        return cls(n, {((0,) * n, tuple(b)): Fraction(1)})
+        return cls(n, {tuple(b): MPoly.const(_xnames(n), 1)})
 
     def _new(self, terms):
-        return WeylElement(self.n, terms)
+        return WeylElement(self.n, terms, self.k)
+
+    def zero_like(self):
+        return WeylElement(self.n)
+
+    def lift(self, k):
+        """The same operator written over det^k, for k >= self.k."""
+        if k == self.k:
+            return self
+        f = _det_power(self.n, k - self.k)
+        return WeylElement(self.n, {b: q * f for b, q in self.terms.items()}, k)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = WeylElement.const(self.n, other)
+        k = max(self.k, other.k)
+        return Terms.__add__(self.lift(k), other.lift(k))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        # det is nonzero, so the numerators of the difference decide
+        return isinstance(other, WeylElement) and self.n == other.n and not self - other
 
     def __mul__(self, other):
+        """Composition by the Leibniz rule, (Q1 d^b1)(Q2 d^b2) =
+        sum_{t <= b1} binom(b1, t) Q1 d^t(Q2) d^(b1 - t + b2).  Over
+        det^m, m > 0, a derivative stays over a power of det by the quotient
+        rule d_i(Q / det^m) = (d_i Q * det - m * Q * d_i det) / det^(m+1).
+        Each output coefficient is one sum per (power of det, b)."""
         if isinstance(other, (int, Fraction)):
-            return WeylElement(
-                self.n, {k: c * other for k, c in self.terms.items()}
-            )
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                # d^b1 x^a2 = sum_t prod binom(b1,t) falling(a2,t) x^{a2-t} d^{b1-t}
-                ranges = [range(min(b, max(a, 0)) + 1) if a >= 0 else range(b + 1)
-                          for a, b in zip(a2, b1)]
-                for t in product(*ranges):
-                    f = c1 * c2
-                    for i in range(self.n):
-                        f *= comb(b1[i], t[i]) * falling(a2[i], t[i])
-                    if not f:
-                        continue
-                    a = tuple(a1[i] + a2[i] - t[i] for i in range(self.n))
-                    b = tuple(b1[i] + b2[i] - t[i] for i in range(self.n))
-                    out[(a, b)] = out.get((a, b), 0) + f
-        return WeylElement(self.n, out)
+            return self._new({b: q * other for b, q in self.terms.items()})
+        n = self.n
+        sums = {}  # (power of det, b) -> [(Q1 binom(b1, t), d^t-numerator)]
+        for b1, c1 in self.terms.items():
+            for b2, c2 in other.terms.items():
+                for t in product(*(range(x + 1) for x in b1)):
+                    g, m = c2, other.k
+                    for i, x in enumerate(t):
+                        for _ in range(x):
+                            if m:
+                                det = _det_power(n, 1)
+                                g, m = g.derivative(i) * det - g * det.derivative(i) * m, m + 1
+                            else:
+                                g = g.derivative(i)
+                    b = tuple(x - y + z for x, y, z in zip(b1, t, b2))
+                    f = prod(map(comb, b1, t))
+                    sums.setdefault((m, b), []).append((c1 * f if f != 1 else c1, g))
+        out = WeylElement(n)
+        for (m, b), pairs in sums.items():
+            out = out + WeylElement(n, {b: MPoly.sum_products(pairs)}, self.k + m)
+        return out
 
     __rmul__ = __mul__
 
@@ -112,16 +130,16 @@ class WeylElement(Terms):
 
     def permute(self, perm):
         """Simultaneous permutation of x- and d-indices; perm maps old
-        index -> new index."""
+        index -> new index.  det J, +/- the Vandermonde factor, takes the
+        sign of perm."""
+        sign = perm_sign(perm) ** self.k
         out = {}
-        for (a, b), c in self.terms.items():
-            a2 = [0] * self.n
+        for b, q in self.terms.items():
             b2 = [0] * self.n
             for i in range(self.n):
-                a2[perm[i]] = a[i]
                 b2[perm[i]] = b[i]
-            out[(tuple(a2), tuple(b2))] = c
-        return WeylElement(self.n, out)
+            out[tuple(b2)] = q.permute_vars(perm) * sign
+        return WeylElement(self.n, out, self.k)
 
     def is_symmetric(self):
         for a in range(self.n - 1):
@@ -131,45 +149,34 @@ class WeylElement(Terms):
                 return False
         return True
 
-    def d_order(self):
-        return max((sum(b) for (_, b) in self.terms), default=0)
-
     def apply_to_poly(self, p):
-        """Image of an MPoly in the x-variables under the operator."""
-        names = p.names
-        out = MPoly.zero(names)
-        for (a, b), c in self.terms.items():
-            for e, ce in p.terms.items():
-                f = c * ce
-                ok = True
-                newe = []
-                for i in range(self.n):
-                    f *= falling(e[i], b[i])
-                    if not f:
-                        ok = False
-                        break
-                    ne = e[i] - b[i] + a[i]
-                    if ne < 0:
-                        raise InvariantViolation(
-                            "operator image leaves the polynomial ring"
-                        )
-                    newe.append(ne)
-                if ok and f:
-                    out = out + MPoly(names, {tuple(newe): f})
+        """Image sum_b Q_b d^b(p) of an MPoly in the x-variables under an
+        operator over det^0."""
+        if self.k:
+            raise ValueError("apply_to_poly acts with operators over det^0 only")
+        pairs = []
+        for b, q in self.terms.items():
+            g = p
+            for i, x in enumerate(b):
+                for _ in range(x):
+                    g = g.derivative(i)
+            pairs.append((q, g))
+        out = MPoly.sum_products(pairs) if pairs else p.zero_like()
+        if any(min(e) < 0 for e in out.terms):
+            raise InvariantViolation("operator image leaves the polynomial ring")
         return out
 
 
 def check_weyl_relations(n):
-    """d_i x_j - x_j d_i = delta_ij for all i, j; returns the check count."""
-    count = 0
+    """[d_i, x_j] = delta_ij and, through the binomial of the Leibniz rule,
+    [d_i^2, x_j] = 2 delta_ij d_i for all i, j; returns the (i, j) count."""
     for i in range(n):
         for j in range(n):
-            lhs = WeylElement.d(n, i).commutator(WeylElement.x(n, j))
-            want = WeylElement.const(n, 1 if i == j else 0)
-            if lhs != want:
+            x, delta = WeylElement.x(n, j), int(i == j)
+            if (WeylElement.d(n, i).commutator(x) != WeylElement.const(n, delta)
+                    or WeylElement.d(n, i, 2).commutator(x) != WeylElement.d(n, i) * 2 * delta):
                 raise InvariantViolation("Weyl relation fails at (%d,%d)" % (i, j))
-            count += 1
-    return count
+    return n * n
 
 
 class ShiftAlgebraElement(Terms):
@@ -181,11 +188,7 @@ class ShiftAlgebraElement(Terms):
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for m, r in terms.items():
-                if r:
-                    self.terms[m] = r
+        self.terms = {m: r for m, r in terms.items() if r} if terms else {}
 
     @classmethod
     def t(cls, n, k, power=1):
@@ -213,16 +216,15 @@ class ShiftAlgebraElement(Terms):
         )
 
     def __mul__(self, other):
-        out = {}
+        sums = {}  # lattice point -> [(r1, shifted r2)], one sum each
         t = [MPoly.var(_tnames(self.n), k) for k in range(self.n)]
         for m1, r1 in self.terms.items():
             shift = [t[k] - m1[k] for k in range(self.n)]
             for m2, r2 in other.terms.items():
                 m = tuple(m1[k] + m2[k] for k in range(self.n))
-                prod = r1 * (r2.evaluate(shift) if any(m1) else r2)
-                s = out.get(m)
-                out[m] = prod if s is None else s + prod
-        return ShiftAlgebraElement(self.n, out)
+                sums.setdefault(m, []).append((r1, r2.evaluate(shift) if any(m1) else r2))
+        return ShiftAlgebraElement(self.n, {m: MPoly.sum_products(pairs)
+                                            for m, pairs in sums.items()})
 
 
 def _tnames(n):
@@ -239,18 +241,13 @@ def shift_algebra_iso(el):
     """The embedding sending the k-th lattice generator to x_k and t_k to
     x_k d_k (monomials t^a m map to (x d)^a x^m)."""
     n = el.n
-    xd = _xd(n)
-    out = WeylElement(n, {})
+    out = WeylElement(n)
     for m, r in el.terms.items():
-        for e, c in r.terms.items():
-            w = WeylElement.const(n, c)
-            for k, power in enumerate(e):
-                for _ in range(power):
-                    w = w * xd[k]
-            w = w * WeylElement(
-                n, {(m, (0,) * n): Fraction(1)}
-            )
-            out = out + w
+        w = r.evaluate(_xd(n))
+        for k, power in enumerate(m):
+            if power:
+                w = w * WeylElement.x(n, k, power)
+        out = out + w
     return out
 
 
@@ -329,77 +326,6 @@ def jacobian_inverse(n):
     return adj, det
 
 
-class RatOp(Terms):
-    """Differential operator sum_b (Q_b / det^k) d^b over one power k of a
-    fixed nonzero polynomial det: dict {derivative multi-index: MPoly
-    numerator Q_b}."""
-
-    __slots__ = ("n", "det", "k")
-
-    def __init__(self, n, det, k=0, terms=None):
-        self.n = n
-        self.det = det
-        self.k = k
-        self.terms = {}
-        if terms:
-            for b, q in terms.items():
-                if q:
-                    self.terms[b] = q
-
-    @classmethod
-    def from_weyl(cls, w, det):
-        names = _xnames(w.n)
-        out = {}
-        for (a, b), c in w.terms.items():
-            if any(e < 0 for e in a):
-                raise InvariantViolation("Laurent term has no RatOp image")
-            mono = MPoly(names, {a: c})
-            out[b] = out[b] + mono if b in out else mono
-        return cls(w.n, det, 0, out)
-
-    def _new(self, terms):
-        return RatOp(self.n, self.det, self.k, terms)
-
-    def lift(self, k):
-        """The same operator written over det^k, for k >= self.k."""
-        if k == self.k:
-            return self
-        f = self.det ** (k - self.k)
-        return RatOp(self.n, self.det, k, {b: q * f for b, q in self.terms.items()})
-
-    def __add__(self, other):
-        k = max(self.k, other.k)
-        return Terms.__add__(self.lift(k), other.lift(k))
-
-    def __eq__(self, other):
-        # det is nonzero, so over a common power the numerators decide
-        k = max(self.k, other.k)
-        return self.lift(k).terms == other.lift(k).terms
-
-    def __mul__(self, other):
-        """Operator composition via the Leibniz rule.  A coefficient's
-        derivative stays over a power of det by the quotient rule
-        d_i(Q / det^m) = (d_i Q * det - m * Q * d_i det) / det^(m+1)."""
-        n, det = self.n, self.det
-        out = RatOp(n, det, self.k + other.k)
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                for t in product(*(range(x + 1) for x in b1)):
-                    g, m = c2, other.k
-                    factor = 1
-                    for i in range(n):
-                        factor *= comb(b1[i], t[i])
-                        for _ in range(t[i]):
-                            if m:
-                                g = g.derivative(i) * det - g * det.derivative(i) * m
-                                m += 1
-                            else:
-                                g = g.derivative(i)
-                    b = tuple(b1[i] - t[i] + b2[i] for i in range(n))
-                    out = out + RatOp(n, det, self.k + m, {b: c1 * g * factor})
-        return out
-
-
 def rewrite_in_sigma(w):
     """Express a symmetric WeylElement as sum_beta c_beta(sigma) D^beta:
     the dict {beta: c_beta}, each c_beta a nonzero MPoly in the s-names.
@@ -412,7 +338,7 @@ def rewrite_in_sigma(w):
     if not w.is_symmetric():
         raise NotInvariant("the operator is not symmetric")
     sig, snames = _sigmas(n), _snames(n)
-    maxord = w.d_order()
+    maxord = max(map(sum, w.terms), default=0)
 
     betas = sorted(
         (b for b in product(range(maxord + 1), repeat=n) if sum(b) <= maxord),
@@ -424,19 +350,13 @@ def rewrite_in_sigma(w):
         for gamma in betas:
             if gamma == beta:
                 break
-            if any(g > b for g, b in zip(gamma, beta)):
-                continue
-            f = Fraction(1)
-            for j in range(n):
-                f *= falling(beta[j], gamma[j])
+            # zero unless gamma <= beta: falling(b, g) = 0 for g > b >= 0
+            f = prod(map(falling, beta, gamma))
             if not f:
                 continue
             rest = MPoly(snames, {tuple(b - g for b, g in zip(beta, gamma)): f})
             rhs = rhs - coeffs[gamma] * rest.evaluate(sig)
-        fact = 1
-        for j in range(n):
-            fact *= factorial(beta[j])
-        coeffs[beta] = rhs * Fraction(1, fact)
+        coeffs[beta] = rhs * Fraction(1, prod(map(factorial, beta)))
     return {beta: symmetric_reduce(c) for beta, c in coeffs.items() if c}
 
 
@@ -461,30 +381,37 @@ def symmetric_reduce(p):
     return out
 
 
+def derivations(adj):
+    """D_1 .. D_n over det^1, D_j = sum_i adj_ij / det J d_i: the
+    derivations d/dsigma_j in the x-coordinates, since dx_i/dsigma_j =
+    (J^{-1})_{ij} = adj_ij / det J."""
+    n = len(adj)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [WeylElement(n, {unit[i]: adj[i][j] for i in range(n)}, 1)
+            for j in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _det_power(n, j):
+    """(det J)^j in the n x-variables, built once per (n, j)."""
+    return jacobian_inverse(n)[1] if j == 1 else _det_power(n, 1) ** j
+
+
 def round_trip(w):
     """Rewrite the operator in sigma-data, rebuild it and compare.
 
     Returns the dict {beta: sigma-polynomial} of rewrite_in_sigma when the
-    composed RatOp equals the original."""
+    rebuilt operator sum_beta c_beta(sigma) D^beta equals the original."""
     n = w.n
     data = rewrite_in_sigma(w)
-    adj, det = jacobian_inverse(n)
-    D = []
-    for j in range(n):
-        terms = {}
-        for i in range(n):
-            b = [0] * n
-            b[i] = 1
-            # dx_i/dsigma_j = (J^{-1})_{ij} = adj_{ij} / det
-            terms[tuple(b)] = adj[i][j]
-        D.append(RatOp(n, det, 1, terms))
-    total = RatOp(n, det)
+    D = derivations(jacobian_inverse(n)[0])
+    total = WeylElement(n)
     for beta, sp in data.items():
-        op = RatOp(n, det, 0, {(0,) * n: sp.evaluate(_sigmas(n))})
+        op = WeylElement(n, {(0,) * n: sp.evaluate(_sigmas(n))})
         for j in range(n):
             for _ in range(beta[j]):
                 op = op * D[j]
         total = total + op
-    if total != RatOp.from_weyl(w, det):
+    if total != w:
         raise InvariantViolation("round trip does not reproduce the operator")
     return data

@@ -273,15 +273,12 @@ def _series_invariants(gens):
             raise InvariantViolation("f_%d^{(0)} nonzero" % i)
 
 
-def _first_diff(got, want, basis):
-    """Witness for got != want: the entry of the difference with the
+def _first_diff(diff, basis):
+    """Witness for a nonzero difference matrix: its entry with the
     smallest (row, column), with the patterns that index its row and
     column.  It is chosen by value, so the order in which a sum was
     accumulated cannot change it."""
-    first = min((got - want).entries(), default=None)
-    if first is None:
-        return None
-    i, j, v = first
+    i, j, v = min(diff.entries())
     return ("entry (%d,%d) differs by %s; row pattern %r, column pattern %r"
             % (i, j, v, basis[i], basis[j]))
 
@@ -312,13 +309,6 @@ def _prod(a, b, sign=1):
 
 def _mat(a, sign=1):
     return (Combination.add, a, sign)
-
-
-def _fill(comb, terms, sign):
-    """Add sign times each term to the combination."""
-    for op, *operands, s in terms:
-        op(comb, *operands, s * sign)
-    return comb
 
 
 def _canonical(lhs, rhs):
@@ -356,15 +346,16 @@ def _canonical(lhs, rhs):
     return tuple(key), list(merged.values())
 
 
-def _is_zero(dim, terms):
-    """Whether the (coefficient, operands) terms of _canonical sum to 0."""
+def _combine(dim, terms):
+    """The Combination summing the (coefficient, operands) terms of
+    _canonical: lhs - rhs of the instance."""
     comb = Combination(dim)
     for c, ops in terms:
         if len(ops) == 2:
             comb.product(*ops, c)
         else:
             comb.add(*ops, c)
-    return comb.is_zero()
+    return comb
 
 
 # Relation families in the order verify_defining_relations reports them.
@@ -382,8 +373,8 @@ def verify_defining_relations(rep, R):
     instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a
     Serre (s, r, t) beside (r, s, t), is verified because its canonical sum
     is identical to one that passed, and an empty form is formally zero.
-    Every instance is still counted and labelled, and only a failing
-    instance builds its two sides as matrices for the witness.  The only
+    Every instance is still counted and labelled, and a failing
+    instance's witness is read from the matrix of that sum.  The only
     errors raised are those of generator_series(rep, 2 * R); a failing
     instance is reported."""
     gens = generator_series(rep, 2 * R)
@@ -406,12 +397,11 @@ def verify_defining_relations(rep, R):
             key, terms = _canonical(lhs, rhs)
             if key in passed:
                 continue
-            if _is_zero(N, terms):
+            comb = _combine(N, terms)
+            if comb.is_zero():
                 passed[key] = terms
             else:
-                got = _fill(Combination(N), lhs, 1).finish()
-                want = _fill(Combination(N), rhs, 1).finish()
-                fails.append("%s: %s" % (label, _first_diff(got, want, rep.basis)))
+                fails.append("%s: %s" % (label, _first_diff(comb.finish(), rep.basis)))
         report.add(name, count, fails)
 
     def cases_dd():

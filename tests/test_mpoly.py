@@ -103,3 +103,26 @@ def test_constant_at_poly_points_is_a_poly(c, point):
         value = p.evaluate(point)
         assert isinstance(value, MPoly)
         assert value == MPoly.const(M, p.constant_value())
+
+
+def test_evaluate_rejects_negative_exponents():
+    # a Laurent term has no value read off a list of nonnegative powers
+    p = MPoly(("x",), {(-1,): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        p.evaluate([Fraction(2)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        p.evaluate([MPoly.var(("y",), 0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(polys(N), polys(N)), min_size=1, max_size=4), frac_points)
+def test_sum_products_is_the_sum_of_products(pairs, point):
+    # each product checked through evaluation, so not by the fused sum itself
+    got = MPoly.sum_products(pairs)
+    assert got.evaluate(point) == sum(a.evaluate(point) * b.evaluate(point) for a, b in pairs)
+    assert all(got.terms.values())
+
+
+def test_sum_products_rejects_mixed_variable_sets():
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        MPoly.sum_products([(x(), y()), (MPoly.var(M, 0), MPoly.var(M, 1))])

@@ -10,11 +10,11 @@ from wrep.cli import main
 from wrep.errors import InvariantViolation, NotInvariant
 from wrep.mpoly import MPoly, MRat
 from wrep.noether import (
-    RatOp,
     ShiftAlgebraElement,
     WeylElement,
     check_shift_iso,
     check_weyl_relations,
+    derivations,
     elementary_poly,
     falling,
     jacobian_inverse,
@@ -23,6 +23,7 @@ from wrep.noether import (
     shift_algebra_iso,
     symmetric_reduce,
     vandermonde,
+    _sigmas,
     _snames,
     _xnames,
 )
@@ -96,7 +97,7 @@ def test_weyl_product_normal_order():
 
 def test_laurent_allowed():
     n = 1
-    xinv = WeylElement(n, {((-1,), (0,)): Fraction(1)})
+    xinv = WeylElement(n, {(0,): MPoly(_xnames(n), {(-1,): 1})})
     assert WeylElement.x(n, 0) * xinv == WeylElement.const(n, 1)
 
 
@@ -226,14 +227,13 @@ def test_bumped_sigma_coefficient_fails_noether_demo(monkeypatch, capsys):
 
 def test_ratop_composition():
     n = 2
-    det = jacobian_inverse(n)[1]
-    op = RatOp.from_weyl(euler(n), det)
+    op = euler(n).lift(1)
     sq = op * op
-    want = RatOp.from_weyl(euler(n) * euler(n), det)
+    want = euler(n) * euler(n)
     assert sq == want
 
 
-def _random_ratop(rng, n, det, k):
+def _random_ratop(rng, n, k):
     names = _xnames(n)
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -241,19 +241,20 @@ def _random_ratop(rng, n, det, k):
         q = MPoly(names, {tuple(rng.randint(0, 2) for _ in range(n)):
                           rng.randint(-3, 3) for _ in range(3)})
         terms[b] = terms[b] + q if b in terms else q
-    return RatOp(n, det, k, terms)
+    return WeylElement(n, terms, k)
 
 
 def _mrat_compose(a, b):
     """Leibniz composition with every coefficient an MRat: the reference
-    for RatOp's quotient rule over powers of det."""
+    for WeylElement's quotient rule over powers of det."""
     n = a.n
+    det = jacobian_inverse(n)[1]
     out = {}
     for b1, q1 in a.terms.items():
-        c1 = MRat(q1, a.det ** a.k)
+        c1 = MRat(q1, det ** a.k)
         for b2, q2 in b.terms.items():
             for t in product(*(range(x + 1) for x in b1)):
-                g = MRat(q2, b.det ** b.k)
+                g = MRat(q2, det ** b.k)
                 factor = 1
                 for i in range(n):
                     factor *= comb(b1[i], t[i])
@@ -274,11 +275,54 @@ def test_ratop_composition_against_mrat_oracle():
     for _ in range(10):
         # a right factor over det^1 takes the quotient rule wherever the
         # left one differentiates it
-        a = _random_ratop(rng, n, det, rng.randint(0, 1))
-        b = _random_ratop(rng, n, det, 1)
+        a = _random_ratop(rng, n, rng.randint(0, 1))
+        b = _random_ratop(rng, n, 1)
         got = a * b
         want = _mrat_compose(a, b)
         assert set(got.terms) == set(want)
         for key, q in got.terms.items():
             # q / det^k == num / den, cross-multiplied
             assert q * want[key].den == want[key].num * det ** got.k
+
+
+def _weyl_pair_failures(D, n):
+    """The (i, j) with [D_i, D_j] != 0 and those with [D_i, sigma_j] !=
+    delta_ij: d/dsigma_j and sigma_j are Weyl pairs."""
+    sigma = [WeylElement(n, {(0,) * n: s}) for s in _sigmas(n)]
+    zero = WeylElement(n)
+    dd = {(i, j) for i in range(n) for j in range(n)
+          if D[i].commutator(D[j]) != zero}
+    ds = {(i, j) for i in range(n) for j in range(n)
+          if D[i].commutator(sigma[j]) != WeylElement.const(n, int(i == j))}
+    return dd, ds
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pushed_forward_derivations_are_weyl_pairs(n):
+    assert _weyl_pair_failures(derivations(jacobian_inverse(n)[0]), n) == (set(), set())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bumped_cofactor_breaks_both_weyl_pair_families(n):
+    adj = [list(row) for row in jacobian_inverse(n)[0]]
+    adj[0][n - 1] = adj[0][n - 1] + 1
+    dd, ds = _weyl_pair_failures(derivations(adj), n)
+    assert dd and ds
+
+
+def test_laurent_only_over_det_power_zero():
+    n = 1
+    laurent = {(0,): MPoly(_xnames(n), {(-1,): 1})}
+    assert WeylElement(n, laurent) * WeylElement.x(n, 0) == WeylElement.const(n, 1)
+    with pytest.raises(ValueError, match="Laurent"):
+        WeylElement(n, laurent, 1)
+
+
+def test_symmetry_over_det_power():
+    # det J is alternating, so a symmetric operator over det^1 has an
+    # alternating numerator
+    assert euler(2).lift(1).is_symmetric()
+    assert euler(3).lift(1).is_symmetric()
+    assert not (WeylElement.x(2, 0) * WeylElement.d(2, 0)).lift(1).is_symmetric()
+    with pytest.raises(ValueError, match="det\\^0"):
+        euler(2).lift(1).apply_to_poly(MPoly.var(_xnames(2), 0))

@@ -212,7 +212,7 @@ def test_serre_mutation_detected():
     # the suite builds each inner commutator once per (i, j) block; every
     # witness must match the instance built from plain nested commutators
     gens = generator_series(rep, 6)
-    e, zero = gens.e, SparseMatrix(rep.dim)
+    e = gens.e
     want = []
     for i, j in ((1, 2), (2, 1)):
         for r in range(gens.e_start(i), 4):
@@ -222,7 +222,7 @@ def test_serre_mutation_detected():
                            + e(i, s).commutator(e(i, r).commutator(e(j, t))))
                     if lhs:
                         want.append("i=%d j=%d r=%d s=%d t=%d: %s" % (
-                            i, j, r, s, t, rep_mod._first_diff(lhs, zero, rep.basis)))
+                            i, j, r, s, t, rep_mod._first_diff(lhs, rep.basis)))
     assert failed["Serre e"] == want
 
 
@@ -271,7 +271,7 @@ def test_e_series_mutation_reaches_failure_branch(monkeypatch):
     rhs = d(1, 0) * e(1, 2) + d(1, 1) * e(1, 1)
     assert lhs != rhs
     assert failed["[d,e]"][0] == "i=1 j=1 r=2 s=1: %s" % rep_mod._first_diff(
-        lhs, rhs, rep.basis)
+        lhs - rhs, rep.basis)
 
 
 @pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1)])
