@@ -1,6 +1,7 @@
 """Command-line interface producing deterministic JSON check records.
 
-Configuration is INI-style: a [pyramid] section with `rows` or `cols`, an
+Configuration is INI-style: a [pyramid] section with `rows` or `cols`
+(integers separated by spaces or commas, as for --rows/--cols), an
 optional [weight] section with lambda1..lambdaN lines (comma-separated
 fractions), and an optional [run] section with rmax; any other section or
 key is a configuration error.  Every subcommand emits a record
@@ -70,16 +71,11 @@ def _load_config(path):
 
 
 def _pyramid_from(args, cfg):
-    if args.rows:
-        return Pyramid(rows=[int(t) for t in args.rows.replace(",", " ").split()])
-    if args.cols:
-        return Pyramid(cols=[int(t) for t in args.cols.replace(",", " ").split()])
-    if "pyramid" in cfg:
-        sec = cfg["pyramid"]
-        if "rows" in sec:
-            return Pyramid(rows=[int(t) for t in sec["rows"].split()])
-        if "cols" in sec:
-            return Pyramid(cols=[int(t) for t in sec["cols"].split()])
+    sec = cfg.get("pyramid", {})
+    for key, text in (("rows", args.rows), ("cols", args.cols),
+                      ("rows", sec.get("rows")), ("cols", sec.get("cols"))):
+        if text:
+            return Pyramid(**{key: [int(tok) for tok in text.replace(",", " ").split()]})
     raise WrepError("no pyramid given (use --rows/--cols or a [pyramid] section)")
 
 

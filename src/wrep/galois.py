@@ -1,11 +1,13 @@
 """Skew-group model over rational functions in the row variables.
 
-Variables are u plus x_{r,i,k} for every row-r slot (i, k); the product
-of symmetric groups G acts by permuting each row block; the free abelian
-shift group acts by integer translations of the variables of rows below
-the top.  Images of the generating polynomials are explicit skew elements
-whose evaluation at a pattern's l-values, u kept free, must reproduce the
-matrix polynomials.
+Every slot (r, i, k) is addressed by its key position p, its index in
+key_slots(pyramid), which is also its place in GTPattern.key().  The
+variables are u (index 0) and, for each p, x_{r,i,k} (index p + 1); the
+product of symmetric groups G acts by permuting each row block; the free
+abelian shift group is the key lattice, a shift being an integer vector
+over the key positions whose top-row entries are 0.  Images of the
+generating polynomials are explicit skew elements whose evaluation at a
+pattern's l-values, u kept free, must reproduce the matrix polynomials.
 
 Every coefficient of an image is a constant times a product of linear
 forms (u + x, x - x'), over another such product, and is kept in that
@@ -19,7 +21,7 @@ from math import prod
 
 from .arith import UniPoly
 from .errors import EvaluationError, InvariantViolation, NotInvariant
-from .patterns import entry_slots
+from .patterns import key_slots, row_spans
 from .rep import _first_diff
 from .sparse import SparseMatrix
 
@@ -107,65 +109,45 @@ class Factored:
 
 
 class GaloisModel:
-    """Fixed variable order and group/shift bookkeeping for one pyramid."""
+    """Fixed variable order and group/shift bookkeeping for one pyramid,
+    every slot given by its key position."""
 
     def __init__(self, pyramid):
         self.pyramid = pyramid
-        n = pyramid.n
-        self.row_slots = {r: entry_slots(pyramid, r) for r in range(1, n + 1)}
-        names = ["u"]
-        self.xindex = {}
-        for r in range(1, n + 1):
-            for (i, k) in self.row_slots[r]:
-                self.xindex[(r, i, k)] = len(names)
-                names.append("x_%d_%d_%d" % (r, i, k))
-        self.names = tuple(names)
-        # shift-group coordinates: one per slot of rows 1..n-1
-        self.delta_slots = [
-            (r, i, k) for r in range(1, n) for (i, k) in self.row_slots[r]
-        ]
-        self.delta_index = {s: idx for idx, s in enumerate(self.delta_slots)}
-        self.zero_delta = (0,) * len(self.delta_slots)
+        slots = key_slots(pyramid)
+        self.names = ("u",) + tuple("x_%d_%d_%d" % slot for slot in slots)
+        # the key positions of each row r (index 0 is empty)
+        self.rows = [range(span.start, span.stop) for span in row_spans(pyramid)]
+        self.zero_delta = (0,) * len(slots)
 
-    def delta(self, r, i, k, step=1):
-        d = [0] * len(self.delta_slots)
-        d[self.delta_index[(r, i, k)]] = step
+    def delta(self, p, step=1):
+        """The shift moving the entry at key position p by step."""
+        d = list(self.zero_delta)
+        d[p] = step
         return tuple(d)
 
     def generators(self):
-        """Adjacent slot transpositions of every row block, as pairs of
-        slot triples."""
-        gens = []
-        for r in range(1, self.pyramid.n + 1):
-            slots = self.row_slots[r]
-            for a in range(len(slots) - 1):
-                s1, s2 = slots[a], slots[a + 1]
-                gens.append(((r,) + s1, (r,) + s2))
-        return gens
+        """Adjacent transpositions of every row block, as pairs of key
+        positions."""
+        return [(p, p + 1) for row in self.rows for p in row[:-1]]
 
-    def var_perm(self, slot_a, slot_b):
-        """Full variable permutation (old index -> new index) swapping two
-        same-row slots."""
+    def swap(self, a, b, d, coeff):
+        """The term coeff * phi^d under the transposition of the same-row
+        key positions a and b, which exchanges both their variables and
+        their shift entries."""
         perm = list(range(len(self.names)))
-        ia, ib = self.xindex[slot_a], self.xindex[slot_b]
-        perm[ia], perm[ib] = ib, ia
-        return perm
+        perm[a + 1], perm[b + 1] = b + 1, a + 1
+        d = list(d)
+        d[a], d[b] = d[b], d[a]
+        return tuple(d), coeff.permute_vars(perm)
 
-    def delta_perm(self, slot_a, slot_b, d):
-        """Apply the slot swap to a shift monomial."""
-        out = list(d)
-        if slot_a in self.delta_index and slot_b in self.delta_index:
-            ia, ib = self.delta_index[slot_a], self.delta_index[slot_b]
-            out[ia], out[ib] = out[ib], out[ia]
-        return tuple(out)
+    def u_plus(self, p):
+        """The linear form u + x at key position p."""
+        return ((0, 1), (p + 1, 1))
 
-    def u_plus(self, slot):
-        """The linear form u + x_{slot}."""
-        return ((0, 1), (self.xindex[slot], 1))
-
-    def difference(self, slot_a, slot_b):
-        """The linear form x_{slot_a} - x_{slot_b}."""
-        return ((self.xindex[slot_a], 1), (self.xindex[slot_b], -1))
+    def difference(self, a, b):
+        """The linear form x_a - x_b of key positions a and b."""
+        return ((a + 1, 1), (b + 1, -1))
 
 
 class SkewElement:
@@ -182,50 +164,43 @@ class SkewElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def apply_swap(self, slot_a, slot_b):
-        """Image under the transposition of two same-row slots; the swap
-        permutes the shift monomials, so no two terms land on one."""
-        model = self.model
-        perm = model.var_perm(slot_a, slot_b)
-        return SkewElement(model, {
-            model.delta_perm(slot_a, slot_b, d): a.permute_vars(perm)
-            for d, a in self.terms.items()})
+    def apply_swap(self, a, b):
+        """Image under the transposition of two same-row key positions; the
+        swap permutes the shift monomials, so no two terms land on one."""
+        return SkewElement(self.model, dict(
+            self.model.swap(a, b, d, c) for d, c in self.terms.items()))
 
     def is_invariant(self):
         return all(
-            self.apply_swap(sa, sb) == self
-            for sa, sb in self.model.generators()
+            self.apply_swap(a, b) == self for a, b in self.model.generators()
         )
 
 
 def t_image_a(model, j):
     """Image of the diagonal polynomial: prod_{row-j slots} (u + x)."""
-    coeff = Factored(1, [model.u_plus((j,) + s) for s in model.row_slots[j]])
+    coeff = Factored(1, [model.u_plus(p) for p in model.rows[j]])
     return SkewElement(model, {model.zero_delta: coeff})
 
 
-def _ladder_coefficient(model, r, slot, sign):
-    """X^+ (sign=+1, raising) or X^- (sign=-1, lowering) at a row-r slot.
+def _ladder_coefficient(model, r, p, sign):
+    """X^+ (sign=+1, raising) or X^- (sign=-1, lowering) at the row-r key
+    position p.
 
     Numerator: the Lagrange factor prod_{other row-r slots}(u + x) times
-    the full adjacent-row product prod (x_adj - x_slot); denominator:
-    prod_{other row-r slots}(x - x_slot)."""
-    here = (r,) + slot
-    others = [(r,) + s for s in model.row_slots[r] if s != slot]
-    num = [model.u_plus(other) for other in others]
-    den = [model.difference(other, here) for other in others]
-    adj_row = r + 1 if sign > 0 else r - 1
-    if adj_row >= 1:
-        num += [model.difference((adj_row,) + s, here) for s in model.row_slots[adj_row]]
+    the full adjacent-row (r + sign) product prod (x_adj - x_p), empty for
+    row 0; denominator: prod_{other row-r slots}(x - x_p)."""
+    others = [q for q in model.rows[r] if q != p]
+    num = [model.u_plus(q) for q in others]
+    num += [model.difference(q, p) for q in model.rows[r + sign]]
+    den = [model.difference(q, p) for q in others]
     return Factored(-sign, num, den)
 
 
 def _ladder_image(model, r, sign):
     """Sum over the row-r slots of the ladder coefficient times the shift
     of that slot by sign."""
-    return SkewElement(model, {
-        model.delta(r, i, k, sign): _ladder_coefficient(model, r, (i, k), sign)
-        for (i, k) in model.row_slots[r]})
+    return SkewElement(model, {model.delta(p, sign): _ladder_coefficient(model, r, p, sign)
+                               for p in model.rows[r]})
 
 
 def t_image_b(model, r):
@@ -249,9 +224,8 @@ def orbit_sum(model, coeff, delta):
     gens = model.generators()
     while frontier:
         d, a = frontier.pop()
-        for sa, sb in gens:
-            d2 = model.delta_perm(sa, sb, d)
-            a2 = a.permute_vars(model.var_perm(sa, sb))
+        for pa, pb in gens:
+            d2, a2 = model.swap(pa, pb, d, a)
             if d2 in table:
                 if table[d2] != a2:
                     raise NotInvariant(
@@ -267,17 +241,8 @@ def orbit_sum(model, coeff, delta):
 def orbit_sum_identity(model, r):
     """The raising image must equal the orbit sum of its first term."""
     img = t_image_b(model, r)
-    first = model.row_slots[r][0]
-    d = model.delta(r, first[0], first[1], +1)
+    d = model.delta(model.rows[r][0], +1)
     return orbit_sum(model, img.terms[d], d) == img
-
-
-def _pattern_point(model, mu):
-    """mu's l-values by variable index; u's slot (index 0) is not read."""
-    point = [None] * len(model.names)
-    for (r, i, k), idx in model.xindex.items():
-        point[idx] = mu.l_value(r, i, k)
-    return point
 
 
 def act_on_basis(model, rep, element):
@@ -290,11 +255,12 @@ def act_on_basis(model, rep, element):
     denominator is a product of differences of row-r l-values of mu itself,
     r < n, and build_representation raises DegenerateNodes on any basis
     pattern with a repeated l-value in such a row."""
-    steps = [({model.delta_slots[idx]: step for idx, step in enumerate(d) if step}, a)
-             for d, a in element.terms.items()]
+    slots = key_slots(model.pyramid)
+    steps = [({p: s for p, s in enumerate(d) if s}, a) for d, a in element.terms.items()]
     entries = defaultdict(list)  # power of u -> (row, column, value)
     for col, mu in enumerate(rep.basis):
-        point = _pattern_point(model, mu)
+        # mu's l-values by variable index; u's (index 0) is not read
+        point = [None] + [mu.l_value(*slot) for slot in slots]
         for step, a in steps:
             tgt = rep.shifted(col, step)
             if tgt is None:

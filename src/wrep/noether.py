@@ -392,9 +392,16 @@ def derivations(adj):
 
 
 @lru_cache(maxsize=None)
+def _sigma_derivations(n):
+    """(D_1 .. D_n, det J) in the n x-variables, built once per n."""
+    adj, det = jacobian_inverse(n)
+    return tuple(derivations(adj)), det
+
+
+@lru_cache(maxsize=None)
 def _det_power(n, j):
     """(det J)^j in the n x-variables, built once per (n, j)."""
-    return jacobian_inverse(n)[1] if j == 1 else _det_power(n, 1) ** j
+    return _sigma_derivations(n)[1] if j == 1 else _det_power(n, 1) ** j
 
 
 def round_trip(w):
@@ -404,7 +411,7 @@ def round_trip(w):
     rebuilt operator sum_beta c_beta(sigma) D^beta equals the original."""
     n = w.n
     data = rewrite_in_sigma(w)
-    D = derivations(jacobian_inverse(n)[0])
+    D = _sigma_derivations(n)[0]
     total = WeylElement(n)
     for beta, sp in data.items():
         op = WeylElement(n, {(0,) * n: sp.evaluate(_sigmas(n))})

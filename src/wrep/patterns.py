@@ -18,7 +18,8 @@ def entry_slots(pyr, r):
 
 def key_slots(pyr):
     """Index triples (r, i, k) in the order of a pattern's key: rows
-    bottom-up, each row in slot order."""
+    bottom-up, each row in slot order.  A slot's index here is its key
+    position."""
     return [(r, i, k) for r in range(1, pyr.n + 1) for (i, k) in entry_slots(pyr, r)]
 
 
@@ -134,14 +135,6 @@ class GTPattern:
     def row_l_values(self, r):
         """All l-values of row r in slot order (the interpolation nodes)."""
         return [self.l_value(r, i, k) for (i, k) in entry_slots(self.pyramid, r)]
-
-    def lam(self, r, i, u0):
-        """lambda_{ri}(u0) = prod_k (u0 + entry)."""
-        u0 = Fraction(u0)
-        acc = Fraction(1)
-        for k in range(1, self.pyramid.p(i) + 1):
-            acc *= u0 + self.entries[(r, i, k)]
-        return acc
 
     def key(self):
         return self._key

@@ -4,10 +4,9 @@ verification of the defining relations on the pattern basis.
 A_r(u) acts diagonally; B_r(u) and C_r(u) are rebuilt column by column from
 their values at each pattern's own nodes u = -l_{ri}^{(k)} by Lagrange
 interpolation (one term per node, zero when the shifted array is not a
-basis pattern).
+basis pattern).  A slot (r, i, k) is addressed by its key position, its
+index in key_slots(pyramid), which is also its place in GTPattern.key().
 """
-
-from fractions import Fraction
 
 from .arith import (
     UniPoly,
@@ -18,7 +17,7 @@ from .arith import (
     series_product,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
-from .patterns import entry_slots, enumerate_patterns, key_slots, row_spans
+from .patterns import enumerate_patterns, row_spans
 from .sparse import Combination, SparseMatrix
 
 
@@ -30,7 +29,6 @@ class Representation:
         self.weight = weight
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
-        self._key_pos = {slot: pos for pos, slot in enumerate(key_slots(pyramid))}
         self.dim = len(basis)
         self.A = A  # A[r] for r=1..n, UniPoly over SparseMatrix
         self.B = B  # B[r] for r=1..n-1
@@ -47,15 +45,16 @@ class Representation:
         return c if c is not None else SparseMatrix(self.dim)
 
     def shifted(self, col, steps):
-        """Column of the pattern basis[col] with each entry (r, i, k) of
-        ``steps`` moved by its step, or None when that array is no pattern.
+        """Column of the pattern basis[col] with the entry at each key
+        position of ``steps`` moved by its step, or None when that array is
+        no pattern.
 
         The basis holds every pattern with the weight as top row, so an
         array is a pattern exactly when its key is indexed; a shifted top
         row never is."""
         key = list(self.basis[col].key())
-        for slot, step in steps.items():
-            key[self._key_pos[slot]] += step
+        for pos, step in steps.items():
+            key[pos] += step
         return self.index.get(tuple(key))
 
 
@@ -68,20 +67,21 @@ def build_representation(pyramid, weight):
 
     spans = row_spans(pyramid)
 
+    # eig[r][row slice of a key] = prod over the row-r slots of (u + l), the
+    # A_r eigenvalue, once per distinct row; row 0 is the constant 1
+    eig = [{(): UniPoly([1])}]
     for r in range(1, n + 1):
-        # eigenvalue prod_i lambda_{ri}(u-i+1) = prod_slots (u + l), once
-        # per distinct row
-        eig_of = {}
+        eig.append({})
         eigs = []
         for mu in basis:
             row = mu.key()[spans[r]]
-            if row not in eig_of:
-                eig_of[row] = UniPoly.from_roots([-l for l in mu.row_l_values(r)]).coeffs
-            eigs.append(eig_of[row])
+            if row not in eig[r]:
+                eig[r][row] = UniPoly.from_roots([-l for l in mu.row_l_values(r)])
+            eigs.append(eig[r][row].coeffs)
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column) for column in zip(*eigs)])
 
     for r in range(1, n):
-        slots = entry_slots(pyramid, r)
+        first = spans[r].start
         # (table, step of the entry, adjacent row, sign): B raises, C lowers
         ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
         entries = [[[] for _ in range(pyramid.row_block_size(r))] for _ in ladders]
@@ -99,16 +99,20 @@ def build_representation(pyramid, weight):
                         "repeated l-values in row %d of pattern %r" % (r, mu)
                     ) from None
             nodes, lag = lag_of[row]
-            for slot_idx, (i, k) in enumerate(slots):
+            for slot_idx, node in enumerate(nodes):
                 for (_, step, adj, sign), per_degree in zip(ladders, entries):
-                    tgt = rep.shifted(col, {(r, i, k): step})
+                    tgt = rep.shifted(col, {first + slot_idx: step})
                     if tgt is None:
                         continue
-                    memo = (slot_idx, step, row, key[spans[adj]])
+                    # the Lagrange polynomial of the slot times sign times
+                    # the adjacent row's eigenvalue at the node
+                    adj_row = key[spans[adj]]
+                    memo = (slot_idx, step, row, adj_row)
                     terms = terms_of.get(memo)
                     if terms is None:
-                        terms = terms_of[memo] = _ladder_terms(
-                            mu, adj, sign, nodes[slot_idx], lag[slot_idx])
+                        coeff = sign * eig[adj][adj_row](node)
+                        terms = terms_of[memo] = [(d, coeff * c) for d, c in
+                                                  enumerate(lag[slot_idx].coeffs) if c and coeff]
                     for d, c in terms:
                         per_degree[d].append((tgt, col, c))
         for (table, _, _, _), per_degree in zip(ladders, entries):
@@ -116,15 +120,6 @@ def build_representation(pyramid, weight):
 
     _sanity_check(rep)
     return rep
-
-
-def _ladder_terms(mu, adj, sign, u0, lag):
-    """(degree, value) for each nonzero coefficient of the Lagrange
-    polynomial ``lag`` times sign * prod_{j <= adj} lambda_{adj,j}(u0 - j + 1)."""
-    coeff = Fraction(sign)
-    for j in range(1, adj + 1):
-        coeff *= mu.lam(adj, j, u0 - j + 1)
-    return [(d, coeff * c) for d, c in enumerate(lag.coeffs) if c and coeff]
 
 
 def _sanity_check(rep):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,9 +257,12 @@ def linear_product(roots):
 
 
 @settings(max_examples=50)
-@given(st.lists(fractions, max_size=6))
-def test_from_roots_against_linear_factors(roots):
-    assert UniPoly.from_roots(roots).coeffs == linear_product(roots)
+@given(st.lists(fractions, max_size=6), fractions)
+def test_from_roots_against_linear_factors(roots, x):
+    poly = UniPoly.from_roots(roots)
+    assert poly.coeffs == linear_product(roots)
+    # Horner evaluation agrees with the product of the linear factors
+    assert poly(x) == prod((x - r for r in roots), start=Fraction(1))
 
 
 @settings(max_examples=50)

@@ -55,6 +55,15 @@ def test_verify(capsys, config):
     assert all(c["status"] == "PASS" for c in rec["checks"])
 
 
+@pytest.mark.parametrize("section", ["rows = 1,2", "rows = 1, 2", "cols = 2,1", "cols = 2 1"])
+def test_config_pyramid_takes_commas_as_the_flags_do(capsys, tmp_path, section):
+    path = tmp_path / "run.ini"
+    path.write_text("[pyramid]\n%s\n" % section)
+    code, rec = run(capsys, "params", "--config", str(path))
+    assert code == 0
+    assert rec["info"]["pyramid_rows"] == [1, 2]
+
+
 def test_build_matrix_dump(capsys, config):
     code, rec = run(capsys, "build", "--config", config)
     assert code == 0

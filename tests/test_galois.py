@@ -22,7 +22,7 @@ from wrep.galois import (
     t_image_c,
 )
 from wrep.mpoly import MPoly, MRat
-from wrep.patterns import HighestWeight, generic_weight
+from wrep.patterns import HighestWeight, generic_weight, key_slots
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation, generator_series
 from wrep.sparse import SparseMatrix
@@ -35,10 +35,13 @@ def gl2():
 
 
 def test_variable_order():
-    model = GaloisModel(Pyramid(rows=(1, 2)))
+    pyr = Pyramid(rows=(1, 2))
+    model = GaloisModel(pyr)
     assert model.names[0] == "u"
     assert model.names[1] == "x_1_1_1"
-    assert set(model.delta_slots) == {(1, 1, 1)}
+    # a shift is a key-length vector that moves only the rows below the top
+    assert len(model.zero_delta) == len(key_slots(pyr))
+    assert {key_slots(pyr)[p] for r in range(1, pyr.n) for p in model.rows[r]} == {(1, 1, 1)}
 
 
 def test_gl2_raising_coefficient():
@@ -47,7 +50,7 @@ def test_gl2_raising_coefficient():
     img = t_image_b(model, 1)
     assert len(img.terms) == 1
     ((d, a),) = img.terms.items()
-    assert d == (1,)
+    assert d == (1, 0, 0)
     # X^+ = -(x_{2,1} - x_{1,1})(x_{2,2} - x_{1,1}); at the lowest pattern
     # the l-values are x_11 = 1/2, x_21 = 5/2, x_22 = -1/2, giving 2
     val = a.evaluate([Fraction(0), Fraction(1, 2), Fraction(5, 2), Fraction(-1, 2)])
@@ -62,8 +65,8 @@ def test_invariance_of_images():
 
 
 def _x(model, r, i, k):
-    """The coefficient x_{r,i,k} alone."""
-    return Factored(1, [[(model.xindex[(r, i, k)], 1)]])
+    """The coefficient x_{r,i,k} alone: variable 1 + its key position."""
+    return Factored(1, [[(key_slots(model.pyramid).index((r, i, k)) + 1, 1)]])
 
 
 def test_non_invariant_detected():

@@ -1,6 +1,7 @@
 """Golden records: the sha256 of the JSON record that ``wrep verify
 --rmax 3``, ``center``, ``fibers`` and ``build`` write for rows (1,2,2)
-and (2,2,3) at the generic weight, of ``verify --rmax 4`` for rows
+and (2,2,3) at the generic weight, of ``build`` for rows (2,3,3) (the
+largest build of the spectra workload), of ``verify --rmax 4`` for rows
 (2,3,3) (the largest relations job of the benchmark), and the exit
 status and sha256 of the symbolic commands' records (``noether-demo``,
 ``leading``, ``galois-check``).  Kernel work that changes a single record
@@ -21,6 +22,7 @@ GOLDEN = {
     ("2,2,3", "center"): "1dd6319518db79658b488ef1013965663b0d719e5eb5267d8147ec19f151005d",
     ("2,2,3", "fibers"): "0cdefa32760800b241cad96d67b11f1925b8178f9b929e67b858fb2748236732",
     ("2,2,3", "build"): "b9516ac83914df09cceeb7247a94344f42b918e52ef63b2a542752326c3a98d9",
+    ("2,3,3", "build"): "9053c453e1566cadeb99ccf43e11f156a1f4c1306e56a45d694eb8c86c6c2ed1",
 }
 
 

@@ -71,3 +71,15 @@ def test_leading_claims(rows):
     pyr = Pyramid(rows=rows)
     expected = sum(pyr.row_block_size(r) for r in range(1, pyr.n + 1))
     assert verify_leading_claims(pyr) == expected
+
+
+def test_raw_d33_leads_with_d23_at_223():
+    # a known fault of the checker, not of the paper: the raw d_{3,3}
+    # holds d_{2,3} times the u^{p_3} lead of X_33(u), whose leading
+    # monomial outweighs the predicted one
+    pyr = Pyramid(rows=(2, 2, 3))
+    ring = GradedRing(pyr)
+    _, w = build_weight(pyr)
+    lead = weighted_leading_monomial(ring, w, dcoeff_determinant(ring, 3)[3])
+    assert lead == weighted_leading_monomial(ring, w, dcoeff_determinant(ring, 2)[3])
+    assert lead != predicted_leading(ring, 3, 3)[0]

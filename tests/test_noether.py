@@ -197,6 +197,23 @@ def test_round_trips(n, make):
     round_trip(make(n))
 
 
+def test_round_trips_build_the_derivations_once_per_n(monkeypatch):
+    calls = []
+    inverse = noether.jacobian_inverse
+
+    def counted(n):
+        calls.append(n)
+        return inverse(n)
+
+    monkeypatch.setattr(noether, "jacobian_inverse", counted)
+    noether._sigma_derivations.cache_clear()
+    noether._det_power.cache_clear()
+    round_trip(euler(3))
+    round_trip(sum_d2(3))
+    # D_1 .. D_n and det J come from one jacobian_inverse(3)
+    assert calls == [3]
+
+
 def _bump_first_part(monkeypatch):
     """Make rewrite_in_sigma add 1 to its lowest sigma-coefficient."""
     rewrite = noether.rewrite_in_sigma
