@@ -11,7 +11,11 @@ _sum_scaled (sums of a*f, f a scalar); a type with a fused sum_products /
 sum_scaled (SparseMatrix) normalises each entry once, others add term by
 term.  UniPoly and MPoly have fused sum_products too, so a sum of their
 products sums each output coefficient once.  from_roots and lagrange_basis
-work on scalar coefficient lists in O(p^2).  Terms is the shared base of
+work on scalar coefficient lists in O(p^2) and in the scalars' own type:
+nothing is coerced to Fraction, so int roots or nodes give int
+coefficients, and lagrange_basis returns each basis polynomial as an
+undivided (numerator, denominator) pair.  UniPoly.__call__ evaluates in
+the same way.  Terms is the shared base of
 the sparse linear combinations (MPoly and the skew and operator algebras),
 and column_det the one determinant: prefix recursion in column order, so
 the entries need not commute.
@@ -25,8 +29,8 @@ from .errors import ArityError, DegenerateNodes, SingularLead
 
 
 def _zero_like(x):
-    if isinstance(x, Fraction):
-        return Fraction(0)
+    if isinstance(x, (int, Fraction)):
+        return type(x)(0)
     return x.zero_like()
 
 
@@ -60,10 +64,10 @@ def _sum_scaled(pairs):
 
 
 def _invert(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         if not x:
             raise SingularLead("scalar leading coefficient is zero")
-        return 1 / x
+        return 1 / Fraction(x)
     return x.inverse()
 
 
@@ -81,10 +85,10 @@ class UniPoly:
     @classmethod
     def from_roots(cls, roots):
         """Monic scalar polynomial prod (u - r): after each root r, every
-        coefficient c_k becomes c_{k-1} - r c_k."""
-        c = [Fraction(1)]
+        coefficient c_k becomes c_{k-1} - r c_k.  The coefficients are of
+        the roots' type (ints from ints); the leading one is the int 1."""
+        c = [1]
         for r in roots:
-            r = Fraction(r)
             c.append(c[-1])
             for k in range(len(c) - 2, 0, -1):
                 c[k] = c[k - 1] - r * c[k]
@@ -144,10 +148,10 @@ class UniPoly:
         return UniPoly([other * c for c in self.coeffs])
 
     def __call__(self, u0):
-        """Exact evaluation at a scalar point (Horner)."""
-        u0 = Fraction(u0)
+        """Exact evaluation at a scalar point (Horner), in the arithmetic of
+        the coefficients and the point: ints at an int point stay ints."""
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * u0 + c
@@ -170,26 +174,28 @@ def poly_shift(p, c):
 
 
 def lagrange_basis(nodes):
-    """Scalar Lagrange basis polynomials L_j, L_j(nodes[m]) = [j == m].
+    """Scalar Lagrange basis as one (numerator, denominator) pair per node:
+    L_j = num_j / den_j, num_j(nodes[m]) = [j == m] * den_j.
 
-    Each numerator prod_{m != j} (u - x_m) is the master polynomial
-    prod_m (u - x_m) divided by (u - x_j) synthetically."""
+    num_j = prod_{m != j} (u - x_m) is the master polynomial prod_m (u - x_m)
+    divided by (u - x_j) synthetically, and den_j = prod_{m != j} (x_j - x_m).
+    Nothing is divided, so int nodes give int numerators and denominators."""
     if len(set(nodes)) != len(nodes):
         raise DegenerateNodes("interpolation nodes must be pairwise distinct")
     master = UniPoly.from_roots(nodes).coeffs
     p = len(nodes)
-    polys = []
+    pairs = []
     for j, xj in enumerate(nodes):
         num = [None] * p
         num[p - 1] = master[p]
         for k in range(p - 1, 0, -1):
             num[k - 1] = master[k] + xj * num[k]
-        den = Fraction(1)
+        den = 1
         for m, xm in enumerate(nodes):
             if m != j:
                 den *= xj - xm
-        polys.append(UniPoly([c / den for c in num]))
-    return polys
+        pairs.append((UniPoly(num), den))
+    return pairs
 
 
 def perm_sign(sigma):

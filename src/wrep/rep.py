@@ -6,7 +6,18 @@ their values at each pattern's own nodes u = -l_{ri}^{(k)} by Lagrange
 interpolation (one term per node, zero when the shifted array is not a
 basis pattern).  A slot (r, i, k) is addressed by its key position, its
 index in key_slots(pyramid), which is also its place in GTPattern.key().
+
+The build runs on integers.  Every l-value is a rational whose
+denominator divides q, the lcm of the weight's denominators, so the
+l-value at key position p of a pattern is L_p / q with the integer
+L_p = Q_p + q * key_p, Q_p read once from the first basis pattern.  In
+v = q u the eigenvalue polynomials prod (v + L) and the Lagrange pairs at
+the nodes -L have integer coefficients; the powers of q move into the
+matrix denominators, and each coefficient matrix is integer numerators
+over one denominator, reduced once (SparseMatrix.from_numerators).
 """
+
+from math import gcd, lcm
 
 from .arith import (
     UniPoly,
@@ -17,7 +28,7 @@ from .arith import (
     series_product,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
-from .patterns import enumerate_patterns, row_spans
+from .patterns import enumerate_patterns, key_slots, row_spans
 from .sparse import Combination, SparseMatrix
 
 
@@ -66,9 +77,14 @@ def build_representation(pyramid, weight):
     n = pyramid.n
 
     spans = row_spans(pyramid)
+    q, offsets = _scaled_offsets(pyramid, basis[0])
 
-    # eig[r][row slice of a key] = prod over the row-r slots of (u + l), the
-    # A_r eigenvalue, once per distinct row; row 0 is the constant 1
+    def scaled_l_values(r, row):
+        """q times the l-values of row r, from the row's slice of a key."""
+        return [offsets[p] + q * z for p, z in zip(range(spans[r].start, spans[r].stop), row)]
+
+    # eig[r][row slice of a key] = prod over the row-r slots of (v + L), the
+    # A_r eigenvalue in v = q u, once per distinct row; row 0 is the constant 1
     eig = [{(): UniPoly([1])}]
     for r in range(1, n + 1):
         eig.append({})
@@ -76,22 +92,26 @@ def build_representation(pyramid, weight):
         for mu in basis:
             row = mu.key()[spans[r]]
             if row not in eig[r]:
-                eig[r][row] = UniPoly.from_roots([-l for l in mu.row_l_values(r)])
+                eig[r][row] = UniPoly.from_roots([-L for L in scaled_l_values(r, row)])
             eigs.append(eig[r][row].coeffs)
-        rep.A[r] = UniPoly([SparseMatrix.diagonal(column) for column in zip(*eigs)])
+        # the u^d coefficient of A_r is the v^d one over q^(p_r - d)
+        p_r = pyramid.row_block_size(r)
+        rep.A[r] = UniPoly([SparseMatrix.from_numerators(N, q ** (p_r - d), diag=column)
+                            for d, column in enumerate(zip(*eigs))])
 
     for r in range(1, n):
         first = spans[r].start
         # (table, step of the entry, adjacent row, sign): B raises, C lowers
         ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
-        entries = [[[] for _ in range(pyramid.row_block_size(r))] for _ in ladders]
-        lag_of = {}  # nodes and Lagrange basis per distinct row r
+        # per ladder and power of u: {denominator: [(row, column, numerator)]}
+        entries = [[{} for _ in range(pyramid.row_block_size(r))] for _ in ladders]
+        lag_of = {}  # nodes and Lagrange pairs per distinct row r
         terms_of = {}  # a slot's terms per distinct row r and adjacent row
         for col, mu in enumerate(basis):
             key = mu.key()
             row = key[spans[r]]
             if row not in lag_of:
-                nodes = [-l for l in mu.row_l_values(r)]
+                nodes = [-L for L in scaled_l_values(r, row)]
                 try:
                     lag_of[row] = nodes, lagrange_basis(nodes)
                 except DegenerateNodes:
@@ -104,22 +124,65 @@ def build_representation(pyramid, weight):
                     tgt = rep.shifted(col, {first + slot_idx: step})
                     if tgt is None:
                         continue
-                    # the Lagrange polynomial of the slot times sign times
-                    # the adjacent row's eigenvalue at the node
                     adj_row = key[spans[adj]]
                     memo = (slot_idx, step, row, adj_row)
                     terms = terms_of.get(memo)
                     if terms is None:
-                        coeff = sign * eig[adj][adj_row](node)
-                        terms = terms_of[memo] = [(d, coeff * c) for d, c in
-                                                  enumerate(lag[slot_idx].coeffs) if c and coeff]
-                    for d, c in terms:
-                        per_degree[d].append((tgt, col, c))
+                        # the Lagrange pair of the slot times sign times the
+                        # adjacent row's eigenvalue at the node, E / q^p_adj
+                        num, den = lag[slot_idx]
+                        terms = terms_of[memo] = _ladder_terms(
+                            num.coeffs, den * q ** len(adj_row),
+                            sign * eig[adj][adj_row](node), q)
+                    for d, c, den in terms:
+                        per_degree[d].setdefault(den, []).append((tgt, col, c))
         for (table, _, _, _), per_degree in zip(ladders, entries):
-            table[r] = UniPoly([SparseMatrix.from_entries(N, ent) for ent in per_degree])
+            table[r] = UniPoly([_over_lcm(N, groups) for groups in per_degree])
 
     _sanity_check(rep)
     return rep
+
+
+def _scaled_offsets(pyramid, mu):
+    """(q, [Q_p per key position]): q times the l-value at key position p
+    of any basis pattern is Q_p + q * key_p.  The l-value minus the key
+    entry is the same for every pattern of the basis (the column's top-row
+    entry, less i - 1), so it is read from mu."""
+    fixed = []
+    for (r, i, k), z in zip(key_slots(pyramid), mu.key()):
+        e = mu.entry(r, i, k)
+        fixed.append((e.numerator - (z + i - 1) * e.denominator, e.denominator))
+    q = lcm(*(den for _, den in fixed))
+    return q, [num * (q // den) for num, den in fixed]
+
+
+def _ladder_terms(coeffs, den, value, q):
+    """[(d, numerator, denominator)] of value * sum_d coeffs[d] (q u)^d / den
+    for the nonzero coefficients, each reduced with a positive denominator."""
+    if den < 0:
+        den, value = -den, -value
+    terms = []
+    if value:
+        for d, c in enumerate(coeffs):
+            if c:
+                c *= value * q ** d
+                g = gcd(c, den)
+                terms.append((d, c // g, den // g))
+    return terms
+
+
+def _over_lcm(dim, groups):
+    """The matrix of the entries of groups {denominator: [(row, column,
+    numerator)]}, put over the lcm of the denominators; groups is emptied
+    as it is read."""
+    den = lcm(*groups)
+    rows = {}
+    while groups:
+        d, entries = groups.popitem()
+        scale = den // d
+        for i, j, c in entries:
+            rows.setdefault(i, {})[j] = c * scale
+    return SparseMatrix.from_numerators(dim, den, rows)
 
 
 def _sanity_check(rep):

@@ -11,9 +11,13 @@ one of two storage forms:
 
 The form is canonical: den > 0, den and the numerators share no factor,
 and a matrix is stored dense exactly when it is nonzero and diagonal.
-``diagonal``, ``identity``, ``from_entries`` and ``Combination.finish``
-all keep this rule, so equal matrices have equal (dim, den, diag, rows),
-and ``is_diagonal`` reads the form.  ``rows`` of a dense matrix is a view
+One reduction, ``from_numerators``, brings integer numerators over any
+positive denominator to this form: it merges a dict part and a dense
+part, applies the dense-diagonal rule and divides out the content.
+``diagonal``, ``identity``, ``from_entries``, ``Combination.finish`` and
+the integer build of the pattern-basis matrices (``rep``) all reach it,
+so equal matrices have equal (dim, den, diag, rows), and ``is_diagonal``
+reads the form.  ``rows`` of a dense matrix is a view
 built on demand, for tests and for comparing a hand-built general matrix.
 
 The dense form is there because the Gelfand-Tsetlin subalgebra acts by
@@ -27,8 +31,8 @@ multiply-adds only.  Each term takes a path from its operands' forms:
 diagonal times diagonal is one pass over two lists into a dense
 accumulator; diagonal times general scales rows and general times
 diagonal scales columns into the dict accumulator; general times general
-is the row-by-row loop.  ``finish`` merges the two accumulators and
-divides out the content once, and ``is_zero`` decides whether the merged
+is the row-by-row loop.  ``finish`` hands the two accumulators to
+``from_numerators``, and ``is_zero`` decides whether the merged
 sum vanishes without reducing anything.  Fractions appear only at the
 boundary: ``get``, ``entries``, ``scalar_part`` and ``inverse`` return
 reduced Fractions, and ``from_entries`` and ``diagonal`` accept them.
@@ -61,42 +65,77 @@ class SparseMatrix:
         self._rows = {} if rows is None and diag is None else rows
 
     @classmethod
+    def from_numerators(cls, dim, den, rows=None, diag=None):
+        """The canonical matrix of integer numerators over ``den`` > 0: the
+        entries of ``rows`` {i: {j: int}} plus the dense list ``diag`` of
+        dim diagonal numerators, either one may be None and zeros may be
+        stored.  This is the one reduction every constructor reaches: the
+        two parts merge, the sum is stored dense when it is nonzero and
+        diagonal, and the content gcd(den, numerators) is divided out.
+        Neither argument is changed."""
+        if diag is not None:
+            diag = list(diag)
+        kept = {}
+        for i, acc in (rows or {}).items():
+            row = {j: v for j, v in acc.items() if v}
+            if diag is not None:
+                diag[i] += row.pop(i, 0)
+            if row:
+                kept[i] = row
+        if diag is None and kept and all(row.keys() == {i} for i, row in kept.items()):
+            diag = [0] * dim
+            for i, row in kept.items():
+                diag[i] = row[i]
+            kept = {}
+        if diag is not None and not any(diag):
+            diag = None
+        g = den
+        if kept:
+            if diag is not None:
+                for i, v in enumerate(diag):
+                    if v:
+                        kept.setdefault(i, {})[i] = v
+            for row in kept.values():
+                if g == 1:
+                    break
+                g = gcd(g, *row.values())
+            if g != 1:
+                kept = {i: {j: v // g for j, v in row.items()} for i, row in kept.items()}
+            return cls(dim, kept, den // g)
+        if diag is None:
+            return cls(dim)
+        if g != 1:
+            g = gcd(g, *diag)
+            if g != 1:
+                diag = [v // g for v in diag]
+        return cls(dim, den=den // g, diag=diag)
+
+    @classmethod
     def from_entries(cls, dim, entries):
-        """Build from an iterable of (row, col, value), summing duplicates;
-        the nonzero sums go over the lcm of their denominators, which
-        leaves no common factor."""
+        """Build from an iterable of (row, col, value), int or Fraction
+        values, summing duplicates; the sums go over the lcm of their
+        denominators."""
         rows = {}
         for i, j, v in entries:
-            if v.__class__ is not Fraction:
-                v = Fraction(v)
             row = rows.setdefault(i, {})
             cur = row.get(j)
             row[j] = v if cur is None else cur + v
-        den = 1
-        kept = {}
-        for i, row in rows.items():
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                kept[i] = row
-                for v in row.values():
-                    den = lcm(den, v.denominator)
-        if kept and all(row.keys() == {i} for i, row in kept.items()):
-            return cls.diagonal(kept[i][i] if i in kept else 0 for i in range(dim))
-        return cls(dim, {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-                         for i, row in kept.items()}, den)
+        den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+        return cls.from_numerators(
+            dim, den, {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+                       for i, row in rows.items()})
 
     @classmethod
     def identity(cls, dim):
-        return cls.diagonal([1] * dim)
+        return cls.from_numerators(dim, 1, diag=[1] * dim)
 
     @classmethod
     def diagonal(cls, values):
-        values = [v if v.__class__ is Fraction else Fraction(v) for v in values]
+        """The diagonal matrix of int or Fraction values."""
+        values = list(values)
         den = lcm(*(v.denominator for v in values))
-        diag = [v.numerator * (den // v.denominator) for v in values]
-        if not any(diag):
-            return cls(len(diag))
-        return cls(len(diag), den=den, diag=diag)
+        return cls.from_numerators(
+            len(values), den, diag=[v.numerator * (den // v.denominator) for v in values])
 
     @property
     def rows(self):
@@ -371,40 +410,4 @@ class Combination:
     def finish(self):
         """The matrix of the sum, in canonical form; the accumulators are
         left as they were."""
-        diag = self.diag
-        if diag is not None:
-            diag = list(diag)
-        rows = {}
-        for i, acc in self.out.items():
-            row = {j: v for j, v in acc.items() if v}
-            if diag is not None:
-                diag[i] += row.pop(i, 0)
-            if row:
-                rows[i] = row
-        if diag is None and rows and all(row.keys() == {i} for i, row in rows.items()):
-            diag = [0] * self.dim
-            for i, row in rows.items():
-                diag[i] = row[i]
-            rows = {}
-        if diag is not None and not any(diag):
-            diag = None
-        g = self.den
-        if rows:
-            if diag is not None:
-                for i, v in enumerate(diag):
-                    if v:
-                        rows.setdefault(i, {})[i] = v
-            for row in rows.values():
-                if g == 1:
-                    break
-                g = gcd(g, *row.values())
-            if g != 1:
-                rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
-            return SparseMatrix(self.dim, rows, self.den // g)
-        if diag is None:
-            return SparseMatrix(self.dim)
-        if g != 1:
-            g = gcd(g, *diag)
-            if g != 1:
-                diag = [v // g for v in diag]
-        return SparseMatrix(self.dim, den=self.den // g, diag=diag)
+        return SparseMatrix.from_numerators(self.dim, self.den, self.out, self.diag)

@@ -1,9 +1,12 @@
 """Slow, direct formulas that the tests hold the library routines to."""
 
+from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 from wrep.arith import UniPoly, perm_sign
 from wrep.center import higher_root_coefficients
+from wrep.patterns import enumerate_patterns, row_spans
 from wrep.sparse import SparseMatrix
 
 
@@ -62,3 +65,44 @@ def gauss_t_matrix(gens):
         assert not any(s[pj + 1:]), "t_%d%d has a nonzero tail" % (i, j)
         T[(i, j)] = UniPoly([s[pj - d] for d in range(pj + 1)])
     return T
+
+
+def fraction_build(pyramid, weight):
+    """(A, B, C) of ``build_representation`` in Fraction arithmetic, on the
+    l-values read from the pattern entries: A_r is diagonal with entries
+    prod (u + l) over row r, and the column of a pattern in B_r (C_r) holds,
+    for each row-r node x = -l whose raised (lowered) array is a pattern,
+    the Lagrange polynomial of x times -1 (+1) times the row r+1 (r-1)
+    eigenvalue at x."""
+    basis = enumerate_patterns(weight)
+    index = {mu.key(): col for col, mu in enumerate(basis)}
+    spans = row_spans(pyramid)
+    n = pyramid.n
+    A, B, C = {}, {}, {}
+    eig = [{(): UniPoly([1])}]
+    for r in range(1, n + 1):
+        eig.append({})
+        for mu in basis:
+            eig[r][mu.key()[spans[r]]] = UniPoly.from_roots([-l for l in mu.row_l_values(r)])
+        A[r] = UniPoly([SparseMatrix.diagonal(column) for column in
+                        zip(*(eig[r][mu.key()[spans[r]]].coeffs for mu in basis))])
+    for r in range(1, n):
+        for table, step, adj, sign in ((B, 1, r + 1, -1), (C, -1, r - 1, 1)):
+            per_degree = [[] for _ in range(pyramid.row_block_size(r))]
+            for col, mu in enumerate(basis):
+                key = mu.key()
+                nodes = [-l for l in mu.row_l_values(r)]
+                for k, x in enumerate(nodes):
+                    shifted = list(key)
+                    shifted[spans[r].start + k] += step
+                    tgt = index.get(tuple(shifted))
+                    if tgt is None:
+                        continue
+                    others = nodes[:k] + nodes[k + 1:]
+                    den = prod((x - y for y in others), start=Fraction(1))
+                    value = sign * eig[adj][key[spans[adj]]](x)
+                    for d, c in enumerate(UniPoly.from_roots(others).coeffs):
+                        per_degree[d].append((tgt, col, value * c / den))
+            table[r] = UniPoly([SparseMatrix.from_entries(len(basis), entries)
+                                for entries in per_degree])
+    return A, B, C

@@ -50,12 +50,12 @@ def test_lagrange_reproduces_values():
     nodes = [Fraction(0), Fraction(1), Fraction(5, 2)]
     values = [Fraction(3), Fraction(-1), Fraction(7, 3)]
     basis = lagrange_basis(nodes)
-    assert all(b.degree == len(nodes) - 1 for b in basis)
-    for j, b in enumerate(basis):
-        assert [b(x) for x in nodes] == [int(j == m) for m in range(len(nodes))]
+    assert all(num.degree == len(nodes) - 1 for num, _ in basis)
+    for j, (num, den) in enumerate(basis):
+        assert [num(x) / den for x in nodes] == [int(j == m) for m in range(len(nodes))]
     p = UniPoly([])
-    for b, v in zip(basis, values):
-        p = p + b * v
+    for (num, den), v in zip(basis, values):
+        p = p + num * (v / den)
     for x, v in zip(nodes, values):
         assert p(x) == v
 
@@ -275,8 +275,49 @@ def test_lagrange_basis_against_definition(nodes):
         den = Fraction(1)
         for xm in others:
             den *= xj - xm
-        assert basis[j].coeffs == [c / den for c in linear_product(others)]
-        assert [basis[j](x) for x in nodes] == [int(j == m) for m in range(len(nodes))]
+        num, got = basis[j]
+        assert got == den
+        assert [c / got for c in num.coeffs] == [c / den for c in linear_product(others)]
+        assert [num(x) / got for x in nodes] == [int(j == m) for m in range(len(nodes))]
+
+
+def _assert_pairs_interpolate(nodes):
+    # num_j(x_m) == [j == m] * den_j, exactly, for every node
+    for j, (num, den) in enumerate(lagrange_basis(nodes)):
+        assert [num(x) for x in nodes] == [int(j == m) * den for m in range(len(nodes))]
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True),
+       st.integers(-50, 50))
+def test_int_input_gives_int_output(nodes, x):
+    # no coercion to Fraction: from_roots, Horner and the Lagrange pairs
+    # stay in the integers, and lagrange_basis never divides
+    poly = UniPoly.from_roots(nodes)
+    assert all(type(c) is int for c in poly.coeffs)
+    assert type(poly(x)) is int
+    for num, den in lagrange_basis(nodes):
+        assert type(den) is int
+        assert all(type(c) is int for c in num.coeffs)
+        assert type(num(x)) is int
+    _assert_pairs_interpolate(nodes)
+
+
+@settings(max_examples=50)
+@given(st.lists(fractions, min_size=2, max_size=6, unique=True), fractions)
+def test_fraction_input_gives_fraction_output(nodes, x):
+    # every number made from a Fraction input is a Fraction; the monic
+    # lead of from_roots and of each Lagrange numerator is the int 1
+    poly = UniPoly.from_roots(nodes)
+    assert poly.coeffs[-1] == 1
+    assert all(type(c) is Fraction for c in poly.coeffs[:-1])
+    assert type(poly(x)) is Fraction
+    for num, den in lagrange_basis(nodes):
+        assert type(den) is Fraction
+        assert num.coeffs[-1] == 1
+        assert all(type(c) is Fraction for c in num.coeffs[:-1])
+        assert type(num(x)) is Fraction
+    _assert_pairs_interpolate(nodes)
 
 
 matrices = st.builds(lambda e: SparseMatrix.from_entries(3, e), matrix_entries)

@@ -350,3 +350,12 @@ print("sympy" in sys.modules)
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("extra, status", [([], 0), (["--rmax", "0"], 2)])
+def test_python_m_wrep_passes_the_exit_status_through(extra, status):
+    src = str(Path(wrep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "wrep", "verify", "--rows", "1,2"] + extra,
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == status, out.stderr

@@ -1,8 +1,10 @@
 """Golden records: the sha256 of the JSON record that ``wrep verify
 --rmax 3``, ``center``, ``fibers`` and ``build`` write for rows (1,2,2)
-and (2,2,3) at the generic weight, of ``build`` for rows (2,3,3) (the
-largest build of the spectra workload), of ``verify --rmax 4`` for rows
-(2,3,3) (the largest relations job of the benchmark), and the exit
+and (2,2,3) at the generic weight, of ``build``, ``center`` and ``fibers``
+for rows (2,3,3) (the largest jobs of the spectra workload), of ``build``
+for rows (2,2,3) at a weight whose denominators 2, 7 and 11 differ and
+whose entries are negative, of ``verify --rmax 4`` for rows (2,3,3) (the
+largest relations job of the benchmark), and the exit
 status and sha256 of the symbolic commands' records (``noether-demo``,
 ``leading``, ``galois-check``).  Kernel work that changes a single record
 byte fails here."""
@@ -23,6 +25,8 @@ GOLDEN = {
     ("2,2,3", "fibers"): "0cdefa32760800b241cad96d67b11f1925b8178f9b929e67b858fb2748236732",
     ("2,2,3", "build"): "b9516ac83914df09cceeb7247a94344f42b918e52ef63b2a542752326c3a98d9",
     ("2,3,3", "build"): "9053c453e1566cadeb99ccf43e11f156a1f4c1306e56a45d694eb8c86c6c2ed1",
+    ("2,3,3", "center"): "f00fc3e802338d6457aab3afc9ae3e5370c669b616ab1c5cfeacc3121c5b039e",
+    ("2,3,3", "fibers"): "b4d80bc2bf6314ed011e1b6f0bed41adecbfc01bfa799a4fe5fe37869fa50b2e",
 }
 
 
@@ -40,6 +44,17 @@ def test_largest_verify_record_is_pinned(tmp_path):
     assert main(["verify", "--rows", "2,3,3", "--rmax", "4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "cca30d27fbc677c54d12e49f79a0053082517d58668fac283e275a87e6d80f5e")
+
+
+def test_build_at_a_weight_over_several_denominators_is_pinned(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[pyramid]\nrows = 2,2,3\n\n[weight]\n"
+                      "lambda1 = 3/2, -5/7\nlambda2 = 1/2, -12/7\n"
+                      "lambda3 = -1/2, -19/7, 4/11\n")
+    out = tmp_path / "record.json"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6d40667b00ef208443cdcaeb2c90ab8302a97f6d3e343ca0497f0af2d4e05182")
 
 
 # command line -> (exit status, sha256); leading (2,2,3) is a known FAIL

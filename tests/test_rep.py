@@ -2,7 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from oracles import fraction_build
 from random_weights import dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
@@ -11,7 +12,7 @@ from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep.gamma import check_fiber_bound, fibers, gamma_commutes
 from wrep import rep as rep_mod
-from wrep.patterns import GTPattern, HighestWeight, generic_weight
+from wrep.patterns import GTPattern, HighestWeight, enumerate_patterns, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import (
     RELATION_FAMILIES,
@@ -195,6 +196,44 @@ def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
     assert rep.dim == 128 and distinct == [9, 32, 1]
     assert calls["lagrange"] == 9 + 32
     assert calls["roots"] == (9 + 32 + 1) + calls["lagrange"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+@example(HighestWeight(Pyramid(rows=(2, 2, 3)),
+                       [[Fraction(3, 2), Fraction(-5, 7)], [Fraction(1, 2), Fraction(-12, 7)],
+                        [Fraction(-1, 2), Fraction(-19, 7), Fraction(4, 11)]]))
+def test_integer_build_equals_the_fraction_oracle(weight):
+    # the q-scaled integer build and the direct Fraction formulas give equal
+    # matrices, for weights with several denominators and negative entries
+    pyr = weight.pyramid
+    rep = build_representation(pyr, weight)
+    assert (rep.A, rep.B, rep.C) == fraction_build(pyr, weight)
+
+
+def test_build_fraction_work_budget(monkeypatch):
+    # Fraction arithmetic of one (2,3,3) build, its basis enumerated
+    # beforehand; a build in Fractions makes 12,668 such calls
+    pyr = Pyramid(rows=(2, 3, 3))
+    weight = generic_weight(pyr)
+    basis = enumerate_patterns(weight)
+    monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda w: basis)
+    calls = [0]
+
+    def counted(op):
+        def call(*args):
+            calls[0] += 1
+            return op(*args)
+        return call
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    rep = build_representation(pyr, weight)
+    monkeypatch.undo()
+    assert rep.dim == 128
+    assert calls[0] <= 100
 
 
 def test_serre_mutation_detected():
