@@ -11,43 +11,68 @@ pattern's l-values, u kept free, must reproduce the matrix polynomials.
 
 Every coefficient of an image is a constant times a product of linear
 forms (u + x, x - x'), over another such product, and is kept in that
-factored shape: evaluation multiplies one value per factor, a slot swap
-relabels the factors, and equality is a compare of canonical factor lists
-with no polynomial gcd."""
+factored shape, each form a primitive integer vector: a slot swap
+relabels the factors, and equality is a compare of canonical factor
+lists with no polynomial gcd.  Evaluation runs on integers, on the
+build's q-scaled l-values q * l_p = Q_p + q * key_p (Representation.q
+and .offsets): a coefficient's value is a product of integer form values
+over another, with the powers of q tracked, and is computed once per
+distinct slice of the key that its forms read."""
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm
 
 from .arith import UniPoly
 from .errors import EvaluationError, InvariantViolation, NotInvariant
 from .patterns import key_slots, row_spans
-from .rep import _first_diff
-from .sparse import SparseMatrix
+from .rep import _first_diff, _over_lcm, _reduced_terms
 
 
 def _linear_form(pairs):
     """(scale, form) with scale * form = sum c * var_i over the (i, c) pairs,
-    which have distinct indices and nonzero coefficients: form holds them
-    sorted by index and scaled so that the first coefficient is 1."""
+    which have distinct indices and nonzero int or Fraction coefficients:
+    form holds them sorted by index as a primitive integer vector whose
+    first coefficient is positive, and scale is a Fraction."""
     items = sorted(pairs)
-    lead = Fraction(items[0][1])
-    return lead, tuple((i, c / lead) for i, c in items)
+    den = lcm(*(c.denominator for _, c in items))
+    ints = [c.numerator * (den // c.denominator) for _, c in items]
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return Fraction(g, den), tuple((i, c // g) for (i, _), c in zip(items, ints))
 
 
-def _value(forms, point):
-    """Product of the linear forms at point."""
-    return prod(sum(c * point[i] for i, c in form) for form in forms)
+def _value(form, point):
+    """The integer value of one linear form at an integer point."""
+    return sum(c * point[i] for i, c in form)
+
+
+def _oriented(form):
+    """(sign, canonical form) of a form whose coefficients are primitive but
+    possibly out of index order or with a negative first coefficient."""
+    form = tuple(sorted(form))
+    if form[0][1] < 0:
+        return -1, tuple((i, -c) for i, c in form)
+    return 1, form
 
 
 class Factored:
     """Rational function const * prod(num) / prod(den) over canonical
-    linear forms (see _linear_form), each factor list sorted.
+    linear forms (see _linear_form: primitive integer vectors with a
+    positive first coefficient, the rational scale folded into the
+    Fraction const), each factor list sorted.
 
     Factors common to numerator and denominator cancel on construction,
     and zero has no factors.  Distinct canonical forms are non-associate
     irreducibles of the UFD Q[u, x], so two values are equal as rational
-    functions exactly when their (const, num, den) agree."""
+    functions exactly when their (const, num, den) agree.  A permutation
+    of the variables maps distinct canonical forms to distinct ones, so
+    permute_vars relabels and folds signs with nothing to cancel.
+
+    Evaluation takes an integer point and a scale q > 0, variable i
+    standing for point[i] / q, and returns integer numerators over one
+    positive denominator."""
 
     __slots__ = ("const", "num", "den")
 
@@ -56,20 +81,28 @@ class Factored:
         (variable index, coefficient) pairs."""
         const = Fraction(const)
         top, bottom = Counter(), Counter()
+        up, down = const.numerator, const.denominator
         for pairs in num:
             scale, form = _linear_form(pairs)
-            const *= scale
+            up, down = up * scale.numerator, down * scale.denominator
             top[form] += 1
         for pairs in den:
             scale, form = _linear_form(pairs)
-            const /= scale
+            up, down = up * scale.denominator, down * scale.numerator
             bottom[form] += 1
-        if not const:
+        if not up:
             top, bottom = Counter(), Counter()
         common = top & bottom
-        self.const = const
+        self.const = Fraction(up, down)
         self.num = tuple(sorted((top - common).elements()))
         self.den = tuple(sorted((bottom - common).elements()))
+
+    @classmethod
+    def _canonical(cls, const, num, den):
+        """The value of already canonical, cancelled and sorted factors."""
+        self = cls.__new__(cls)
+        self.const, self.num, self.den = const, num, den
+        return self
 
     def __bool__(self):
         return bool(self.const)
@@ -79,30 +112,52 @@ class Factored:
             return NotImplemented
         return (self.const, self.num, self.den) == (other.const, other.num, other.den)
 
-    def evaluate(self, point, num=None):
-        """Value at point, one Fraction per variable index; ``num``, a
-        sublist of the numerator forms, replaces the numerator."""
-        d = _value(self.den, point)
-        if not d:
-            raise EvaluationError("denominator vanishes at the evaluation point")
-        return self.const * _value(self.num if num is None else num, point) / d
+    def evaluate(self, point, q=1, num=None):
+        """(numerator, denominator > 0) of the value at point[i] / q for
+        each variable index i, point holding ints; ``num``, a sublist of
+        the numerator forms, replaces the numerator."""
+        forms = self.num if num is None else num
+        top = self.const.numerator * q ** len(self.den)
+        bottom = self.const.denominator * q ** len(forms)
+        for form in forms:
+            top *= _value(form, point)
+        for form in self.den:
+            d = _value(form, point)
+            if not d:
+                raise EvaluationError("denominator vanishes at the evaluation point")
+            bottom *= d
+        return (-top, -bottom) if bottom < 0 else (top, bottom)
 
-    def in_u(self, point):
-        """Scalar polynomial in u with the other variables at point, which
-        gives no value of u.  A canonical form holding u (index 0) is u + y,
-        a root at -y; u in a denominator raises EvaluationError."""
+    def in_u(self, point, q=1):
+        """(numerators, denominator > 0) of the polynomial in u, sum_d
+        numerators[d] u^d / denominator, with each other variable i at
+        point[i] / q; point[0] is not read.  A form c u + y contributes
+        (q c u + Y) / q, Y the integer q y at the point; u in a
+        denominator raises EvaluationError."""
         if any(form[0][0] == 0 for form in self.den):
             raise EvaluationError("u occurs in a denominator")
-        roots = [-sum(c * point[i] for i, c in form[1:])
-                 for form in self.num if form[0][0] == 0]
-        scalar = self.evaluate(point, [form for form in self.num if form[0][0]])
-        return scalar * UniPoly.from_roots(roots)
+        top, bottom = self.evaluate(point, q, [form for form in self.num if form[0][0]])
+        poly = [top]
+        for form in self.num:
+            if form[0][0] == 0:
+                a, b = form[0][1] * q, _value(form[1:], point)
+                poly = ([b * poly[0]] + [b * c + a * lower for lower, c in zip(poly, poly[1:])]
+                        + [a * poly[-1]])
+                bottom *= q
+        return poly, bottom
 
     def permute_vars(self, perm):
         """perm maps old variable index -> new variable index."""
-        def relabel(forms):
-            return [[(perm[i], c) for i, c in form] for form in forms]
-        return Factored(self.const, relabel(self.num), relabel(self.den))
+        sign = 1
+        moved = []
+        for forms in (self.num, self.den):
+            out = []
+            for form in forms:
+                s, form = _oriented([(perm[i], c) for i, c in form])
+                sign *= s
+                out.append(form)
+            moved.append(tuple(sorted(out)))
+        return Factored._canonical(self.const if sign > 0 else -self.const, *moved)
 
     def __repr__(self):
         return "Factored(%s, %r, %r)" % (self.const, self.num, self.den)
@@ -249,30 +304,42 @@ def act_on_basis(model, rep, element):
     """Matrix polynomial in u of the skew element on the pattern basis.
 
     Each term a * phi sends xi_mu to a(l-values of mu, u) * xi_{mu + phi},
-    a polynomial in u (Factored.in_u); vectors at arrays outside the basis
-    are zero, so those terms drop before their coefficient is evaluated.
-    Skipping those evaluations hides no vanishing denominator: every
-    denominator is a product of differences of row-r l-values of mu itself,
-    r < n, and build_representation raises DegenerateNodes on any basis
-    pattern with a repeated l-value in such a row."""
-    slots = key_slots(model.pyramid)
-    steps = [({p: s for p, s in enumerate(d) if s}, a) for d, a in element.terms.items()]
-    entries = defaultdict(list)  # power of u -> (row, column, value)
+    a polynomial in u (Factored.in_u) on mu's q-scaled l-values
+    rep.offsets[p] + rep.q * key_p; it is computed once per distinct slice
+    of the key spanning the positions that a's forms read (a ladder
+    coefficient reads rows r and r +- 1), each power of u reduced as in the
+    build.  Vectors at arrays outside the basis are zero, so those terms
+    drop before their coefficient is evaluated.  Skipping those
+    evaluations hides no vanishing denominator: every denominator is a
+    product of differences of row-r l-values of mu itself, r < n, and
+    build_representation raises DegenerateNodes on any basis pattern with
+    a repeated l-value in such a row."""
+    q, offsets = rep.q, rep.offsets
+    terms = []  # (steps, coefficient, key slice it reads, {slice: terms})
+    for d, a in element.terms.items():
+        reads = [i - 1 for form in a.num + a.den for i, _ in form if i]
+        span = slice(min(reads, default=0), max(reads, default=-1) + 1)
+        terms.append(({p: s for p, s in enumerate(d) if s}, a, span, {}))
+    groups = defaultdict(dict)  # power of u -> {denominator: [(row, column, numerator)]}
     for col, mu in enumerate(rep.basis):
-        # mu's l-values by variable index; u's (index 0) is not read
-        point = [None] + [mu.l_value(*slot) for slot in slots]
-        for step, a in steps:
-            tgt = rep.shifted(col, step)
+        key = mu.key()
+        for steps, a, span, memo in terms:
+            tgt = rep.shifted(col, steps)
             if tgt is None:
                 continue
-            try:
-                poly = a.in_u(point)
-            except EvaluationError as exc:
-                raise EvaluationError("coefficient at pattern %r: %s" % (mu, exc)) from None
-            for power, val in enumerate(poly.coeffs):
-                entries[power].append((tgt, col, val))
-    return UniPoly([SparseMatrix.from_entries(rep.dim, entries[power])
-                    for power in range(max(entries, default=-1) + 1)])
+            at = key[span]
+            poly = memo.get(at)
+            if poly is None:
+                point = [None] + [Q + q * z for Q, z in zip(offsets, key)]
+                try:
+                    coeffs, den = a.in_u(point, q)
+                except EvaluationError as exc:
+                    raise EvaluationError("coefficient at pattern %r: %s" % (mu, exc)) from None
+                poly = memo[at] = _reduced_terms(coeffs, den)
+            for power, c, den in poly:
+                groups[power].setdefault(den, []).append((tgt, col, c))
+    return UniPoly([_over_lcm(rep.dim, groups[power])
+                    for power in range(max(groups, default=-1) + 1)])
 
 
 def cross_check(rep):

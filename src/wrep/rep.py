@@ -10,7 +10,8 @@ index in key_slots(pyramid), which is also its place in GTPattern.key().
 The build runs on integers.  Every l-value is a rational whose
 denominator divides q, the lcm of the weight's denominators, so the
 l-value at key position p of a pattern is L_p / q with the integer
-L_p = Q_p + q * key_p, Q_p read once from the first basis pattern.  In
+L_p = Q_p + q * key_p, Q_p read once from the first basis pattern
+(Representation.q and .offsets, which galois evaluates on too).  In
 v = q u the eigenvalue polynomials prod (v + L) and the Lagrange pairs at
 the nodes -L have integer coefficients; the powers of q move into the
 matrix denominators, and each coefficient matrix is integer numerators
@@ -33,7 +34,11 @@ from .sparse import Combination, SparseMatrix
 
 
 class Representation:
-    """Pattern basis plus the polynomial generator matrices."""
+    """Pattern basis plus the polynomial generator matrices.
+
+    q and offsets give the l-values of the basis on integers: q times the
+    l-value at key position p of a pattern is offsets[p] + q * key_p (see
+    _scaled_offsets); the build and galois both read them."""
 
     def __init__(self, pyramid, weight, basis, A, B, C):
         self.pyramid = pyramid
@@ -41,6 +46,7 @@ class Representation:
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
         self.dim = len(basis)
+        self.q, self.offsets = _scaled_offsets(pyramid, basis[0])
         self.A = A  # A[r] for r=1..n, UniPoly over SparseMatrix
         self.B = B  # B[r] for r=1..n-1
         self.C = C
@@ -77,7 +83,7 @@ def build_representation(pyramid, weight):
     n = pyramid.n
 
     spans = row_spans(pyramid)
-    q, offsets = _scaled_offsets(pyramid, basis[0])
+    q, offsets = rep.q, rep.offsets
 
     def scaled_l_values(r, row):
         """q times the l-values of row r, from the row's slice of a key."""
@@ -131,7 +137,7 @@ def build_representation(pyramid, weight):
                         # the Lagrange pair of the slot times sign times the
                         # adjacent row's eigenvalue at the node, E / q^p_adj
                         num, den = lag[slot_idx]
-                        terms = terms_of[memo] = _ladder_terms(
+                        terms = terms_of[memo] = _reduced_terms(
                             num.coeffs, den * q ** len(adj_row),
                             sign * eig[adj][adj_row](node), q)
                     for d, c, den in terms:
@@ -156,7 +162,7 @@ def _scaled_offsets(pyramid, mu):
     return q, [num * (q // den) for num, den in fixed]
 
 
-def _ladder_terms(coeffs, den, value, q):
+def _reduced_terms(coeffs, den, value=1, q=1):
     """[(d, numerator, denominator)] of value * sum_d coeffs[d] (q u)^d / den
     for the nonzero coefficients, each reduced with a positive denominator."""
     if den < 0:

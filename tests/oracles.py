@@ -1,12 +1,14 @@
 """Slow, direct formulas that the tests hold the library routines to."""
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 from math import prod
 
 from wrep.arith import UniPoly, perm_sign
 from wrep.center import higher_root_coefficients
-from wrep.patterns import enumerate_patterns, row_spans
+from wrep.errors import EvaluationError
+from wrep.patterns import enumerate_patterns, key_slots, row_spans
 from wrep.sparse import SparseMatrix
 
 
@@ -106,3 +108,46 @@ def fraction_build(pyramid, weight):
             table[r] = UniPoly([SparseMatrix.from_entries(len(basis), entries)
                                 for entries in per_degree])
     return A, B, C
+
+
+def fraction_in_u(coeff, point):
+    """The galois.Factored coeff as a UniPoly in u over Fractions, each other
+    variable i at the Fraction point[i]: const times the value of each
+    u-free numerator form, times c for each form c u + y with a root at
+    -y / c, over the value of each denominator form."""
+    def value(form):
+        return sum((c * point[i] for i, c in form if i), Fraction(0))
+    scalar, roots = Fraction(coeff.const), []
+    for form in coeff.num:
+        i, c = form[0]
+        if i == 0:
+            scalar *= c
+            roots.append(-value(form) / c)
+        else:
+            scalar *= value(form)
+    for form in coeff.den:
+        d = value(form)
+        if form[0][0] == 0 or not d:
+            raise EvaluationError("no polynomial in u")
+        scalar /= d
+    return scalar * UniPoly.from_roots(roots)
+
+
+def fraction_act_on_basis(model, rep, element):
+    """``galois.act_on_basis`` in Fraction arithmetic: for every basis
+    pattern mu and term a * phi, the Fraction l-values of mu read from its
+    entries (``GTPattern.l_value``), the array mu + phi looked up by its
+    key, and a(l-values of mu, u) (``fraction_in_u``) entered at (mu + phi,
+    mu), with no memo."""
+    slots = key_slots(model.pyramid)
+    entries = defaultdict(list)  # power of u -> [(row, column, value)]
+    for col, mu in enumerate(rep.basis):
+        point = [None] + [mu.l_value(*slot) for slot in slots]
+        for d, a in element.terms.items():
+            tgt = rep.index.get(tuple(z + s for z, s in zip(mu.key(), d)))
+            if tgt is None:
+                continue
+            for power, val in enumerate(fraction_in_u(a, point).coeffs):
+                entries[power].append((tgt, col, val))
+    return UniPoly([SparseMatrix.from_entries(rep.dim, entries[power])
+                    for power in range(max(entries, default=-1) + 1)])

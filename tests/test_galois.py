@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from oracles import fraction_act_on_basis
 from random_weights import small_pyramid_weights
 
 from wrep import galois
@@ -52,9 +54,11 @@ def test_gl2_raising_coefficient():
     ((d, a),) = img.terms.items()
     assert d == (1, 0, 0)
     # X^+ = -(x_{2,1} - x_{1,1})(x_{2,2} - x_{1,1}); at the lowest pattern
-    # the l-values are x_11 = 1/2, x_21 = 5/2, x_22 = -1/2, giving 2
-    val = a.evaluate([Fraction(0), Fraction(1, 2), Fraction(5, 2), Fraction(-1, 2)])
-    assert val == 2
+    # the l-values are x_11 = 1/2, x_21 = 5/2, x_22 = -1/2, giving 2; the
+    # point is scaled by q = 2 and the value is integers over integers
+    top, bottom = a.evaluate([0, 1, 5, -1], 2)
+    assert type(top) is type(bottom) is int and bottom > 0
+    assert Fraction(top, bottom) == 2
 
 
 def test_invariance_of_images():
@@ -134,6 +138,101 @@ def test_mutation_vanishing_at_sample_points_detected():
         % (rep.basis[0], rep.basis[1]))
 
 
+# rows (2,2,3) at the weight of tests/test_golden.py whose denominators 2, 7
+# and 11 differ and whose entries are negative
+SEVERAL_DENOMINATORS = HighestWeight(
+    Pyramid(rows=(2, 2, 3)),
+    [[Fraction(3, 2), Fraction(-5, 7)], [Fraction(1, 2), Fraction(-12, 7)],
+     [Fraction(-1, 2), Fraction(-19, 7), Fraction(4, 11)]])
+ORACLE_WEIGHTS = [generic_weight(Pyramid(rows=rows)) for rows in
+                  ((1, 1), (2, 2), (2, 3), (1, 1, 1), (1, 2, 2), (2, 2, 2), (2, 2, 3))]
+ORACLE_WEIGHTS.append(SEVERAL_DENOMINATORS)
+ORACLE_IDS = (["%s-generic" % ",".join(map(str, w.pyramid.rows)) for w in ORACLE_WEIGHTS[:-1]]
+              + ["2,2,3-2/7/11"])
+
+
+def _images(model):
+    n = model.pyramid.n
+    return ([t_image_a(model, j) for j in range(1, n + 1)]
+            + [t(model, r) for r in range(1, n) for t in (t_image_b, t_image_c)])
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=ORACLE_IDS)
+def test_integer_action_equals_the_fraction_oracle(weight):
+    # the q-scaled, memoised action against Fraction l-values read from the
+    # pattern entries, evaluated afresh at every column
+    rep = build_representation(weight.pyramid, weight)
+    model = GaloisModel(weight.pyramid)
+    for img in _images(model):
+        assert act_on_basis(model, rep, img) == fraction_act_on_basis(model, rep, img)
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=ORACLE_IDS)
+def test_scaled_l_values_match_the_pattern_entries(weight):
+    # the one l-value source of the build and the skew model against
+    # GTPattern's own reader
+    rep = build_representation(weight.pyramid, weight)
+    q = rep.q
+    assert type(q) is int and all(type(Q) is int for Q in rep.offsets)
+    slots = key_slots(weight.pyramid)
+    for mu in rep.basis:
+        for Q, z, slot in zip(rep.offsets, mu.key(), slots, strict=True):
+            assert Q + q * z == q * mu.l_value(*slot)
+
+
+def test_cross_check_fraction_work_budget(monkeypatch):
+    # Fraction arithmetic of one (2,2,3) cross-check, the representation
+    # built beforehand; evaluation in Fractions makes 42,609 such calls
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    calls = [0]
+
+    def counted(op):
+        def call(*args):
+            calls[0] += 1
+            return op(*args)
+        return call
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    comparisons = cross_check(rep)
+    monkeypatch.undo()
+    assert comparisons == 7
+    assert calls[0] <= 1000
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_mutation_of_a_scaled_offset_detected(r):
+    # q * l = Q_p + q * key_p is read from the representation; one Q_p of
+    # row r moved by 1 after the build breaks the first image reading it
+    pyr = Pyramid(rows=(1, 2, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    model = GaloisModel(pyr)
+    rep.offsets[model.rows[r][0]] += 1
+    with pytest.raises(InvariantViolation,
+                       match="skew-model action of a_%d disagrees with the matrix" % r):
+        cross_check(rep)
+
+
+def test_vanishing_denominator_names_its_pattern():
+    # 1 / (x_(1,1,1) - x_(2,1,1)) has a pole at every pattern whose entry
+    # (1,1,1) equals the entry above it; the first such column is named,
+    # after the memo has been filled by the columns before it
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    model = GaloisModel(pyr)
+    pos = key_slots(pyr).index
+    pole = Factored(1, [], [model.difference(pos((1, 1, 1)), pos((2, 1, 1)))])
+    element = SkewElement(model, {model.zero_delta: pole})
+    col = next(c for c, mu in enumerate(rep.basis) if mu.entry(1, 1, 1) == mu.entry(2, 1, 1))
+    assert col > 0
+    with pytest.raises(EvaluationError) as exc:
+        act_on_basis(model, rep, element)
+    assert str(exc.value) == ("coefficient at pattern %r: denominator vanishes at the "
+                              "evaluation point" % (rep.basis[col],))
+
+
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(small_pyramid_weights())
@@ -211,30 +310,41 @@ def _same_function(rng, const, num, den):
     return -const, num2, den2
 
 
+def _over_positive(top, bottom):
+    """The Fraction of an evaluation's integers, which have bottom > 0."""
+    assert type(top) is type(bottom) is int and bottom > 0
+    return Fraction(top, bottom)
+
+
 def test_factored_against_expanded_oracle():
     rng = random.Random(11)
     for _ in range(60):
         raw = _random_factors(rng)
         value, oracle = Factored(*raw), _expand(*raw)
-        # evaluation, poles included
+        # evaluation, poles included, on the point scaled to integers by
+        # the lcm q of its denominators
         for _ in range(3):
             point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in NAMES]
+            q = lcm(*(v.denominator for v in point))
+            scaled = [int(v * q) for v in point]
             try:
                 want = oracle.evaluate(point)
             except EvaluationError:
                 want = None
                 with pytest.raises(EvaluationError):
-                    value.evaluate(point)
+                    value.evaluate(scaled, q)
             else:
-                assert value.evaluate(point) == want
+                assert _over_positive(*value.evaluate(scaled, q)) == want
             # the polynomial in u at the x-values of point, which reads no
             # value of u: it exists when no denominator holds u or vanishes
-            at_x = [None] + point[1:]
+            at_x = [None] + scaled[1:]
             if want is None or oracle.den.degree_in(0):
                 with pytest.raises(EvaluationError):
-                    value.in_u(at_x)
+                    value.in_u(at_x, q)
             else:
-                assert value.in_u(at_x)(point[0]) == want
+                coeffs, bottom = value.in_u(at_x, q)
+                assert all(type(c) is int for c in coeffs)
+                assert UniPoly([_over_positive(c, bottom) for c in coeffs])(point[0]) == want
         # relabelling commutes with multiplying out
         perm = list(range(len(NAMES)))
         rng.shuffle(perm)

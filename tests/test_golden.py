@@ -66,6 +66,7 @@ SYMBOLIC = {
     "leading --rows 1,2,2,2": (0, "81a9876ec2e0514b0cd130a99158e725afeac6e28e0d1bda3e576bcdf6999b3f"),
     "galois-check --rows 1,2,2": (0, "3d3b44e14b5e456d37d154549885105002a5d8aec4930ba41105de5a83ca604f"),
     "galois-check --rows 2,2,3": (0, "129a937214ce9a840afbf76253e2cac6fa6508668274b2d68020ff3eaa8b5c57"),
+    "galois-check --rows 1,2,2,3": (0, "5fb2333b849555e1d0207ec0875fd3c672eecedef67aa3cc1a3a2fc365f425bf"),
 }
 
 
