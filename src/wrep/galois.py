@@ -293,9 +293,11 @@ def orbit_sum(model, coeff, delta):
     return SkewElement(model, table)
 
 
-def orbit_sum_identity(model, r):
-    """The raising image must equal the orbit sum of its first term."""
-    img = t_image_b(model, r)
+def orbit_sum_identity(model, r, img=None):
+    """The raising image must equal the orbit sum of its first term; img is
+    t_image_b(model, r) when the caller has built it already."""
+    if img is None:
+        img = t_image_b(model, r)
     d = model.delta(model.rows[r][0], +1)
     return orbit_sum(model, img.terms[d], d) == img
 
@@ -360,7 +362,7 @@ def cross_check(rep):
         img = t_image_b(model, r)
         if not img.is_invariant():
             raise NotInvariant("raising image of row %d is not invariant" % r)
-        if not orbit_sum_identity(model, r):
+        if not orbit_sum_identity(model, r, img):
             raise InvariantViolation(
                 "raising image of row %d is not the orbit sum of its "
                 "first term" % r

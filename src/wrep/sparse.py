@@ -5,20 +5,30 @@ one of two storage forms:
 
 - dense diagonal: a nonzero matrix whose entries all lie on the diagonal
   keeps them as one list ``diag`` of ``dim`` numerators (zeros included);
-- general: every other matrix keeps ``{i: {j: numerator}}``, with zero
-  entries and empty rows never stored; the zero matrix is general, with
-  no rows and den == 1.
+- general: every other matrix is a ``Pattern``, its sorted nonzero
+  positions, and the aligned tuple ``vals`` of their numerators; the zero
+  matrix is general, with the empty pattern and den == 1.
 
 The form is canonical: den > 0, den and the numerators share no factor,
-and a matrix is stored dense exactly when it is nonzero and diagonal.
-One reduction, ``from_numerators``, brings integer numerators over any
-positive denominator to this form: it merges a dict part and a dense
-part, applies the dense-diagonal rule and divides out the content.
-``diagonal``, ``identity``, ``from_entries``, ``Combination.finish`` and
-the integer build of the pattern-basis matrices (``rep``) all reach it,
-so equal matrices have equal (dim, den, diag, rows), and ``is_diagonal``
-reads the form.  ``rows`` of a dense matrix is a view
-built on demand, for tests and for comparing a hand-built general matrix.
+no stored general numerator is 0, and a matrix is stored dense exactly
+when it is nonzero and diagonal.  One reduction, ``_reduce``, brings
+integer numerators on a pattern over any positive denominator to this
+form: it drops the zeros, applies the dense-diagonal rule and divides out
+the content.  ``from_numerators`` (numerators as ``{i: {j: int}}`` and a
+dense list), ``diagonal``, ``identity``, ``from_entries``,
+``Combination.finish`` and the integer build of the pattern-basis
+matrices (``rep``) all reach it, so equal matrices have equal (dim, den,
+diag, pattern, vals), and ``is_diagonal`` reads the form.  ``rows``
+({i: {j: numerator}}) is a view built on demand, for tests and for
+comparing a hand-built general matrix.
+
+Patterns are interned: equal position sets are one ``Pattern`` object,
+keyed by the bytes of its flat indices and held weakly by the registry
+``_PATTERNS``, so a pattern lives exactly as long as some matrix or
+accumulator refers to it.  A finished sum that keeps all its entries
+reuses its pattern object.  The ladder matrices e_i^(r) and f_i^(r) move
+a pattern by one slot of row i whatever r is, so the products of a
+relation check meet few pattern pairs many times.
 
 The dense form is there because the Gelfand-Tsetlin subalgebra acts by
 characters: on the pattern basis the A coefficients, the a_i and a_i^{-1}
@@ -29,18 +39,39 @@ Every sum, scaled sum, product and commutator is accumulated by a
 ``Combination`` over one running denominator, so it does integer
 multiply-adds only.  Each term takes a path from its operands' forms:
 diagonal times diagonal is one pass over two lists into a dense
-accumulator; diagonal times general scales rows and general times
-diagonal scales columns into the dict accumulator; general times general
-is the row-by-row loop.  ``finish`` hands the two accumulators to
-``from_numerators``, and ``is_zero`` decides whether the merged
-sum vanishes without reducing anything.  Fractions appear only at the
-boundary: ``get``, ``entries``, ``scalar_part`` and ``inverse`` return
-reduced Fractions, and ``from_entries`` and ``diagonal`` accept them.
+accumulator; diagonal times general gathers the diagonal by the
+pattern's row indices, general times diagonal by its column indices, and
+one ``map(mul)`` gives the values on the general operand's pattern.
+General times general is split into a symbolic and a numeric phase
+(Gustavson).  The first product of a pattern pair is one direct pass that
+marks the pair; when the pair recurs, a ``_Plan`` is built, in a few
+passes in C, and cached on the left pattern under the right one's key,
+and every later product of the pair reads it.  Many pairs never recur
+(the minors of a column determinant), and for them the direct pass is
+the cheaper one.  A plan holds the output pattern and, for each
+contribution layer t, the gather lists of the t-th multiplicand pair of
+every output with more than t contributions; the outputs are sorted by
+their number of contributions, so each layer is a prefix, and the
+numeric phase is a few ``map(mul)`` and ``map(add)`` passes.  The combination keeps one value list per output pattern, and a
+term on a pattern it holds adds with one ``map(add)``.  ``is_zero`` and
+``finish`` merge distinct patterns (and the dense diagonal) in the same
+way: a direct pass for a tuple of patterns met first, then a ``_Plan``
+of the union, cached on the first pattern under the keys of the others.
+Plans hang off their patterns and name other patterns by key only, so no
+reference cycle keeps a pattern alive, and no plan outlives the matrices
+of a run.  Fractions appear only at the boundary: ``get``, ``entries``,
+``scalar_part`` and ``inverse`` return reduced Fractions, and
+``from_entries`` and ``diagonal`` accept them.
 """
 
+import weakref
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, floordiv, itemgetter, mod, mul, neg, sub
 
 from .errors import SingularLead
 
@@ -49,66 +80,340 @@ KERNEL_BACKEND = "python"
 
 _ZERO = Fraction(0)
 
+# (dim, key) -> Pattern, for every pattern some object still refers to.
+_PATTERNS = weakref.WeakValueDictionary()
+
+
+def _DEAD():
+    """A weak reference whose referent is gone."""
+    return None
+
+
+def _gather(indices):
+    """A function from a sequence to the tuple of its items at indices."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda seq: (seq[k],)
+    return itemgetter(*indices)
+
+
+class Pattern:
+    """The nonzero positions of a general matrix, as flat indices
+    i * dim + j in increasing order (``flat``, a view of the bytes the
+    registry keys it by), with their row and column index arrays (built
+    on first use, since most finished sums are never an operand).  Build
+    one with ``Pattern.of``, which interns it.
+
+    Caches that live as long as the pattern: the gathers of a dense
+    diagonal by the row or column indices, the row starts (the per-row
+    index), ``plans`` {key of the right pattern: _Plan, or None after one
+    direct product} and ``unions`` {keys of the other patterns: _Plan, or
+    None after one direct merge}.  A pattern refers to other patterns
+    only by their keys, so patterns form no reference cycle and each one
+    dies, with its caches, as soon as nothing refers to it."""
+
+    __slots__ = ("dim", "key", "flat", "_ri", "_ci", "is_diag", "_by_row", "_by_col",
+                 "_starts", "plans", "unions", "__weakref__")
+
+    def __init__(self, dim, key):
+        self.dim = dim
+        self.key = key
+        self.flat = flat = memoryview(key).cast("q")
+        # i * dim + i is a multiple of dim + 1; the scan stops at the
+        # first position off the diagonal
+        self.is_diag = not any(map(mod, flat, repeat(dim + 1)))
+        self._ri = self._ci = self._by_row = self._by_col = self._starts = None
+        self.plans = {}
+        self.unions = {}
+
+    @property
+    def ri(self):
+        """The row index of each position, built on first use."""
+        if self._ri is None:
+            self._ri = array("i", map(floordiv, self.flat, repeat(self.dim)))
+        return self._ri
+
+    @property
+    def ci(self):
+        """The column index of each position, built on first use."""
+        if self._ci is None:
+            self._ci = array("i", map(mod, self.flat, repeat(self.dim)))
+        return self._ci
+
+    @staticmethod
+    def of(dim, flat):
+        """The interned pattern of the increasing flat indices ``flat``."""
+        return Pattern.interned(dim, array("q", flat).tobytes())
+
+    @staticmethod
+    def interned(dim, key):
+        """The interned pattern whose flat indices are the bytes ``key``."""
+        p = _PATTERNS.get((dim, key))
+        if p is None:
+            p = _PATTERNS[(dim, key)] = Pattern(dim, key)
+        return p
+
+    @staticmethod
+    def diagonal(dim):
+        return Pattern.of(dim, range(0, dim * dim, dim + 1))
+
+    def by_row(self, diag):
+        """diag[i] for the row i of each position."""
+        if self._by_row is None:
+            self._by_row = _gather(self.ri)
+        return self._by_row(diag)
+
+    def by_col(self, diag):
+        """diag[j] for the column j of each position."""
+        if self._by_col is None:
+            self._by_col = _gather(self.ci)
+        return self._by_col(diag)
+
+    def starts(self):
+        """Row i holds positions starts[i] to starts[i + 1] - 1."""
+        if self._starts is None:
+            counts = [0] * (self.dim + 1)
+            for i in self.ri:
+                counts[i + 1] += 1
+            self._starts = array("i", accumulate(counts))
+        return self._starts
+
+    def __len__(self):
+        return len(self.flat)
+
+    def __repr__(self):
+        return "Pattern(dim=%d, nnz=%d)" % (self.dim, len(self.flat))
+
+
+class _Plan:
+    """How to compute the values on ``out()``, a pattern, from the values of
+    one or two operands: the multiplicand pairs of a product, or the terms
+    of a merged sum.
+
+    ``layers`` lists (n, gather per operand): layer t gives the t-th
+    term of the first n outputs, in order of falling term count, so every
+    layer is a prefix; ``order`` gathers that order back to the order of
+    the output pattern (None when they agree).  The plan holds the output
+    pattern weakly and its key strongly, and ``out()`` interns it anew
+    once it has died."""
+
+    __slots__ = ("dim", "out_key", "_out", "layers", "order")
+
+    def __init__(self, dim, flat, sources):
+        # term c lands at position flat[c] and reads item sources[o][c] of
+        # operand o; each step below is a pass in C, none a Python loop over
+        # the terms
+        self.dim = dim
+        self._out = _DEAD
+        self.layers = []
+        self.order = None
+        if not flat:
+            self.out_key = b""
+            return
+        by_out = _gather(sorted(range(len(flat)), key=flat.__getitem__))
+        sources = [by_out(s) for s in sources]
+        counts = Counter(by_out(flat))  # keys in increasing order
+        self.out_key = array("q", counts).tobytes()
+        count = list(counts.values())
+        first = list(accumulate(chain((0,), count)))  # of each output's terms
+        ranked = sorted(range(len(count)), key=count.__getitem__, reverse=True)
+        count = _gather(ranked)(count)
+        first = _gather(ranked)(first)
+        n = len(ranked)
+        for t in range(count[0]):
+            while count[n - 1] <= t:
+                n -= 1
+            terms = _gather(list(map(add, first[:n], repeat(t))))
+            self.layers.append((n, [_gather(terms(s)) for s in sources]))
+        if ranked != list(range(len(ranked))):
+            self.order = _gather(sorted(range(len(ranked)), key=ranked.__getitem__))
+
+    @classmethod
+    def product(cls, left, right):
+        """The plan of left * right for two general patterns."""
+        starts, rci = right.starts(), right.ci
+        index = list(range(len(rci)))  # one int object per right position
+        dim = left.dim
+        flat, ka, kb = [], [], []
+        for k_left, (i, k) in enumerate(zip(left.ri, left.ci)):
+            lo, hi = starts[k], starts[k + 1]
+            if lo < hi:
+                flat += map((i * dim).__add__, rci[lo:hi])
+                ka += repeat(k_left, hi - lo)
+                kb += index[lo:hi]
+        return cls(dim, flat, [ka, kb])
+
+    @classmethod
+    def union(cls, patterns):
+        """The plan merging value lists on ``patterns``, read from their
+        concatenation."""
+        flat = list(chain.from_iterable(p.flat for p in patterns))
+        return cls(patterns[0].dim, flat, [range(len(flat))])
+
+    def out(self):
+        """The output pattern."""
+        p = self._out()
+        if p is None:
+            p = Pattern.interned(self.dim, self.out_key)
+            self._out = weakref.ref(p)
+        return p
+
+    def multiply(self, a, b):
+        """Values of the product of value lists a and b on ``out()``."""
+        if not self.layers:
+            return ()
+        (_, (ga, gb)), *rest = self.layers
+        acc = list(map(mul, ga(a), gb(b)))
+        for n, (ga, gb) in rest:
+            acc[:n] = map(add, acc, map(mul, ga(a), gb(b)))
+        return acc if self.order is None else self.order(acc)
+
+    def merge(self, values):
+        """Values of the sum of the concatenated value lists on ``out()``."""
+        (_, (g,)), *rest = self.layers
+        acc = list(g(values))
+        for n, (g,) in rest:
+            acc[:n] = map(add, acc, g(values))
+        return acc if self.order is None else self.order(acc)
+
+
+def _direct_product(left, a, right, b):
+    """(pattern, values) of a product, by one pass over the operands."""
+    starts, rci = right.starts(), right.ci
+    dim = left.dim
+    out = {}
+    get = out.get
+    for i, k, x in zip(left.ri, left.ci, a):
+        lo, hi = starts[k], starts[k + 1]
+        if lo == hi:
+            continue
+        base = i * dim
+        for j, y in zip(rci[lo:hi], b[lo:hi]):
+            f = base + j
+            out[f] = get(f, 0) + x * y
+    return _on_pattern(dim, out)
+
+
+def _direct_merge(parts):
+    """(pattern, values) of the sum of [(pattern, values)], by one pass."""
+    (p, v), *rest = parts
+    out = dict(zip(p.flat, v))
+    get = out.get
+    for p, v in rest:
+        for f, x in zip(p.flat, v):
+            out[f] = get(f, 0) + x
+    return _on_pattern(p.dim, out)
+
+
+def _on_pattern(dim, out):
+    """(pattern, values) of {flat position: value}."""
+    flat = sorted(out)
+    return Pattern.of(dim, flat), _gather(flat)(out) if flat else ()
+
+
+def _product(left, a, right, b):
+    """(pattern, values) of the product of two general matrices' values:
+    a direct pass the first time the pattern pair meets, its plan from
+    the second time on."""
+    plans, key = left.plans, right.key
+    plan = plans.get(key, False)
+    if plan is False:
+        plans[key] = None
+        return _direct_product(left, a, right, b)
+    if plan is None:
+        plan = plans[key] = _Plan.product(left, right)
+    return plan.out(), plan.multiply(a, b)
+
+
+def _merged(parts):
+    """(pattern, values) of the sum of [(pattern, values)]: a direct pass
+    the first time the tuple of patterns meets, its union plan from the
+    second time on."""
+    if len(parts) == 1:
+        return parts[0]
+    patterns = [p for p, _ in parts]
+    unions, key = patterns[0].unions, tuple(p.key for p in patterns[1:])
+    plan = unions.get(key, False)
+    if plan is False:
+        unions[key] = None
+        return _direct_merge(parts)
+    if plan is None:
+        plan = unions[key] = _Plan.union(patterns)
+    return plan.out(), plan.merge(list(chain.from_iterable(v for _, v in parts)))
+
 
 class SparseMatrix:
     """Square matrix of integer numerators over one denominator; build
     one with ``from_entries``, ``diagonal`` or ``identity``, since the
-    constructor takes ``rows`` or ``diag`` and ``den`` as given (already
-    canonical)."""
+    constructor takes ``rows`` {i: {j: int}} or ``diag`` and ``den`` as
+    given (already canonical)."""
 
-    __slots__ = ("dim", "den", "_rows", "diag")
+    __slots__ = ("dim", "den", "diag", "pattern", "vals")
 
     def __init__(self, dim, rows=None, den=1, diag=None):
         self.dim = dim
         self.den = den
         self.diag = diag
-        self._rows = {} if rows is None and diag is None else rows
+        self.pattern = self.vals = None
+        if diag is None:
+            self.pattern, self.vals = _from_rows(dim, rows or {})
+
+    @classmethod
+    def _general(cls, dim, den, pattern, vals):
+        m = cls.__new__(cls)
+        m.dim, m.den, m.diag, m.pattern, m.vals = dim, den, None, pattern, vals
+        return m
+
+    @classmethod
+    def _dense(cls, dim, den, diag):
+        """The canonical matrix of the dense diagonal numerators diag over
+        den; the list is kept, or replaced if the content divides out."""
+        if not any(diag):
+            return cls(dim)
+        g = gcd(den, *diag)
+        if g != 1:
+            diag = [v // g for v in diag]
+        return cls(dim, den=den // g, diag=diag)
+
+    @classmethod
+    def _reduce(cls, dim, den, pattern, vals):
+        """The canonical matrix of the numerators vals on pattern over
+        den > 0: zeros drop, a diagonal result is stored dense and the
+        content gcd(den, numerators) is divided out."""
+        if not all(vals):
+            pattern = Pattern.of(dim, compress(pattern.flat, vals))
+            vals = tuple(compress(vals, vals))
+        if pattern.is_diag:
+            if len(vals) == dim:
+                return cls._dense(dim, den, list(vals))
+            diag = [0] * dim
+            for i, v in zip(pattern.ri, vals):
+                diag[i] = v
+            return cls._dense(dim, den, diag)
+        g = gcd(den, *vals)
+        if g != 1:
+            vals = map(floordiv, vals, repeat(g))
+        return cls._general(dim, den // g, pattern, tuple(vals))
 
     @classmethod
     def from_numerators(cls, dim, den, rows=None, diag=None):
         """The canonical matrix of integer numerators over ``den`` > 0: the
         entries of ``rows`` {i: {j: int}} plus the dense list ``diag`` of
         dim diagonal numerators, either one may be None and zeros may be
-        stored.  This is the one reduction every constructor reaches: the
-        two parts merge, the sum is stored dense when it is nonzero and
-        diagonal, and the content gcd(den, numerators) is divided out.
-        Neither argument is changed."""
+        stored.  The two parts merge and ``_reduce`` brings the sum to
+        canonical form.  Neither argument is changed."""
+        parts = []
+        if rows:
+            pattern, vals = _from_rows(dim, rows)
+            if vals:
+                parts.append((pattern, vals))
         if diag is not None:
-            diag = list(diag)
-        kept = {}
-        for i, acc in (rows or {}).items():
-            row = {j: v for j, v in acc.items() if v}
-            if diag is not None:
-                diag[i] += row.pop(i, 0)
-            if row:
-                kept[i] = row
-        if diag is None and kept and all(row.keys() == {i} for i, row in kept.items()):
-            diag = [0] * dim
-            for i, row in kept.items():
-                diag[i] = row[i]
-            kept = {}
-        if diag is not None and not any(diag):
-            diag = None
-        g = den
-        if kept:
-            if diag is not None:
-                for i, v in enumerate(diag):
-                    if v:
-                        kept.setdefault(i, {})[i] = v
-            for row in kept.values():
-                if g == 1:
-                    break
-                g = gcd(g, *row.values())
-            if g != 1:
-                kept = {i: {j: v // g for j, v in row.items()} for i, row in kept.items()}
-            return cls(dim, kept, den // g)
-        if diag is None:
+            if not parts:
+                return cls._dense(dim, den, list(diag))
+            parts.append((Pattern.diagonal(dim), diag))
+        if not parts:
             return cls(dim)
-        if g != 1:
-            g = gcd(g, *diag)
-            if g != 1:
-                diag = [v // g for v in diag]
-        return cls(dim, den=den // g, diag=diag)
+        return cls._reduce(dim, den, *_merged(parts))
 
     @classmethod
     def from_entries(cls, dim, entries):
@@ -139,22 +444,28 @@ class SparseMatrix:
 
     @property
     def rows(self):
-        """{i: {j: numerator}}; for a dense diagonal, a view built on demand."""
+        """{i: {j: numerator}}, built on demand."""
         d = self.diag
-        if d is None:
-            return self._rows
-        return {i: {i: v} for i, v in enumerate(d) if v}
+        if d is not None:
+            return {i: {i: v} for i, v in enumerate(d) if v}
+        out = {}
+        for i, j, v in zip(self.pattern.ri, self.pattern.ci, self.vals):
+            out.setdefault(i, {})[j] = v
+        return out
 
     def __bool__(self):
-        return self.diag is not None or bool(self._rows)
+        return self.diag is not None or bool(self.vals)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if (self.diag is None) != (other.diag is None):
-            return self.dim == other.dim and self.den == other.den and self.rows == other.rows
-        return (self.dim == other.dim and self.den == other.den
-                and self.diag == other.diag and self._rows == other._rows)
+        if self.dim != other.dim or self.den != other.den:
+            return False
+        if self.diag is not None and other.diag is not None:
+            return self.diag == other.diag
+        if self.diag is None and other.diag is None:
+            return self.pattern is other.pattern and self.vals == other.vals
+        return self.rows == other.rows
 
     def zero_like(self):
         return SparseMatrix(self.dim)
@@ -163,8 +474,12 @@ class SparseMatrix:
         d = self.diag
         if d is not None:
             return Fraction(d[i], self.den) if i == j else _ZERO
-        v = self._rows.get(i, {}).get(j)
-        return _ZERO if v is None else Fraction(v, self.den)
+        flat = self.pattern.flat
+        f = i * self.dim + j
+        k = bisect_left(flat, f)
+        if k < len(flat) and flat[k] == f:
+            return Fraction(self.vals[k], self.den)
+        return _ZERO
 
     def entries(self):
         den = self.den
@@ -174,15 +489,14 @@ class SparseMatrix:
                 if v:
                     yield i, i, Fraction(v, den)
             return
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                yield i, j, Fraction(v, den)
+        for i, j, v in zip(self.pattern.ri, self.pattern.ci, self.vals):
+            yield i, j, Fraction(v, den)
 
     def nnz(self):
         d = self.diag
         if d is not None:
             return len(d) - d.count(0)
-        return sum(len(r) for r in self._rows.values())
+        return len(self.vals)
 
     def __add__(self, other):
         return Combination(self.dim).add(self).add(other).finish()
@@ -194,8 +508,7 @@ class SparseMatrix:
         d = self.diag
         if d is not None:
             return SparseMatrix(self.dim, den=self.den, diag=[-v for v in d])
-        rows = {i: {j: -v for j, v in row.items()} for i, row in self._rows.items()}
-        return SparseMatrix(self.dim, rows, self.den)
+        return SparseMatrix._general(self.dim, self.den, self.pattern, tuple(map(neg, self.vals)))
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -230,13 +543,13 @@ class SparseMatrix:
         """Return c if the matrix equals c * identity, else None."""
         d = self.diag
         if d is None:
-            return None if self._rows else _ZERO
+            return None if self.vals else _ZERO
         if d.count(d[0]) != len(d):
             return None
         return Fraction(d[0], self.den)
 
     def is_diagonal(self):
-        return self.diag is not None or not self._rows
+        return self.diag is not None or not self.vals
 
     def inverse(self):
         """Exact inverse: entrywise reciprocals for a diagonal matrix,
@@ -271,28 +584,38 @@ class SparseMatrix:
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
 
 
+def _from_rows(dim, rows):
+    """(pattern, values) of the entries of {i: {j: int}}, zeros kept."""
+    items = sorted(chain.from_iterable(zip(map((i * dim).__add__, row), row.values())
+                                       for i, row in rows.items()))
+    if not items:
+        return Pattern.of(dim, ()), ()
+    flat, vals = zip(*items)
+    return Pattern.of(dim, flat), vals
+
+
 class Combination:
     """A sum of scaled matrices and signed products and commutators,
     accumulated as integer numerators over one running denominator
     ``den``: terms on the diagonal alone go to the dense list ``diag``
-    (None until the first such term), all others to the dict ``out``
-    {i: {j: int}}.
+    (None until the first such term), all others to ``parts``
+    {pattern: values}, one value list per pattern met.
 
     A term whose denominator does not divide ``den`` raises it to the lcm
-    and rescales both accumulators in one pass; otherwise the term adds
-    with integer multiply-adds only.  Nothing is reduced while terms are
-    added: ``finish`` merges the accumulators and divides out the content
-    once, and ``is_zero`` tests the merged sum as it stands.  No list
-    held in ``diag`` is changed in place, so it may be shared with a
-    matrix.  Each term method returns the combination, so calls chain.
+    and rescales every list in one pass; otherwise the term adds with
+    integer multiply-adds only.  Nothing is reduced while terms are added:
+    ``finish`` merges the lists and reduces once, and ``is_zero`` tests
+    the merged sum as it stands.  No list held is changed in place, so it
+    may be shared with a matrix.  Each term method returns the
+    combination, so calls chain.
     """
 
-    __slots__ = ("dim", "den", "out", "diag")
+    __slots__ = ("dim", "den", "parts", "diag")
 
     def __init__(self, dim):
         self.dim = dim
         self.den = 1
-        self.out = {}
+        self.parts = {}
         self.diag = None
 
     def _check(self, m):
@@ -304,11 +627,11 @@ class Combination:
         denominator, first raised to the lcm when d does not divide it."""
         if self.den % d:
             m = d // gcd(self.den, d)
-            for acc in self.out.values():
-                for j in acc:
-                    acc[j] *= m
+            parts = self.parts
+            for p, v in parts.items():
+                parts[p] = list(map(m.__mul__, v))
             if self.diag is not None:
-                self.diag = [v * m for v in self.diag]
+                self.diag = list(map(m.__mul__, self.diag))
             self.den *= m
         return self.den // d
 
@@ -320,55 +643,36 @@ class Combination:
         acc = self.diag
         self.diag = list(values) if acc is None else list(map(add, acc, values))
 
+    def _add_part(self, pattern, values, scale):
+        """Add scale times ``values`` on ``pattern``."""
+        acc = self.parts.get(pattern)
+        if scale == 1:
+            self.parts[pattern] = values if acc is None else list(map(add, acc, values))
+        elif scale == -1:
+            self.parts[pattern] = (list(map(neg, values)) if acc is None
+                                   else list(map(sub, acc, values)))
+        else:
+            values = map(scale.__mul__, values)
+            self.parts[pattern] = list(values) if acc is None else list(map(add, acc, values))
+
     def product(self, a, b, sign=1):
         """Add sign * a*b; the path follows the operands' storage forms."""
         self._check(a)
         self._check(b)
         scale = sign * self._over(a.den * b.den)
-        out, ad, bd = self.out, a.diag, b.diag
+        ad, bd = a.diag, b.diag
         if ad is not None and bd is not None:
             self._add_diag(map(mul, ad, bd), scale)
         elif ad is not None:
-            # row i of a*b is ad[i] times row i of b
-            for i, brow in b._rows.items():
-                an = scale * ad[i]
-                if not an:
-                    continue
-                acc = out.get(i)
-                if acc is None:
-                    out[i] = {j: an * v for j, v in brow.items()}
-                else:
-                    get = acc.get
-                    for j, v in brow.items():
-                        acc[j] = get(j, 0) + an * v
+            if b.vals:
+                self._add_part(b.pattern, list(map(mul, b.pattern.by_row(ad), b.vals)), scale)
         elif bd is not None:
-            # column j of a*b is column j of a times bd[j]
-            if scale != 1:
-                bd = [scale * v for v in bd]
-            for i, arow in a._rows.items():
-                acc = out.get(i)
-                if acc is None:
-                    out[i] = {j: v * bd[j] for j, v in arow.items()}
-                else:
-                    get = acc.get
-                    for j, v in arow.items():
-                        acc[j] = get(j, 0) + v * bd[j]
-        else:
-            brows = b._rows
-            for i, arow in a._rows.items():
-                acc = None
-                for k, av in arow.items():
-                    brow = brows.get(k)
-                    if not brow:
-                        continue
-                    if acc is None:
-                        acc = out.get(i)
-                        if acc is None:
-                            acc = out[i] = {}
-                        get = acc.get
-                    an = scale * av
-                    for j, bv in brow.items():
-                        acc[j] = get(j, 0) + an * bv
+            if a.vals:
+                self._add_part(a.pattern, list(map(mul, a.vals, a.pattern.by_col(bd))), scale)
+        elif a.vals and b.vals:
+            pattern, values = _product(a.pattern, a.vals, b.pattern, b.vals)
+            if values:
+                self._add_part(pattern, values, scale)
         return self
 
     def commutator(self, a, b, sign=1):
@@ -383,31 +687,30 @@ class Combination:
         scale = factor.numerator * self._over(factor.denominator * a.den)
         if a.diag is not None:
             self._add_diag(a.diag, scale)
-            return self
-        out = self.out
-        for i, row in a._rows.items():
-            acc = out.setdefault(i, {})
-            get = acc.get
-            for j, v in row.items():
-                acc[j] = get(j, 0) + scale * v
+        else:
+            self._add_part(a.pattern, a.vals, scale)
         return self
+
+    def _all_parts(self):
+        parts = list(self.parts.items())
+        if self.diag is not None and parts:
+            parts.append((Pattern.diagonal(self.dim), self.diag))
+        return parts
 
     def is_zero(self):
         """Whether the sum vanishes: every numerator of the merged
         accumulators is 0."""
-        out, diag = self.out, self.diag
-        if diag is None:
-            return not any(v for acc in out.values() for v in acc.values())
-        diag = list(diag)
-        for i, acc in out.items():
-            for j, v in acc.items():
-                if v:
-                    if j != i:
-                        return False
-                    diag[i] += v
-        return not any(diag)
+        parts = self._all_parts()
+        if not parts:
+            return self.diag is None or not any(self.diag)
+        return not any(_merged(parts)[1])
 
     def finish(self):
         """The matrix of the sum, in canonical form; the accumulators are
         left as they were."""
-        return SparseMatrix.from_numerators(self.dim, self.den, self.out, self.diag)
+        parts = self._all_parts()
+        if not parts:
+            if self.diag is None:
+                return SparseMatrix(self.dim)
+            return SparseMatrix._dense(self.dim, self.den, self.diag)
+        return SparseMatrix._reduce(self.dim, self.den, *_merged(parts))

@@ -96,6 +96,21 @@ def test_orbit_sum_identity():
         model = GaloisModel(Pyramid(rows=rows))
         for r in range(1, model.pyramid.n):
             assert orbit_sum_identity(model, r)
+            assert orbit_sum_identity(model, r, t_image_b(model, r))
+
+
+def test_cross_check_builds_each_raising_image_once(monkeypatch):
+    # the orbit-sum identity reads the image cross_check has built
+    built = []
+
+    def counted(model, r):
+        built.append(r)
+        return t_image_b(model, r)
+
+    monkeypatch.setattr(galois, "t_image_b", counted)
+    pyr = Pyramid(rows=(1, 2, 2))
+    assert cross_check(build_representation(pyr, generic_weight(pyr))) == 3 * pyr.n - 2
+    assert built == [1, 2]
 
 
 def test_orbit_sum_ill_defined():

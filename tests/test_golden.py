@@ -1,7 +1,9 @@
 """Golden records: the sha256 of the JSON record that ``wrep verify
 --rmax 3``, ``center``, ``fibers`` and ``build`` write for rows (1,2,2)
 and (2,2,3) at the generic weight, of ``build``, ``center`` and ``fibers``
-for rows (2,3,3) (the largest jobs of the spectra workload), of ``build``
+for rows (2,3,3) (the largest jobs of the spectra workload), of ``verify
+--rmax 3`` and ``center`` for rows (1,2,2,3) (dimension 512, where the
+sparse kernel reuses its product plans most), of ``build``
 for rows (2,2,3) at a weight whose denominators 2, 7 and 11 differ and
 whose entries are negative, of ``verify --rmax 4`` for rows (2,3,3) (the
 largest relations job of the benchmark), and the exit
@@ -27,6 +29,8 @@ GOLDEN = {
     ("2,3,3", "build"): "9053c453e1566cadeb99ccf43e11f156a1f4c1306e56a45d694eb8c86c6c2ed1",
     ("2,3,3", "center"): "f00fc3e802338d6457aab3afc9ae3e5370c669b616ab1c5cfeacc3121c5b039e",
     ("2,3,3", "fibers"): "b4d80bc2bf6314ed011e1b6f0bed41adecbfc01bfa799a4fe5fe37869fa50b2e",
+    ("1,2,2,3", "verify"): "bfea02123b6d1b2a18a72b87512c507c63e36b3e604f4e2c6ece9060445bcd91",
+    ("1,2,2,3", "center"): "c823d10f17b558e993bc56e5ceceb8c510a4288edee6dcb427e9abf7a03c8133",
 }
 
 

@@ -1,3 +1,6 @@
+import collections
+import gc
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep.gamma import check_fiber_bound, fibers, gamma_commutes
 from wrep import rep as rep_mod
+from wrep import sparse
 from wrep.patterns import GTPattern, HighestWeight, enumerate_patterns, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import (
@@ -457,20 +461,85 @@ def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mu
 
 def test_relation_suite_work_budget(monkeypatch):
     # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
-    # lost dedup of canonical sums (or a second inverse check) exceeds it
+    # lost dedup of canonical sums (or a second inverse check) exceeds it.
+    # Plans built: one per product pattern pair and per tuple of merged
+    # patterns that recurs; a plan built on first use, or one per call,
+    # changes the count
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(pyr, generic_weight(pyr))
     product, calls = Combination.product, [0]
+    plan_init, plans = sparse._Plan.__init__, collections.Counter()
 
     def counted(self, a, b, sign=1):
         calls[0] += 1
         return product(self, a, b, sign)
 
+    def counted_plan(self, dim, flat, sources):
+        plans["product" if len(sources) == 2 else "union"] += 1
+        plan_init(self, dim, flat, sources)
+
     monkeypatch.setattr(Combination, "product", counted)
+    monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
     report = verify_defining_relations(rep, 3)
     assert report.ok
     assert calls[0] <= 1282
+    assert plans == {"product": 24, "union": 4}
     assert [(name, count) for name, count, _ in report.families] == [
         ("[d,d]=0", 81), ("[e,f]", 30), ("[d,e]", 45), ("[d,f]", 54), ("e same-row", 13),
         ("f same-row", 18), ("e adjacent", 6), ("f adjacent", 9), ("distant rows", 0),
         ("Serre e", 30), ("Serre f", 54), ("d_1 vanishing", 4)]
+
+
+def test_bumped_value_on_a_planned_pattern_fails(monkeypatch):
+    # one value of e_1^{(3)} at (2,2,3) moves and its pattern stays: the
+    # products of e_1^{(3)} run through plans built for e_1^{(1)} and
+    # e_1^{(2)}, which must read the new value.  The witnesses are those
+    # of the dict-of-rows kernel this one replaced.
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    series = rep_mod.generator_series
+    patterns = []
+
+    def mutated_series(rep, R):
+        gens = series(rep, R)
+        m = gens.e(1, 3)
+        i, j, _ = min(m.entries())
+        _bump(gens._e[1], 3, i, j)
+        patterns.extend([m.pattern, gens.e(1, 3).pattern])
+        return gens
+
+    monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
+    families = verify_defining_relations(rep, 3).families
+    assert patterns[0] is patterns[1]
+    failing = {name: len(fails) for name, _, fails in families if fails}
+    assert failing == {"[e,f]": 6, "[d,e]": 10, "e same-row": 8, "e adjacent": 4,
+                       "Serre e": 14}
+    assert families[1][2][0] == (
+        "i=1 j=1 r=3 s=1: entry (0,0) differs by 12/11; row pattern "
+        "GTPattern[1/3 1/4 | 4/3 5/4 1/3 1/4 | 7/3 9/4 4/3 5/4 1/3 1/4 1/5], column pattern "
+        "GTPattern[1/3 1/4 | 4/3 5/4 1/3 1/4 | 7/3 9/4 4/3 5/4 1/3 1/4 1/5]")
+    text = "\n".join(fail for _, _, fails in families for fail in fails)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8e5dec051385356830521a01ff0fc20101917e97a660538b64e0758ae8a387f7")
+
+
+def test_no_pattern_outlives_the_relation_suite():
+    # patterns, and the plans hanging off them, die with the matrices of
+    # the job: nothing is left for a later job or a warm pass to reuse.
+    # Patterns refer to each other by key only, so they die by reference
+    # count, before the cycle collector runs.
+    gc.collect()
+    before = set(sparse._PATTERNS.values())
+
+    def job():
+        pyr = Pyramid(rows=(2, 2, 3))
+        rep = build_representation(pyr, generic_weight(pyr))
+        report = verify_defining_relations(rep, 3)
+        # the ladder patterns of rep.B and rep.C carry the plans built
+        assert any(p.plans for p in set(sparse._PATTERNS.values()) - before)
+        return report
+
+    assert job().ok
+    assert not set(sparse._PATTERNS.values()) - before
+    gc.collect()
+    assert not set(sparse._PATTERNS.values()) - before

@@ -2,12 +2,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from wrep import sparse
 from wrep.arith import UniPoly
 from wrep.errors import SingularLead
 from wrep.mpoly import MPoly
-from wrep.sparse import Combination, SparseMatrix
+from wrep.sparse import Combination, Pattern, SparseMatrix
 
 
 def entry_list(dim, max_size=12):
@@ -199,7 +200,7 @@ def test_combination_matches_dense_reference(terms):
 
 def test_dense_accumulator_cancels_against_a_general_product():
     # swap * b is a general product whose value is diagonal: it lands in
-    # the dict accumulator and must cancel the dense diagonal added first
+    # the list of its pattern and must cancel the dense diagonal added first
     d = SparseMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)])
     swap = SparseMatrix.from_entries(2, [(0, 1, 1), (1, 0, 1)])
     b = SparseMatrix.from_entries(2, [(0, 1, Fraction(-1, 3)), (1, 0, Fraction(-1, 2))])
@@ -207,7 +208,7 @@ def test_dense_accumulator_cancels_against_a_general_product():
     product = swap * b
     assert product == -d and product.diag == [-3, -2]
     comb = Combination(2).add(d).product(swap, b)
-    assert comb.diag is not None and comb.out
+    assert comb.diag is not None and list(comb.parts) == [Pattern.diagonal(2)]
     assert comb.is_zero()
     zero = comb.finish()
     assert zero == SparseMatrix(2) and zero.den == 1 and not zero
@@ -357,7 +358,7 @@ def test_rescale_path_by_hand():
     # 6 * 3 does not divide 4: the running denominator becomes 36 and the
     # accumulated numerators are scaled by 9
     comb.add(b, Fraction(2, 3))
-    assert comb.den == 36 and comb.out == {0: {0: 9, 1: 22}, 1: {1: 20}}
+    assert comb.den == 36 and comb.parts == {a.pattern: [9, 18], b.pattern: [4, 20]}
     got = comb.finish()
     assert (got.den, got.rows) == (36, {0: {0: 9, 1: 22}, 1: {1: 20}})
     assert dense(got) == [[Fraction(1, 4), Fraction(11, 18)], [0, Fraction(5, 9)]]
@@ -392,6 +393,91 @@ def test_three_constructions_agree(entries, c):
     for other in (product, summed, scaled * c, c * scaled):
         assert (other.den, other.rows) == (m.den, m.rows)
     assert_canonical(m)
+
+
+# General matrices on a drawn pattern: distinct positions, at least one
+# off the diagonal, each with a nonzero value.
+positions = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                     max_size=9, unique=True).filter(lambda ps: any(i != j for i, j in ps))
+nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+def on_pattern(data, where):
+    m = SparseMatrix.from_entries(4, [(i, j, data.draw(nonzero)) for i, j in where])
+    assert m.diag is None and len(m.pattern) == len(where)
+    return m
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_one_plan_serves_two_matrices_on_one_pattern(data):
+    pa, pb = data.draw(positions), data.draw(positions)
+    a1, a2, b = on_pattern(data, pa), on_pattern(data, pa), on_pattern(data, pb)
+    assert a1.pattern is a2.pattern
+    # the pair's first product is a direct pass, the second builds the
+    # plan and the third reads it: each matches the dense reference
+    plans = []
+    for a in (a1, a2, a1):
+        got = a * b
+        assert_canonical(got)
+        assert dense(got) == dense_mul(dense(a), dense(b))
+        plans.append(a.pattern.plans[b.pattern.key])
+    plan = plans[1]
+    assert isinstance(plan, sparse._Plan) and plans[2] is plan
+    # the numeric phase alone, against the direct pass: values on the
+    # output pattern, zeros kept
+    out, values = sparse._direct_product(a2.pattern, a2.vals, b.pattern, b.vals)
+    assert plan.out() is out and list(plan.multiply(a2.vals, b.vals)) == list(values)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_finish_shrinks_a_cancelling_sum(data):
+    pa = data.draw(positions)
+    a = on_pattern(data, pa)
+    cancelled = data.draw(st.lists(st.sampled_from(pa), min_size=1, unique=True))
+    extra = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), nonzero),
+                               max_size=4))
+    extra = [(i, j, v) for i, j, v in extra if (i, j) not in pa]
+    c = SparseMatrix.from_entries(4, [(i, j, -a.get(i, j)) for i, j in cancelled] + extra)
+    want = [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(dense(a), dense(c))]
+    union = {(i, j) for i, j, _ in a.entries()} | {(i, j) for i, j, _ in c.entries()}
+    # the first merge of the two patterns is a direct pass, the second
+    # builds the union plan and the third reads it
+    for _ in range(3):
+        comb = Combination(4).add(a).add(c)
+        got = comb.finish()
+        assert_canonical(got)
+        assert dense(got) == want
+        assert got.nnz() <= len(union) - len(cancelled)
+        assert comb.is_zero() == (got.nnz() == 0)
+    if c and c.diag is None and c.pattern is not a.pattern:
+        assert isinstance(a.pattern.unions[(c.pattern.key,)], sparse._Plan)
+    elif c and c.diag is not None:
+        assert isinstance(a.pattern.unions[(Pattern.diagonal(4).key,)], sparse._Plan)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_patterns_and_a_dense_diagonal_in_one_combination(data):
+    diag = SparseMatrix.diagonal(data.draw(diagonal_values(4)))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from([1, -1, 2]), positions, positions),
+                               min_size=2, max_size=4))
+    terms = [(sign, on_pattern(data, pa), on_pattern(data, pb)) for sign, pa, pb in terms]
+    want = dense(diag)
+    for sign, a, b in terms:
+        want = [[w + sign * x for w, x in zip(rw, rx)]
+                for rw, rx in zip(want, dense_mul(dense(a), dense(b)))]
+    # built three times over: direct passes, then plans built, then read
+    for _ in range(3):
+        comb = Combination(4).add(diag)
+        for sign, a, b in terms:
+            comb.product(a, b, sign)
+        got = comb.finish()
+        assert_canonical(got)
+        assert dense(got) == want
+        assert comb.is_zero() == (not any(x for row in want for x in row))
+    assume(len(comb.parts) >= 2 and comb.diag is not None)
 
 
 @pytest.mark.parametrize("value", [
