@@ -322,7 +322,7 @@ def act_on_basis(model, rep, element):
         reads = [i - 1 for form in a.num + a.den for i, _ in form if i]
         span = slice(min(reads, default=0), max(reads, default=-1) + 1)
         terms.append(({p: s for p, s in enumerate(d) if s}, a, span, {}))
-    groups = defaultdict(dict)  # power of u -> {denominator: [(row, column, numerator)]}
+    groups = defaultdict(dict)  # power of u -> {denominator: [(flat position, numerator)]}
     for col, mu in enumerate(rep.basis):
         key = mu.key()
         for steps, a, span, memo in terms:
@@ -338,8 +338,9 @@ def act_on_basis(model, rep, element):
                 except EvaluationError as exc:
                     raise EvaluationError("coefficient at pattern %r: %s" % (mu, exc)) from None
                 poly = memo[at] = _reduced_terms(coeffs, den)
+            pos = tgt * rep.dim + col
             for power, c, den in poly:
-                groups[power].setdefault(den, []).append((tgt, col, c))
+                groups[power].setdefault(den, []).append((pos, c))
     return UniPoly([_over_lcm(rep.dim, groups[power])
                     for power in range(max(groups, default=-1) + 1)])
 

@@ -15,7 +15,8 @@ L_p = Q_p + q * key_p, Q_p read once from the first basis pattern
 v = q u the eigenvalue polynomials prod (v + L) and the Lagrange pairs at
 the nodes -L have integer coefficients; the powers of q move into the
 matrix denominators, and each coefficient matrix is integer numerators
-over one denominator, reduced once (SparseMatrix.from_numerators).
+over one denominator, reduced once (SparseMatrix.from_numerators for
+A, SparseMatrix.from_positions for B and C).
 """
 
 from math import gcd, lcm
@@ -109,7 +110,7 @@ def build_representation(pyramid, weight):
         first = spans[r].start
         # (table, step of the entry, adjacent row, sign): B raises, C lowers
         ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
-        # per ladder and power of u: {denominator: [(row, column, numerator)]}
+        # per ladder and power of u: {denominator: [(flat position, numerator)]}
         entries = [[{} for _ in range(pyramid.row_block_size(r))] for _ in ladders]
         lag_of = {}  # nodes and Lagrange pairs per distinct row r
         terms_of = {}  # a slot's terms per distinct row r and adjacent row
@@ -140,8 +141,9 @@ def build_representation(pyramid, weight):
                         terms = terms_of[memo] = _reduced_terms(
                             num.coeffs, den * q ** len(adj_row),
                             sign * eig[adj][adj_row](node), q)
+                    pos = tgt * N + col
                     for d, c, den in terms:
-                        per_degree[d].setdefault(den, []).append((tgt, col, c))
+                        per_degree[d].setdefault(den, []).append((pos, c))
         for (table, _, _, _), per_degree in zip(ladders, entries):
             table[r] = UniPoly([_over_lcm(N, groups) for groups in per_degree])
 
@@ -178,17 +180,17 @@ def _reduced_terms(coeffs, den, value=1, q=1):
 
 
 def _over_lcm(dim, groups):
-    """The matrix of the entries of groups {denominator: [(row, column,
-    numerator)]}, put over the lcm of the denominators; groups is emptied
-    as it is read."""
+    """The matrix of the entries of groups {denominator: [(flat position
+    i * dim + j, numerator)]}, at distinct positions, put over the lcm of
+    the denominators; groups is emptied as it is read."""
     den = lcm(*groups)
-    rows = {}
+    flat, vals = [], []
     while groups:
         d, entries = groups.popitem()
-        scale = den // d
-        for i, j, c in entries:
-            rows.setdefault(i, {})[j] = c * scale
-    return SparseMatrix.from_numerators(dim, den, rows)
+        at, nums = zip(*entries)
+        flat += at
+        vals += map((den // d).__mul__, nums)
+    return SparseMatrix.from_positions(dim, den, flat, vals)
 
 
 def _sanity_check(rep):

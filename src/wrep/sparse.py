@@ -15,12 +15,13 @@ when it is nonzero and diagonal.  One reduction, ``_reduce``, brings
 integer numerators on a pattern over any positive denominator to this
 form: it drops the zeros, applies the dense-diagonal rule and divides out
 the content.  ``from_numerators`` (numerators as ``{i: {j: int}}`` and a
-dense list), ``diagonal``, ``identity``, ``from_entries``,
-``Combination.finish`` and the integer build of the pattern-basis
-matrices (``rep``) all reach it, so equal matrices have equal (dim, den,
-diag, pattern, vals), and ``is_diagonal`` reads the form.  ``rows``
-({i: {j: numerator}}) is a view built on demand, for tests and for
-comparing a hand-built general matrix.
+dense list), ``from_positions`` (numerators at flat positions, the form
+the integer build of the pattern-basis matrices in ``rep`` emits),
+``diagonal``, ``identity``, ``from_entries`` and ``Combination.finish``
+all reach it, so equal matrices have equal (dim, den, diag, pattern,
+vals), and ``is_diagonal`` reads the form.  ``rows`` ({i: {j:
+numerator}}) is a view built on demand, for tests and for comparing a
+hand-built general matrix.
 
 Patterns are interned: equal position sets are one ``Pattern`` object,
 keyed by the bytes of its flat indices and held weakly by the registry
@@ -52,14 +53,15 @@ the cheaper one.  A plan holds the output pattern and, for each
 contribution layer t, the gather lists of the t-th multiplicand pair of
 every output with more than t contributions; the outputs are sorted by
 their number of contributions, so each layer is a prefix, and the
-numeric phase is a few ``map(mul)`` and ``map(add)`` passes.  The combination keeps one value list per output pattern, and a
-term on a pattern it holds adds with one ``map(add)``.  ``is_zero`` and
-``finish`` merge distinct patterns (and the dense diagonal) in the same
-way: a direct pass for a tuple of patterns met first, then a ``_Plan``
-of the union, cached on the first pattern under the keys of the others.
-Plans hang off their patterns and name other patterns by key only, so no
-reference cycle keeps a pattern alive, and no plan outlives the matrices
-of a run.  Fractions appear only at the boundary: ``get``, ``entries``,
+numeric phase is a few ``map(mul)`` and ``map(add)`` passes.  The
+combination keeps one value list per output pattern, and a term on a
+pattern it holds adds with one ``map(add)``.  ``is_zero`` and ``finish``
+merge distinct patterns (and the dense diagonal) by one direct pass and
+keep no plan: a relation check merges 84 times against its 881 general
+products, and cached merge plans measured no faster.  Plans hang off
+their left pattern and name other patterns by key only, so no reference
+cycle keeps a pattern alive, and no plan outlives the matrices of a run.
+Fractions appear only at the boundary: ``get``, ``entries``,
 ``scalar_part`` and ``inverse`` return reduced Fractions, and
 ``from_entries`` and ``diagonal`` accept them.
 """
@@ -106,14 +108,13 @@ class Pattern:
 
     Caches that live as long as the pattern: the gathers of a dense
     diagonal by the row or column indices, the row starts (the per-row
-    index), ``plans`` {key of the right pattern: _Plan, or None after one
-    direct product} and ``unions`` {keys of the other patterns: _Plan, or
-    None after one direct merge}.  A pattern refers to other patterns
-    only by their keys, so patterns form no reference cycle and each one
-    dies, with its caches, as soon as nothing refers to it."""
+    index) and ``plans`` {key of the right pattern: _Plan, or None after
+    one direct product}.  A pattern refers to other patterns only by
+    their keys, so patterns form no reference cycle and each one dies,
+    with its caches, as soon as nothing refers to it."""
 
     __slots__ = ("dim", "key", "flat", "_ri", "_ci", "is_diag", "_by_row", "_by_col",
-                 "_starts", "plans", "unions", "__weakref__")
+                 "_starts", "plans", "__weakref__")
 
     def __init__(self, dim, key):
         self.dim = dim
@@ -124,7 +125,6 @@ class Pattern:
         self.is_diag = not any(map(mod, flat, repeat(dim + 1)))
         self._ri = self._ci = self._by_row = self._by_col = self._starts = None
         self.plans = {}
-        self.unions = {}
 
     @property
     def ri(self):
@@ -186,24 +186,33 @@ class Pattern:
 
 
 class _Plan:
-    """How to compute the values on ``out()``, a pattern, from the values of
-    one or two operands: the multiplicand pairs of a product, or the terms
-    of a merged sum.
+    """How to compute the values of a product of two general patterns on
+    ``out()``, the output pattern, from the operands' value lists.
 
-    ``layers`` lists (n, gather per operand): layer t gives the t-th
-    term of the first n outputs, in order of falling term count, so every
-    layer is a prefix; ``order`` gathers that order back to the order of
-    the output pattern (None when they agree).  The plan holds the output
-    pattern weakly and its key strongly, and ``out()`` interns it anew
-    once it has died."""
+    ``layers`` lists (n, gather of the left values, gather of the right
+    values): layer t gives the t-th multiplicand pair of the first n
+    outputs, in order of falling contribution count, so every layer is a
+    prefix; ``order`` gathers that order back to the order of the output
+    pattern (None when they agree).  The plan holds the output pattern
+    weakly and its key strongly, and ``out()`` interns it anew once it
+    has died."""
 
     __slots__ = ("dim", "out_key", "_out", "layers", "order")
 
-    def __init__(self, dim, flat, sources):
-        # term c lands at position flat[c] and reads item sources[o][c] of
-        # operand o; each step below is a pass in C, none a Python loop over
-        # the terms
-        self.dim = dim
+    def __init__(self, left, right):
+        # term c lands at position flat[c] and multiplies left value ka[c]
+        # by right value kb[c]; each step after the first loop is a pass in
+        # C, none a Python loop over the terms
+        starts, rci = right.starts(), right.ci
+        index = list(range(len(rci)))  # one int object per right position
+        self.dim = dim = left.dim
+        flat, ka, kb = [], [], []
+        for k_left, (i, k) in enumerate(zip(left.ri, left.ci)):
+            lo, hi = starts[k], starts[k + 1]
+            if lo < hi:
+                flat += map((i * dim).__add__, rci[lo:hi])
+                ka += repeat(k_left, hi - lo)
+                kb += index[lo:hi]
         self._out = _DEAD
         self.layers = []
         self.order = None
@@ -211,7 +220,7 @@ class _Plan:
             self.out_key = b""
             return
         by_out = _gather(sorted(range(len(flat)), key=flat.__getitem__))
-        sources = [by_out(s) for s in sources]
+        ka, kb = by_out(ka), by_out(kb)
         counts = Counter(by_out(flat))  # keys in increasing order
         self.out_key = array("q", counts).tobytes()
         count = list(counts.values())
@@ -224,31 +233,9 @@ class _Plan:
             while count[n - 1] <= t:
                 n -= 1
             terms = _gather(list(map(add, first[:n], repeat(t))))
-            self.layers.append((n, [_gather(terms(s)) for s in sources]))
+            self.layers.append((n, _gather(terms(ka)), _gather(terms(kb))))
         if ranked != list(range(len(ranked))):
             self.order = _gather(sorted(range(len(ranked)), key=ranked.__getitem__))
-
-    @classmethod
-    def product(cls, left, right):
-        """The plan of left * right for two general patterns."""
-        starts, rci = right.starts(), right.ci
-        index = list(range(len(rci)))  # one int object per right position
-        dim = left.dim
-        flat, ka, kb = [], [], []
-        for k_left, (i, k) in enumerate(zip(left.ri, left.ci)):
-            lo, hi = starts[k], starts[k + 1]
-            if lo < hi:
-                flat += map((i * dim).__add__, rci[lo:hi])
-                ka += repeat(k_left, hi - lo)
-                kb += index[lo:hi]
-        return cls(dim, flat, [ka, kb])
-
-    @classmethod
-    def union(cls, patterns):
-        """The plan merging value lists on ``patterns``, read from their
-        concatenation."""
-        flat = list(chain.from_iterable(p.flat for p in patterns))
-        return cls(patterns[0].dim, flat, [range(len(flat))])
 
     def out(self):
         """The output pattern."""
@@ -262,18 +249,10 @@ class _Plan:
         """Values of the product of value lists a and b on ``out()``."""
         if not self.layers:
             return ()
-        (_, (ga, gb)), *rest = self.layers
+        (_, ga, gb), *rest = self.layers
         acc = list(map(mul, ga(a), gb(b)))
-        for n, (ga, gb) in rest:
+        for n, ga, gb in rest:
             acc[:n] = map(add, acc, map(mul, ga(a), gb(b)))
-        return acc if self.order is None else self.order(acc)
-
-    def merge(self, values):
-        """Values of the sum of the concatenated value lists on ``out()``."""
-        (_, (g,)), *rest = self.layers
-        acc = list(g(values))
-        for n, (g,) in rest:
-            acc[:n] = map(add, acc, g(values))
         return acc if self.order is None else self.order(acc)
 
 
@@ -294,9 +273,11 @@ def _direct_product(left, a, right, b):
     return _on_pattern(dim, out)
 
 
-def _direct_merge(parts):
+def _merged(parts):
     """(pattern, values) of the sum of [(pattern, values)], by one pass."""
     (p, v), *rest = parts
+    if not rest:
+        return p, v
     out = dict(zip(p.flat, v))
     get = out.get
     for p, v in rest:
@@ -321,25 +302,8 @@ def _product(left, a, right, b):
         plans[key] = None
         return _direct_product(left, a, right, b)
     if plan is None:
-        plan = plans[key] = _Plan.product(left, right)
+        plan = plans[key] = _Plan(left, right)
     return plan.out(), plan.multiply(a, b)
-
-
-def _merged(parts):
-    """(pattern, values) of the sum of [(pattern, values)]: a direct pass
-    the first time the tuple of patterns meets, its union plan from the
-    second time on."""
-    if len(parts) == 1:
-        return parts[0]
-    patterns = [p for p, _ in parts]
-    unions, key = patterns[0].unions, tuple(p.key for p in patterns[1:])
-    plan = unions.get(key, False)
-    if plan is False:
-        unions[key] = None
-        return _direct_merge(parts)
-    if plan is None:
-        plan = unions[key] = _Plan.union(patterns)
-    return plan.out(), plan.merge(list(chain.from_iterable(v for _, v in parts)))
 
 
 class SparseMatrix:
@@ -414,6 +378,16 @@ class SparseMatrix:
         if not parts:
             return cls(dim)
         return cls._reduce(dim, den, *_merged(parts))
+
+    @classmethod
+    def from_positions(cls, dim, den, flat, vals):
+        """The canonical matrix of the integer numerators ``vals`` over
+        ``den`` > 0 at the distinct flat positions i * dim + j in ``flat``,
+        in any order; zeros may be stored.  Neither list is changed."""
+        if not flat:
+            return cls(dim)
+        order = _gather(sorted(range(len(flat)), key=flat.__getitem__))
+        return cls._reduce(dim, den, Pattern.of(dim, order(flat)), order(vals))
 
     @classmethod
     def from_entries(cls, dim, entries):
