@@ -4,16 +4,19 @@ Configuration is INI-style: a [pyramid] section with `rows` or `cols`
 (integers separated by spaces or commas, as for --rows/--cols), an
 optional [weight] section with lambda1..lambdaN lines (comma-separated
 fractions), and an optional [run] section with rmax; any other section or
-key is a configuration error.  Every subcommand emits a record
+key is a configuration error, and a malformed value is an error that
+names its flag or [section] key.  Every subcommand emits a record
 {"schema": 1, ...} with stable key order and no timestamps; timing is
 printed separately so records are byte-identical across runs.  Exit
 status: 0 all checks pass, 1 a check fails, 2 usage or configuration
 error, 3 an internal error (an unexpected exception, reported on one
-line)."""
+line); on exit 2 or 3 no record is written, and an --out file the run
+created is removed."""
 
 import argparse
 import configparser
 import json
+import os
 import re
 import sys
 import time
@@ -38,9 +41,22 @@ from .rep import (
 )
 
 
-def _parse_fraction_list(text):
+_NOUNS = {int: "an integer", Fraction: "a fraction"}
+
+
+def _value(kind, token, source):
+    """kind(token) for kind int or Fraction; a malformed token is an error
+    that names ``source``, the flag or [section] key it came from."""
     try:
-        return [Fraction(tok) for tok in text.replace(",", " ").split()]
+        return kind(token)
+    except ValueError:
+        raise WrepError("%s: %r is not %s" % (source, token, _NOUNS[kind])) from None
+
+
+def _values(kind, text, source):
+    """The tokens of text, separated by spaces or commas, read by _value."""
+    try:
+        return [_value(kind, tok, source) for tok in text.replace(",", " ").split()]
     except ZeroDivisionError:
         raise WrepError("zero denominator in %r" % text) from None
 
@@ -72,10 +88,11 @@ def _load_config(path):
 
 def _pyramid_from(args, cfg):
     sec = cfg.get("pyramid", {})
-    for key, text in (("rows", args.rows), ("cols", args.cols),
-                      ("rows", sec.get("rows")), ("cols", sec.get("cols"))):
+    for key, source, text in (("rows", "--rows", args.rows), ("cols", "--cols", args.cols),
+                              ("rows", "[pyramid] rows", sec.get("rows")),
+                              ("cols", "[pyramid] cols", sec.get("cols"))):
         if text:
-            return Pyramid(**{key: [int(tok) for tok in text.replace(",", " ").split()]})
+            return Pyramid(**{key: _values(int, text, source)})
     raise WrepError("no pyramid given (use --rows/--cols or a [pyramid] section)")
 
 
@@ -89,7 +106,7 @@ def _weight_from(pyr, cfg):
             raise ConfigError("unknown key %r in config section [weight] "
                               "(%d-row pyramid)" % (key, pyr.n))
         raise WrepError("missing %s in [weight]" % key)
-    return HighestWeight(pyr, [_parse_fraction_list(sec[key]) for key in keys])
+    return HighestWeight(pyr, [_values(Fraction, sec[key], "[weight] " + key) for key in keys])
 
 
 def _run_params(args, cfg):
@@ -179,7 +196,7 @@ def _rmax_from(args, cfg):
     if args.rmax is not None:
         rmax = args.rmax
     elif "rmax" in cfg.get("run", {}):
-        rmax = int(cfg["run"]["rmax"])
+        rmax = _value(int, cfg["run"]["rmax"], "[run] rmax")
     else:
         return 3
     if rmax < 1:
@@ -334,6 +351,29 @@ def _cannot_write(path, exc):
     return 2
 
 
+def _open_out(path):
+    """Make sure the record can be written to path before the run, so a
+    bad path costs no work: path if this call created the file, else
+    None.  An existing file keeps its bytes until the record replaces
+    them."""
+    try:
+        open(path, "x").close()
+        return path
+    except FileExistsError:
+        open(path, "a").close()
+        return None
+
+
+def _no_record(status, message, created):
+    """Exit status of a run that wrote no record: the error on one line,
+    and the --out file removed if this run created it (``created``, its
+    path, or None)."""
+    print("error: %s" % message, file=sys.stderr)
+    if created:
+        os.remove(created)
+    return status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="wrep",
@@ -347,11 +387,10 @@ def main(argv=None):
     parser.add_argument("--out", help="write the JSON record to this file")
     args = parser.parse_args(argv)
 
+    created = None
     if args.out:
-        # open the file before the run, so a bad path costs no work; "a"
-        # leaves an existing file as it is until the record replaces it
         try:
-            open(args.out, "a").close()
+            created = _open_out(args.out)
         except OSError as exc:
             return _cannot_write(args.out, exc)
     try:
@@ -360,12 +399,10 @@ def main(argv=None):
         info, checks = _COMMANDS[args.command](args, cfg)
         elapsed = time.perf_counter() - t0
     except (WrepError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _no_record(2, exc, created)
     except Exception as exc:
         # a fault of the program, not of the input or of a checked claim
-        print("error: internal: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 3
+        return _no_record(3, "internal: %s: %s" % (type(exc).__name__, exc), created)
 
     record = {
         "schema": 1,

@@ -15,8 +15,8 @@ L_p = Q_p + q * key_p, Q_p read once from the first basis pattern
 v = q u the eigenvalue polynomials prod (v + L) and the Lagrange pairs at
 the nodes -L have integer coefficients; the powers of q move into the
 matrix denominators, and each coefficient matrix is integer numerators
-over one denominator, reduced once (SparseMatrix.from_numerators for
-A, SparseMatrix.from_positions for B and C).
+over one denominator, reduced once (SparseMatrix.diagonal for A,
+SparseMatrix.from_positions for B and C).
 """
 
 from math import gcd, lcm
@@ -103,7 +103,7 @@ def build_representation(pyramid, weight):
             eigs.append(eig[r][row].coeffs)
         # the u^d coefficient of A_r is the v^d one over q^(p_r - d)
         p_r = pyramid.row_block_size(r)
-        rep.A[r] = UniPoly([SparseMatrix.from_numerators(N, q ** (p_r - d), diag=column)
+        rep.A[r] = UniPoly([SparseMatrix.diagonal(column, q ** (p_r - d))
                             for d, column in enumerate(zip(*eigs))])
 
     for r in range(1, n):

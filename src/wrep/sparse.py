@@ -14,14 +14,16 @@ no stored general numerator is 0, and a matrix is stored dense exactly
 when it is nonzero and diagonal.  One reduction, ``_reduce``, brings
 integer numerators on a pattern over any positive denominator to this
 form: it drops the zeros, applies the dense-diagonal rule and divides out
-the content.  ``from_numerators`` (numerators as ``{i: {j: int}}`` and a
-dense list), ``from_positions`` (numerators at flat positions, the form
-the integer build of the pattern-basis matrices in ``rep`` emits),
-``diagonal``, ``identity``, ``from_entries`` and ``Combination.finish``
-all reach it, so equal matrices have equal (dim, den, diag, pattern,
-vals), and ``is_diagonal`` reads the form.  ``rows`` ({i: {j:
-numerator}}) is a view built on demand, for tests and for comparing a
-hand-built general matrix.
+the content.  General numerators come in one way, through
+``from_positions`` (numerators at flat positions, the form the integer
+build of the pattern-basis matrices in ``rep`` emits; ``from_entries``
+sums its entries into that form), and ``Combination.finish`` reduces its
+sums the same way.  ``diagonal`` and ``identity`` go straight to the
+dense-diagonal step, ``_dense``, and ``SparseMatrix(dim)`` is the zero
+matrix and takes nothing else.  So equal matrices have equal (dim, den,
+diag, pattern, vals), which is what ``__eq__`` compares, and
+``is_diagonal`` reads the form.  ``rows`` ({i: {j: numerator}}) is a
+view built on demand, for tests.
 
 Patterns are interned: equal position sets are one ``Pattern`` object,
 keyed by the bytes of its flat indices and held weakly by the registry
@@ -63,7 +65,8 @@ their left pattern and name other patterns by key only, so no reference
 cycle keeps a pattern alive, and no plan outlives the matrices of a run.
 Fractions appear only at the boundary: ``get``, ``entries``,
 ``scalar_part`` and ``inverse`` return reduced Fractions, and
-``from_entries`` and ``diagonal`` accept them.
+``from_entries`` and ``diagonal`` accept them.  ``inverse`` inverts only
+a diagonal matrix, the only kind a run inverts.
 """
 
 import weakref
@@ -307,25 +310,24 @@ def _product(left, a, right, b):
 
 
 class SparseMatrix:
-    """Square matrix of integer numerators over one denominator; build
-    one with ``from_entries``, ``diagonal`` or ``identity``, since the
-    constructor takes ``rows`` {i: {j: int}} or ``diag`` and ``den`` as
-    given (already canonical)."""
+    """Square matrix of integer numerators over one denominator.
+    ``SparseMatrix(dim)`` is the zero matrix; build any other with
+    ``from_positions``, ``from_entries``, ``diagonal`` or ``identity``."""
 
     __slots__ = ("dim", "den", "diag", "pattern", "vals")
 
-    def __init__(self, dim, rows=None, den=1, diag=None):
+    def __init__(self, dim):
         self.dim = dim
-        self.den = den
-        self.diag = diag
-        self.pattern = self.vals = None
-        if diag is None:
-            self.pattern, self.vals = _from_rows(dim, rows or {})
+        self.den = 1
+        self.diag = None
+        self.pattern = Pattern.of(dim, ())
+        self.vals = ()
 
     @classmethod
-    def _general(cls, dim, den, pattern, vals):
+    def _of(cls, dim, den, diag, pattern=None, vals=None):
+        """The matrix of these fields, taken as given (already canonical)."""
         m = cls.__new__(cls)
-        m.dim, m.den, m.diag, m.pattern, m.vals = dim, den, None, pattern, vals
+        m.dim, m.den, m.diag, m.pattern, m.vals = dim, den, diag, pattern, vals
         return m
 
     @classmethod
@@ -337,7 +339,7 @@ class SparseMatrix:
         g = gcd(den, *diag)
         if g != 1:
             diag = [v // g for v in diag]
-        return cls(dim, den=den // g, diag=diag)
+        return cls._of(dim, den // g, diag)
 
     @classmethod
     def _reduce(cls, dim, den, pattern, vals):
@@ -357,27 +359,7 @@ class SparseMatrix:
         g = gcd(den, *vals)
         if g != 1:
             vals = map(floordiv, vals, repeat(g))
-        return cls._general(dim, den // g, pattern, tuple(vals))
-
-    @classmethod
-    def from_numerators(cls, dim, den, rows=None, diag=None):
-        """The canonical matrix of integer numerators over ``den`` > 0: the
-        entries of ``rows`` {i: {j: int}} plus the dense list ``diag`` of
-        dim diagonal numerators, either one may be None and zeros may be
-        stored.  The two parts merge and ``_reduce`` brings the sum to
-        canonical form.  Neither argument is changed."""
-        parts = []
-        if rows:
-            pattern, vals = _from_rows(dim, rows)
-            if vals:
-                parts.append((pattern, vals))
-        if diag is not None:
-            if not parts:
-                return cls._dense(dim, den, list(diag))
-            parts.append((Pattern.diagonal(dim), diag))
-        if not parts:
-            return cls(dim)
-        return cls._reduce(dim, den, *_merged(parts))
+        return cls._of(dim, den // g, None, pattern, tuple(vals))
 
     @classmethod
     def from_positions(cls, dim, den, flat, vals):
@@ -394,27 +376,26 @@ class SparseMatrix:
         """Build from an iterable of (row, col, value), int or Fraction
         values, summing duplicates; the sums go over the lcm of their
         denominators."""
-        rows = {}
+        sums = {}
         for i, j, v in entries:
-            row = rows.setdefault(i, {})
-            cur = row.get(j)
-            row[j] = v if cur is None else cur + v
-        den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
-        return cls.from_numerators(
-            dim, den, {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-                       for i, row in rows.items()})
+            f = i * dim + j
+            sums[f] = sums.get(f, 0) + v
+        den = lcm(*(v.denominator for v in sums.values()))
+        return cls.from_positions(dim, den, list(sums),
+                                  [v.numerator * (den // v.denominator) for v in sums.values()])
 
     @classmethod
     def identity(cls, dim):
-        return cls.from_numerators(dim, 1, diag=[1] * dim)
+        return cls._dense(dim, 1, [1] * dim)
 
     @classmethod
-    def diagonal(cls, values):
-        """The diagonal matrix of int or Fraction values."""
+    def diagonal(cls, values, den=1):
+        """The diagonal matrix of int or Fraction values, each divided by
+        the positive integer den."""
         values = list(values)
-        den = lcm(*(v.denominator for v in values))
-        return cls.from_numerators(
-            len(values), den, diag=[v.numerator * (den // v.denominator) for v in values])
+        common = lcm(*(v.denominator for v in values))
+        return cls._dense(len(values), common * den,
+                          [v.numerator * (common // v.denominator) for v in values])
 
     @property
     def rows(self):
@@ -433,13 +414,8 @@ class SparseMatrix:
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if self.dim != other.dim or self.den != other.den:
-            return False
-        if self.diag is not None and other.diag is not None:
-            return self.diag == other.diag
-        if self.diag is None and other.diag is None:
-            return self.pattern is other.pattern and self.vals == other.vals
-        return self.rows == other.rows
+        return (self.dim == other.dim and self.den == other.den and self.diag == other.diag
+                and self.pattern is other.pattern and self.vals == other.vals)
 
     def zero_like(self):
         return SparseMatrix(self.dim)
@@ -481,8 +457,8 @@ class SparseMatrix:
     def __neg__(self):
         d = self.diag
         if d is not None:
-            return SparseMatrix(self.dim, den=self.den, diag=[-v for v in d])
-        return SparseMatrix._general(self.dim, self.den, self.pattern, tuple(map(neg, self.vals)))
+            return SparseMatrix._of(self.dim, self.den, [-v for v in d])
+        return SparseMatrix._of(self.dim, self.den, None, self.pattern, tuple(map(neg, self.vals)))
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -526,46 +502,17 @@ class SparseMatrix:
         return self.diag is not None or not self.vals
 
     def inverse(self):
-        """Exact inverse: entrywise reciprocals for a diagonal matrix,
-        Gaussian elimination otherwise; SingularLead if singular."""
-        n = self.dim
+        """Exact inverse of a diagonal matrix, entrywise; SingularLead if
+        it is singular.  No command inverts any other matrix."""
         d = self.diag
-        if d is not None:
-            if not all(d):
-                raise SingularLead("matrix is singular")
-            return SparseMatrix.diagonal(Fraction(self.den, v) for v in d)
-        a = [[self.get(i, j) for j in range(n)] for i in range(n)]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise SingularLead("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return SparseMatrix.from_entries(
-            n, ((i, j, v) for i, row in enumerate(inv) for j, v in enumerate(row) if v)
-        )
+        if d is None and self.vals:
+            raise NotImplementedError("inverse of a matrix that is not diagonal")
+        if d is None or not all(d):
+            raise SingularLead("matrix is singular")
+        return SparseMatrix.diagonal(Fraction(self.den, v) for v in d)
 
     def __repr__(self):
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
-
-
-def _from_rows(dim, rows):
-    """(pattern, values) of the entries of {i: {j: int}}, zeros kept."""
-    items = sorted(chain.from_iterable(zip(map((i * dim).__add__, row), row.values())
-                                       for i, row in rows.items()))
-    if not items:
-        return Pattern.of(dim, ()), ()
-    flat, vals = zip(*items)
-    return Pattern.of(dim, flat), vals
 
 
 class Combination:

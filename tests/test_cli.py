@@ -122,12 +122,16 @@ def test_fibers_character_mismatch_is_a_failed_check(capsys, monkeypatch):
     assert status["fiber size within the factorial bound"][0] == "SKIP"
 
 
-@pytest.mark.parametrize("argv, text", [
-    (["verify", "--rows", "1 1", "--rmax", "0"], None),
-    (["center", "--rows", "1 1", "--rmax", "-1"], None),
-    (["galois-check"], "[pyramid]\nrows = 1 1\n[weight]\nlambda1 = 1/0\nlambda2 = 0\n"),
-], ids=["rmax-zero", "rmax-negative", "weight-zero-denominator"])
-def test_bad_argument_exit_code(capsys, tmp_path, argv, text):
+@pytest.mark.parametrize("argv, text, named", [
+    (["verify", "--rows", "1 1", "--rmax", "0"], None, None),
+    (["center", "--rows", "1 1", "--rmax", "-1"], None, None),
+    (["galois-check"], "[pyramid]\nrows = 1 1\n[weight]\nlambda1 = 1/0\nlambda2 = 0\n",
+     "zero denominator in '1/0'"),
+    (["verify", "--rows", "1,a"], None, "--rows: 'a' is not an integer"),
+    (["dim", "--cols", "2 1.5"], None, "--cols: '1.5' is not an integer"),
+], ids=["rmax-zero", "rmax-negative", "weight-zero-denominator", "rows-not-an-integer",
+        "cols-not-an-integer"])
+def test_bad_argument_exit_code(capsys, tmp_path, argv, text, named):
     if text is not None:
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -138,8 +142,8 @@ def test_bad_argument_exit_code(capsys, tmp_path, argv, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
-    if text is not None:
-        assert captured.err == "error: zero denominator in '1/0'\n"
+    if named is not None:
+        assert captured.err == "error: %s\n" % named
 
 
 def test_points_option_is_gone(capsys):
@@ -167,9 +171,16 @@ _WEIGHT = "[weight]\nlambda1 = 5/2\nlambda2 = 1/2\n"
      "unknown key 'points' in config section [run]"),
     ("[pyramid]\nrows = 1 1\n" + _WEIGHT + "lambda3 = 0\n",
      "unknown key 'lambda3' in config section [weight] (2-row pyramid)"),
+    ("[pyramid]\nrows = 1 x\n", "[pyramid] rows: 'x' is not an integer"),
+    ("[pyramid]\ncols = 2,y\n", "[pyramid] cols: 'y' is not an integer"),
+    ("[pyramid]\nrows = 1 1\n[run]\nrmax = abc\n", "[run] rmax: 'abc' is not an integer"),
+    ("[pyramid]\nrows = 1 1\n" + _WEIGHT.replace("5/2", "abc"),
+     "[weight] lambda1: 'abc' is not a fraction"),
 ], ids=["no-section-header", "duplicate-section", "duplicate-option",
         "bad-interpolation", "line-without-equals", "unknown-section",
-        "unknown-run-key", "stale-points-key", "weight-key-past-last-row"])
+        "unknown-run-key", "stale-points-key", "weight-key-past-last-row",
+        "rows-not-an-integer", "cols-not-an-integer", "rmax-not-an-integer",
+        "weight-not-a-fraction"])
 def test_malformed_config_exit_code(capsys, tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -209,6 +220,40 @@ def test_unwritable_out_path_fails_before_the_run(capsys, monkeypatch, tmp_path)
     assert called == []
     assert captured.err.startswith("error: cannot write %r" % path)
     assert captured.err.count("\n") == 1
+
+
+def _broken_dim(args, cfg):
+    raise ZeroDivisionError("division by zero")
+
+
+@pytest.mark.parametrize("argv, text, status", [
+    (["verify", "--rows", "1,2", "--rmax", "0"], None, 2),
+    (["verify", "--rows", "1,2,9,1"], None, 2),
+    (["verify"], "[pyramid]\nrows = 1 2\n[run]\nrmax = abc\n", 2),
+    (["dim", "--rows", "1 1"], None, 3),
+], ids=["rmax-zero", "bad-shape", "config-rmax-not-an-integer", "internal-error"])
+@pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
+                         ids=["new-file", "existing-file"])
+def test_failed_run_leaves_no_out_file_behind(capsys, monkeypatch, tmp_path, argv, text, status,
+                                              existing):
+    # a run that writes no record removes the --out file it created, and
+    # leaves a file that was there before with its bytes
+    monkeypatch.setitem(cli._COMMANDS, "dim", _broken_dim)
+    if text is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "x.json"
+    if existing is not None:
+        out.write_bytes(existing)
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == status
+    assert captured.out == "" and captured.err.count("\n") == 1
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

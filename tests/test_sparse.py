@@ -54,10 +54,17 @@ def test_identity_and_scalar_part():
 
 
 def test_inverse():
-    a = SparseMatrix.from_entries(2, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)])
-    assert a * a.inverse() == SparseMatrix.identity(2)
+    d = SparseMatrix.diagonal([1, Fraction(-2, 3)])
+    assert d * d.inverse() == SparseMatrix.identity(2) == d.inverse() * d
     with pytest.raises(SingularLead):
-        SparseMatrix.from_entries(2, [(0, 0, 1), (1, 0, 1)]).inverse()
+        SparseMatrix.diagonal([1, 0]).inverse()
+    with pytest.raises(SingularLead):
+        SparseMatrix(2).inverse()
+    # only a diagonal matrix inverts; a general one is a program fault,
+    # not a singular lead, invertible or not
+    for entries in ([(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)], [(0, 0, 1), (1, 0, 1)]):
+        with pytest.raises(NotImplementedError):
+            SparseMatrix.from_entries(2, entries).inverse()
 
 
 def test_commutator():
@@ -93,18 +100,22 @@ def dense_det(a):
 
 
 def assert_canonical(m):
-    # equality compares (dim, den, diag, rows), so a nonzero diagonal
-    # matrix must be stored dense and nothing else may be, zeros and empty
-    # rows must be absent, and den must share no factor with the numerators
+    # equality compares (dim, den, diag, pattern by identity, vals), so a
+    # nonzero diagonal matrix must be stored dense and nothing else may be,
+    # a general pattern must be the interned one of its increasing
+    # positions with no zero stored, and den must share no factor with
+    # the numerators
     if m.diag is not None:
         assert len(m.diag) == m.dim and any(m.diag) and m.is_diagonal()
+        assert m.pattern is None and m.vals is None
         numerators = m.diag
     else:
-        rows = m.rows
-        assert not rows or not all(row.keys() == {i} for i, row in rows.items())
-        assert all(rows.values())
-        assert all(v for row in rows.values() for v in row.values())
-        numerators = [v for row in rows.values() for v in row.values()]
+        flat = list(m.pattern.flat)
+        assert m.pattern is Pattern.of(m.dim, flat)
+        assert all(x < y for x, y in zip(flat, flat[1:]))
+        assert type(m.vals) is tuple and len(m.vals) == len(flat) and all(m.vals)
+        assert not flat or any(i != j for i, j in (divmod(f, m.dim) for f in flat))
+        numerators = m.vals
     assert m.den > 0 and gcd(m.den, *numerators) == 1
     assert m or m.den == 1
 
@@ -128,7 +139,10 @@ def test_matches_dense_reference(a, b, c, diag):
     for label, (got, want) in results.items():
         assert_canonical(got)
         assert dense(got) == want, label
-    if dense_det(da):
+    if not a.is_diagonal():
+        with pytest.raises(NotImplementedError):
+            a.inverse()
+    elif dense_det(da):
         inv = a.inverse()
         assert_canonical(inv)
         ident = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
@@ -229,8 +243,8 @@ def test_dense_accumulator_cancels_against_a_general_product():
 
 
 def test_dense_form_is_read_without_rows(monkeypatch):
-    # the methods a traced run calls on every product, and the product
-    # paths themselves, read the dense list; rows is for tests and __eq__
+    # the methods a traced run calls on every product, the product paths
+    # and equality read the storage; rows is for tests
     d = SparseMatrix.diagonal([Fraction(1, 2), 0, 3])
     g = SparseMatrix.from_entries(3, [(0, 1, 1), (2, 0, Fraction(1, 4))])
 
@@ -246,6 +260,8 @@ def test_dense_form_is_read_without_rows(monkeypatch):
     with pytest.raises(SingularLead):
         d.inverse()
     assert (3 * SparseMatrix.identity(3)).scalar_part() == 3
+    assert d == SparseMatrix.diagonal([Fraction(1, 2), 0, 3]) and d != g
+    assert g == SparseMatrix.from_positions(3, 4, [6, 1], [1, 4]) and g != -g
 
 
 def test_diagonal_results_are_stored_dense():
@@ -258,8 +274,6 @@ def test_diagonal_results_are_stored_dense():
     b = SparseMatrix.from_entries(2, [(1, 0, 1)])
     assert (a * b).diag == [1, 0] and (b * a).diag == [0, 1]
     assert a.commutator(b).diag == [1, -1]
-    # a hand-built general matrix still equals its dense twin
-    assert SparseMatrix(2, {1: {1: 2}}) == SparseMatrix.diagonal([0, 2])
 
 
 scale_factors = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -397,20 +411,20 @@ def test_three_constructions_agree(entries, c):
 
 @settings(max_examples=60)
 @given(st.data())
-def test_from_positions_matches_from_numerators(data):
+def test_from_positions_matches_dense_reference(data):
     # positions in any order, zeros stored, none at all or all on the
-    # diagonal: the same canonical matrix as the dict form
-    entries = data.draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
-                                        st.integers(-6, 6), max_size=12))
+    # diagonal: the canonical matrix of the numerators over den
+    where = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    if data.draw(st.booleans()):
+        where = st.integers(0, 3).map(lambda i: (i, i))
+    entries = data.draw(st.dictionaries(where, st.integers(-6, 6), max_size=12))
     den = data.draw(st.integers(1, 12))
     items = data.draw(st.permutations(list(entries.items())))
     flat, vals = [i * 4 + j for (i, j), _ in items], [v for _, v in items]
     got = SparseMatrix.from_positions(4, den, flat, vals)
-    rows = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i, {})[j] = v
     assert_canonical(got)
-    assert got == SparseMatrix.from_numerators(4, den, rows)
+    assert dense(got) == [[Fraction(entries.get((i, j), 0), den) for j in range(4)]
+                          for i in range(4)]
     assert (flat, vals) == ([i * 4 + j for (i, j), _ in items], [v for _, v in items])
 
 
