@@ -5,13 +5,14 @@ Configuration is INI-style: a [pyramid] section with `rows` or `cols`
 optional [weight] section with lambda1..lambdaN lines (comma-separated
 fractions), and an optional [run] section with rmax; any other section or
 key is a configuration error, and a malformed value is an error that
-names its flag or [section] key.  Every subcommand emits a record
-{"schema": 1, ...} with stable key order and no timestamps; timing is
-printed separately so records are byte-identical across runs.  Exit
-status: 0 all checks pass, 1 a check fails, 2 usage or configuration
-error, 3 an internal error (an unexpected exception, reported on one
-line); on exit 2 or 3 no record is written, and an --out file the run
-created is removed."""
+names its flag or [section] key.  The flags override the file, and one
+source that gives both rows and cols is a usage error.  Every subcommand
+emits a record {"schema": 1, ...} with stable key order and no
+timestamps; timing is printed separately so records are byte-identical
+across runs.  Exit status: 0 all checks pass, 1 a check fails, 2 usage
+or configuration error, 3 an internal error (an unexpected exception,
+reported on one line); on exit 2 or 3 no record is written, and an
+--out file the run created is removed."""
 
 import argparse
 import configparser
@@ -49,16 +50,13 @@ def _value(kind, token, source):
     that names ``source``, the flag or [section] key it came from."""
     try:
         return kind(token)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise WrepError("%s: %r is not %s" % (source, token, _NOUNS[kind])) from None
 
 
 def _values(kind, text, source):
     """The tokens of text, separated by spaces or commas, read by _value."""
-    try:
-        return [_value(kind, tok, source) for tok in text.replace(",", " ").split()]
-    except ZeroDivisionError:
-        raise WrepError("zero denominator in %r" % text) from None
+    return [_value(kind, tok, source) for tok in text.replace(",", " ").split()]
 
 
 # The keys each config section may hold; _weight_from checks lambdaN
@@ -87,12 +85,14 @@ def _load_config(path):
 
 
 def _pyramid_from(args, cfg):
-    sec = cfg.get("pyramid", {})
-    for key, source, text in (("rows", "--rows", args.rows), ("cols", "--cols", args.cols),
-                              ("rows", "[pyramid] rows", sec.get("rows")),
-                              ("cols", "[pyramid] cols", sec.get("cols"))):
-        if text:
-            return Pyramid(**{key: _values(int, text, source)})
+    """The pyramid of --rows or --cols, else of the [pyramid] section; a
+    source that gives both rows and cols is a usage error."""
+    for prefix, given in (("--", vars(args)), ("[pyramid] ", cfg.get("pyramid", {}))):
+        if given.get("rows") and given.get("cols"):
+            raise WrepError("%srows and %scols both given: give one of them" % (prefix, prefix))
+        for key in ("rows", "cols"):
+            if given.get(key):
+                return Pyramid(**{key: _values(int, given[key], prefix + key)})
     raise WrepError("no pyramid given (use --rows/--cols or a [pyramid] section)")
 
 
@@ -205,8 +205,8 @@ def _rmax_from(args, cfg):
 
 
 def _run_verify(args, cfg):
-    rep = _representation(args, cfg)
     R = _rmax_from(args, cfg)
+    rep = _representation(args, cfg)
     info = {"dimension": rep.dim, "order": R}
     try:
         report = verify_defining_relations(rep, R)
@@ -247,9 +247,10 @@ def _run_center(args, cfg):
     from .center import (build_t_matrix, cdet_vs_top_row, central_coefficients,
                          column_determinant, quasideterminant_check)
 
+    rmax = _rmax_from(args, cfg)
     rep = _representation(args, cfg)
     pyr = rep.pyramid
-    R = max(max(pyr.rows) + 3, _rmax_from(args, cfg))
+    R = max(max(pyr.rows) + 3, rmax)
     info = {"dimension": rep.dim, "order": R}
     central = "determinant coefficients are central scalars"
     quasi = "two-row quasideterminant shift identity"

@@ -46,21 +46,20 @@ accumulator; diagonal times general gathers the diagonal by the
 pattern's row indices, general times diagonal by its column indices, and
 one ``map(mul)`` gives the values on the general operand's pattern.
 General times general is split into a symbolic and a numeric phase
-(Gustavson).  The first product of a pattern pair is one direct pass that
-marks the pair; when the pair recurs, a ``_Plan`` is built, in a few
-passes in C, and cached on the left pattern under the right one's key,
-and every later product of the pair reads it.  Many pairs never recur
-(the minors of a column determinant), and for them the direct pass is
-the cheaper one.  A plan holds the output pattern and, for each
-contribution layer t, the gather lists of the t-th multiplicand pair of
-every output with more than t contributions; the outputs are sorted by
-their number of contributions, so each layer is a prefix, and the
-numeric phase is a few ``map(mul)`` and ``map(add)`` passes.  The
-combination keeps one value list per output pattern, and a term on a
-pattern it holds adds with one ``map(add)``.  ``is_zero`` and ``finish``
-merge distinct patterns (and the dense diagonal) by one direct pass and
-keep no plan: a relation check merges 84 times against its 881 general
-products, and cached merge plans measured no faster.  Plans hang off
+(Gustavson).  The first product of a pattern pair builds its ``_Plan``, in
+a few passes in C, and caches it on the left pattern under the right
+one's key, and every later product of the pair reads it: a relation check
+or a T-matrix meets few pairs, nearly all of them many times.  A plan
+holds the output pattern and, for each contribution layer t, the gather
+lists of the t-th multiplicand pair of every output with more than t
+contributions; the outputs are sorted by their number of contributions,
+so each layer is a prefix, and the numeric phase is a few ``map(mul)``
+and ``map(add)`` passes.  The combination keeps one value list per
+output pattern, and a term on a pattern it holds adds with one
+``map(add)``.  ``is_zero`` and ``finish`` merge distinct patterns (and
+the dense diagonal) by one direct pass and keep no plan: a relation
+check merges 84 times against its 881 general products, and cached
+merge plans measured no faster.  Plans hang off
 their left pattern and name other patterns by key only, so no reference
 cycle keeps a pattern alive, and no plan outlives the matrices of a run.
 Fractions appear only at the boundary: ``get``, ``entries``,
@@ -111,10 +110,10 @@ class Pattern:
 
     Caches that live as long as the pattern: the gathers of a dense
     diagonal by the row or column indices, the row starts (the per-row
-    index) and ``plans`` {key of the right pattern: _Plan, or None after
-    one direct product}.  A pattern refers to other patterns only by
-    their keys, so patterns form no reference cycle and each one dies,
-    with its caches, as soon as nothing refers to it."""
+    index) and ``plans`` {key of the right pattern: _Plan}.  A pattern
+    refers to other patterns only by their keys, so patterns form no
+    reference cycle and each one dies, with its caches, as soon as
+    nothing refers to it."""
 
     __slots__ = ("dim", "key", "flat", "_ri", "_ci", "is_diag", "_by_row", "_by_col",
                  "_starts", "plans", "__weakref__")
@@ -249,31 +248,13 @@ class _Plan:
         return p
 
     def multiply(self, a, b):
-        """Values of the product of value lists a and b on ``out()``."""
-        if not self.layers:
-            return ()
+        """Values of the product of value lists a and b on ``out()``, for a
+        plan with at least one layer (a nonempty output)."""
         (_, ga, gb), *rest = self.layers
         acc = list(map(mul, ga(a), gb(b)))
         for n, ga, gb in rest:
             acc[:n] = map(add, acc, map(mul, ga(a), gb(b)))
         return acc if self.order is None else self.order(acc)
-
-
-def _direct_product(left, a, right, b):
-    """(pattern, values) of a product, by one pass over the operands."""
-    starts, rci = right.starts(), right.ci
-    dim = left.dim
-    out = {}
-    get = out.get
-    for i, k, x in zip(left.ri, left.ci, a):
-        lo, hi = starts[k], starts[k + 1]
-        if lo == hi:
-            continue
-        base = i * dim
-        for j, y in zip(rci[lo:hi], b[lo:hi]):
-            f = base + j
-            out[f] = get(f, 0) + x * y
-    return _on_pattern(dim, out)
 
 
 def _merged(parts):
@@ -286,27 +267,8 @@ def _merged(parts):
     for p, v in rest:
         for f, x in zip(p.flat, v):
             out[f] = get(f, 0) + x
-    return _on_pattern(p.dim, out)
-
-
-def _on_pattern(dim, out):
-    """(pattern, values) of {flat position: value}."""
     flat = sorted(out)
-    return Pattern.of(dim, flat), _gather(flat)(out) if flat else ()
-
-
-def _product(left, a, right, b):
-    """(pattern, values) of the product of two general matrices' values:
-    a direct pass the first time the pattern pair meets, its plan from
-    the second time on."""
-    plans, key = left.plans, right.key
-    plan = plans.get(key, False)
-    if plan is False:
-        plans[key] = None
-        return _direct_product(left, a, right, b)
-    if plan is None:
-        plan = plans[key] = _Plan(left, right)
-    return plan.out(), plan.multiply(a, b)
+    return Pattern.of(p.dim, flat), _gather(flat)(out)
 
 
 class SparseMatrix:
@@ -591,9 +553,12 @@ class Combination:
             if a.vals:
                 self._add_part(a.pattern, list(map(mul, a.vals, a.pattern.by_col(bd))), scale)
         elif a.vals and b.vals:
-            pattern, values = _product(a.pattern, a.vals, b.pattern, b.vals)
-            if values:
-                self._add_part(pattern, values, scale)
+            plans, key = a.pattern.plans, b.pattern.key
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _Plan(a.pattern, b.pattern)
+            if plan.layers:
+                self._add_part(plan.out(), plan.multiply(a.vals, b.vals), scale)
         return self
 
     def commutator(self, a, b, sign=1):

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from oracles import gauss_t_matrix
 from random_weights import dominant_weights, small_pyramid_weights
 
+from wrep import sparse
 from wrep.arith import UniPoly
 from wrep.center import (
     build_t_matrix,
@@ -14,6 +16,7 @@ from wrep.center import (
     column_determinant,
     quasideterminant_check,
 )
+from wrep.cli import main
 from wrep.errors import InvariantViolation
 from wrep.patterns import HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
@@ -132,3 +135,19 @@ def test_off_diagonal_cdet_coefficient_detected():
     cdet.coeffs[0] = lower + SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
     with pytest.raises(InvariantViolation, match="not scalar"):
         central_coefficients(rep, cdet)
+
+
+def test_center_builds_one_plan_per_pattern_pair(monkeypatch, capsys):
+    # `center` at (2,3,3) meets 15 general pattern pairs; each builds its
+    # plan on its first product and no pair builds a second one
+    plan_init, built = sparse._Plan.__init__, Counter()
+
+    def counted_plan(self, left, right):
+        built[left.key, right.key] += 1
+        plan_init(self, left, right)
+
+    monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
+    assert main(["center", "--rows", "2,3,3"]) == 0
+    capsys.readouterr()
+    assert sum(built.values()) == 15
+    assert set(built.values()) == {1}

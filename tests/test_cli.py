@@ -126,11 +126,13 @@ def test_fibers_character_mismatch_is_a_failed_check(capsys, monkeypatch):
     (["verify", "--rows", "1 1", "--rmax", "0"], None, None),
     (["center", "--rows", "1 1", "--rmax", "-1"], None, None),
     (["galois-check"], "[pyramid]\nrows = 1 1\n[weight]\nlambda1 = 1/0\nlambda2 = 0\n",
-     "zero denominator in '1/0'"),
+     "[weight] lambda1: '1/0' is not a fraction"),
     (["verify", "--rows", "1,a"], None, "--rows: 'a' is not an integer"),
     (["dim", "--cols", "2 1.5"], None, "--cols: '1.5' is not an integer"),
+    (["params", "--rows", "1,2", "--cols", "2"], None,
+     "--rows and --cols both given: give one of them"),
 ], ids=["rmax-zero", "rmax-negative", "weight-zero-denominator", "rows-not-an-integer",
-        "cols-not-an-integer"])
+        "cols-not-an-integer", "rows-and-cols"])
 def test_bad_argument_exit_code(capsys, tmp_path, argv, text, named):
     if text is not None:
         path = tmp_path / "bad.ini"
@@ -173,14 +175,16 @@ _WEIGHT = "[weight]\nlambda1 = 5/2\nlambda2 = 1/2\n"
      "unknown key 'lambda3' in config section [weight] (2-row pyramid)"),
     ("[pyramid]\nrows = 1 x\n", "[pyramid] rows: 'x' is not an integer"),
     ("[pyramid]\ncols = 2,y\n", "[pyramid] cols: 'y' is not an integer"),
+    ("[pyramid]\nrows = 1 2\ncols = 2\n",
+     "[pyramid] rows and [pyramid] cols both given: give one of them"),
     ("[pyramid]\nrows = 1 1\n[run]\nrmax = abc\n", "[run] rmax: 'abc' is not an integer"),
     ("[pyramid]\nrows = 1 1\n" + _WEIGHT.replace("5/2", "abc"),
      "[weight] lambda1: 'abc' is not a fraction"),
 ], ids=["no-section-header", "duplicate-section", "duplicate-option",
         "bad-interpolation", "line-without-equals", "unknown-section",
         "unknown-run-key", "stale-points-key", "weight-key-past-last-row",
-        "rows-not-an-integer", "cols-not-an-integer", "rmax-not-an-integer",
-        "weight-not-a-fraction"])
+        "rows-not-an-integer", "cols-not-an-integer", "rows-and-cols",
+        "rmax-not-an-integer", "weight-not-a-fraction"])
 def test_malformed_config_exit_code(capsys, tmp_path, text, named):
     path = tmp_path / "bad.ini"
     path.write_text(text)
@@ -193,6 +197,40 @@ def test_malformed_config_exit_code(capsys, tmp_path, text, named):
     assert "Traceback" not in captured.err
     if named is not None:
         assert captured.err == "error: %s\n" % named
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--rows", "1,1,1,2,2", "--rmax", "0"], None),
+    (["center", "--rows", "1,1,1,2,2", "--rmax", "-1"], None),
+    (["verify"], "[pyramid]\nrows = 1,1,1,2,2\n[run]\nrmax = 0\n"),
+    (["center"], "[pyramid]\nrows = 1,1,1,2,2\n[run]\nrmax = abc\n"),
+], ids=["verify-flag", "center-flag", "verify-config", "center-config"])
+def test_bad_rmax_fails_before_the_build(capsys, monkeypatch, tmp_path, argv, text):
+    # a usage error in rmax costs no work: the representation is not built
+    built = []
+
+    def build(pyr, w):
+        built.append(pyr)
+        raise AssertionError("built before rmax was read")
+
+    monkeypatch.setattr(cli, "build_representation", build)
+    if text is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not built
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_pyramid_flag_overrides_the_config_file(capsys, tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[pyramid]\ncols = 2\n")
+    code, rec = run(capsys, "params", "--config", str(path), "--rows", "1,2")
+    assert code == 0
+    assert rec["info"]["pyramid_rows"] == [1, 2]
 
 
 def test_unwritable_out_path_exit_code(capsys, tmp_path):

@@ -461,8 +461,8 @@ def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mu
 def test_relation_suite_work_budget(monkeypatch):
     # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
     # lost dedup of canonical sums (or a second inverse check) exceeds it.
-    # Plans built: one per product pattern pair that recurs; a plan built
-    # on first use, or one per call, changes the count
+    # Plans built: one per product pattern pair, on its first product; a
+    # plan built per call, or a cache that misses, changes the count
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(pyr, generic_weight(pyr))
     product, calls = Combination.product, [0]

@@ -447,20 +447,23 @@ def test_one_plan_serves_two_matrices_on_one_pattern(data):
     pa, pb = data.draw(positions), data.draw(positions)
     a1, a2, b = on_pattern(data, pa), on_pattern(data, pa), on_pattern(data, pb)
     assert a1.pattern is a2.pattern
-    # the pair's first product is a direct pass, the second builds the
-    # plan and the third reads it: each matches the dense reference
+    # the pair's first product builds the plan, and the later ones read
+    # that same object: each matches the dense reference
     plans = []
     for a in (a1, a2, a1):
         got = a * b
         assert_canonical(got)
         assert dense(got) == dense_mul(dense(a), dense(b))
         plans.append(a.pattern.plans[b.pattern.key])
-    plan = plans[1]
-    assert isinstance(plan, sparse._Plan) and plans[2] is plan
-    # the numeric phase alone, against the direct pass: values on the
-    # output pattern, zeros kept
-    out, values = sparse._direct_product(a2.pattern, a2.vals, b.pattern, b.vals)
-    assert plan.out() is out and list(plan.multiply(a2.vals, b.vals)) == list(values)
+    plan = plans[0]
+    assert isinstance(plan, sparse._Plan) and plans[1] is plan and plans[2] is plan
+    # the numeric phase alone, against the dense reference: numerators on
+    # the output pattern, every position some term reaches, zeros kept
+    out = plan.out()
+    assert list(zip(out.ri, out.ci)) == sorted({(i, j) for i, k in pa for k2, j in pb if k == k2})
+    want = dense_mul(dense(a2), dense(b))
+    values = list(plan.multiply(a2.vals, b.vals)) if plan.layers else []
+    assert values == [want[i][j] * a2.den * b.den for i, j in zip(out.ri, out.ci)]
 
 
 @settings(max_examples=60)
@@ -494,7 +497,7 @@ def test_patterns_and_a_dense_diagonal_in_one_combination(data):
     for sign, a, b in terms:
         want = [[w + sign * x for w, x in zip(rw, rx)]
                 for rw, rx in zip(want, dense_mul(dense(a), dense(b)))]
-    # built three times over: direct passes, then plans built, then read
+    # built three times over: plans built, then read twice
     for _ in range(3):
         comb = Combination(4).add(diag)
         for sign, a, b in terms:
