@@ -17,8 +17,16 @@ the nodes -L have integer coefficients; the powers of q move into the
 matrix denominators, and each coefficient matrix is integer numerators
 over one denominator, reduced once (SparseMatrix.diagonal for A,
 SparseMatrix.from_positions for B and C).
+
+The relation suite (verify_defining_relations) builds the series once and
+then runs its families, which are independent, from a queue of one-byte
+tickets in a pipe that this process and forked children take from
+(_run_families); the report is the same for any number of workers.
 """
 
+import marshal
+import os
+import threading
 from math import gcd, lcm
 
 from .arith import (
@@ -429,8 +437,14 @@ RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same
                      "e adjacent", "f adjacent", "distant rows", "Serre e", "Serre f",
                      "d_1 vanishing")
 
+# The order in which the workers take the families: largest first, so that
+# the last ones taken are short (at verify (2,3,3) --rmax 4, Serre f takes
+# 50 ms, Serre e 32, [e,f] 26, [d,f] 17 and [d,e] 15 of the suite's 177).
+_QUEUE = ("Serre f", "Serre e", "[e,f]", "[d,f]", "[d,e]", "[d,d]=0", "e same-row",
+          "f same-row", "e adjacent", "f adjacent", "distant rows", "d_1 vanishing")
 
-def verify_defining_relations(rep, R):
+
+def verify_defining_relations(rep, R, workers=None):
     """Evaluate every defining relation for all admissible indices <= R.
 
     Each instance is a pair of term lists, lhs and rhs.  lhs - rhs is
@@ -441,24 +455,35 @@ def verify_defining_relations(rep, R):
     is identical to one that passed, and an empty form is formally zero.
     Every instance is still counted and labelled, and a failing
     instance's witness is read from the matrix of that sum.  The only
-    errors raised are those of generator_series(rep, 2 * R); a failing
-    instance is reported."""
+    errors raised are those of generator_series(rep, 2 * R) and of a
+    family's own run; a failing instance is reported.
+
+    The families are independent once the series are built, so this
+    process builds them and registers each family's cases, and the
+    families then run from a queue on ``workers`` processes
+    (_run_families): by default one per core this process may use, at
+    most one per family, and 1 where os.fork does not exist or another
+    thread runs (_default_workers).  The report
+    lists the families in RELATION_FAMILIES order whichever process ran
+    them, so it does not depend on ``workers``, which is there for tests
+    to pin."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
     N = rep.dim
-    report = RelationReport()
 
     def estart(i):
         return gens.e_start(i)
 
-    def check(name, cases):
+    cases = {}  # family name -> its case generator, registered unrun
+
+    def check(name):
         # canonical key -> terms of an instance that passed; the terms pin
         # their operands, so no id in a key is reused by a later matrix
         passed = {}
         fails = []
         count = 0
-        for label, lhs, rhs in cases:
+        for label, lhs, rhs in cases[name]():
             count += 1
             key, terms = _canonical(lhs, rhs)
             if key in passed:
@@ -468,7 +493,7 @@ def verify_defining_relations(rep, R):
                 passed[key] = terms
             else:
                 fails.append("%s: %s" % (label, _first_diff(comb.finish(), rep.basis)))
-        report.add(name, count, fails)
+        return count, fails
 
     def cases_dd():
         for i in range(1, n + 1):
@@ -477,7 +502,7 @@ def verify_defining_relations(rep, R):
                     for s in range(1, R + 1):
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
                                [_comm(gens.d(i, r), gens.d(j, s))], [])
-    check("[d,d]=0", cases_dd())
+    cases["[d,d]=0"] = cases_dd
 
     def cases_ef():
         for i in range(1, n):
@@ -490,7 +515,7 @@ def verify_defining_relations(rep, R):
                                    for t in range(r + s)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
                                [_comm(gens.e(i, r), gens.f(j, s))], rhs)
-    check("[e,f]", cases_ef())
+    cases["[e,f]"] = cases_ef
 
     def cases_de():
         for i in range(1, n + 1):
@@ -504,7 +529,7 @@ def verify_defining_relations(rep, R):
                                    for t in range(r)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
                                [_comm(gens.d(i, r), gens.e(j, s))], rhs)
-    check("[d,e]", cases_de())
+    cases["[d,e]"] = cases_de
 
     def cases_df():
         for i in range(1, n + 1):
@@ -518,7 +543,7 @@ def verify_defining_relations(rep, R):
                                    for t in range(r)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
                                [_comm(gens.d(i, r), gens.f(j, s))], rhs)
-    check("[d,f]", cases_df())
+    cases["[d,f]"] = cases_df
 
     def cases_ee_same():
         e = gens.e
@@ -528,7 +553,7 @@ def verify_defining_relations(rep, R):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
                            [_comm(e(i, r), e(i, s + 1)), _comm(e(i, r + 1), e(i, s), -1)],
                            [_prod(e(i, r), e(i, s)), _prod(e(i, s), e(i, r))])
-    check("e same-row", cases_ee_same())
+    cases["e same-row"] = cases_ee_same
 
     def cases_ff_same():
         f = gens.f
@@ -538,7 +563,7 @@ def verify_defining_relations(rep, R):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
                            [_comm(f(i, r + 1), f(i, s)), _comm(f(i, r), f(i, s + 1), -1)],
                            [_prod(f(i, r), f(i, s)), _prod(f(i, s), f(i, r))])
-    check("f same-row", cases_ff_same())
+    cases["f same-row"] = cases_ff_same
 
     def cases_ee_adj():
         e = gens.e
@@ -549,7 +574,7 @@ def verify_defining_relations(rep, R):
                            [_comm(e(i, r), e(i + 1, s + 1)),
                             _comm(e(i, r + 1), e(i + 1, s), -1)],
                            [_prod(e(i, r), e(i + 1, s), -1)])
-    check("e adjacent", cases_ee_adj())
+    cases["e adjacent"] = cases_ee_adj
 
     def cases_ff_adj():
         f = gens.f
@@ -560,7 +585,7 @@ def verify_defining_relations(rep, R):
                            [_comm(f(i, r + 1), f(i + 1, s)),
                             _comm(f(i, r), f(i + 1, s + 1), -1)],
                            [_prod(f(i + 1, s), f(i, r), -1)])
-    check("f adjacent", cases_ff_adj())
+    cases["f adjacent"] = cases_ff_adj
 
     def cases_far():
         for i in range(1, n):
@@ -575,7 +600,7 @@ def verify_defining_relations(rep, R):
                     for s in range(1, R + 1):
                         yield ("f i=%d j=%d r=%d s=%d" % (i, j, r, s),
                                [_comm(gens.f(i, r), gens.f(j, s))], [])
-    check("distant rows", cases_far())
+    cases["distant rows"] = cases_far
 
     def cases_serre(x, start):
         # inner[(s, t)] = [x_{i,s}, x_{i+1,t}], built once per adjacent pair;
@@ -592,12 +617,117 @@ def verify_defining_relations(rep, R):
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
                                    [_comm(x(i, r), block[(s, t)], sign),
                                     _comm(x(i, s), block[(r, t)], sign)], [])
-    check("Serre e", cases_serre(gens.e, estart))
-    check("Serre f", cases_serre(gens.f, lambda i: 1))
+    cases["Serre e"] = lambda: cases_serre(gens.e, estart)
+    cases["Serre f"] = lambda: cases_serre(gens.f, lambda i: 1)
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):
             yield ("r=%d" % r, [_mat(gens.d(1, r))], [])
-    check("d_1 vanishing", cases_quotient())
+    cases["d_1 vanishing"] = cases_quotient
 
+    done = _run_families(check, _default_workers() if workers is None else workers)
+    report = RelationReport()
+    for name in RELATION_FAMILIES:
+        report.add(name, *done[name])
     return report
+
+
+def _default_workers():
+    """Every core this process may use, at most one per family; 1 where
+    os.fork does not exist, and in a process with threads, where a lock
+    another thread holds at the fork would stay held in the child."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, len(RELATION_FAMILIES))
+
+
+def _run_families(run, workers):
+    """{family: run(family)} for every family of RELATION_FAMILIES.
+
+    One ticket per family goes into a pipe in _QUEUE order, and this
+    process forks workers - 1 children (none for one worker).  It and
+    every child take tickets with one-byte reads and run each family
+    taken.  A child sends {family: (count, fails)} back through a pipe of
+    its own (_child).  A family no child delivered, because the child died
+    or the family raised there, is run here again, and an exception raised
+    here is held: the first family in RELATION_FAMILIES order that raises
+    raises, as in a serial run.  Every child is killed and reaped before
+    the call returns or raises."""
+    tickets, refill = os.pipe()
+    os.write(refill, bytes(range(len(_QUEUE))))
+    os.close(refill)  # an empty queue then reads as end of file
+    children = {}  # pid -> the read end of its result pipe
+    done, raised = {}, {}
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others take its share
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(run, tickets, write)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        for name in _taken(tickets):
+            try:
+                done[name] = run(name)
+            except Exception as exc:
+                raised[name] = exc
+        for results in children.values():
+            try:
+                done.update(marshal.loads(results.read()))
+            except (EOFError, ValueError, TypeError):
+                pass  # the child died before it sent all of them
+    finally:
+        os.close(tickets)
+        _reap(children)
+    for name in RELATION_FAMILIES:
+        if name in raised:
+            raise raised[name]
+        if name not in done:
+            done[name] = run(name)
+    return done
+
+
+def _taken(tickets):
+    """The families taken from the queue, one ticket at a time, until it
+    is empty."""
+    while ticket := os.read(tickets, 1):
+        yield _QUEUE[ticket[0]]
+
+
+def _child(run, tickets, write):
+    """A forked worker: run the families it takes, send {family: (count,
+    fails)} of those that returned through write with marshal, and leave
+    by os._exit, so that no exit handler runs and no buffer inherited from
+    the parent is flushed."""
+    try:
+        out = {}
+        for name in _taken(tickets):
+            try:
+                out[name] = run(name)
+            except Exception:
+                pass  # not delivered: the parent runs it again
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(out))
+    finally:
+        os._exit(0)
+
+
+def _reap(children):
+    """Close each child's result pipe, kill the child and wait for it."""
+    if not children:
+        return
+    import signal  # only a process with workers needs it
+
+    for pid, results in children.items():
+        results.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from wrep import cli, noether
 from wrep.arith import UniPoly
 from wrep.cli import main
 from wrep.errors import InvariantViolation
-from wrep.rep import RELATION_FAMILIES, build_representation
+from wrep.rep import RELATION_FAMILIES, build_representation, verify_defining_relations
 from wrep.sparse import SparseMatrix
 
 
@@ -442,3 +443,30 @@ def test_python_m_wrep_passes_the_exit_status_through(extra, status):
     out = subprocess.run([sys.executable, "-m", "wrep", "verify", "--rows", "1,2"] + extra,
                          env=env, capture_output=True, text=True)
     assert out.returncode == status, out.stderr
+
+
+def test_forked_workers_print_nothing_and_change_no_record(tmp_path, monkeypatch, capsys):
+    # standard output is a pipe, so block-buffered: a child that flushed
+    # the buffers it inherited, or returned into the CLI, would print a
+    # line twice; the record and every line of the run are a serial run's
+    argv = ["verify", "--rows", "1,2,2", "--rmax", "2", "--out"]
+    monkeypatch.setattr(cli, "verify_defining_relations",
+                        functools.partial(verify_defining_relations, workers=1))
+    assert main(argv + [str(tmp_path / "serial.json")]) == 0
+    serial = [line for line in capsys.readouterr().err.splitlines()
+              if not line.startswith("elapsed:")]
+    assert serial.count("PASS relations: [d,d]=0") == 1
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(wrep.__file__).resolve().parents[1])
+    out = tmp_path / "record.json"
+    # python -m wrep, and a script with a line in its stdout buffer at the fork
+    for head in (["-m", "wrep"],
+                 ["-c", "import sys; from wrep.cli import main; print('before'); "
+                        "sys.exit(main(sys.argv[1:]))"]):
+        done = subprocess.run([sys.executable] + head + argv + [str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("" if head[0] == "-m" else "before\n")
+        lines = done.stderr.splitlines()
+        assert lines[:-1] == serial and lines[-1].startswith("elapsed:")
+        assert out.read_bytes() == (tmp_path / "serial.json").read_bytes()

@@ -1,6 +1,10 @@
 import gc
 import hashlib
 import itertools
+import errno
+import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +112,8 @@ def test_relation_report_structure():
     # the CLI names the families from this tuple when the series fail
     assert tuple(names) == RELATION_FAMILIES
     assert report.total_instances() > 0
+    # the workers take every family from the queue, each once
+    assert sorted(rep_mod._QUEUE) == sorted(RELATION_FAMILIES)
 
 
 def _failures(rep):
@@ -431,14 +437,14 @@ def _bump_a1(rep, monkeypatch):
     _bump(rep.A[1].coeffs, 0, i, i)
 
 
-def _bump_e1(rep, monkeypatch):
-    # one bumped entry of e_1^{(1)}, injected after the series are built
+def _bump_e1(rep, monkeypatch, r=1):
+    # one bumped entry of e_1^{(r)}, injected after the series are built
     series = rep_mod.generator_series
 
     def mutated_series(rep, R):
         gens = series(rep, R)
-        i, j, _ = min(gens.e(1, 1).entries())
-        _bump(gens._e[1], 1, i, j)
+        i, j, _ = min(gens.e(1, r).entries())
+        _bump(gens._e[1], r, i, j)
         return gens
 
     monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
@@ -462,7 +468,8 @@ def test_relation_suite_work_budget(monkeypatch):
     # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
     # lost dedup of canonical sums (or a second inverse check) exceeds it.
     # Plans built: one per product pattern pair, on its first product; a
-    # plan built per call, or a cache that misses, changes the count
+    # plan built per call, or a cache that misses, changes the count.  One
+    # worker, so that every family runs, and is counted, in this process
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(pyr, generic_weight(pyr))
     product, calls = Combination.product, [0]
@@ -478,7 +485,7 @@ def test_relation_suite_work_budget(monkeypatch):
 
     monkeypatch.setattr(Combination, "product", counted)
     monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
-    report = verify_defining_relations(rep, 3)
+    report = verify_defining_relations(rep, 3, workers=1)
     assert report.ok
     assert calls[0] <= 1282
     assert plans[0] == 24
@@ -541,3 +548,110 @@ def test_no_pattern_outlives_the_relation_suite():
     assert not set(sparse._PATTERNS.values()) - before
     gc.collect()
     assert not set(sparse._PATTERNS.values()) - before
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_and_forked(rep, R):
+    serial = verify_defining_relations(rep, R, workers=1).families
+    _assert_no_child_left()
+    forked = verify_defining_relations(rep, R, workers=2).families
+    _assert_no_child_left()
+    return serial, forked
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+def test_two_workers_report_what_one_does(weight):
+    # counts, witnesses and their order do not depend on which process
+    # ran a family, and no child outlives the call
+    rep = build_representation(weight.pyramid, weight)
+    serial, forked = _serial_and_forked(rep, 2)
+    assert forked == serial
+
+
+def test_two_workers_report_the_witnesses_one_does(monkeypatch):
+    # the bumped e_1^{(3)} of test_bumped_value_on_a_planned_pattern_fails
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    _bump_e1(rep, monkeypatch, 3)
+    serial, forked = _serial_and_forked(rep, 3)
+    assert forked == serial
+    assert [name for name, _, fails in serial if fails] == [
+        "[e,f]", "[d,e]", "e same-row", "e adjacent", "Serre e"]
+
+
+@pytest.mark.parametrize("fault", ["exit", "raise"])
+def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
+    # the child dies, or every family it takes raises, in its first family;
+    # the parent's first family waits for that, so the parent always has
+    # families of the child to run again
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    serial = verify_defining_relations(rep, 3, workers=1).families
+    parent, combine, dropped = os.getpid(), rep_mod._combine, tmp_path / "dropped"
+
+    def faulty(dim, terms):
+        if os.getpid() != parent:
+            dropped.touch()
+            if fault == "exit":
+                os._exit(1)
+            raise RuntimeError("a fault in the child")
+        deadline = time.monotonic() + 30
+        while not dropped.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return combine(dim, terms)
+
+    monkeypatch.setattr(rep_mod, "_combine", faulty)
+    assert verify_defining_relations(rep, 3, workers=2).families == serial
+    assert dropped.exists()
+    _assert_no_child_left()
+
+
+def test_a_family_that_raises_raises_as_in_a_serial_run(monkeypatch):
+    # five families fail under the bumped e_1^{(3)}, and computing a
+    # witness raises with a message of its own in each: whichever process
+    # runs them, the first of them in report order, [e,f], raises
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    _bump_e1(rep, monkeypatch, 3)
+
+    def raising(diff, basis):
+        raise ValueError("witness %s" % (min(diff.entries()),))
+
+    monkeypatch.setattr(rep_mod, "_first_diff", raising)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match=r"^witness \(0, 0, Fraction\(12, 11\)\)$"):
+            verify_defining_relations(rep, 3, workers=workers)
+        _assert_no_child_left()
+
+
+def test_no_fork_to_spare_runs_every_family_here(monkeypatch):
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    serial = verify_defining_relations(rep, 3, workers=1).families
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert verify_defining_relations(rep, 3, workers=2).families == serial
+    _assert_no_child_left()
+
+
+def test_a_process_with_threads_does_not_fork():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert rep_mod._default_workers() == 1
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert rep_mod._default_workers() == min(len(os.sched_getaffinity(0)),
+                                             len(RELATION_FAMILIES))
