@@ -437,14 +437,15 @@ RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same
                      "e adjacent", "f adjacent", "distant rows", "Serre e", "Serre f",
                      "d_1 vanishing")
 
-# The order in which the workers take the families: largest first, so that
-# the last ones taken are short (at verify (2,3,3) --rmax 4, Serre f takes
-# 50 ms, Serre e 32, [e,f] 26, [d,f] 17 and [d,e] 15 of the suite's 177).
-_QUEUE = ("Serre f", "Serre e", "[e,f]", "[d,f]", "[d,e]", "[d,d]=0", "e same-row",
-          "f same-row", "e adjacent", "f adjacent", "distant rows", "d_1 vanishing")
+# The order in which the workers take the families: the largest first, so
+# that the last ones taken are short (at verify (2,3,3) --rmax 4, Serre f
+# takes 50 ms, Serre e 32, [e,f] 26, [d,f] 17 and [d,e] 15 of the suite's
+# 177), then the rest in report order.
+_LARGEST = ("Serre f", "Serre e", "[e,f]", "[d,f]", "[d,e]")
+_QUEUE = _LARGEST + tuple(n for n in RELATION_FAMILIES if n not in _LARGEST)
 
 
-def verify_defining_relations(rep, R, workers=None):
+def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R.
 
     Each instance is a pair of term lists, lhs and rhs.  lhs - rhs is
@@ -460,13 +461,12 @@ def verify_defining_relations(rep, R, workers=None):
 
     The families are independent once the series are built, so this
     process builds them and registers each family's cases, and the
-    families then run from a queue on ``workers`` processes
-    (_run_families): by default one per core this process may use, at
-    most one per family, and 1 where os.fork does not exist or another
-    thread runs (_default_workers).  The report
-    lists the families in RELATION_FAMILIES order whichever process ran
-    them, so it does not depend on ``workers``, which is there for tests
-    to pin."""
+    families then run from a queue on several processes (_run_families):
+    one per core this process may use, at most one per family, and 1
+    where os.fork does not exist or another thread runs
+    (_default_workers).  The report lists the families in
+    RELATION_FAMILIES order whichever process ran them, so it does not
+    depend on the number of workers."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
@@ -625,7 +625,7 @@ def verify_defining_relations(rep, R, workers=None):
             yield ("r=%d" % r, [_mat(gens.d(1, r))], [])
     cases["d_1 vanishing"] = cases_quotient
 
-    done = _run_families(check, _default_workers() if workers is None else workers)
+    done = _run_families(check, _default_workers())
     report = RelationReport()
     for name in RELATION_FAMILIES:
         report.add(name, *done[name])

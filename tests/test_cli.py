@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import subprocess
@@ -14,7 +13,7 @@ from wrep import cli, noether
 from wrep.arith import UniPoly
 from wrep.cli import main
 from wrep.errors import InvariantViolation
-from wrep.rep import RELATION_FAMILIES, build_representation, verify_defining_relations
+from wrep.rep import RELATION_FAMILIES, build_representation
 from wrep.sparse import SparseMatrix
 
 
@@ -450,8 +449,7 @@ def test_forked_workers_print_nothing_and_change_no_record(tmp_path, monkeypatch
     # the buffers it inherited, or returned into the CLI, would print a
     # line twice; the record and every line of the run are a serial run's
     argv = ["verify", "--rows", "1,2,2", "--rmax", "2", "--out"]
-    monkeypatch.setattr(cli, "verify_defining_relations",
-                        functools.partial(verify_defining_relations, workers=1))
+    monkeypatch.setattr(wrep.rep, "_default_workers", lambda: 1)
     assert main(argv + [str(tmp_path / "serial.json")]) == 0
     serial = [line for line in capsys.readouterr().err.splitlines()
               if not line.startswith("elapsed:")]
@@ -459,9 +457,11 @@ def test_forked_workers_print_nothing_and_change_no_record(tmp_path, monkeypatch
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(wrep.__file__).resolve().parents[1])
     out = tmp_path / "record.json"
-    # python -m wrep, and a script with a line in its stdout buffer at the fork
+    # python -m wrep on the default workers, and a script that pins two, so
+    # that it forks on any host, with a line in its stdout buffer at the fork
     for head in (["-m", "wrep"],
-                 ["-c", "import sys; from wrep.cli import main; print('before'); "
+                 ["-c", "import sys, wrep.rep; from wrep.cli import main; "
+                        "wrep.rep._default_workers = lambda: 2; print('before'); "
                         "sys.exit(main(sys.argv[1:]))"]):
         done = subprocess.run([sys.executable] + head + argv + [str(out)],
                               env=env, capture_output=True, text=True)

@@ -6,6 +6,7 @@ import os
 import threading
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -112,8 +113,6 @@ def test_relation_report_structure():
     # the CLI names the families from this tuple when the series fail
     assert tuple(names) == RELATION_FAMILIES
     assert report.total_instances() > 0
-    # the workers take every family from the queue, each once
-    assert sorted(rep_mod._QUEUE) == sorted(RELATION_FAMILIES)
 
 
 def _failures(rep):
@@ -485,7 +484,8 @@ def test_relation_suite_work_budget(monkeypatch):
 
     monkeypatch.setattr(Combination, "product", counted)
     monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
-    report = verify_defining_relations(rep, 3, workers=1)
+    monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
+    report = verify_defining_relations(rep, 3)
     assert report.ok
     assert calls[0] <= 1282
     assert plans[0] == 24
@@ -555,10 +555,17 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _families(rep, R, workers):
+    """verify_defining_relations(rep, R).families on the given number of
+    workers."""
+    with mock.patch.object(rep_mod, "_default_workers", lambda: workers):
+        return verify_defining_relations(rep, R).families
+
+
 def _serial_and_forked(rep, R):
-    serial = verify_defining_relations(rep, R, workers=1).families
+    serial = _families(rep, R, 1)
     _assert_no_child_left()
-    forked = verify_defining_relations(rep, R, workers=2).families
+    forked = _families(rep, R, 2)
     _assert_no_child_left()
     return serial, forked
 
@@ -592,7 +599,7 @@ def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
     # families of the child to run again
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(pyr, generic_weight(pyr))
-    serial = verify_defining_relations(rep, 3, workers=1).families
+    serial = _families(rep, 3, 1)
     parent, combine, dropped = os.getpid(), rep_mod._combine, tmp_path / "dropped"
 
     def faulty(dim, terms):
@@ -607,7 +614,7 @@ def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
         return combine(dim, terms)
 
     monkeypatch.setattr(rep_mod, "_combine", faulty)
-    assert verify_defining_relations(rep, 3, workers=2).families == serial
+    assert _families(rep, 3, 2) == serial
     assert dropped.exists()
     _assert_no_child_left()
 
@@ -626,20 +633,20 @@ def test_a_family_that_raises_raises_as_in_a_serial_run(monkeypatch):
     monkeypatch.setattr(rep_mod, "_first_diff", raising)
     for workers in (1, 2):
         with pytest.raises(ValueError, match=r"^witness \(0, 0, Fraction\(12, 11\)\)$"):
-            verify_defining_relations(rep, 3, workers=workers)
+            _families(rep, 3, workers)
         _assert_no_child_left()
 
 
 def test_no_fork_to_spare_runs_every_family_here(monkeypatch):
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(pyr, generic_weight(pyr))
-    serial = verify_defining_relations(rep, 3, workers=1).families
+    serial = _families(rep, 3, 1)
 
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert verify_defining_relations(rep, 3, workers=2).families == serial
+    assert _families(rep, 3, 2) == serial
     _assert_no_child_left()
 
 
