@@ -62,10 +62,11 @@ check merges 84 times against its 881 general products, and cached
 merge plans measured no faster.  Plans hang off
 their left pattern and name other patterns by key only, so no reference
 cycle keeps a pattern alive, and no plan outlives the matrices of a run.
-Fractions appear only at the boundary: ``get``, ``entries``,
-``scalar_part`` and ``inverse`` return reduced Fractions, and
-``from_entries`` and ``diagonal`` accept them.  ``inverse`` inverts only
-a diagonal matrix, the only kind a run inverts.
+Fractions appear only at the boundary: ``get``, ``entries`` and
+``scalar_part`` return reduced Fractions, and ``from_entries`` and
+``diagonal`` accept them.  ``inverse`` inverts only a diagonal matrix, the
+only kind a run inverts, on integers: entry i is ``den * (L // d_i)``
+over ``L``, the lcm of the diagonal numerators d_i.
 """
 
 import weakref
@@ -463,6 +464,20 @@ class SparseMatrix:
     def is_diagonal(self):
         return self.diag is not None or not self.vals
 
+    def diagonal_numerators(self):
+        """The dim numerators over ``den`` on the diagonal, in either
+        storage form: the dense list itself (not to be changed) or, for a
+        general matrix, a new list with 0 where no position is stored."""
+        d = self.diag
+        if d is not None:
+            return d
+        d = [0] * self.dim
+        step = self.dim + 1
+        for f, v in zip(self.pattern.flat, self.vals):
+            if not f % step:
+                d[f // step] = v
+        return d
+
     def inverse(self):
         """Exact inverse of a diagonal matrix, entrywise; SingularLead if
         it is singular.  No command inverts any other matrix."""
@@ -471,7 +486,9 @@ class SparseMatrix:
             raise NotImplementedError("inverse of a matrix that is not diagonal")
         if d is None or not all(d):
             raise SingularLead("matrix is singular")
-        return SparseMatrix.diagonal(Fraction(self.den, v) for v in d)
+        # entry i is den / d[i] = den * (L // d[i]) / L over L = lcm(d)
+        L = lcm(*d)
+        return SparseMatrix._dense(self.dim, L, [self.den * (L // v) for v in d])
 
     def __repr__(self):
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())

@@ -7,7 +7,8 @@ from math import prod
 
 from wrep.arith import UniPoly, perm_sign
 from wrep.center import higher_root_coefficients
-from wrep.errors import EvaluationError
+from wrep.errors import EvaluationError, InvariantViolation
+from wrep.gamma import gamma_coefficients
 from wrep.patterns import enumerate_patterns, key_slots, row_spans
 from wrep.sparse import SparseMatrix
 
@@ -151,3 +152,61 @@ def fraction_act_on_basis(model, rep, element):
                 entries[power].append((tgt, col, val))
     return UniPoly([SparseMatrix.from_entries(rep.dim, entries[power])
                     for power in range(max(entries, default=-1) + 1)])
+
+
+def fraction_character_reader(rep):
+    """``gamma._character_reader`` in Fraction arithmetic: a function mu ->
+    {(r, k): e_k of the Fraction l-values of row r of mu}
+    (``GTPattern.row_l_values``), the e_k of a row formed once per distinct
+    slice of the key in that row and each value checked against the entry
+    (col, col) of a_r^{(k)} read by ``SparseMatrix.get``."""
+    spans = row_spans(rep.pyramid)
+    coeffs = gamma_coefficients(rep)
+    esym_of = [{} for _ in spans]
+
+    def elementary_symmetric(values):
+        e = [Fraction(1)]
+        for v in values:
+            e.append(Fraction(0))
+            for k in range(len(e) - 1, 0, -1):
+                e[k] += v * e[k - 1]
+        return e
+
+    def character(mu):
+        col = rep.index[mu.key()]
+        chi = {}
+        for r in range(1, rep.n + 1):
+            row = mu.key()[spans[r]]
+            esym = esym_of[r].get(row)
+            if esym is None:
+                esym = esym_of[r][row] = elementary_symmetric(mu.row_l_values(r))
+            for k in range(1, len(esym)):
+                predicted = esym[k]
+                actual = coeffs[(r, k)].get(col, col)
+                if predicted != actual:
+                    raise InvariantViolation(
+                        "character mismatch at pattern %r, a_%d^{(%d)}: "
+                        "symmetric-function value %s vs matrix entry %s"
+                        % (mu, r, k, predicted, actual)
+                    )
+                chi[(r, k)] = predicted
+        return chi
+
+    return character
+
+
+def character_of(rep, mu):
+    """The Fraction character of the commutative subalgebra at the pattern
+    mu, checked against the matrices (``fraction_character_reader``)."""
+    return fraction_character_reader(rep)(mu)
+
+
+def fraction_fibers(rep):
+    """The basis partitioned by the Fraction characters, as a set of
+    frozensets of keys."""
+    character = fraction_character_reader(rep)
+    out = defaultdict(set)
+    for mu in rep.basis:
+        chi = character(mu)
+        out[tuple(chi[k] for k in sorted(chi))].add(mu.key())
+    return {frozenset(keys) for keys in out.values()}

@@ -4,12 +4,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from oracles import character_of, fraction_character_reader, fraction_fibers
+from random_weights import small_pyramid_weights
 
 import wrep.gamma as gamma_mod
 from wrep.arith import UniPoly
 from wrep.errors import InvariantViolation
 from wrep.gamma import (
-    character_of,
     check_fiber_bound,
     elementary_symmetric,
     fiber_bound,
@@ -17,7 +19,7 @@ from wrep.gamma import (
     gamma_coefficients,
     gamma_commutes,
 )
-from wrep.patterns import generic_weight
+from wrep.patterns import HighestWeight, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation
 from wrep.sparse import SparseMatrix
@@ -52,6 +54,18 @@ def test_elementary_symmetric_against_subset_sums():
                 total += term
             want.append(total)
         assert elementary_symmetric(vals) == want
+
+
+def test_elementary_symmetric_keeps_the_values_type():
+    # ints give ints, as UniPoly.from_roots does; e_0 is the int 1 always
+    ints = elementary_symmetric([4, -3, 7])
+    assert ints == [1, 8, -5, -84]
+    assert all(type(e) is int for e in ints)
+    fracs = elementary_symmetric([Fraction(1, 2), Fraction(-3), Fraction(5, 7)])
+    assert fracs == [1, Fraction(-25, 14), Fraction(-23, 7), Fraction(-15, 14)]
+    assert type(fracs[0]) is int
+    assert all(type(e) is Fraction for e in fracs[1:])
+    assert elementary_symmetric([]) == [1]
 
 
 def test_coefficient_count(reps):
@@ -120,6 +134,94 @@ def test_character_mismatch_detected(reps):
     with pytest.raises(InvariantViolation, match="character mismatch"):
         fibers(mutated)
     fibers(rep)
+
+
+_MULTI_DENOMINATOR = HighestWeight(
+    Pyramid(rows=(2, 2, 3)),
+    [[Fraction(3, 2), Fraction(-5, 7)], [Fraction(1, 2), Fraction(-12, 7)],
+     [Fraction(-1, 2), Fraction(-19, 7), Fraction(4, 11)]])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+@example(generic_weight(Pyramid(rows=(2, 3, 3))))
+@example(_MULTI_DENOMINATOR)
+def test_integer_characters_equal_the_fraction_oracle(weight):
+    # the value at a_r^{(k)} is the integer character entry over q^k, and
+    # the integer keys partition the basis as the Fraction characters do
+    pyr = weight.pyramid
+    rep = build_representation(pyr, weight)
+    order = sorted(gamma_mod.gamma_coefficients(rep))
+    integer = gamma_mod._character_reader(rep)
+    oracle = fraction_character_reader(rep)
+    for mu in rep.basis:
+        chi = integer(mu)
+        assert all(type(v) is int for v in chi)
+        want = oracle(mu)
+        assert {rk: Fraction(v, rep.q ** rk[1]) for rk, v in zip(order, chi)} == want
+    fib, singl = fibers(rep)
+    assert {frozenset(mu.key() for mu in v) for v in fib.values()} == fraction_fibers(rep)
+    assert singl
+
+
+def test_fibers_fraction_work_budget(monkeypatch):
+    # fibers on the built (2,3,3) representation does integer work only;
+    # the Fraction reader made 1,458 Fraction operations and 3,840
+    # Fraction __eq__ and __hash__ calls here
+    pyr = Pyramid(rows=(2, 3, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    calls = {"arithmetic": 0, "compare": 0}
+
+    def counted(kind, op):
+        def call(*args):
+            calls[kind] += 1
+            return op(*args)
+        return call
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, counted("arithmetic", getattr(Fraction, name)))
+    for name in ("__eq__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, counted("compare", getattr(Fraction, name)))
+    fib, singl = fibers(rep)
+    monkeypatch.undo()
+    assert len(fib) == 128 and singl
+    assert calls == {"arithmetic": 0, "compare": 0}
+
+
+def test_general_coefficient_is_read_on_its_diagonal(reps):
+    # a_2^{(1)} made general after the build: an off-diagonal entry alone
+    # leaves its diagonal, so the characters and fibers stand (the
+    # commutation check is what sees it); a changed diagonal entry of the
+    # general matrix is a character mismatch, not a TypeError or
+    # AttributeError
+    rep = reps[(2, 2)]
+    want, _ = fibers(rep)
+    for bump, raises in (([(0, 1, 1)], False), ([(0, 1, 1), (3, 3, 1)], True)):
+        mutated = copy.copy(rep)
+        mutated.A = dict(rep.A)
+        coeffs = list(rep.A[2].coeffs)
+        coeffs[-2] = coeffs[-2] + SparseMatrix.from_entries(rep.dim, bump)
+        assert not coeffs[-2].is_diagonal()
+        mutated.A[2] = UniPoly(coeffs)
+        assert not gamma_commutes(mutated)
+        if raises:
+            with pytest.raises(InvariantViolation,
+                               match=r"character mismatch at pattern .*, a_2\^\{\(1\)\}"):
+                fibers(mutated)
+        else:
+            assert fibers(mutated)[0] == want
+
+
+def test_entry_denominator_outside_q_detected(reps):
+    # q * l must be an integer at every entry; with q too small for the
+    # 1/3 entries of (1,2) the reader stops before any comparison
+    rep = reps[(1, 2)]
+    mutated = copy.copy(rep)
+    mutated.q = rep.q // 3
+    with pytest.raises(InvariantViolation, match="does not divide q = 4"):
+        fibers(mutated)
 
 
 def test_fiber_bound():

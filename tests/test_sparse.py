@@ -67,6 +67,30 @@ def test_inverse():
             SparseMatrix.from_entries(2, entries).inverse()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+                min_size=1, max_size=6),
+       st.integers(1, 12))
+def test_inverse_equals_the_fraction_formula(values, den):
+    # the integer inverse over lcm(diag) equals den / d_i entry by entry,
+    # for negative entries and a matrix over den > 1
+    m = SparseMatrix.diagonal(values, den)
+    inv = m.inverse()
+    assert_canonical(inv)
+    assert inv == SparseMatrix.diagonal([Fraction(m.den, v) for v in m.diag])
+    assert inv == SparseMatrix.diagonal([den / v for v in values])
+
+
+def test_inverse_of_a_matrix_over_a_denominator():
+    m = SparseMatrix.diagonal([3, -4, 6, Fraction(-10, 7)], den=5)
+    assert m.den == 35
+    inv = m.inverse()
+    assert (inv.den, inv.diag) == (12, [20, -15, 10, -42])
+    assert m * inv == SparseMatrix.identity(4)
+    with pytest.raises(SingularLead):
+        SparseMatrix.diagonal([3, 0, -6], den=5).inverse()
+
+
 def test_commutator():
     a = SparseMatrix.from_entries(2, [(0, 1, 1)])
     b = SparseMatrix.from_entries(2, [(1, 0, 1)])
