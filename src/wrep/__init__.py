@@ -10,7 +10,6 @@ from .pyramid import (
     gk_dimension,
     gk_parameters,
     gamma_generator_count,
-    parse_pyramid_literal,
     pbw_variable_count,
     shift_group_rank,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "gk_dimension",
     "gk_parameters",
     "gamma_generator_count",
-    "parse_pyramid_literal",
     "pbw_variable_count",
     "shift_group_rank",
     "GTPattern",

@@ -5,11 +5,14 @@ arithmetic protocol (SparseMatrix, MPoly): +, -, *, unary -, truthiness
 for zero-testing.  Polynomials are coefficient lists in ascending powers
 of u (UniPoly); a truncated series c_0 + c_1 u^{-1} + ... + c_R u^{-R} is
 the plain list [c_0, ..., c_R], and series_product is its one truncated
-product.  Each output coefficient of a product, shift, series inverse or
-series quotient is one sum, taken by _sum_products (sums of a*b) or
-_sum_scaled (sums of a*f, f a scalar); a type with a fused sum_products /
-sum_scaled (SparseMatrix) normalises each entry once, others add term by
-term.  UniPoly and MPoly have fused sum_products too, so a sum of their
+product.  poly_to_inv_series turns p(u) u^{-k} into such a list by reading
+p's coefficients off, and poly_shift is the one argument shift: a series
+in a shifted argument is read off the shifted polynomial.  Each output
+coefficient of a product, shift or series inverse is one sum, taken by
+_sum_products (sums of a*b) or, in poly_shift only, _sum_scaled (sums of
+a*f, f a scalar); a type with a fused sum_products / sum_scaled
+(SparseMatrix) normalises each entry once, others add term by term.
+UniPoly and MPoly have fused sum_products too, so a sum of their
 products sums each output coefficient once.  from_roots and lagrange_basis
 work on scalar coefficient lists in O(p^2) and in the scalars' own type:
 nothing is coerced to Fraction, so int roots or nodes give int
@@ -279,43 +282,11 @@ def series_inverse(s):
     return out
 
 
-def series_arg_shift(s, c):
-    """s(u) -> series of s(v + c) in v^{-1}, as long as s."""
-    c = Fraction(c)
-    if not c:
-        return list(s)
-    pw = [Fraction(1)]
-    for _ in range(len(s) - 1):
-        pw.append(pw[-1] * -c)
-    # coefficient of v^{-m}: sum_{r=1..m} binom(m-1, m-r) (-c)^{m-r} s_r
-    return [s[0]] + [_sum_scaled([(s[r], comb(m - 1, m - r) * pw[m - r])
-                                  for r in range(1, m + 1)])
-                     for m in range(1, len(s))]
-
-
-def poly_to_inv_series(p, prefactor_roots, order):
-    """Series r(u) with P(u) = prod (u - c)^m * r(u), coefficients of
-    u^0 .. u^{-order}.
-
-    prefactor_roots is a list of (root, multiplicity); requires
-    deg P <= total multiplicity so the quotient is a genuine series in
-    u^{-1} (equality in the monic case, strict for the B/C prefactors).
-    """
-    roots = []
-    for c, m in prefactor_roots:
-        roots.extend([Fraction(c)] * m)
-    mult = len(roots)
-    if p.degree > mult:
-        raise ArityError("prefactor multiplicity smaller than the degree")
-    den = UniPoly.from_roots(roots).coeffs
+def poly_to_inv_series(p, k, order):
+    """The series p(u) u^{-k} through u^{-order}: its u^{-m} coefficient is
+    the u^{k-m} one of p, read off with nothing divided.  Requires
+    deg p <= k, so that the series has no positive power of u."""
+    if p.degree > k:
+        raise ArityError("degree %d exceeds the power %d of u" % (p.degree, k))
     zero = _zero_like(p.coeffs[0]) if p.coeffs else Fraction(0)
-    # r_m = P_{mult-m} - sum_{t=1..m} den_{mult-t} r_{m-t}, the coefficients
-    # taken relative to u^{mult}; den is monic, so no division
-    out = []
-    for m in range(order + 1):
-        num = p.coeff(mult - m)
-        num = zero if num is None else num
-        pairs = [(out[m - t], -den[mult - t]) for t in range(1, min(m, mult) + 1)
-                 if den[mult - t]]
-        out.append(_sum_scaled([(num, 1)] + pairs) if pairs else num)
-    return out
+    return [zero if c is None else c for c in map(p.coeff, range(k, k - order - 1, -1))]

@@ -75,6 +75,8 @@ def _load_config(path):
         cfg = {name: dict(cp[name]) for name in cp.sections()}
     except configparser.Error as exc:
         raise ConfigError("malformed config file: %s" % " ".join(str(exc).split())) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file %r is not text: %s" % (path, exc.reason)) from None
     for name, sec in cfg.items():
         if name not in _CONFIG_KEYS:
             raise ConfigError("unknown config section [%s]" % name)
@@ -399,7 +401,7 @@ def main(argv=None):
         t0 = time.perf_counter()
         info, checks = _COMMANDS[args.command](args, cfg)
         elapsed = time.perf_counter() - t0
-    except (WrepError, ValueError) as exc:
+    except WrepError as exc:
         return _no_record(2, exc, created)
     except Exception as exc:
         # a fault of the program, not of the input or of a checked claim

@@ -31,7 +31,6 @@ def columns_from_rows(p):
         raise ShapeError("rows must be a nonempty tuple of positive integers")
     if any(p[i] > p[i + 1] for i in range(len(p) - 1)):
         raise ShapeError("row tuple %r is not nondecreasing" % (p,))
-    n = len(p)
     return tuple(sum(1 for r in p if r >= j) for j in range(1, p[-1] + 1))
 
 
@@ -127,21 +126,3 @@ def gamma_generator_count(pyr):
 def shift_group_rank(pyr):
     """Rank of the free abelian shift group: sum_{r<n} (p_1+...+p_r)."""
     return sum(pyr.row_block_size(r) for r in range(1, pyr.n))
-
-
-def parse_pyramid_literal(text):
-    """Parse 'rows: 1 2 3 5' or 'cols: 1 3 4 2 1'."""
-    text = text.strip()
-    if ":" not in text:
-        raise ShapeError("pyramid literal must start with 'rows:' or 'cols:'")
-    kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    try:
-        values = tuple(int(tok) for tok in rest.split())
-    except ValueError:
-        raise ShapeError("pyramid literal entries must be integers: %r" % text)
-    if kind == "rows":
-        return Pyramid(rows=values)
-    if kind == "cols":
-        return Pyramid(cols=values)
-    raise ShapeError("unknown pyramid literal kind %r" % kind)

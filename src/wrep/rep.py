@@ -32,8 +32,8 @@ from math import gcd, lcm
 from .arith import (
     UniPoly,
     lagrange_basis,
+    poly_shift,
     poly_to_inv_series,
-    series_arg_shift,
     series_inverse,
     series_product,
 )
@@ -258,45 +258,42 @@ class SeriesGenerators:
 
 
 def generator_series(rep, R):
-    """Recover d_i, d_i', e_i, f_i coefficient matrices through order R."""
+    """Recover d_i, d_i', e_i, f_i coefficient matrices through order R.
+
+    With v = u + i - 1, P_i = p_1 + ... + p_i and a_i = A_i(v) u^{-P_i},
+    each series is read off the coefficients of a shifted polynomial:
+      d_1 = a_1, d_1' = a_1^{-1}; d_i' = A_{i-1}(v) u^{-P_{i-1}} a_i^{-1},
+      d_i = d_i'^{-1} (i >= 2); e_i = a_i^{-1} B_i(v) u^{-P_{i-1}-p_{i+1}}
+      and f_i = C_i(v) u^{-P_i} a_i^{-1} (i < n)."""
     if R < 1:
         raise OrderError("truncation order must be >= 1")
     pyr = rep.pyramid
-    n = pyr.n
-    N = rep.dim
-    ident = SparseMatrix.identity(N)
+    ident = SparseMatrix.identity(rep.dim)
 
-    a = {}
-    for i in range(1, n + 1):
-        roots = [(j, pyr.p(j + 1)) for j in range(i)]
-        a[i] = poly_to_inv_series(rep.A[i], roots, R)
-        if a[i][0] != ident:
+    def read(p, k, i):
+        return poly_to_inv_series(poly_shift(p, i - 1), k, R)
+
+    d, dprime, e, f = {}, {}, {}, {}
+    for i in range(1, pyr.n + 1):
+        P = pyr.row_block_size(i)
+        a = read(rep.A[i], P, i)
+        if a[0] != ident:
             raise InvariantViolation("a_%d(u) does not start at the identity" % i)
-
-    # d_i reads a_{i-1}^{-1} and e_i, f_i read a_i^{-1} (i < n): a_n^{-1}
-    # is never needed.  series_inverse solves a * x = 1 term by term, so
-    # only x * a is checked: a has the identity as lead, so it is a unit of
-    # the truncated series ring, and x * a = 1 makes x its two-sided inverse
-    ainv = {}
-    for i in range(1, n):
-        ainv[i] = x = series_inverse(a[i])
-        r = _inverse_defect(x, a[i])
+        # series_inverse solves a * x = 1 term by term, so only x * a is
+        # checked: a has the identity as lead, so it is a unit of the
+        # truncated series ring, and x * a = 1 makes x its two-sided inverse
+        x = series_inverse(a)
+        r = _inverse_defect(x, a)
         if r is not None:
             raise InvariantViolation("a_%d inverse fails x * a = 1 at r=%d" % (i, r))
-
-    d = {1: a[1]}
-    for i in range(2, n + 1):
-        d[i] = series_arg_shift(series_product(ainv[i - 1], a[i]), i - 1)
-    dprime = {i: series_inverse(d[i]) for i in d}
-
-    e, f = {}, {}
-    for i in range(1, n):
-        eroots = [(j, pyr.p(j + 1)) for j in range(i - 1)] + [(i - 1, pyr.p(i + 1))]
-        eraw = poly_to_inv_series(rep.B[i], eroots, R)
-        e[i] = series_arg_shift(series_product(ainv[i], eraw), i - 1)
-        froots = [(j, pyr.p(j + 1)) for j in range(i)]
-        fraw = poly_to_inv_series(rep.C[i], froots, R)
-        f[i] = series_arg_shift(series_product(fraw, ainv[i]), i - 1)
+        if i == 1:
+            d[i], dprime[i] = a, x
+        else:
+            dprime[i] = series_product(read(rep.A[i - 1], pyr.row_block_size(i - 1), i), x)
+            d[i] = series_inverse(dprime[i])
+        if i < pyr.n:
+            e[i] = series_product(x, read(rep.B[i], P - pyr.p(i) + pyr.p(i + 1), i))
+            f[i] = series_product(read(rep.C[i], P, i), x)
 
     gens = SeriesGenerators(rep, R, d, dprime, e, f)
     _series_invariants(gens)
@@ -328,8 +325,9 @@ def _series_invariants(gens):
     for i in range(1, pyr.n + 1):
         if gens.d(i, 0) != ident:
             raise InvariantViolation("d_%d^{(0)} is not the identity" % i)
-        # defining property of d'
-        r = _inverse_defect(gens._d[i], gens._dprime[i])
+        # defining property of d', on the side that series_inverse(d_i')
+        # did not solve; d_1' is a_1^{-1}, whose check has run
+        r = _inverse_defect(gens._d[i], gens._dprime[i]) if i > 1 else None
         if r is not None:
             raise InvariantViolation("d_%d' fails its defining relation at r=%d"
                                      % (i, r))

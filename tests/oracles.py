@@ -210,3 +210,32 @@ def fraction_fibers(rep):
         chi = character(mu)
         out[tuple(chi[k] for k in sorted(chi))].add(mu.key())
     return {frozenset(keys) for keys in out.values()}
+
+
+def gelfand_tsetlin_diagonals(rep, i, order):
+    """(d, d'): for each basis pattern mu, the entry (mu, mu) of d_i(u) and
+    of d_i'(u) at u^0 .. u^{-order}, from the Fraction l-values of mu
+    (``GTPattern.row_l_values``).  With w = 1/u, d_i at mu is
+    prod_{row i} (1 + (l + i - 1) w) / prod_{row i-1} (1 + (l + i - 1) w),
+    row 0 holding no l-value, and d_i' is its reciprocal; each quotient is
+    expanded in w one coefficient at a time."""
+    def linear_product(values):
+        c = [Fraction(1)]
+        for v in values:
+            c = [a + v * b for a, b in zip(c + [Fraction(0)], [Fraction(0)] + c)]
+        return c
+
+    def quotient(num, den):
+        out = []
+        for m in range(order + 1):
+            acc = num[m] if m < len(num) else Fraction(0)
+            out.append(acc - sum(den[t] * out[m - t] for t in range(1, min(m, len(den) - 1) + 1)))
+        return out
+
+    d, dprime = [], []
+    for mu in rep.basis:
+        top = linear_product(l + i - 1 for l in mu.row_l_values(i))
+        below = linear_product(l + i - 1 for l in mu.row_l_values(i - 1)) if i > 1 else [Fraction(1)]
+        d.append(quotient(top, below))
+        dprime.append(quotient(below, top))
+    return d, dprime

@@ -1,5 +1,8 @@
 """Hypothesis strategies of random generic dominant weights, shared by the
-relation, central-element and skew-model tests."""
+relation, central-element and skew-model tests, and one fixed weight over
+several denominators."""
+
+from fractions import Fraction
 
 from hypothesis import assume, strategies as st
 
@@ -36,3 +39,11 @@ def small_pyramid_weights(draw):
     weight = draw(dominant_weights(rows))
     assume(len(enumerate_patterns(weight)) <= 64)
     return weight
+
+
+# rows (2,2,3) at a weight whose denominators 2, 7 and 11 differ, the weight
+# of the pinned build record in test_golden.py
+MULTI_DENOMINATOR = HighestWeight(
+    Pyramid(rows=(2, 2, 3)),
+    [[Fraction(3, 2), Fraction(-5, 7)], [Fraction(1, 2), Fraction(-12, 7)],
+     [Fraction(-1, 2), Fraction(-19, 7), Fraction(4, 11)]])

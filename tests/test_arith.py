@@ -14,7 +14,6 @@ from wrep.arith import (
     perm_sign,
     poly_shift,
     poly_to_inv_series,
-    series_arg_shift,
     series_inverse,
     series_product,
 )
@@ -135,36 +134,25 @@ def test_matrix_series_fused_products(pair):
         series_inverse([s[0] + SparseMatrix.from_entries(3, [(0, 2, 1)])] + s[1:])
 
 
-def test_series_arg_shift_against_geometric():
-    # 1/u as a series in (v + c): 1/(v+c) = sum (-c)^k v^{-k-1}
-    R = 6
-    s = [Fraction(0), Fraction(1)] + [Fraction(0)] * (R - 1)
-    c = Fraction(3)
-    t = series_arg_shift(s, c)
-    assert len(t) == R + 1
-    for k in range(1, R + 1):
-        assert t[k] == (-c) ** (k - 1)
-    assert t[0] == 0
-
-
 def test_poly_to_inv_series_monic():
-    # (u-1)(u-2) / u^2 = 1 - 3/u + 2/u^2
+    # (u-1)(u-2) / u^2 = 1 - 3/u + 2/u^2: the identity lead, then the
+    # coefficients read downwards
     p = UniPoly.from_roots([1, 2])
-    s = poly_to_inv_series(p, [(0, 2)], 4)
-    assert s == [Fraction(1), Fraction(-3), Fraction(2), Fraction(0), Fraction(0)]
+    s = poly_to_inv_series(p, 2, 4)
+    assert s == [1, -3, 2, 0, 0]
 
 
 def test_poly_to_inv_series_strict_degree():
-    # constant 1 over (u-1): 1/(u-1) = u^{-1} + u^{-2} + ...
-    p = UniPoly([Fraction(1)])
-    s = poly_to_inv_series(p, [(1, 1)], 4)
-    assert s == [Fraction(0)] + [Fraction(1)] * 4
+    # (2u + 5) / u^3 = 2/u^2 + 5/u^3: a power above the degree leads with zeros
+    p = UniPoly([Fraction(5), Fraction(2)])
+    s = poly_to_inv_series(p, 3, 4)
+    assert s == [Fraction(0), Fraction(0), Fraction(2), Fraction(5), Fraction(0)]
 
 
 def test_poly_to_inv_series_degree_guard():
     p = UniPoly.from_roots([0, 1, 2])
     with pytest.raises(ArityError):
-        poly_to_inv_series(p, [(0, 2)], 3)
+        poly_to_inv_series(p, 2, 3)
 
 
 def test_column_det_keeps_column_order():
@@ -347,16 +335,6 @@ def test_matrix_poly_shift_against_plain(a, c):
     assert poly_shift(UniPoly(a), c) == UniPoly(want)
 
 
-@settings(max_examples=40)
-@given(matrix_coeffs, small)
-def test_matrix_series_arg_shift_against_plain(coeffs, c):
-    # 1/(v + c)^r = sum_t binom(r + t - 1, t) (-c)^t v^{-r-t}
-    want = [coeffs[0]] + [
-        plain_sum(coeffs[r] * (comb(m - 1, m - r) * (-c) ** (m - r)) for r in range(1, m + 1))
-        for m in range(1, len(coeffs))]
-    assert series_arg_shift(coeffs, c) == want
-
-
 def padded_poly_product(a, b, zero):
     """The first min(len a, len b) coefficients of UniPoly(a) * UniPoly(b):
     series in u^{-1} multiply as polynomials in u^{-1} do."""
@@ -376,29 +354,27 @@ def test_matrix_series_product_is_truncated_poly_product(a, b):
 
 
 @st.composite
-def series_quotients(draw, monic):
-    """(P, prefactor roots, R) with deg P equal to the total multiplicity
-    and P monic, or deg P below it."""
-    roots = draw(st.lists(st.tuples(small, st.integers(1, 2)), min_size=1, max_size=3))
-    mult = sum(m for _, m in roots)
+def inv_series_polys(draw, monic):
+    """(P, k) with P a nonzero 3x3 matrix polynomial: monic of degree k,
+    or of degree below k."""
     if monic:
-        coeffs = draw(st.lists(matrices, min_size=mult, max_size=mult))
+        k = draw(st.integers(0, 3))
+        coeffs = draw(st.lists(matrices, min_size=k, max_size=k))
         coeffs.append(SparseMatrix.identity(3))
     else:
-        coeffs = draw(st.lists(matrices, min_size=1, max_size=mult))
-    return UniPoly(coeffs), roots, draw(st.integers(1, 5))
+        k = draw(st.integers(1, 3))
+        coeffs = draw(st.lists(matrices, min_size=1, max_size=k).filter(any))
+    return UniPoly(coeffs), k
 
 
 @pytest.mark.parametrize("monic", [True, False], ids=["monic", "strict"])
 @settings(max_examples=40)
 @given(data=st.data())
 def test_matrix_poly_to_inv_series_times_denominator(monic, data):
-    # prod (u - c)^m / u^{mult} times P(u) / prod (u - c)^m is P(u) / u^{mult}
-    p, roots, R = data.draw(series_quotients(monic))
-    flat = [c for c, m in roots for _ in range(m)]
-    mult = len(flat)
-    ident, zero = SparseMatrix.identity(3), SparseMatrix(3)
-    den = UniPoly.from_roots(flat).coeffs
-    den_series = [den[mult - r] * ident if r <= mult else zero for r in range(R + 1)]
-    num_series = [p.coeff(mult - r) or zero for r in range(R + 1)]
-    assert series_product(den_series, poly_to_inv_series(p, roots, R)) == num_series
+    # P(u) u^{-j} times Q(u) u^{-k} is P(u) Q(u) u^{-j-k}; the series of a
+    # zero polynomial holds the scalar zero, taken here as the zero matrix
+    p, j = data.draw(inv_series_polys(monic))
+    q, k = data.draw(inv_series_polys(monic))
+    R = data.draw(st.integers(1, 5))
+    got = series_product(poly_to_inv_series(p, j, R), poly_to_inv_series(q, k, R))
+    assert got == [c or SparseMatrix(3) for c in poly_to_inv_series(p * q, j + k, R)]

@@ -268,8 +268,10 @@ def _broken_dim(args, cfg):
     (["verify", "--rows", "1,2", "--rmax", "0"], None, 2),
     (["verify", "--rows", "1,2,9,1"], None, 2),
     (["verify"], "[pyramid]\nrows = 1 2\n[run]\nrmax = abc\n", 2),
+    (["verify"], b"[pyramid]\nrows = 1 2\n\xff\n", 2),
     (["dim", "--rows", "1 1"], None, 3),
-], ids=["rmax-zero", "bad-shape", "config-rmax-not-an-integer", "internal-error"])
+], ids=["rmax-zero", "bad-shape", "config-rmax-not-an-integer", "config-not-text",
+        "internal-error"])
 @pytest.mark.parametrize("existing", [None, b"an earlier record\n"],
                          ids=["new-file", "existing-file"])
 def test_failed_run_leaves_no_out_file_behind(capsys, monkeypatch, tmp_path, argv, text, status,
@@ -279,7 +281,7 @@ def test_failed_run_leaves_no_out_file_behind(capsys, monkeypatch, tmp_path, arg
     monkeypatch.setitem(cli._COMMANDS, "dim", _broken_dim)
     if text is not None:
         path = tmp_path / "bad.ini"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = argv + ["--config", str(path)]
     out = tmp_path / "x.json"
     if existing is not None:
@@ -294,16 +296,29 @@ def test_failed_run_leaves_no_out_file_behind(capsys, monkeypatch, tmp_path, arg
         assert out.read_bytes() == existing
 
 
-def test_internal_error_exit_code(capsys, monkeypatch):
-    # exit 1 means a failed check; an unexpected exception is exit 3
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                 ValueError("dimension mismatch: 4 vs 5")],
+                         ids=["ZeroDivisionError", "ValueError"])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    # exit 1 means a failed check; an unexpected exception is exit 3, a
+    # ValueError of the program too: only a WrepError is a usage error
     def broken(args, cfg):
-        raise ZeroDivisionError("division by zero")
+        raise exc
     monkeypatch.setitem(cli._COMMANDS, "dim", broken)
     code = main(["dim", "--rows", "1 1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err == "error: internal: ZeroDivisionError: division by zero\n"
+    assert captured.err == "error: internal: %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_undecodable_config_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[pyramid]\nrows = 1 2\n\xff\n")
+    code = main(["dim", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: config file %r is not text: invalid start byte\n" % str(path)
 
 
 def _raise_invariant(message):

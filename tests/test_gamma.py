@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from oracles import character_of, fraction_character_reader, fraction_fibers
-from random_weights import small_pyramid_weights
+from random_weights import MULTI_DENOMINATOR, small_pyramid_weights
 
 import wrep.gamma as gamma_mod
 from wrep.arith import UniPoly
@@ -19,7 +19,7 @@ from wrep.gamma import (
     gamma_coefficients,
     gamma_commutes,
 )
-from wrep.patterns import HighestWeight, generic_weight
+from wrep.patterns import generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation
 from wrep.sparse import SparseMatrix
@@ -136,17 +136,11 @@ def test_character_mismatch_detected(reps):
     fibers(rep)
 
 
-_MULTI_DENOMINATOR = HighestWeight(
-    Pyramid(rows=(2, 2, 3)),
-    [[Fraction(3, 2), Fraction(-5, 7)], [Fraction(1, 2), Fraction(-12, 7)],
-     [Fraction(-1, 2), Fraction(-19, 7), Fraction(4, 11)]])
-
-
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(small_pyramid_weights())
 @example(generic_weight(Pyramid(rows=(2, 3, 3))))
-@example(_MULTI_DENOMINATOR)
+@example(MULTI_DENOMINATOR)
 def test_integer_characters_equal_the_fraction_oracle(weight):
     # the value at a_r^{(k)} is the integer character entry over q^k, and
     # the integer keys partition the basis as the Fraction characters do

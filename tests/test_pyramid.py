@@ -8,7 +8,6 @@ from wrep.pyramid import (
     gamma_generator_count,
     gk_dimension,
     gk_parameters,
-    parse_pyramid_literal,
     pbw_variable_count,
     rows_from_columns,
     shift_group_rank,
@@ -52,12 +51,3 @@ def test_parameter_formulas_agree(cols):
     assert k == sum(q * (q - 1) // 2 for q in cols)
     assert gk_dimension(pyr) == pbw_variable_count(pyr)
     assert gk_dimension(pyr) == gamma_generator_count(pyr) + shift_group_rank(pyr)
-
-
-def test_parse_literal():
-    assert parse_pyramid_literal("rows: 1 2 2") == Pyramid(rows=(1, 2, 2))
-    assert parse_pyramid_literal("cols: 1 3 4 2 1") == Pyramid(rows=(1, 2, 3, 5))
-    with pytest.raises(ShapeError):
-        parse_pyramid_literal("1 2 3")
-    with pytest.raises(ShapeError):
-        parse_pyramid_literal("diag: 1 2")

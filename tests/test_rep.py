@@ -10,8 +10,8 @@ from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from oracles import fraction_build
-from random_weights import dominant_weights, small_pyramid_weights
+from oracles import fraction_build, gelfand_tsetlin_diagonals
+from random_weights import MULTI_DENOMINATOR, dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
 from wrep.center import build_t_matrix, central_coefficients, column_determinant
@@ -376,11 +376,49 @@ def test_gamma_coefficients_are_stored_dense(monkeypatch):
         return bool(nonzero) and all(m.diag is not None for m in nonzero)
 
     assert all(dense(rep.A[r].coeffs) for r in range(1, pyr.n + 1))
-    # a_1^{-1}, a_2^{-1}, then d_1', d_2', d_3'
+    # a_1^{-1}, a_2^{-1}, d_2, a_3^{-1}, d_3
     assert len(inverses) == 2 * pyr.n - 1 and all(dense(x) for x in inverses)
     assert all(dense(gens._d[i]) and dense(gens._dprime[i]) for i in range(1, pyr.n + 1))
     # the ladder series move patterns, so they stay general
     assert all(m.diag is None for i in (1, 2) for m in gens._e[i] + gens._f[i])
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+@example(MULTI_DENOMINATOR)
+def test_diagonal_series_equal_the_gelfand_tsetlin_oracle(weight):
+    # d_i and d_i' act on each pattern by the product formula in its
+    # l-values shifted by i - 1
+    rep = build_representation(weight.pyramid, weight)
+    R = 7
+    gens = generator_series(rep, R)
+    for i in range(1, rep.n + 1):
+        want_d, want_dprime = gelfand_tsetlin_diagonals(rep, i, R)
+        for series, want in ((gens.d, want_d), (gens.dprime, want_dprime)):
+            for r in range(R + 1):
+                m = series(i, r)
+                assert m.is_diagonal()
+                assert [m.get(c, c) for c in range(rep.dim)] == [w[r] for w in want]
+
+
+def test_bumped_d_fails_the_dprime_check(monkeypatch):
+    # d_2 is series_inverse(d_2'), its third call; a bumped d_2^{(1)} fails
+    # d_2 d_2' = 1, the side that series_inverse did not solve
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    inverse, calls = rep_mod.series_inverse, []
+
+    def bumped(s):
+        out = inverse(s)
+        calls.append(s)
+        if len(calls) == 3:
+            out[1] = out[1] + SparseMatrix.diagonal([0] * (rep.dim - 1) + [1])
+        return out
+
+    monkeypatch.setattr(rep_mod, "series_inverse", bumped)
+    with pytest.raises(InvariantViolation, match="d_2' fails its defining relation at r=1"):
+        generator_series(rep, 3)
 
 
 def _ops(dim, *entry_lists):
