@@ -20,8 +20,10 @@ SparseMatrix.from_positions for B and C).
 
 The relation suite (verify_defining_relations) builds the series once and
 then runs its families, which are independent, from a queue of one-byte
-tickets in a pipe that this process and forked children take from
-(_run_families); the report is the same for any number of workers.
+tickets in a pipe that this process and forked children take from, each
+in the same loop (_run_taken); the report is the same for any number of
+workers.  Each relation instance is two lists of signed matrix products,
+summed after equal products merge (_canonical).
 """
 
 import marshal
@@ -331,9 +333,6 @@ def _series_invariants(gens):
         if r is not None:
             raise InvariantViolation("d_%d' fails its defining relation at r=%d"
                                      % (i, r))
-    for r in range(pyr.p(1) + 1, R + 1):
-        if gens.d(1, r) != zero:
-            raise InvariantViolation("d_1^{(%d)} nonzero past p_1" % r)
     for i in range(1, pyr.n):
         start = gens.e_start(i)
         for r in range(0, min(start, R + 1)):
@@ -370,47 +369,42 @@ class RelationReport:
         return sum(c for _, c, _ in self.families)
 
 
-# Relation terms: (Combination method, matrix operands..., sign).
+# Relation terms: groups of signed products (coefficient, operands), one
+# operand for a plain matrix; lhs and rhs are lists of these groups.
 def _comm(a, b, sign=1):
-    return (Combination.commutator, a, b, sign)
+    return ((sign, (a, b)), (-sign, (b, a)))
 
 
 def _prod(a, b, sign=1):
-    return (Combination.product, a, b, sign)
+    return ((sign, (a, b)),)
 
 
 def _mat(a, sign=1):
-    return (Combination.add, a, sign)
+    return ((sign, (a,)),)
 
 
 def _canonical(lhs, rhs):
     """lhs - rhs as (key, terms), a signed sum of distinct products.
 
-    Each commutator [a, b] expands into +ab and -ba, equal products (and
-    equal plain matrices) merge, and zero coefficients and terms with a
-    zero operand drop.  terms lists (coefficient, operands) in order of
-    first appearance; key is the sorted tuple of (operand ids,
-    coefficient), negated if need be so that its first coefficient is
-    positive.  Two instances with equal keys are the same linear
-    combination of the same matrix products, up to sign, so they vanish
-    together; the ids stay meaningful only while the operands live."""
+    Equal products (and equal plain matrices) merge, and zero coefficients
+    and terms with a zero operand drop.  terms lists (coefficient,
+    operands) in order of first appearance; key is the sorted tuple of
+    (operand ids, coefficient), negated if need be so that its first
+    coefficient is positive.  Two instances with equal keys are the same
+    linear combination of the same matrix products, up to sign, so they
+    vanish together; the ids stay meaningful only while the operands
+    live."""
     merged = {}
-    for terms, side in ((lhs, 1), (rhs, -1)):
-        for op, *operands, s in terms:
-            if not all(operands):
-                continue
-            c = s * side
-            if op is Combination.commutator:
-                a, b = operands
-                parts = (((a, b), c), ((b, a), -c))
-            else:
-                parts = ((tuple(operands), c),)
-            for ops, c in parts:
+    for groups, side in ((lhs, 1), (rhs, -1)):
+        for group in groups:
+            for c, ops in group:
+                if not all(ops):
+                    continue
                 k = tuple(map(id, ops))
                 if k in merged:
-                    merged[k][0] += c
+                    merged[k][0] += c * side
                 else:
-                    merged[k] = [c, ops]
+                    merged[k] = [c * side, ops]
     merged = {k: t for k, t in merged.items() if t[0]}
     key = sorted((k, c) for k, (c, _) in merged.items())
     if key and key[0][1] < 0:
@@ -446,16 +440,19 @@ _QUEUE = _LARGEST + tuple(n for n in RELATION_FAMILIES if n not in _LARGEST)
 def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R.
 
-    Each instance is a pair of term lists, lhs and rhs.  lhs - rhs is
-    brought to its canonical form (_canonical), and each distinct form is
-    summed once per family in one Combination and zero-tested: a mirrored
-    instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a
-    Serre (s, r, t) beside (r, s, t), is verified because its canonical sum
-    is identical to one that passed, and an empty form is formally zero.
-    Every instance is still counted and labelled, and a failing
-    instance's witness is read from the matrix of that sum.  The only
-    errors raised are those of generator_series(rep, 2 * R) and of a
-    family's own run; a failing instance is reported.
+    Each instance is a pair of lists, lhs and rhs, of groups of signed
+    products (_comm, _prod, _mat).  lhs - rhs is brought to its canonical
+    form (_canonical), and each distinct form is summed once per family in
+    one Combination and zero-tested: a mirrored instance, such as
+    [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a Serre (s, r, t)
+    beside (r, s, t), is verified because its canonical sum is identical
+    to one that passed, and an empty form is formally zero.  Every
+    instance is still counted and labelled, and a failing instance's
+    witness is read from the matrix of that sum.  The only errors raised
+    are those of generator_series(rep, 2 * R) and of a family's own run; a
+    failing instance is reported.  generator_series does not check that
+    d_1^{(r)} vanishes for r > p_1; the d_1 vanishing family does, so such
+    a fault in the series is a failed instance.
 
     The families are independent once the series are built, so this
     process builds them and registers each family's cases, and the
@@ -470,9 +467,7 @@ def verify_defining_relations(rep, R):
     n = pyr.n
     N = rep.dim
 
-    def estart(i):
-        return gens.e_start(i)
-
+    estart = gens.e_start
     cases = {}  # family name -> its case generator, registered unrun
 
     def check(name):
@@ -648,18 +643,16 @@ def _run_families(run, workers):
 
     One ticket per family goes into a pipe in _QUEUE order, and this
     process forks workers - 1 children (none for one worker).  It and
-    every child take tickets with one-byte reads and run each family
-    taken.  A child sends {family: (count, fails)} back through a pipe of
-    its own (_child).  A family no child delivered, because the child died
-    or the family raised there, is run here again, and an exception raised
-    here is held: the first family in RELATION_FAMILIES order that raises
-    raises, as in a serial run.  Every child is killed and reaped before
-    the call returns or raises."""
+    every child take and run families in one loop (_run_taken), and a
+    child sends its results back through a pipe of its own (_child).  A
+    family no process delivered, because a child died or the family
+    raised, is run here again in RELATION_FAMILIES order, so the first
+    family in that order that raises raises, as in a serial run.  Every
+    child is killed and reaped before the call returns or raises."""
     tickets, refill = os.pipe()
     os.write(refill, bytes(range(len(_QUEUE))))
     os.close(refill)  # an empty queue then reads as end of file
     children = {}  # pid -> the read end of its result pipe
-    done, raised = {}, {}
     try:
         for _ in range(workers - 1):
             read, write = os.pipe()
@@ -673,11 +666,7 @@ def _run_families(run, workers):
                 _child(run, tickets, write)
             os.close(write)
             children[pid] = open(read, "rb")
-        for name in _taken(tickets):
-            try:
-                done[name] = run(name)
-            except Exception as exc:
-                raised[name] = exc
+        done = _run_taken(run, tickets)
         for results in children.values():
             try:
                 done.update(marshal.loads(results.read()))
@@ -687,34 +676,32 @@ def _run_families(run, workers):
         os.close(tickets)
         _reap(children)
     for name in RELATION_FAMILIES:
-        if name in raised:
-            raise raised[name]
         if name not in done:
             done[name] = run(name)
     return done
 
 
-def _taken(tickets):
-    """The families taken from the queue, one ticket at a time, until it
-    is empty."""
+def _run_taken(run, tickets):
+    """{family: run(family)} for the families taken from the queue, one
+    ticket at a time until it is empty; a family that raises is left out,
+    for _run_families to run again."""
+    out = {}
     while ticket := os.read(tickets, 1):
-        yield _QUEUE[ticket[0]]
+        name = _QUEUE[ticket[0]]
+        try:
+            out[name] = run(name)
+        except Exception:
+            pass
+    return out
 
 
 def _child(run, tickets, write):
-    """A forked worker: run the families it takes, send {family: (count,
-    fails)} of those that returned through write with marshal, and leave
-    by os._exit, so that no exit handler runs and no buffer inherited from
-    the parent is flushed."""
+    """A forked worker: send the results of _run_taken through write with
+    marshal, and leave by os._exit, so that no exit handler runs and no
+    buffer inherited from the parent is flushed."""
     try:
-        out = {}
-        for name in _taken(tickets):
-            try:
-                out[name] = run(name)
-            except Exception:
-                pass  # not delivered: the parent runs it again
         with open(write, "wb") as pipe:
-            pipe.write(marshal.dumps(out))
+            pipe.write(marshal.dumps(_run_taken(run, tickets)))
     finally:
         os._exit(0)
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import errno
+import json
 import os
 import threading
 import time
@@ -15,6 +16,7 @@ from random_weights import MULTI_DENOMINATOR, dominant_weights, small_pyramid_we
 
 from wrep.arith import UniPoly
 from wrep.center import build_t_matrix, central_coefficients, column_determinant
+from wrep.cli import main
 from wrep.errors import DegenerateNodes, InvariantViolation, OrderError
 from wrep.galois import cross_check
 from wrep.gamma import check_fiber_bound, fibers, gamma_commutes
@@ -419,6 +421,106 @@ def test_bumped_d_fails_the_dprime_check(monkeypatch):
     monkeypatch.setattr(rep_mod, "series_inverse", bumped)
     with pytest.raises(InvariantViolation, match="d_2' fails its defining relation at r=1"):
         generator_series(rep, 3)
+
+
+def _raise_degree(table, r):
+    """A mutant that appends the identity to the top of rep.<table>[r]."""
+    def mutate(rep):
+        polys = getattr(rep, table)
+        polys[r] = UniPoly(polys[r].coeffs + [SparseMatrix.identity(rep.dim)])
+    return mutate
+
+
+def _off_diagonal_a2(rep):
+    _bump(rep.A[2].coeffs, 0, 0, 1)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_raise_degree("A", 1), r"deg A_1 = 2, expected 1"),
+    (_off_diagonal_a2, r"A_2 is not diagonal"),
+    (_raise_degree("B", 1), r"deg B_1 = 1 exceeds the bound 0"),
+    (_raise_degree("C", 1), r"deg C_1 = 1 exceeds the bound 0"),
+], ids=["deg-A", "diagonal-A", "deg-B", "deg-C"])
+def test_each_build_invariant_can_fail(mutate, message):
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    mutate(rep)
+    with pytest.raises(InvariantViolation, match=message):
+        rep_mod._sanity_check(rep)
+
+
+def test_a_doubled_eigenvalue_lead_is_not_monic(monkeypatch):
+    # the A_2 eigenvalue polynomial of the first pattern, the first
+    # from_roots result with p_1 + p_2 = 3 roots, gets lead 2
+    pyr = Pyramid(rows=(1, 2))
+    weight = generic_weight(pyr)
+    from_roots, doubled_roots = UniPoly.from_roots.__func__, []
+
+    def doubled(cls, roots):
+        p = from_roots(cls, roots)
+        if len(roots) == 3 and not doubled_roots:
+            doubled_roots.append(roots)
+            p.coeffs[-1] *= 2
+        return p
+
+    monkeypatch.setattr(UniPoly, "from_roots", classmethod(doubled))
+    with pytest.raises(InvariantViolation, match="A_2 is not monic"):
+        build_representation(pyr, weight)
+
+
+def _bump_result(monkeypatch, name, call, r):
+    """Patch rep_mod.<name> to add the identity to coefficient r of its
+    call-th result, counted from 1."""
+    function, calls = getattr(rep_mod, name), []
+
+    def bumped(*args):
+        out = function(*args)
+        calls.append(args)
+        if len(calls) == call:
+            out[r] = out[r] + SparseMatrix.identity(out[r].dim)
+        return out
+
+    monkeypatch.setattr(rep_mod, name, bumped)
+
+
+# At (1,2) generator_series reads A_1, B_1, C_1, A_2 and the shifted A_1
+# with poly_to_inv_series, in that order, and inverts a_1, a_2 and d_2'
+# with series_inverse.
+@pytest.mark.parametrize("name, call, r, message", [
+    ("poly_to_inv_series", 1, 0, r"a_1\(u\) does not start at the identity"),
+    ("series_inverse", 3, 0, r"d_2\^\{\(0\)\} is not the identity"),
+    ("poly_to_inv_series", 2, 1, r"e_1\^\{\(1\)\} nonzero below the start index 2"),
+    ("poly_to_inv_series", 3, 0, r"f_1\^\{\(0\)\} nonzero"),
+], ids=["a", "d", "e", "f"])
+def test_each_series_invariant_can_fail(monkeypatch, name, call, r, message):
+    pyr = Pyramid(rows=(1, 2))
+    rep = build_representation(pyr, generic_weight(pyr))
+    _bump_result(monkeypatch, name, call, r)
+    with pytest.raises(InvariantViolation, match=message):
+        generator_series(rep, 4)
+
+
+def test_a_d1_fault_reaches_its_family(monkeypatch, capsys):
+    # a_1 = d_1 with the identity added at u^{-2}, past p_1 = 1: the
+    # d_1 vanishing family names it, and center's tail check still sees
+    # it in T_11 = d_1
+    _bump_result(monkeypatch, "poly_to_inv_series", 1, 2)
+    assert main(["verify", "--rows", "1,2", "--rmax", "2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {c["name"]: c["witness"] for c in checks if c["status"] == "FAIL"}
+    assert len(checks) == len(RELATION_FAMILIES)
+    assert list(failed) == ["relations: [e,f]", "relations: [d,f]",
+                            "relations: d_1 vanishing"]
+    pattern = "GTPattern[1/3 | 4/3 1/3 1/4]"
+    assert failed["relations: d_1 vanishing"] == (
+        "r=2: entry (0,0) differs by 1; row pattern %s, column pattern %s"
+        % (pattern, pattern))
+    monkeypatch.undo()
+    _bump_result(monkeypatch, "poly_to_inv_series", 1, 2)
+    assert main(["center", "--rows", "1,2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0] == {"name": "generator series and T-matrix", "status": "FAIL",
+                         "witness": "t_{11}^{(2)} nonzero beyond the column degree 1"}
 
 
 def _ops(dim, *entry_lists):
