@@ -27,17 +27,13 @@ def higher_root_coefficients(gens):
     for span in range(2, n):
         for i in range(1, n - span + 1):
             j = i + span
-            step = pyr.p(j) - pyr.p(j - 1)
+            step = pyr.shift(j - 1, j)
             pivot = gens.e(j - 1, step + 1)
-            start = pyr.p(j) - pyr.p(i) + 1
-            row = []
-            for r in range(R + 1):
-                if r < start or r - step < 0:
-                    row.append(zero)
-                else:
-                    row.append(e[(i, j - 1)][r - step].commutator(pivot))
-            e[(i, j)] = row
-            fpivot = gens.f(j - 1, 1)
+            # e_{ij} starts at s_ij + 1 > s_{j-1,j} = step, as s_ij = s_{i,j-1} + step
+            start = pyr.shift(i, j) + 1
+            e[(i, j)] = [e[(i, j - 1)][r - step].commutator(pivot) if r >= start else zero
+                         for r in range(R + 1)]
+            fpivot = gens.f(j - 1, gens.f_start(j - 1))
             f[(j, i)] = [fpivot.commutator(f[(j - 1, i)][r]) for r in range(R + 1)]
     return e, f
 

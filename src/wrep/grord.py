@@ -18,14 +18,13 @@ from .mpoly import MPoly
 
 
 def variable_slots(pyr):
-    """Triples (i, j, k): full range k = 1..p_j at or below the diagonal,
-    truncated range k = p_j - p_i + 1 .. p_j above it."""
+    """Triples (i, j, k) with s_ij < k <= p_j (s the shift matrix,
+    Pyramid.shift): the full range k = 1..p_j at or below the diagonal."""
     n = pyr.n
     slots = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            lo = 1 if i >= j else pyr.p(j) - pyr.p(i) + 1
-            for k in range(lo, pyr.p(j) + 1):
+            for k in range(pyr.shift(i, j) + 1, pyr.p(j) + 1):
                 slots.append((i, j, k))
     return slots
 
@@ -48,8 +47,7 @@ class GradedRing:
         coeffs = [MPoly.zero(self.names) for _ in range(pj + 1)]
         if i == j:
             coeffs[pj] = MPoly.const(self.names, 1)
-        lo = 1 if i >= j else pj - self.pyramid.p(i) + 1
-        for k in range(lo, pj + 1):
+        for k in range(self.pyramid.shift(i, j) + 1, pj + 1):
             coeffs[pj - k] = self.var(i, j, k)
         return UniPoly(coeffs)
 
@@ -76,14 +74,11 @@ def dcoeff_direct(ring, r, s):
         partial = [(MPoly.const(ring.names, Fraction(sgn)), s)]
         for j in range(1, r + 1):
             i = sigma[j - 1]
+            choices = [(0, None)] if i == j else []
+            for k in range(pyr.shift(i, j) + 1, pyr.p(j) + 1):
+                choices.append((k, ring.var(i, j, k)))
             nxt = []
             for mono, rem in partial:
-                choices = []
-                if i == j:
-                    choices.append((0, None))
-                lo = 1 if i >= j else pyr.p(j) - pyr.p(i) + 1
-                for k in range(lo, pyr.p(j) + 1):
-                    choices.append((k, ring.var(i, j, k)))
                 for k, v in choices:
                     if k > rem:
                         continue

@@ -61,6 +61,12 @@ class Pyramid:
         """Row length p_i, 1-based."""
         return self.rows[i - 1]
 
+    def shift(self, i, j):
+        """Shift matrix entry s_ij = max(p_j - p_i, 0): t_ij^{(r)} exists
+        for r > s_ij, so e_i starts at s_{i,i+1} + 1 and f_i at
+        s_{i+1,i} + 1 = 1."""
+        return max(self.p(j) - self.p(i), 0)
+
     def row_block_size(self, r):
         """p_1 + ... + p_r."""
         return sum(self.rows[:r])
@@ -93,17 +99,10 @@ def gk_parameters(pyr):
 
 
 def pbw_variable_count(pyr):
-    """Number of graded generators t_{ij}^{(r)}: i>=j with r<=p_j, and
-    i<j with p_j-p_i+1 <= r <= p_j."""
+    """Number of graded generators t_{ij}^{(r)}, s_ij < r <= p_j."""
     n = pyr.n
-    count = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i >= j:
-                count += pyr.p(j)
-            else:
-                count += pyr.p(j) - (pyr.p(j) - pyr.p(i) + 1) + 1
-    return count
+    return sum(pyr.p(j) - pyr.shift(i, j)
+               for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def gk_dimension(pyr):

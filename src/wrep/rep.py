@@ -23,7 +23,9 @@ then runs its families, which are independent, from a queue of one-byte
 tickets in a pipe that this process and forked children take from, each
 in the same loop (_run_taken); the report is the same for any number of
 workers.  Each relation instance is two lists of signed matrix products,
-summed after equal products merge (_canonical).
+summed after equal products merge (_canonical).  Index ranges start past
+the shift matrix (Pyramid.shift), and each f-side family is the
+transpose of its e-side one (_transposed).
 """
 
 import marshal
@@ -51,9 +53,8 @@ class Representation:
     l-value at key position p of a pattern is offsets[p] + q * key_p (see
     _scaled_offsets); the build and galois both read them."""
 
-    def __init__(self, pyramid, weight, basis, A, B, C):
+    def __init__(self, pyramid, basis, A, B, C):
         self.pyramid = pyramid
-        self.weight = weight
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
         self.dim = len(basis)
@@ -88,7 +89,7 @@ class Representation:
 
 def build_representation(pyramid, weight):
     """Construct the pattern basis and the A/B/C polynomial matrices."""
-    rep = Representation(pyramid, weight, enumerate_patterns(weight), {}, {}, {})
+    rep = Representation(pyramid, enumerate_patterns(weight), {}, {}, {})
     basis = rep.basis
     N = rep.dim
     n = pyramid.n
@@ -255,8 +256,10 @@ class SeriesGenerators:
         return self._get(self._f, i, r)
 
     def e_start(self, i):
-        p = self.rep.pyramid
-        return p.p(i + 1) - p.p(i) + 1
+        return self.rep.pyramid.shift(i, i + 1) + 1
+
+    def f_start(self, i):
+        return self.rep.pyramid.shift(i + 1, i) + 1
 
 
 def generator_series(rep, R):
@@ -265,8 +268,8 @@ def generator_series(rep, R):
     With v = u + i - 1, P_i = p_1 + ... + p_i and a_i = A_i(v) u^{-P_i},
     each series is read off the coefficients of a shifted polynomial:
       d_1 = a_1, d_1' = a_1^{-1}; d_i' = A_{i-1}(v) u^{-P_{i-1}} a_i^{-1},
-      d_i = d_i'^{-1} (i >= 2); e_i = a_i^{-1} B_i(v) u^{-P_{i-1}-p_{i+1}}
-      and f_i = C_i(v) u^{-P_i} a_i^{-1} (i < n)."""
+      d_i = d_i'^{-1} (i >= 2); e_i = a_i^{-1} B_i(v) u^{-P_i-s_{i,i+1}}
+      and f_i = C_i(v) u^{-P_i} a_i^{-1} (i < n), s = Pyramid.shift."""
     if R < 1:
         raise OrderError("truncation order must be >= 1")
     pyr = rep.pyramid
@@ -294,7 +297,7 @@ def generator_series(rep, R):
             dprime[i] = series_product(read(rep.A[i - 1], pyr.row_block_size(i - 1), i), x)
             d[i] = series_inverse(dprime[i])
         if i < pyr.n:
-            e[i] = series_product(x, read(rep.B[i], P - pyr.p(i) + pyr.p(i + 1), i))
+            e[i] = series_product(x, read(rep.B[i], P + pyr.shift(i, i + 1), i))
             f[i] = series_product(read(rep.C[i], P, i), x)
 
     gens = SeriesGenerators(rep, R, d, dprime, e, f)
@@ -334,14 +337,11 @@ def _series_invariants(gens):
             raise InvariantViolation("d_%d' fails its defining relation at r=%d"
                                      % (i, r))
     for i in range(1, pyr.n):
-        start = gens.e_start(i)
-        for r in range(0, min(start, R + 1)):
-            if gens.e(i, r) != zero:
-                raise InvariantViolation(
-                    "e_%d^{(%d)} nonzero below the start index %d" % (i, r, start)
-                )
-        if gens.f(i, 0) != zero:
-            raise InvariantViolation("f_%d^{(0)} nonzero" % i)
+        for name, x, start in (("e", gens.e, gens.e_start(i)), ("f", gens.f, gens.f_start(i))):
+            for r in range(0, min(start, R + 1)):
+                if x(i, r) != zero:
+                    raise InvariantViolation("%s_%d^{(%d)} nonzero below the start index %d"
+                                             % (name, i, r, start))
 
 
 def _first_diff(diff, basis):
@@ -381,6 +381,14 @@ def _prod(a, b, sign=1):
 
 def _mat(a, sign=1):
     return ((sign, (a,)),)
+
+
+def _transposed(cases, sign):
+    """The transpose of cases: every product reversed, every coefficient times sign."""
+    def flip(side):
+        return [tuple((sign * c, ops[::-1]) for c, ops in group) for group in side]
+    for label, lhs, rhs in cases:
+        yield label, flip(lhs), flip(rhs)
 
 
 def _canonical(lhs, rhs):
@@ -440,6 +448,8 @@ _QUEUE = _LARGEST + tuple(n for n in RELATION_FAMILIES if n not in _LARGEST)
 def verify_defining_relations(rep, R):
     """Evaluate every defining relation for all admissible indices <= R.
 
+    The index ranges start past the shift matrix (e_start, f_start), and
+    each f-side family is the transpose of its e-side one (_transposed).
     Each instance is a pair of lists, lhs and rhs, of groups of signed
     products (_comm, _prod, _mat).  lhs - rhs is brought to its canonical
     form (_canonical), and each distinct form is summed once per family in
@@ -467,7 +477,7 @@ def verify_defining_relations(rep, R):
     n = pyr.n
     N = rep.dim
 
-    estart = gens.e_start
+    estart, fstart = gens.e_start, gens.f_start
     cases = {}  # family name -> its case generator, registered unrun
 
     def check(name):
@@ -501,7 +511,7 @@ def verify_defining_relations(rep, R):
         for i in range(1, n):
             for j in range(1, n):
                 for r in range(estart(i), R + 1):
-                    for s in range(1, R + 1):
+                    for s in range(fstart(j), R + 1):
                         rhs = []
                         if i == j:
                             rhs = [_prod(gens.dprime(i, t), gens.d(i + 1, r + s - t - 1), -1)
@@ -510,89 +520,57 @@ def verify_defining_relations(rep, R):
                                [_comm(gens.e(i, r), gens.f(j, s))], rhs)
     cases["[e,f]"] = cases_ef
 
-    def cases_de():
+    # each e-side family is stated once over x = e or f and its start
+    # index; the f side is the transpose of its x = f instances
+    def cases_de(x, start):
         for i in range(1, n + 1):
             for j in range(1, n):
                 sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
                 for r in range(1, R + 1):
-                    for s in range(estart(j), R + 1):
+                    for s in range(start(j), R + 1):
                         rhs = []
                         if sign:
-                            rhs = [_prod(gens.d(i, t), gens.e(j, r + s - t - 1), sign)
+                            rhs = [_prod(gens.d(i, t), x(j, r + s - t - 1), sign)
                                    for t in range(r)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.d(i, r), gens.e(j, s))], rhs)
-    cases["[d,e]"] = cases_de
+                               [_comm(gens.d(i, r), x(j, s))], rhs)
+    cases["[d,e]"] = lambda: cases_de(gens.e, estart)
+    # the transpose of [d_i^(r), e_j^(s)] is [f_j^(s), d_i^(r)] = -[d_i^(r), f_j^(s)]
+    cases["[d,f]"] = lambda: _transposed(cases_de(gens.f, fstart), -1)
 
-    def cases_df():
-        for i in range(1, n + 1):
-            for j in range(1, n):
-                sign = (1 if i == j + 1 else 0) - (1 if i == j else 0)
-                for r in range(1, R + 1):
-                    for s in range(1, R + 1):
-                        rhs = []
-                        if sign:
-                            rhs = [_prod(gens.f(j, r + s - t - 1), gens.d(i, t), sign)
-                                   for t in range(r)]
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.d(i, r), gens.f(j, s))], rhs)
-    cases["[d,f]"] = cases_df
-
-    def cases_ee_same():
-        e = gens.e
+    def cases_same(x, start):
         for i in range(1, n):
-            for r in range(estart(i), R + 1):
-                for s in range(estart(i), R + 1):
+            for r in range(start(i), R + 1):
+                for s in range(start(i), R + 1):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(e(i, r), e(i, s + 1)), _comm(e(i, r + 1), e(i, s), -1)],
-                           [_prod(e(i, r), e(i, s)), _prod(e(i, s), e(i, r))])
-    cases["e same-row"] = cases_ee_same
+                           [_comm(x(i, r), x(i, s + 1)), _comm(x(i, r + 1), x(i, s), -1)],
+                           [_prod(x(i, r), x(i, s)), _prod(x(i, s), x(i, r))])
+    cases["e same-row"] = lambda: cases_same(gens.e, estart)
+    cases["f same-row"] = lambda: _transposed(cases_same(gens.f, fstart), 1)
 
-    def cases_ff_same():
-        f = gens.f
-        for i in range(1, n):
-            for r in range(1, R + 1):
-                for s in range(1, R + 1):
-                    yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(f(i, r + 1), f(i, s)), _comm(f(i, r), f(i, s + 1), -1)],
-                           [_prod(f(i, r), f(i, s)), _prod(f(i, s), f(i, r))])
-    cases["f same-row"] = cases_ff_same
-
-    def cases_ee_adj():
-        e = gens.e
+    def cases_adj(x, start):
         for i in range(1, n - 1):
-            for r in range(estart(i), R + 1):
-                for s in range(estart(i + 1), R + 1):
+            for r in range(start(i), R + 1):
+                for s in range(start(i + 1), R + 1):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(e(i, r), e(i + 1, s + 1)),
-                            _comm(e(i, r + 1), e(i + 1, s), -1)],
-                           [_prod(e(i, r), e(i + 1, s), -1)])
-    cases["e adjacent"] = cases_ee_adj
+                           [_comm(x(i, r), x(i + 1, s + 1)),
+                            _comm(x(i, r + 1), x(i + 1, s), -1)],
+                           [_prod(x(i, r), x(i + 1, s), -1)])
+    cases["e adjacent"] = lambda: cases_adj(gens.e, estart)
+    cases["f adjacent"] = lambda: _transposed(cases_adj(gens.f, fstart), 1)
 
-    def cases_ff_adj():
-        f = gens.f
-        for i in range(1, n - 1):
-            for r in range(1, R + 1):
-                for s in range(1, R + 1):
-                    yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(f(i, r + 1), f(i + 1, s)),
-                            _comm(f(i, r), f(i + 1, s + 1), -1)],
-                           [_prod(f(i + 1, s), f(i, r), -1)])
-    cases["f adjacent"] = cases_ff_adj
-
+    # distant rows and Serre are sums of commutators of their own operands,
+    # which the transpose with sign -1 fixes: their f side is just x = f
     def cases_far():
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) <= 1:
                     continue
-                for r in range(estart(i), R + 1):
-                    for s in range(estart(j), R + 1):
-                        yield ("e i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.e(i, r), gens.e(j, s))], [])
-                for r in range(1, R + 1):
-                    for s in range(1, R + 1):
-                        yield ("f i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.f(i, r), gens.f(j, s))], [])
+                for name, x, start in (("e", gens.e, estart), ("f", gens.f, fstart)):
+                    for r in range(start(i), R + 1):
+                        for s in range(start(j), R + 1):
+                            yield ("%s i=%d j=%d r=%d s=%d" % (name, i, j, r, s),
+                                   [_comm(x(i, r), x(j, s))], [])
     cases["distant rows"] = cases_far
 
     def cases_serre(x, start):
@@ -611,7 +589,7 @@ def verify_defining_relations(rep, R):
                                    [_comm(x(i, r), block[(s, t)], sign),
                                     _comm(x(i, s), block[(r, t)], sign)], [])
     cases["Serre e"] = lambda: cases_serre(gens.e, estart)
-    cases["Serre f"] = lambda: cases_serre(gens.f, lambda i: 1)
+    cases["Serre f"] = lambda: cases_serre(gens.f, fstart)
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wrep.errors import ShapeError
+from wrep.grord import variable_slots
 from wrep.pyramid import (
     Pyramid,
     columns_from_rows,
@@ -51,3 +52,27 @@ def test_parameter_formulas_agree(cols):
     assert k == sum(q * (q - 1) // 2 for q in cols)
     assert gk_dimension(pyr) == pbw_variable_count(pyr)
     assert gk_dimension(pyr) == gamma_generator_count(pyr) + shift_group_rank(pyr)
+
+
+def _pyramids_up_to(boxes):
+    """Every pyramid with at most the given number of boxes."""
+    def rows(total, least):
+        yield ()
+        for p in range(least, total + 1):
+            for rest in rows(total - p, p):
+                yield (p,) + rest
+    return [Pyramid(rows=r) for r in rows(boxes, 1) if r]
+
+
+def test_one_shift_matrix():
+    pyramids = _pyramids_up_to(7)
+    assert len(pyramids) == 44  # the partitions of 1, ..., 7
+    for pyr in pyramids:
+        n = pyr.n
+        for i in range(1, n + 1):
+            assert pyr.shift(i, i) == 0
+            assert all(pyr.shift(i, j) == 0 for j in range(1, i))
+            for j in range(i, n + 1):
+                for k in range(j, n + 1):
+                    assert pyr.shift(i, j) + pyr.shift(j, k) == pyr.shift(i, k)
+        assert len(variable_slots(pyr)) == pbw_variable_count(pyr) == gk_dimension(pyr)

@@ -93,8 +93,9 @@ def test_series_e_start_index():
     pyr = Pyramid(rows=(1, 2))
     rep = build_representation(pyr, generic_weight(pyr))
     gens = generator_series(rep, 5)
-    # e_1 starts at p_2 - p_1 + 1 = 2
+    # e_1 starts at s_12 + 1 = p_2 - p_1 + 1 = 2, f_1 at s_21 + 1 = 1
     assert gens.e_start(1) == 2
+    assert gens.f_start(1) == 1
     assert gens.e(1, 1) == SparseMatrix(rep.dim)
     assert gens.e(1, 2) != SparseMatrix(rep.dim)
 
@@ -576,23 +577,33 @@ def _bump_a1(rep, monkeypatch):
     _bump(rep.A[1].coeffs, 0, i, i)
 
 
-def _bump_e1(rep, monkeypatch, r=1):
-    # one bumped entry of e_1^{(r)}, injected after the series are built
+def _bump_series(x, rep, monkeypatch, r=1):
+    # one bumped entry of x_1^{(r)}, x = "e" or "f", injected after the
+    # series are built
     series = rep_mod.generator_series
 
     def mutated_series(rep, R):
         gens = series(rep, R)
-        i, j, _ = min(gens.e(1, r).entries())
-        _bump(gens._e[1], r, i, j)
+        i, j, _ = min(getattr(gens, x)(1, r).entries())
+        _bump(getattr(gens, "_" + x)[1], r, i, j)
         return gens
 
     monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
 
 
+def _bump_e1(rep, monkeypatch, r=1):
+    _bump_series("e", rep, monkeypatch, r)
+
+
+def _bump_f1(rep, monkeypatch):
+    _bump_series("f", rep, monkeypatch)
+
+
 @pytest.mark.parametrize("rows, mutate", [
     ((1, 2), None), ((1, 1, 1), None), ((2, 2, 3), None),
     ((1, 1, 1), _bump_b2), ((1, 2), _bump_a1), ((1, 1, 1), _bump_e1),
-], ids=["1-2", "1-1-1", "2-2-3", "B2", "A1", "e1"])
+    ((1, 1, 1), _bump_f1),
+], ids=["1-2", "1-1-1", "2-2-3", "B2", "A1", "e1", "f1"])
 def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mutate):
     pyr = Pyramid(rows=rows)
     rep = build_representation(pyr, generic_weight(pyr))
@@ -666,6 +677,42 @@ def test_bumped_value_on_a_planned_pattern_fails(monkeypatch):
     text = "\n".join(fail for _, _, fails in families for fail in fails)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8e5dec051385356830521a01ff0fc20101917e97a660538b64e0758ae8a387f7")
+
+
+def test_bumped_f_value_fails_on_the_f_side(monkeypatch):
+    # one value of f_1^{(1)} at (2,2,3) moves: the families that read f
+    # fail, [d,f], f same-row and f adjacent as the transposes of their
+    # e-side families; the witnesses are those of the hand-written f side
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    _bump_f1(rep, monkeypatch)
+    monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
+    families = verify_defining_relations(rep, 3).families
+    failing = {name: len(fails) for name, _, fails in families if fails}
+    assert failing == {"[e,f]": 5, "[d,f]": 4, "f same-row": 5, "f adjacent": 3,
+                       "Serre f": 24}
+    text = "\n".join(fail for _, _, fails in families for fail in fails)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4aa30d986c1cf0907ec98350ec71772efb8275927953a176d3803e885911c9bd")
+
+
+@pytest.mark.parametrize("delta", [1, -1], ids=["s12+1", "s12-1"])
+def test_a_wrong_shift_entry_fails(monkeypatch, capsys, delta):
+    # s_12 moves by one: e_1 is read off B_1 at the wrong power of u, which
+    # [e,f] sees, and so does center's T-matrix
+    shift = Pyramid.shift
+
+    def moved(pyr, i, j):
+        return shift(pyr, i, j) + (delta if (i, j) == (1, 2) else 0)
+
+    monkeypatch.setattr(Pyramid, "shift", moved)
+    assert main(["verify", "--rows", "1,2,2", "--rmax", "3"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"] for c in checks if c["status"] == "FAIL"} == {"relations: [e,f]"}
+    assert main(["center", "--rows", "1,2,2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0]["name"] == "generator series and T-matrix"
+    assert checks[0]["status"] == "FAIL"
 
 
 def test_no_pattern_outlives_the_relation_suite():
