@@ -19,14 +19,14 @@ and .offsets): a coefficient's value is a product of integer form values
 over another, with the powers of q tracked, and is computed once per
 distinct slice of the key that its forms read."""
 
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import UniPoly
 from .errors import EvaluationError, InvariantViolation, NotInvariant
 from .patterns import key_slots, row_spans
-from .rep import _first_diff, _over_lcm, _reduced_terms
+from .rep import _class_polynomial, _first_diff
 
 
 def _linear_form(pairs):
@@ -309,20 +309,21 @@ def act_on_basis(model, rep, element):
     a polynomial in u (Factored.in_u) on mu's q-scaled l-values
     rep.offsets[p] + rep.q * key_p; it is computed once per distinct slice
     of the key spanning the positions that a's forms read (a ladder
-    coefficient reads rows r and r +- 1), each power of u reduced as in the
-    build.  Vectors at arrays outside the basis are zero, so those terms
-    drop before their coefficient is evaluated.  Skipping those
-    evaluations hides no vanishing denominator: every denominator is a
-    product of differences of row-r l-values of mu itself, r < n, and
-    build_representation raises DegenerateNodes on any basis pattern with
-    a repeated l-value in such a row."""
+    coefficient reads rows r and r +- 1), and every power of u goes over
+    one lcm as in the build (rep._class_polynomial).  Vectors at arrays
+    outside the basis are zero, so those terms drop before their
+    coefficient is evaluated.  Skipping those evaluations hides no
+    vanishing denominator: every denominator is a product of differences
+    of row-r l-values of mu itself, r < n, and build_representation raises
+    DegenerateNodes on any basis pattern with a repeated l-value in such a
+    row."""
     q, offsets = rep.q, rep.offsets
-    terms = []  # (steps, coefficient, key slice it reads, {slice: terms})
+    terms = []  # (steps, coefficient, key slice it reads, {slice: class})
     for d, a in element.terms.items():
         reads = [i - 1 for form in a.num + a.den for i, _ in form if i]
         span = slice(min(reads, default=0), max(reads, default=-1) + 1)
         terms.append(({p: s for p, s in enumerate(d) if s}, a, span, {}))
-    groups = defaultdict(dict)  # power of u -> {denominator: [(flat position, numerator)]}
+    entries, pairs = [], []  # (flat position, class, 1); pairs[class]
     for col, mu in enumerate(rep.basis):
         key = mu.key()
         for steps, a, span, memo in terms:
@@ -330,19 +331,16 @@ def act_on_basis(model, rep, element):
             if tgt is None:
                 continue
             at = key[span]
-            poly = memo.get(at)
-            if poly is None:
+            k = memo.get(at)
+            if k is None:
                 point = [None] + [Q + q * z for Q, z in zip(offsets, key)]
                 try:
-                    coeffs, den = a.in_u(point, q)
+                    pairs.append(a.in_u(point, q))
                 except EvaluationError as exc:
                     raise EvaluationError("coefficient at pattern %r: %s" % (mu, exc)) from None
-                poly = memo[at] = _reduced_terms(coeffs, den)
-            pos = tgt * rep.dim + col
-            for power, c, den in poly:
-                groups[power].setdefault(den, []).append((pos, c))
-    return UniPoly([_over_lcm(rep.dim, groups[power])
-                    for power in range(max(groups, default=-1) + 1)])
+                k = memo[at] = len(pairs) - 1
+            entries.append((tgt * rep.dim + col, k, 1))
+    return _class_polynomial(rep.dim, entries, pairs)
 
 
 def cross_check(rep):

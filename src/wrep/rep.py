@@ -1,22 +1,24 @@
 """Explicit matrices for the generator polynomials and exhaustive
 verification of the defining relations on the pattern basis.
 
-A_r(u) acts diagonally; B_r(u) and C_r(u) are rebuilt column by column from
-their values at each pattern's own nodes u = -l_{ri}^{(k)} by Lagrange
-interpolation (one term per node, zero when the shifted array is not a
-basis pattern).  A slot (r, i, k) is addressed by its key position, its
-index in key_slots(pyramid), which is also its place in GTPattern.key().
+A_r(u) acts diagonally; B_r(u) and C_r(u) are interpolated at each
+pattern's own nodes u = -l_{ri}^{(k)} (one Lagrange term per node, zero
+when the shifted array is not a basis pattern).  A slot (r, i, k) is
+addressed by its key position, its index in key_slots(pyramid), which is
+also its place in GTPattern.key().
 
 The build runs on integers.  Every l-value is a rational whose
 denominator divides q, the lcm of the weight's denominators, so the
 l-value at key position p of a pattern is L_p / q with the integer
-L_p = Q_p + q * key_p, Q_p read once from the first basis pattern
-(Representation.q and .offsets, which galois evaluates on too).  In
-v = q u the eigenvalue polynomials prod (v + L) and the Lagrange pairs at
-the nodes -L have integer coefficients; the powers of q move into the
-matrix denominators, and each coefficient matrix is integer numerators
-over one denominator, reduced once (SparseMatrix.diagonal for A,
-SparseMatrix.from_positions for B and C).
+L_p = Q_p + q * key_p (Representation.q and .offsets, which galois
+evaluates on too).  In v = q u the eigenvalue polynomials prod (v + L)
+and the Lagrange pairs at the nodes -L have integer coefficients, and the
+powers of q move into the matrix denominators.  build_representation
+makes A and, once per distinct row, the eigenvalue polynomials and
+Lagrange pairs; B and C are assembled on their first read, each ladder in
+one walk over the basis and one pass per power of u over one lcm
+(_assemble_ladders), so `wrep fibers`, which reads only A, never builds
+them.
 
 The relation suite (verify_defining_relations) builds the series once and
 then runs its families, which are independent, from a queue of one-byte
@@ -31,7 +33,9 @@ transpose of its e-side one (_transposed).
 import marshal
 import os
 import threading
-from math import gcd, lcm
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .arith import (
     UniPoly,
@@ -51,21 +55,34 @@ class Representation:
 
     q and offsets give the l-values of the basis on integers: q times the
     l-value at key position p of a pattern is offsets[p] + q * key_p (see
-    _scaled_offsets); the build and galois both read them."""
+    _scaled_offsets); the build and galois both read them.  B and C are
+    assembled from eig and lagrange on the first read of either."""
 
-    def __init__(self, pyramid, basis, A, B, C):
+    def __init__(self, pyramid, basis):
         self.pyramid = pyramid
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
         self.dim = len(basis)
         self.q, self.offsets = _scaled_offsets(pyramid, basis[0])
-        self.A = A  # A[r] for r=1..n, UniPoly over SparseMatrix
-        self.B = B  # B[r] for r=1..n-1
-        self.C = C
+        self.spans = row_spans(pyramid)
+        self.A = {}  # A[r] for r=1..n, UniPoly over SparseMatrix
+        # eig[r][row slice of a key]: the A_r eigenvalue in v = q u (row 0
+        # is 1); lagrange[r][row slice]: (nodes -q l, Lagrange pairs), r < n
+        self.eig = [{(): UniPoly([1])}] + [{} for _ in range(pyramid.n)]
+        self.lagrange = [{} for _ in range(pyramid.n)]
 
     @property
     def n(self):
         return self.pyramid.n
+
+    B = property(lambda self: self._ladders[0], doc="B[r] for r=1..n-1, a UniPoly")
+    C = property(lambda self: self._ladders[1], doc="C[r] for r=1..n-1, a UniPoly")
+
+    @cached_property
+    def _ladders(self):
+        B, C = _assemble_ladders(self)
+        _check_ladders(self.pyramid, B, C)
+        return B, C
 
     def a_coefficient(self, r, k):
         """Matrix a_r^{(k)}: coefficient of u^{(p_1+...+p_r)-k} in A_r(u)."""
@@ -88,78 +105,84 @@ class Representation:
 
 
 def build_representation(pyramid, weight):
-    """Construct the pattern basis and the A/B/C polynomial matrices."""
-    rep = Representation(pyramid, enumerate_patterns(weight), {}, {}, {})
-    basis = rep.basis
-    N = rep.dim
-    n = pyramid.n
-
-    spans = row_spans(pyramid)
+    """Construct the pattern basis, the A polynomial matrices, and the
+    eigenvalue polynomials and Lagrange pairs of B and C."""
+    rep = Representation(pyramid, enumerate_patterns(weight))
+    n, spans, eig, lagrange = pyramid.n, rep.spans, rep.eig, rep.lagrange
     q, offsets = rep.q, rep.offsets
-
-    def scaled_l_values(r, row):
-        """q times the l-values of row r, from the row's slice of a key."""
-        return [offsets[p] + q * z for p, z in zip(range(spans[r].start, spans[r].stop), row)]
-
-    # eig[r][row slice of a key] = prod over the row-r slots of (v + L), the
-    # A_r eigenvalue in v = q u, once per distinct row; row 0 is the constant 1
-    eig = [{(): UniPoly([1])}]
     for r in range(1, n + 1):
-        eig.append({})
         eigs = []
-        for mu in basis:
+        for mu in rep.basis:
             row = mu.key()[spans[r]]
             if row not in eig[r]:
-                eig[r][row] = UniPoly.from_roots([-L for L in scaled_l_values(r, row)])
+                # the nodes -L, L = q l for the l-values of the row
+                nodes = [-offsets[p] - q * z for p, z in enumerate(row, spans[r].start)]
+                eig[r][row] = UniPoly.from_roots(nodes)
+                if r < n:
+                    try:
+                        lagrange[r][row] = nodes, lagrange_basis(nodes)
+                    except DegenerateNodes:
+                        raise DegenerateNodes("repeated l-values in row %d of pattern %r"
+                                              % (r, mu)) from None
             eigs.append(eig[r][row].coeffs)
         # the u^d coefficient of A_r is the v^d one over q^(p_r - d)
         p_r = pyramid.row_block_size(r)
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column, q ** (p_r - d))
                             for d, column in enumerate(zip(*eigs))])
-
-    for r in range(1, n):
-        first = spans[r].start
-        # (table, step of the entry, adjacent row, sign): B raises, C lowers
-        ladders = ((rep.B, 1, r + 1, -1), (rep.C, -1, r - 1, 1))
-        # per ladder and power of u: {denominator: [(flat position, numerator)]}
-        entries = [[{} for _ in range(pyramid.row_block_size(r))] for _ in ladders]
-        lag_of = {}  # nodes and Lagrange pairs per distinct row r
-        terms_of = {}  # a slot's terms per distinct row r and adjacent row
-        for col, mu in enumerate(basis):
-            key = mu.key()
-            row = key[spans[r]]
-            if row not in lag_of:
-                nodes = [-L for L in scaled_l_values(r, row)]
-                try:
-                    lag_of[row] = nodes, lagrange_basis(nodes)
-                except DegenerateNodes:
-                    raise DegenerateNodes(
-                        "repeated l-values in row %d of pattern %r" % (r, mu)
-                    ) from None
-            nodes, lag = lag_of[row]
-            for slot_idx, node in enumerate(nodes):
-                for (_, step, adj, sign), per_degree in zip(ladders, entries):
-                    tgt = rep.shifted(col, {first + slot_idx: step})
-                    if tgt is None:
-                        continue
-                    adj_row = key[spans[adj]]
-                    memo = (slot_idx, step, row, adj_row)
-                    terms = terms_of.get(memo)
-                    if terms is None:
-                        # the Lagrange pair of the slot times sign times the
-                        # adjacent row's eigenvalue at the node, E / q^p_adj
-                        num, den = lag[slot_idx]
-                        terms = terms_of[memo] = _reduced_terms(
-                            num.coeffs, den * q ** len(adj_row),
-                            sign * eig[adj][adj_row](node), q)
-                    pos = tgt * N + col
-                    for d, c, den in terms:
-                        per_degree[d].setdefault(den, []).append((pos, c))
-        for (table, _, _, _), per_degree in zip(ladders, entries):
-            table[r] = UniPoly([_over_lcm(N, groups) for groups in per_degree])
-
-    _sanity_check(rep)
+    _check_a(rep)
     return rep
+
+
+def _assemble_ladders(rep):
+    """(B, C), each {r: UniPoly over SparseMatrix} for r=1..n-1.  For each
+    row-r node X = -L of a pattern whose raised (lowered) array is a
+    pattern, its column holds -1 (+1) times E, the row r+1 (r-1) eigenvalue
+    at X over q^p_adj, times the Lagrange polynomial sum_d N_{k,d} (q u)^d /
+    D_k of X, whose pair k the class (row-r slice, slot) fixes.  A ladder is
+    one walk over the basis listing (flat position, class, sign * E), E
+    memoised per (adjacent-row slice, node), and _class_polynomial."""
+    pyr, index, N, spans, q = rep.pyramid, rep.index, rep.dim, rep.spans, rep.q
+    B, C = {}, {}
+    for r in range(1, pyr.n):
+        span, first, lag = spans[r], spans[r].start, rep.lagrange[r]
+        # pairs[k] = ([q^d N_{k,d}], D_k); base[row] + p is the class of
+        # the slot at key position p
+        base, pairs = {}, []
+        for row, (_, row_pairs) in lag.items():
+            base[row] = len(pairs) - first
+            pairs += [([c * q ** d for d, c in enumerate(num.coeffs)], den)
+                      for num, den in row_pairs]
+        for table, step, adj, sign in ((B, 1, r + 1, -1), (C, -1, r - 1, 1)):
+            eig, adj_span, memo, entries = rep.eig[adj], spans[adj], {}, []
+            for col, key in enumerate(index):  # the keys in basis order
+                row, adj_row = key[span], key[adj_span]
+                k = base[row]
+                for p, node in enumerate(lag[row][0], first):
+                    tgt = index.get(key[:p] + (key[p] + step,) + key[p + 1:])
+                    if tgt is not None:
+                        value = memo.get((adj_row, node))
+                        if value is None:
+                            value = memo[adj_row, node] = sign * eig[adj_row](node)
+                        entries.append((tgt * N + col, k + p, value))
+            table[r] = _class_polynomial(N, entries, pairs, q ** pyr.row_block_size(adj))
+    return B, C
+
+
+def _class_polynomial(dim, entries, pairs, den=1):
+    """The UniPoly sum_d M_d u^d with entry value * N_{k,d} / (D_k * den)
+    at each distinct flat position i * dim + j of entries [(position, k,
+    value)], pairs[k] = ([N_{k,0}, ...], D_k).  Each M_d goes over den * D,
+    D the lcm of the D_k, with class weights N_{k,d} * (D // D_k), through
+    from_positions once; the positions are sorted once, and every M_d with
+    no zero entry has the one interned pattern."""
+    D = lcm(*(d_k for _, d_k in pairs))
+    flat, classes, values = zip(*sorted(entries)) if entries else ((), (), ())
+    coeffs = []
+    for d in range(max((len(nums) for nums, _ in pairs), default=0)):
+        weights = [nums[d] * (D // d_k) if d < len(nums) else 0 for nums, d_k in pairs]
+        coeffs.append(SparseMatrix.from_positions(
+            dim, D * den, flat, list(map(mul, values, map(weights.__getitem__, classes)))))
+    return UniPoly(coeffs)
 
 
 def _scaled_offsets(pyramid, mu):
@@ -175,53 +198,30 @@ def _scaled_offsets(pyramid, mu):
     return q, [num * (q // den) for num, den in fixed]
 
 
-def _reduced_terms(coeffs, den, value=1, q=1):
-    """[(d, numerator, denominator)] of value * sum_d coeffs[d] (q u)^d / den
-    for the nonzero coefficients, each reduced with a positive denominator."""
-    if den < 0:
-        den, value = -den, -value
-    terms = []
-    if value:
-        for d, c in enumerate(coeffs):
-            if c:
-                c *= value * q ** d
-                g = gcd(c, den)
-                terms.append((d, c // g, den // g))
-    return terms
-
-
-def _over_lcm(dim, groups):
-    """The matrix of the entries of groups {denominator: [(flat position
-    i * dim + j, numerator)]}, at distinct positions, put over the lcm of
-    the denominators; groups is emptied as it is read."""
-    den = lcm(*groups)
-    flat, vals = [], []
-    while groups:
-        d, entries = groups.popitem()
-        at, nums = zip(*entries)
-        flat += at
-        vals += map((den // d).__mul__, nums)
-    return SparseMatrix.from_positions(dim, den, flat, vals)
-
-
 def _sanity_check(rep):
-    pyr = rep.pyramid
-    for r in range(1, pyr.n + 1):
-        block = pyr.row_block_size(r)
-        if rep.A[r].degree != block:
-            raise InvariantViolation("deg A_%d = %d, expected %d"
-                                     % (r, rep.A[r].degree, block))
-        if rep.A[r].coeffs[-1] != SparseMatrix.identity(rep.dim):
+    """Check the invariants of A, and of B and C."""
+    _check_a(rep)
+    _check_ladders(rep.pyramid, rep.B, rep.C)
+
+
+def _check_a(rep):
+    for r, A in rep.A.items():
+        block = rep.pyramid.row_block_size(r)
+        if A.degree != block:
+            raise InvariantViolation("deg A_%d = %d, expected %d" % (r, A.degree, block))
+        if A.coeffs[-1] != SparseMatrix.identity(rep.dim):
             raise InvariantViolation("A_%d is not monic" % r)
-        if not all(m.is_diagonal() for m in rep.A[r].coeffs):
+        if not all(m.is_diagonal() for m in A.coeffs):
             raise InvariantViolation("A_%d is not diagonal" % r)
+
+
+def _check_ladders(pyr, B, C):
     for r in range(1, pyr.n):
         bound = pyr.row_block_size(r) - 1
-        for name, p in (("B", rep.B[r]), ("C", rep.C[r])):
+        for name, p in (("B", B[r]), ("C", C[r])):
             if p.degree > bound:
-                raise InvariantViolation(
-                    "deg %s_%d = %d exceeds the bound %d" % (name, r, p.degree, bound)
-                )
+                raise InvariantViolation("deg %s_%d = %d exceeds the bound %d"
+                                         % (name, r, p.degree, bound))
 
 
 class SeriesGenerators:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -485,3 +486,70 @@ def test_forked_workers_print_nothing_and_change_no_record(tmp_path, monkeypatch
         lines = done.stderr.splitlines()
         assert lines[:-1] == serial and lines[-1].startswith("elapsed:")
         assert out.read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+# B and C are assembled on the first read of either: fibers reads only A,
+# and every other command that reads them assembles them once
+@pytest.mark.parametrize("argv, assemblies", [
+    (["fibers"], 0), (["verify", "--rmax", "2"], 1), (["center"], 1),
+    (["galois-check"], 1), (["build"], 1),
+], ids=["fibers", "verify", "center", "galois-check", "build"])
+def test_ladders_are_assembled_once_by_the_commands_that_read_them(
+        capsys, monkeypatch, tmp_path, argv, assemblies):
+    from test_golden import GOLDEN
+
+    assemble, calls = wrep.rep._assemble_ladders, []
+
+    def counted(rep):
+        calls.append(rep.dim)
+        return assemble(rep)
+
+    monkeypatch.setattr(wrep.rep, "_assemble_ladders", counted)
+    out = tmp_path / "record.json"
+    assert main(argv[:1] + ["--rows", "2,3,3", "--out", str(out)] + argv[1:]) == 0
+    assert calls == [128] * assemblies
+    if argv == ["fibers"]:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("2,3,3", "fibers")]
+
+
+def test_fibers_runs_where_the_ladders_cannot_be_assembled(capsys, monkeypatch, tmp_path):
+    from test_golden import GOLDEN
+
+    monkeypatch.setattr(wrep.rep, "_assemble_ladders",
+                        _raise_invariant("the ladders were assembled"))
+    out = tmp_path / "record.json"
+    assert main(["fibers", "--rows", "2,3,3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[("2,3,3", "fibers")]
+
+
+# A ladder fault (here a degree added to B_1 at (1,2), past its bound 0) is
+# found on the first read of B or C: inside a guarded check for verify,
+# center and galois-check, which then fail with a record (exit 1), and in
+# the matrix dump of build, which has no check to fail (exit 2).  When the
+# build checked the ladders, all four exited 2 with the error line.
+@pytest.mark.parametrize("command, status, failed", [
+    ("verify", 1, "generator series"),
+    ("center", 1, "generator series and T-matrix"),
+    ("galois-check", 1, "skew-model action matches the matrices"),
+    ("build", 2, None),
+    ("fibers", 0, None),
+])
+def test_exit_status_of_a_ladder_fault(capsys, monkeypatch, command, status, failed):
+    assemble = wrep.rep._assemble_ladders
+    message = "deg B_1 = 1 exceeds the bound 0"
+
+    def bumped(rep):
+        B, C = assemble(rep)
+        B[1] = UniPoly(B[1].coeffs + [SparseMatrix.identity(rep.dim)])
+        return B, C
+
+    monkeypatch.setattr(wrep.rep, "_assemble_ladders", bumped)
+    code = main([command, "--rows", "1,2"])
+    out, err = capsys.readouterr()
+    assert code == status
+    if status == 2:
+        assert not out and err == "error: %s\n" % message
+    else:
+        fails = [(c["name"], c["witness"]) for c in json.loads(out)["checks"]
+                 if c["status"] == "FAIL"]
+        assert fails == ([(failed, message)] if failed else [])

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from oracles import fraction_build, gelfand_tsetlin_diagonals
 from random_weights import MULTI_DENOMINATOR, dominant_weights, small_pyramid_weights
 
@@ -221,6 +221,40 @@ def test_integer_build_equals_the_fraction_oracle(weight):
     pyr = weight.pyramid
     rep = build_representation(pyr, weight)
     assert (rep.A, rep.B, rep.C) == fraction_build(pyr, weight)
+
+
+_LADDER_SHAPES = [(1, 2, 2), (2, 2, 3), (2, 3, 3)]
+_GENERIC = [generic_weight(Pyramid(rows=rows)) for rows in _LADDER_SHAPES]
+
+
+@settings(max_examples=9, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(_LADDER_SHAPES).flatmap(dominant_weights))
+@example(_GENERIC[0])
+@example(_GENERIC[1])
+@example(_GENERIC[2])
+def test_each_ladder_is_built_on_the_pattern_of_its_shifts(weight):
+    # the (target, column) pairs of the row-r slots raised (lowered), read
+    # through Representation.shifted, are the positions of one interned
+    # pattern that every coefficient of B_r (C_r) at all of them shares; a
+    # coefficient with a vanishing Lagrange coefficient N_{k,d}, which
+    # drawn weights give, keeps a subset, and the generic weight has none
+    pyr = weight.pyramid
+    rep = build_representation(pyr, weight)
+    for r in range(1, pyr.n):
+        slots = range(rep.spans[r].start, rep.spans[r].stop)
+        for table, step in ((rep.B, 1), (rep.C, -1)):
+            shifts = sorted((tgt, col) for col in range(rep.dim) for p in slots
+                            if (tgt := rep.shifted(col, {p: step})) is not None)
+            coeffs = [c for c in table[r].coeffs if c]
+            full = [c for c in coeffs if c.nnz() == len(shifts)]
+            assert table[r].coeffs[-1] in full
+            assert len({id(c.pattern) for c in full}) == 1
+            assert list(zip(full[0].pattern.ri, full[0].pattern.ci)) == shifts
+            assert all(set(zip(c.pattern.ri, c.pattern.ci)) < set(shifts)
+                       for c in coeffs if c not in full)
+            if weight in _GENERIC:
+                assert len(full) == len(coeffs) == pyr.row_block_size(r)
 
 
 def test_build_fraction_work_budget(monkeypatch):
