@@ -9,8 +9,8 @@ A concrete weight (built from explicit large constants) makes each d_{rs}
 have a predicted leading monomial that contains a distinguished variable
 to degree one."""
 
-from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 from .arith import UniPoly, column_det, perm_sign
 from .errors import InvariantViolation, OrderError
@@ -66,30 +66,27 @@ def dcoeff_determinant(ring, r):
 def dcoeff_direct(ring, r, s):
     """d_{rs} = sum over sigma and compositions k_1+...+k_r = s of
     sgn(sigma) X_{sigma(1)1}^{k_1} ... X_{sigma(r)r}^{k_r}, with
-    X_{ij}^0 meaning delta_ij (independent oracle for the determinant)."""
+    X_{ij}^0 meaning delta_ij (independent oracle for the determinant).
+    Each monomial is an exponent tuple, and its signs add up in one dict."""
     pyr = ring.pyramid
-    total = MPoly.zero(ring.names)
+    out = {}
     for sigma in permutations(range(1, r + 1)):
         sgn = perm_sign(sigma)
-        partial = [(MPoly.const(ring.names, Fraction(sgn)), s)]
+        partial = [((), s)]  # (variable indices chosen so far, degree left)
         for j in range(1, r + 1):
             i = sigma[j - 1]
-            choices = [(0, None)] if i == j else []
+            choices = [(0, ())] if i == j else []
             for k in range(pyr.shift(i, j) + 1, pyr.p(j) + 1):
-                choices.append((k, ring.var(i, j, k)))
-            nxt = []
-            for mono, rem in partial:
-                for k, v in choices:
-                    if k > rem:
-                        continue
-                    if j == r and rem - k != 0:
-                        continue
-                    nxt.append((mono if v is None else mono * v, rem - k))
-            partial = nxt
-        for mono, rem in partial:
-            if rem == 0:
-                total = total + mono
-    return total
+                choices.append((k, (ring.index[(i, j, k)],)))
+            partial = [(chosen + v, rem - k) for chosen, rem in partial
+                       for k, v in choices if k <= rem and (j < r or k == rem)]
+        for chosen, _ in partial:
+            e = [0] * len(ring.slots)
+            for idx in chosen:
+                e[idx] += 1
+            e = tuple(e)
+            out[e] = out.get(e, 0) + sgn
+    return MPoly(ring.names, out)
 
 
 def build_weight(pyr):
@@ -148,21 +145,12 @@ def check_weight_conditions(pyr, v, w, N, P, L):
                 raise OrderError("diagonal margin fails")
 
 
-def _monomial_weight(ring, w, exps):
-    return sum(w[ring.slots[idx]] * e for idx, e in enumerate(exps) if e)
-
-
 def weighted_leading_monomial(ring, w, poly):
     """Exponent tuple of the w-greatest term, ties broken by lex."""
     if not poly:
         raise InvariantViolation("zero polynomial has no leading monomial")
-    best = None
-    best_w = None
-    for e in poly.terms:
-        we = _monomial_weight(ring, w, e)
-        if best is None or we > best_w or (we == best_w and e > best):
-            best, best_w = e, we
-    return best
+    weights = [w[slot] for slot in ring.slots]
+    return max(poly.terms, key=lambda e: (sum(map(mul, weights, e)), e))
 
 
 def predicted_leading(ring, r, s):
@@ -201,6 +189,7 @@ def verify_leading_claims(pyr):
     Returns the number of (r, s) pairs checked."""
     ring = GradedRing(pyr)
     _, w = build_weight(pyr)
+    grades = [k for _, _, k in ring.slots]
     seen_slots = {}
     checked = 0
     for r in range(1, pyr.n + 1):
@@ -214,8 +203,7 @@ def verify_leading_claims(pyr):
                     % (r, s)
                 )
             for e in d1.terms:
-                kdeg = sum(ring.slots[idx][2] * x for idx, x in enumerate(e))
-                if kdeg != s:
+                if sum(map(mul, grades, e)) != s:
                     raise InvariantViolation(
                         "d_{%d,%d} is not homogeneous of degree %d" % (r, s, s)
                     )

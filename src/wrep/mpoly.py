@@ -1,8 +1,11 @@
 """Multivariate polynomials and rational functions over exact rationals.
 
-MPoly is a sparse dict {exponent tuple: Fraction} tied to a fixed tuple of
-variable names (exponents may be negative, but evaluate raises on them).
-MPoly.evaluate is the one substitution: at Fraction points it evaluates,
+MPoly is a sparse dict {exponent tuple: coefficient} tied to a fixed tuple
+of variable names (exponents may be negative, but evaluate raises on them).
+A coefficient keeps the type it is given: int input gives int
+coefficients, and a Fraction appears only where a division happens (MRat,
+exact_div, gcd); no operation yields a float.
+MPoly.evaluate is the one substitution: at scalar points it evaluates,
 at MPoly points it changes variables (noether's shift twist and its
 passage between sigma- and x-polynomials), at operator points it
 substitutes (noether's t_k -> x_k d_k).  MPoly.sum_products is the one
@@ -47,9 +50,7 @@ class MPoly(Terms):
         elif _clean:
             self.terms = terms
         else:
-            self.terms = {
-                tuple(e): Fraction(c) for e, c in terms.items() if c
-            }
+            self.terms = {tuple(e): c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls, names):
@@ -57,7 +58,6 @@ class MPoly(Terms):
 
     @classmethod
     def const(cls, names, c):
-        c = Fraction(c)
         if not c:
             return cls(names)
         return cls(names, {(0,) * len(names): c}, _clean=True)
@@ -66,7 +66,7 @@ class MPoly(Terms):
     def var(cls, names, index, power=1):
         e = [0] * len(names)
         e[index] = power
-        return cls(names, {tuple(e): Fraction(1)}, _clean=True)
+        return cls(names, {tuple(e): 1}, _clean=True)
 
     def zero_like(self):
         return MPoly(self.names)
@@ -98,11 +98,10 @@ class MPoly(Terms):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return MPoly(self.names)
             return MPoly(
-                self.names, {e: v * c for e, v in self.terms.items()}, _clean=True
+                self.names, {e: v * other for e, v in self.terms.items()}, _clean=True
             )
         return MPoly.sum_products([(self, other)])
 
@@ -140,7 +139,7 @@ class MPoly(Terms):
         return all(not any(e) for e in self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * len(self.names), Fraction(0))
+        return self.terms.get((0,) * len(self.names), 0)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
@@ -150,7 +149,9 @@ class MPoly(Terms):
 
     def evaluate(self, point):
         """Substitute point[i] for the i-th variable.  The points are all
-        Fractions, giving a Fraction, or all MPolys over one variable set,
+        scalars (ints or Fractions), giving a scalar in the arithmetic of
+        the coefficients and the points (ints at int points stay ints), or
+        all MPolys over one variable set,
         giving an MPoly in those variables (also when self is constant or
         zero), or commuting operators (noether's x_k d_k), giving an
         operator.  Each variable's powers are formed once per call.  A
@@ -158,7 +159,7 @@ class MPoly(Terms):
         if point and not isinstance(point[0], (int, Fraction)):
             acc = point[0].zero_like()
         else:
-            point, acc = [Fraction(p) for p in point], Fraction(0)
+            acc = 0
         powers = [[1, p] for p in point]  # powers[i][k] == point[i] ** k
         for e, c in self.terms.items():
             v = c
@@ -269,7 +270,7 @@ class MRat:
             den = den.exact_div(g)
         _, lead = den.lex_leading()
         if lead != 1:
-            inv = 1 / lead
+            inv = Fraction(1, lead)
             num = num * inv
             den = den * inv
         return num, den
@@ -333,7 +334,7 @@ class MRat:
         d = self.den.evaluate(point)
         if not d:
             raise EvaluationError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(point) / d
+        return Fraction(self.num.evaluate(point), d)
 
     def permute_vars(self, perm):
         return MRat(self.num.permute_vars(perm), self.den.permute_vars(perm))

@@ -29,8 +29,9 @@ from .mpoly import MPoly
 
 
 def falling(c, t):
-    """Falling factorial c (c-1) ... (c-t+1); t a nonnegative integer."""
-    acc = Fraction(1)
+    """Falling factorial c (c-1) ... (c-t+1), t a nonnegative integer, in
+    the type of c: an int from an int."""
+    acc = 1
     for s in range(t):
         acc *= c - s
     return acc
@@ -99,7 +100,9 @@ class WeylElement(Terms):
         sum_{t <= b1} binom(b1, t) Q1 d^t(Q2) d^(b1 - t + b2).  Over
         det^m, m > 0, a derivative stays over a power of det by the quotient
         rule d_i(Q / det^m) = (d_i Q * det - m * Q * d_i det) / det^(m+1).
-        Each output coefficient is one sum per (power of det, b)."""
+        Each output coefficient is one sum: of the products at the top
+        power of det, and of each lower (power, b) group's sum lifted once
+        to the top."""
         if isinstance(other, (int, Fraction)):
             return self._new({b: q * other for b, q in self.terms.items()})
         n = self.n
@@ -118,10 +121,16 @@ class WeylElement(Terms):
                     b = tuple(x - y + z for x, y, z in zip(b1, t, b2))
                     f = prod(map(comb, b1, t))
                     sums.setdefault((m, b), []).append((c1 * f if f != 1 else c1, g))
-        out = WeylElement(n)
+        if not sums:
+            return WeylElement(n)
+        top = max(m for m, _ in sums)
+        lifted = {}  # b -> the top group's pairs, and (group sum, det^(top - m)) below it
         for (m, b), pairs in sums.items():
-            out = out + WeylElement(n, {b: MPoly.sum_products(pairs)}, self.k + m)
-        return out
+            if m < top:
+                pairs = [(MPoly.sum_products(pairs), _det_power(n, top - m))]
+            lifted.setdefault(b, []).extend(pairs)
+        return WeylElement(n, {b: MPoly.sum_products(groups) for b, groups in lifted.items()},
+                           self.k + top)
 
     __rmul__ = __mul__
 

@@ -56,7 +56,8 @@ class Representation:
     q and offsets give the l-values of the basis on integers: q times the
     l-value at key position p of a pattern is offsets[p] + q * key_p (see
     _scaled_offsets); the build and galois both read them.  B and C are
-    assembled from eig and lagrange on the first read of either."""
+    assembled from eig and lagrange on the first read of either, which
+    then releases those two tables."""
 
     def __init__(self, pyramid, basis):
         self.pyramid = pyramid
@@ -82,6 +83,7 @@ class Representation:
     def _ladders(self):
         B, C = _assemble_ladders(self)
         _check_ladders(self.pyramid, B, C)
+        del self.eig, self.lagrange  # nothing reads them once B and C exist
         return B, C
 
     def a_coefficient(self, r, k):

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wrep
 import wrep.center
+import wrep.grord
 import wrep.rep
 from wrep import cli, noether
 from wrep.arith import UniPoly
@@ -379,6 +381,42 @@ def test_noether_check_fault_is_a_failed_check(capsys, monkeypatch, cls, method,
     checks = _fault_record(capsys, ["noether-demo"])
     assert {c: w for c, status, w in checks if status != "PASS"} == {
         "%s (n=%d)" % (name, n): witness for n in (2, 3)}
+
+
+def test_leading_direct_expansion_fault_is_a_failed_check(capsys, monkeypatch):
+    # the direct expansion is the determinant's oracle and does not share
+    # column_det's signs: one sign flipped in it alone, at sigma = (2,1),
+    # fails the check at the first coefficient that sigma reaches
+    sign = wrep.grord.perm_sign
+    monkeypatch.setattr(wrep.grord, "perm_sign",
+                        lambda sigma: -sign(sigma) if tuple(sigma) == (2, 1) else sign(sigma))
+    assert _fault_record(capsys, ["leading", "--rows", "1,2,2"]) == [
+        ("weighted leading monomials", "FAIL",
+         "determinant and direct expansions disagree for d_{2,3}")]
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["leading", "--rows", "1,2,2,2"], 0),
+    (["leading", "--rows", "2,3,3"], 0),
+    (["noether-demo"], 600),
+], ids=["leading-1222", "leading-233", "noether-demo"])
+def test_symbolic_fraction_budget(capsys, monkeypatch, argv, budget):
+    # coefficients keep their type, so a Fraction is made only at a
+    # division: none in leading, and in noether-demo at rewrite_in_sigma's
+    # 1/beta! (578 made); with every coefficient coerced to Fraction the
+    # three commands made 3469, 1226 and 4301
+    made = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    code = main(argv)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0 and made[0] <= budget
 
 
 # Witnesses of a bumped constant coefficient at rows (1,2,2) under the

@@ -1,5 +1,6 @@
 import pytest
 
+from wrep.arith import Terms
 from wrep.errors import OrderError
 from wrep.grord import (
     GradedRing,
@@ -40,6 +41,23 @@ def test_direct_matches_determinant():
             d = dcoeff_determinant(ring, r)
             for s in range(1, ring.pyramid.row_block_size(r) + 1):
                 assert d[s] == dcoeff_direct(ring, r, s)
+
+
+def test_direct_expansion_forms_no_polynomial_sum(monkeypatch):
+    # each monomial's sign is added into one dict of exponent tuples; a
+    # polynomial sum per monomial would copy the whole sum every time
+    calls = [0]
+    add = Terms.__add__
+
+    def counted(self, other):
+        calls[0] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(Terms, "__add__", counted)
+    ring = GradedRing(Pyramid(rows=(1, 2, 2, 2)))
+    sizes = [len(dcoeff_direct(ring, r, s).terms)
+             for r in range(1, 5) for s in range(1, ring.pyramid.row_block_size(r) + 1)]
+    assert calls[0] == 0 and sum(sizes) == 298  # one sum per monomial made 298
 
 
 def test_leading_monomial_of_d23():

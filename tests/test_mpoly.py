@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wrep.errors import EvaluationError
 from wrep.mpoly import MPoly, MRat
+from wrep.noether import falling
 
 N = ("x", "y")
 M = ("s", "t", "u")
@@ -126,3 +127,71 @@ def test_sum_products_is_the_sum_of_products(pairs, point):
 def test_sum_products_rejects_mixed_variable_sets():
     with pytest.raises(ValueError, match="mixed variable sets"):
         MPoly.sum_products([(x(), y()), (MPoly.var(M, 0), MPoly.var(M, 1))])
+
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def test_int_coefficients_stay_ints():
+    # ints in, ints out: nothing is coerced to Fraction without a division
+    p = 3 * x() ** 2 * y() - 2 * x() + 5
+    for q in (MPoly.const(N, 4), x(), p, p * 7, 7 * p, p.derivative(0), p.derivative(1),
+              MPoly.sum_products([(p, x()), (y(), p)]), p ** 2, p - p * 2,
+              p.evaluate([x() + 1, MPoly.const(N, 2)])):
+        assert coefficient_types(q) == {int}
+    assert type(p.evaluate([2, -3])) is int
+    assert type(MPoly.zero(N).evaluate([2, 3])) is int
+    assert type(p.constant_value()) is int
+    assert type(falling(7, 3)) is int and falling(7, 3) == 210
+
+
+def test_fraction_coefficients_stay_fractions():
+    half = Fraction(1, 2)
+    p = MPoly(N, {(1, 0): half, (0, 2): Fraction(3)})
+    for q in (MPoly.const(N, half), p, p * 3, p * half, p.derivative(1),
+              MPoly.sum_products([(p, x())])):
+        assert coefficient_types(q) == {Fraction}
+    assert type(p.evaluate([1, 1])) is Fraction
+    assert type(falling(half, 2)) is Fraction
+
+
+mixed = st.one_of(st.integers(-9, 9), fractions)
+
+
+def mixed_polys(names, max_terms=3):
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    return st.dictionaries(exps, mixed, max_size=max_terms).map(
+        lambda terms: MPoly(names, terms))
+
+
+def assert_no_float(value):
+    if isinstance(value, MRat):
+        assert_no_float(value.num)
+        assert_no_float(value.den)
+    elif isinstance(value, MPoly):
+        for c in value.terms.values():
+            assert_no_float(c)
+    else:
+        assert type(value) in (int, Fraction), value
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_polys(N), mixed_polys(N), mixed, st.lists(mixed, min_size=len(N), max_size=len(N)))
+# coprime int polynomials: MRat scales by an int lead, and evaluates int by int
+@example(MPoly(N, {(1, 0): 1}), MPoly(N, {(0, 1): 2}), 3, [1, 2])
+@example(MPoly(N, {(1, 0): 1}), MPoly(N, {(0, 1): 1}), 3, [1, 2])
+def test_no_operation_yields_a_float(p, q, c, point):
+    values = [p + q, p - q, p * q, p * c, c * p, p + c, p ** 2, p.derivative(0),
+              p.evaluate(point), MPoly.sum_products([(p, q), (q, q)]), p.permute_vars([1, 0])]
+    if q:
+        r = MRat(p, q)
+        values += [r, r + r, r * r, r * c, r.derivative(1), MRat.from_poly(p) / q]
+        if c:
+            values.append(r / c)
+        if q.evaluate(point):
+            values.append(r.evaluate(point))
+        if p:
+            values += [p.gcd(q), (p * q).exact_div(q), r / MRat.from_poly(p)]
+    for value in values:
+        assert_no_float(value)

@@ -209,6 +209,18 @@ def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
     assert calls["roots"] == (9 + 32 + 1) + calls["lagrange"]
 
 
+def test_ladder_tables_are_released_on_the_first_read():
+    # the eigenvalue polynomials and Lagrange pairs feed only the ladder
+    # assembly; fibers, which never reads B or C, keeps them
+    pyr = Pyramid(rows=(2, 3, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    assert fibers(rep)[0]
+    assert rep.eig[3] and rep.lagrange[2]
+    B = rep.B
+    assert not hasattr(rep, "eig") and not hasattr(rep, "lagrange")
+    assert rep.B is B and rep.C[1].coeffs
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(small_pyramid_weights())

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wrep import sparse
 from wrep.arith import UniPoly
@@ -510,7 +510,7 @@ def test_finish_shrinks_a_cancelling_sum(data):
     assert comb.is_zero() == (got.nnz() == 0)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_patterns_and_a_dense_diagonal_in_one_combination(data):
     diag = SparseMatrix.diagonal(data.draw(diagonal_values(4)))
