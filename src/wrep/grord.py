@@ -63,30 +63,32 @@ def dcoeff_determinant(ring, r):
     return [det.coeff(block - s) or zero for s in range(block + 1)]
 
 
-def dcoeff_direct(ring, r, s):
-    """d_{rs} = sum over sigma and compositions k_1+...+k_r = s of
-    sgn(sigma) X_{sigma(1)1}^{k_1} ... X_{sigma(r)r}^{k_r}, with
-    X_{ij}^0 meaning delta_ij (independent oracle for the determinant).
-    Each monomial is an exponent tuple, and its signs add up in one dict."""
+def dcoeff_direct(ring, r):
+    """[d_{r,0}, ..., d_{r,P}], d_{rs} = sum over sigma and compositions
+    k_1+...+k_r = s of sgn(sigma) X_{sigma(1)1}^{k_1} ... X_{sigma(r)r}^{k_r},
+    with X_{ij}^0 meaning delta_ij (independent oracle for the determinant).
+    One walk of S_r and the compositions adds each monomial's sign into
+    the dict of its degree s, keyed by exponent tuple."""
     pyr = ring.pyramid
-    out = {}
+    outs = [{} for _ in range(pyr.row_block_size(r) + 1)]
     for sigma in permutations(range(1, r + 1)):
         sgn = perm_sign(sigma)
-        partial = [((), s)]  # (variable indices chosen so far, degree left)
+        partial = [((), 0)]  # (variable indices chosen so far, degree)
         for j in range(1, r + 1):
             i = sigma[j - 1]
             choices = [(0, ())] if i == j else []
             for k in range(pyr.shift(i, j) + 1, pyr.p(j) + 1):
                 choices.append((k, (ring.index[(i, j, k)],)))
-            partial = [(chosen + v, rem - k) for chosen, rem in partial
-                       for k, v in choices if k <= rem and (j < r or k == rem)]
-        for chosen, _ in partial:
+            partial = [(chosen + v, deg + k) for chosen, deg in partial
+                       for k, v in choices]
+        for chosen, deg in partial:
             e = [0] * len(ring.slots)
             for idx in chosen:
                 e[idx] += 1
             e = tuple(e)
+            out = outs[deg]
             out[e] = out.get(e, 0) + sgn
-    return MPoly(ring.names, out)
+    return [MPoly(ring.names, out) for out in outs]
 
 
 def build_weight(pyr):
@@ -193,11 +195,10 @@ def verify_leading_claims(pyr):
     seen_slots = {}
     checked = 0
     for r in range(1, pyr.n + 1):
-        d = dcoeff_determinant(ring, r)
+        d, direct = dcoeff_determinant(ring, r), dcoeff_direct(ring, r)
         for s in range(1, pyr.row_block_size(r) + 1):
             d1 = d[s]
-            d2 = dcoeff_direct(ring, r, s)
-            if d1 != d2:
+            if d1 != direct[s]:
                 raise InvariantViolation(
                     "determinant and direct expansions disagree for d_{%d,%d}"
                     % (r, s)

@@ -154,15 +154,17 @@ class MPoly(Terms):
         all MPolys over one variable set,
         giving an MPoly in those variables (also when self is constant or
         zero), or commuting operators (noether's x_k d_k), giving an
-        operator.  Each variable's powers are formed once per call.  A
-        Laurent term (a negative exponent) raises ValueError."""
+        operator.  Each variable's powers are formed once per call; a term
+        starts from its first power and is multiplied by its coefficient
+        unless that is the int 1.  A Laurent term (a negative exponent)
+        raises ValueError."""
         if point and not isinstance(point[0], (int, Fraction)):
             acc = point[0].zero_like()
         else:
             acc = 0
         powers = [[1, p] for p in point]  # powers[i][k] == point[i] ** k
         for e, c in self.terms.items():
-            v = c
+            v = None
             for idx, k in enumerate(e):
                 if k:
                     if k < 0:
@@ -170,7 +172,11 @@ class MPoly(Terms):
                     pw = powers[idx]
                     while len(pw) <= k:
                         pw.append(pw[-1] * point[idx])
-                    v = v * pw[k]
+                    v = pw[k] if v is None else v * pw[k]
+            if v is None:
+                v = c
+            elif c != 1 or type(c) is not int:
+                v = v * c
             acc = acc + v
         return acc
 

@@ -92,8 +92,11 @@ class WeylElement(Terms):
         return Terms.__add__(self.lift(k), other.lift(k))
 
     def __eq__(self, other):
-        # det is nonzero, so the numerators of the difference decide
-        return isinstance(other, WeylElement) and self.n == other.n and not self - other
+        # det is nonzero, so the numerators over a common power of det decide
+        if not (isinstance(other, WeylElement) and self.n == other.n):
+            return False
+        k = max(self.k, other.k)
+        return self.lift(k).terms == other.lift(k).terms
 
     def __mul__(self, other):
         """Composition by the Leibniz rule, (Q1 d^b1)(Q2 d^b2) =
@@ -226,7 +229,7 @@ class ShiftAlgebraElement(Terms):
 
     def __mul__(self, other):
         sums = {}  # lattice point -> [(r1, shifted r2)], one sum each
-        t = [MPoly.var(_tnames(self.n), k) for k in range(self.n)]
+        t = _tvars(self.n)
         for m1, r1 in self.terms.items():
             shift = [t[k] - m1[k] for k in range(self.n)]
             for m2, r2 in other.terms.items():
@@ -241,6 +244,13 @@ def _tnames(n):
 
 
 @lru_cache(maxsize=None)
+def _tvars(n):
+    """t_1 .. t_n, built once per n."""
+    names = _tnames(n)
+    return tuple(MPoly.var(names, k) for k in range(n))
+
+
+@lru_cache(maxsize=None)
 def _xd(n):
     """x_k d_k for k < n, built once per n."""
     return tuple(WeylElement.x(n, k) * WeylElement.d(n, k) for k in range(n))
@@ -248,14 +258,13 @@ def _xd(n):
 
 def shift_algebra_iso(el):
     """The embedding sending the k-th lattice generator to x_k and t_k to
-    x_k d_k (monomials t^a m map to (x d)^a x^m)."""
+    x_k d_k (monomials t^a m map to (x d)^a x^m, x^m one operator)."""
     n = el.n
     out = WeylElement(n)
     for m, r in el.terms.items():
         w = r.evaluate(_xd(n))
-        for k, power in enumerate(m):
-            if power:
-                w = w * WeylElement.x(n, k, power)
+        if any(m):
+            w = w * WeylElement(n, {(0,) * n: MPoly(_xnames(n), {m: 1}, _clean=True)})
         out = out + w
     return out
 

@@ -58,7 +58,9 @@ class Pyramid:
         return sum(self.rows)
 
     def p(self, i):
-        """Row length p_i, 1-based."""
+        """Row length p_i, 1-based; ShapeError outside 1..n."""
+        if not 0 < i <= len(self.rows):
+            raise ShapeError("row index %r is outside 1..%d" % (i, len(self.rows)))
         return self.rows[i - 1]
 
     def shift(self, i, j):

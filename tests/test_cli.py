@@ -498,6 +498,24 @@ def test_python_m_wrep_passes_the_exit_status_through(extra, status):
     assert out.returncode == status, out.stderr
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["noether-demo"], 0), (["leading", "--rows", "2,2,3"], 1),
+], ids=["noether-demo", "leading-223"])
+def test_cold_and_warm_records_agree(tmp_path, capsys, argv, status):
+    # a fresh interpreter starts with every per-n cache empty; a second
+    # in-process run finds them filled, and must write the same bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(wrep.__file__).resolve().parents[1]))
+    cold = tmp_path / "cold.json"
+    done = subprocess.run([sys.executable, "-m", "wrep"] + argv + ["--out", str(cold)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == status, done.stderr
+    for name in ("first.json", "second.json"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == status
+    capsys.readouterr()
+    assert (tmp_path / "first.json").read_bytes() == cold.read_bytes()
+    assert (tmp_path / "second.json").read_bytes() == cold.read_bytes()
+
+
 def test_forked_workers_print_nothing_and_change_no_record(tmp_path, monkeypatch, capsys):
     # standard output is a pipe, so block-buffered: a child that flushed
     # the buffers it inherited, or returned into the CLI, would print a

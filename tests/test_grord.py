@@ -1,7 +1,9 @@
 import pytest
 
+from wrep import grord
 from wrep.arith import Terms
-from wrep.errors import OrderError
+from wrep.cli import main
+from wrep.errors import InvariantViolation, OrderError
 from wrep.grord import (
     GradedRing,
     build_weight,
@@ -38,9 +40,10 @@ def test_direct_matches_determinant():
     for rows in [(1, 2), (2, 2), (1, 1, 1)]:
         ring = GradedRing(Pyramid(rows=rows))
         for r in range(1, ring.pyramid.n + 1):
-            d = dcoeff_determinant(ring, r)
+            d, direct = dcoeff_determinant(ring, r), dcoeff_direct(ring, r)
+            assert len(direct) == len(d) == ring.pyramid.row_block_size(r) + 1
             for s in range(1, ring.pyramid.row_block_size(r) + 1):
-                assert d[s] == dcoeff_direct(ring, r, s)
+                assert d[s] == direct[s]
 
 
 def test_direct_expansion_forms_no_polynomial_sum(monkeypatch):
@@ -55,9 +58,38 @@ def test_direct_expansion_forms_no_polynomial_sum(monkeypatch):
 
     monkeypatch.setattr(Terms, "__add__", counted)
     ring = GradedRing(Pyramid(rows=(1, 2, 2, 2)))
-    sizes = [len(dcoeff_direct(ring, r, s).terms)
-             for r in range(1, 5) for s in range(1, ring.pyramid.row_block_size(r) + 1)]
+    sizes = [len(d.terms) for r in range(1, 5) for d in dcoeff_direct(ring, r)[1:]]
     assert calls[0] == 0 and sum(sizes) == 298  # one sum per monomial made 298
+
+
+def test_leading_claims_walk_each_symmetric_group_once(monkeypatch):
+    # one walk of S_r per r buckets every degree s; a walk per (r, s)
+    # made 1 + 3 + 5 + 7 = 16 at (1,2,2,2)
+    walks = []
+    walk = grord.permutations
+
+    def counted(items):
+        walks.append(len(items))
+        return walk(items)
+
+    monkeypatch.setattr(grord, "permutations", counted)
+    verify_leading_claims(Pyramid(rows=(1, 2, 2, 2)))
+    assert walks == [1, 2, 3, 4]
+
+
+def test_a_flipped_permutation_sign_fails_leading(monkeypatch, capsys):
+    # the walk alone sees the flip (column_det has its own signs); at (1,2)
+    # sigma = (2,1) reaches only X_21^1 X_12^2, of degree 3
+    sign = grord.perm_sign
+    monkeypatch.setattr(grord, "perm_sign",
+                        lambda sigma: -sign(sigma) if tuple(sigma) == (2, 1) else sign(sigma))
+    witness = "determinant and direct expansions disagree for d_{2,3}"
+    with pytest.raises(InvariantViolation, match=r"disagree for d_\{2,3\}$"):
+        verify_leading_claims(Pyramid(rows=(1, 2)))
+    assert main(["leading", "--rows", "1,2"]) == 1
+    out = capsys.readouterr()
+    assert "FAIL weighted leading monomials" in out.err
+    assert '"witness": "%s"' % witness in out.out
 
 
 def test_leading_monomial_of_d23():

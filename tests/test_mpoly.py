@@ -153,6 +153,10 @@ def test_fraction_coefficients_stay_fractions():
               MPoly.sum_products([(p, x())])):
         assert coefficient_types(q) == {Fraction}
     assert type(p.evaluate([1, 1])) is Fraction
+    # a coefficient Fraction(1) is still multiplied in: only the int 1 is skipped
+    one = MPoly(N, {(1, 1): Fraction(1)})
+    assert type(one.evaluate([2, 3])) is Fraction
+    assert coefficient_types(one.evaluate([x() + 1, MPoly.const(N, 2)])) == {Fraction}
     assert type(falling(half, 2)) is Fraction
 
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from wrep import noether
+from wrep.arith import Terms
 from wrep.cli import main
 from wrep.errors import InvariantViolation, NotInvariant
 from wrep.mpoly import MPoly, MRat
@@ -129,6 +130,57 @@ def test_shift_iso(n, monkeypatch):
     # each generator is mapped once; each product and each side of a
     # commutation once more
     assert len(calls) == 3 * n + 9 * n * n + 2 * n * n
+
+
+def _off_by_one_lattice(monkeypatch):
+    """Make shift_algebra_iso map each term r(t) m to r(x d) x^(m + e_1)."""
+    iso = noether.shift_algebra_iso
+
+    def mutant(el):
+        return iso(ShiftAlgebraElement(el.n, {(m[0] + 1,) + m[1:]: r
+                                             for m, r in el.terms.items()}))
+
+    monkeypatch.setattr(noether, "shift_algebra_iso", mutant)
+
+
+def test_off_by_one_lattice_monomial_fails_shift_iso(monkeypatch, capsys):
+    _off_by_one_lattice(monkeypatch)
+    with pytest.raises(InvariantViolation, match="not multiplicative"):
+        check_shift_iso(2)
+    assert main(["noether-demo"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL shift-algebra embedding (n=2)" in err
+    assert "PASS Weyl relations (n=2)" in err
+
+
+def _recording(fn, calls):
+    def recorded(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return recorded
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_equality_across_powers_of_det(n, monkeypatch):
+    w = euler(n)
+    lifted = [w, w.lift(1), w.lift(2)]
+    assert [u.k for u in lifted] == [0, 1, 2]
+    calls = []
+    monkeypatch.setattr(Terms, "__add__", _recording(Terms.__add__, calls))
+    monkeypatch.setattr(Terms, "__neg__", _recording(Terms.__neg__, calls))
+    for a in lifted:
+        for b in lifted:
+            assert a == b
+    # the numerators are compared over a common power of det: no
+    # difference is built
+    assert calls == []
+    monkeypatch.undo()
+    for u in lifted:
+        b, q = min(u.terms.items())
+        e = min(q.terms)
+        bumped = WeylElement(n, {**u.terms, b: q + MPoly(q.names, {e: 1})}, u.k)
+        for a in lifted:
+            assert bumped != a and a != bumped
 
 
 def test_shift_algebra_twisted_product():

@@ -44,6 +44,18 @@ def test_shape_errors():
         Pyramid(rows=(1,), cols=(1,))
 
 
+def test_row_index_outside_the_pyramid_is_a_shape_error():
+    # rows[i - 1] would read p_n at i = 0 and index past the end at n + 1
+    pyr = Pyramid(rows=(1, 2, 2))
+    assert [pyr.p(i) for i in (1, 2, 3)] == [1, 2, 2]
+    for i in (-1, 0, 4):
+        with pytest.raises(ShapeError, match="outside 1..3"):
+            pyr.p(i)
+    for i, j in ((0, 1), (1, 0), (4, 2)):
+        with pytest.raises(ShapeError):
+            pyr.shift(i, j)
+
+
 @given(unimodal_columns())
 def test_parameter_formulas_agree(cols):
     pyr = Pyramid(cols=cols)
