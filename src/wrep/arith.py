@@ -20,8 +20,10 @@ coefficients, and lagrange_basis returns each basis polynomial as an
 undivided (numerator, denominator) pair.  UniPoly.__call__ evaluates in
 the same way.  Terms is the shared base of
 the sparse linear combinations (MPoly and the skew and operator algebras),
-and column_det the one determinant: prefix recursion in column order, so
-the entries need not commute.
+and leading_minors the one determinant: one prefix recursion in column
+order, so the entries need not commute, which forms every leading minor
+(rows and columns 0..c) on its way up and hands back that chain;
+column_det is the chain's last element.
 """
 
 from fractions import Fraction
@@ -162,13 +164,18 @@ class UniPoly:
 
 
 def poly_shift(p, c):
-    """P(u) -> P(u + c), exact binomial expansion."""
-    c = Fraction(c)
+    """P(u) -> P(u + c), exact binomial expansion.  An integral c stays an
+    int, so the binomial weights are ints and int coefficients give int
+    coefficients; a Fraction is built only for a c that is not integral."""
+    if not isinstance(c, int):
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
     a = p.coeffs
     n = len(a)
     if n == 0 or not c:
         return UniPoly(list(a))
-    pw = [Fraction(1)]
+    pw = [1]
     for _ in range(1, n):
         pw.append(pw[-1] * c)
     # coefficient of u^j: sum_{k >= j} binom(k, j) c^{k-j} a_k
@@ -211,16 +218,21 @@ def perm_sign(sigma):
     return sgn
 
 
-def column_det(n, entry):
-    """sum over permutations sigma of sgn(sigma) entry(sigma(0), 0) ...
-    entry(sigma(n-1), n-1) for n >= 1, each product taken left to right in
-    column order, so the entries need not commute.
+def leading_minors(n, entry):
+    """The chain of leading minors of the n x n array entry(i, c), n >= 1:
+    element c is the column determinant of rows and columns 0..c, so the
+    last element is column_det(n, entry).
 
-    Prefix recursion: the minor on row set S and columns 0..|S|-1 is
-    sum_{i in S} (-1)^{#{s in S: s > i}} minor(S - i) entry(i, |S|-1), so
-    level k forms k products for each k-subset, n(2^(n-1) - 1) products in
-    all, and each minor is one sum of its products."""
+    Prefix recursion in column order: the minor on row set S and columns
+    0..|S|-1 is sum_{i in S} (-1)^{#{s in S: s > i}} minor(S - i)
+    entry(i, |S|-1), each product taken left to right, so the entries need
+    not commute.  Level c forms c + 1 products for each (c+1)-subset below
+    the top level and n for the full set at the top, n(2^(n-1) - 1)
+    products in all, and each minor is one sum of its products; the
+    leading minor of level c is the one on rows 0..c, formed on the way
+    up."""
     minors = {(i,): entry(i, 0) for i in range(n)}
+    chain = [minors[(0,)]]
     for c in range(1, n):
         column = [entry(i, c) for i in range(n)]
         signed = (column, [-x for x in column])
@@ -231,7 +243,16 @@ def column_det(n, entry):
                 [(minors[rows[:p] + rows[p + 1:]], signed[(c - p) & 1][i])
                  for p, i in enumerate(rows)])
         minors = nxt
-    return minors[tuple(range(n))]
+        chain.append(minors[tuple(range(c + 1))])
+    return chain
+
+
+def column_det(n, entry):
+    """sum over permutations sigma of sgn(sigma) entry(sigma(0), 0) ...
+    entry(sigma(n-1), n-1) for n >= 1, each product taken left to right in
+    column order, so the entries need not commute: the last element of
+    leading_minors(n, entry)."""
+    return leading_minors(n, entry)[-1]
 
 
 class Terms:

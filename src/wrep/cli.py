@@ -22,7 +22,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .errors import ConfigError, WrepError
 from .patterns import HighestWeight, generic_weight, enumerate_patterns
@@ -377,7 +377,10 @@ def _no_record(status, message, created):
     return status
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command-line parser, built once per process; parse_args does
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="wrep",
         description="exact checks for pattern-basis representations",
@@ -388,7 +391,11 @@ def main(argv=None):
     parser.add_argument("--cols", help="pyramid column heights")
     parser.add_argument("--rmax", type=int, help="relation index bound")
     parser.add_argument("--out", help="write the JSON record to this file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     created = None
     if args.out:

@@ -12,7 +12,7 @@ to degree one."""
 from itertools import permutations
 from operator import mul
 
-from .arith import UniPoly, column_det, perm_sign
+from .arith import UniPoly, leading_minors, perm_sign
 from .errors import InvariantViolation, OrderError
 from .mpoly import MPoly
 
@@ -52,15 +52,19 @@ class GradedRing:
         return UniPoly(coeffs)
 
 
-def dcoeff_determinant(ring, r):
-    """[d_{r,0}, ..., d_{r,P}] with P = p_1+...+p_r: d_{rs} is the
-    coefficient of u^{P - s} in det of the top-left r x r block."""
+def dcoeff_determinants(ring, r):
+    """[D_1, ..., D_r], D_m = [d_{m,0}, ..., d_{m,P}] with P = p_1+...+p_m:
+    d_{ms} is the coefficient of u^{P - s} in det of the top-left m x m
+    block, every m read off the chain of leading minors of one r x r
+    recursion (arith.leading_minors)."""
     entries = {(i, j): ring.entry_poly(i + 1, j + 1)
                for i in range(r) for j in range(r)}
-    det = column_det(r, lambda i, j: entries[(i, j)])
-    block = ring.pyramid.row_block_size(r)
     zero = MPoly.zero(ring.names)
-    return [det.coeff(block - s) or zero for s in range(block + 1)]
+    out = []
+    for m, det in enumerate(leading_minors(r, lambda i, j: entries[(i, j)]), 1):
+        block = ring.pyramid.row_block_size(m)
+        out.append([det.coeff(block - s) or zero for s in range(block + 1)])
+    return out
 
 
 def dcoeff_direct(ring, r):
@@ -194,8 +198,8 @@ def verify_leading_claims(pyr):
     grades = [k for _, _, k in ring.slots]
     seen_slots = {}
     checked = 0
-    for r in range(1, pyr.n + 1):
-        d, direct = dcoeff_determinant(ring, r), dcoeff_direct(ring, r)
+    for r, d in enumerate(dcoeff_determinants(ring, pyr.n), 1):
+        direct = dcoeff_direct(ring, r)
         for s in range(1, pyr.row_block_size(r) + 1):
             d1 = d[s]
             if d1 != direct[s]:

@@ -20,6 +20,16 @@ one walk over the basis and one pass per power of u over one lcm
 (_assemble_ladders), so `wrep fibers`, which reads only A, never builds
 them.
 
+generator_series works each diagonal series (a_i, its inverse, d_i and
+d_i') on the distinct columns of its inputs' numerators, one position of
+a small diagonal matrix per class (sparse.compress_diagonals), and
+expands the result to the basis by one gather.  That is exact: diagonal
+arithmetic is entrywise, so patterns with equal input columns get equal
+outputs, and the compressed matrices hold every distinct numerator, so
+the content, the denominator and the expanded canonical form are those
+of the full-dimension arithmetic.  The classes come from the numerators,
+not from the patterns' rows, so a faulty entry is a class of its own.
+
 The relation suite (verify_defining_relations) builds the series once and
 then runs its families, which are independent, from a queue of one-byte
 tickets in a pipe that this process and forked children take from, each
@@ -47,7 +57,7 @@ from .arith import (
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
 from .patterns import enumerate_patterns, key_slots, row_spans
-from .sparse import Combination, SparseMatrix
+from .sparse import Combination, SparseMatrix, compress_diagonals
 
 
 class Representation:
@@ -271,20 +281,34 @@ def generator_series(rep, R):
     each series is read off the coefficients of a shifted polynomial:
       d_1 = a_1, d_1' = a_1^{-1}; d_i' = A_{i-1}(v) u^{-P_{i-1}} a_i^{-1},
       d_i = d_i'^{-1} (i >= 2); e_i = a_i^{-1} B_i(v) u^{-P_i-s_{i,i+1}}
-      and f_i = C_i(v) u^{-P_i} a_i^{-1} (i < n), s = Pyramid.shift."""
+      and f_i = C_i(v) u^{-P_i} a_i^{-1} (i < n), s = Pyramid.shift.
+
+    The diagonal series are worked on the distinct columns of their
+    inputs (sparse.compress_diagonals): a_i and its inverse x_i on those
+    of A_i, and d_i' and d_i on those of the pair A_{i-1}, x_i, each class
+    one position of a smaller diagonal matrix.  Diagonal arithmetic is
+    entrywise, so patterns whose input columns agree get equal outputs,
+    and the classes are read from the numerators themselves, so a faulty
+    entry is a class of its own; each series is expanded to the full
+    dimension once it is made, with the same canonical form.  e_i and f_i
+    multiply the expanded x_i into the read B_i and C_i."""
     if R < 1:
         raise OrderError("truncation order must be >= 1")
     pyr = rep.pyramid
-    ident = SparseMatrix.identity(rep.dim)
 
     def read(p, k, i):
         return poly_to_inv_series(poly_shift(p, i - 1), k, R)
 
+    def expanded(expand, *series):
+        return [list(map(expand, s)) for s in series]
+
     d, dprime, e, f = {}, {}, {}, {}
+    pairs = {}  # i >= 2 -> (d_i, d_i') on the classes they were made on
     for i in range(1, pyr.n + 1):
         P = pyr.row_block_size(i)
-        a = read(rep.A[i], P, i)
-        if a[0] != ident:
+        (A,), expand = compress_diagonals([rep.A[i].coeffs])
+        a = read(UniPoly(A), P, i)
+        if a[0] != SparseMatrix.identity(a[0].dim):
             raise InvariantViolation("a_%d(u) does not start at the identity" % i)
         # series_inverse solves a * x = 1 term by term, so only x * a is
         # checked: a has the identity as lead, so it is a unit of the
@@ -294,16 +318,20 @@ def generator_series(rep, R):
         if r is not None:
             raise InvariantViolation("a_%d inverse fails x * a = 1 at r=%d" % (i, r))
         if i == 1:
-            d[i], dprime[i] = a, x
+            d[i], dprime[i] = expanded(expand, a, x)
+            x_full = dprime[i]
         else:
-            dprime[i] = series_product(read(rep.A[i - 1], pyr.row_block_size(i - 1), i), x)
-            d[i] = series_inverse(dprime[i])
+            x_full, = expanded(expand, x)
+            (A, x), expand = compress_diagonals([rep.A[i - 1].coeffs, x_full])
+            dp = series_product(read(UniPoly(A), pyr.row_block_size(i - 1), i), x)
+            pairs[i] = series_inverse(dp), dp
+            d[i], dprime[i] = expanded(expand, *pairs[i])
         if i < pyr.n:
-            e[i] = series_product(x, read(rep.B[i], P + pyr.shift(i, i + 1), i))
-            f[i] = series_product(read(rep.C[i], P, i), x)
+            e[i] = series_product(x_full, read(rep.B[i], P + pyr.shift(i, i + 1), i))
+            f[i] = series_product(read(rep.C[i], P, i), x_full)
 
     gens = SeriesGenerators(rep, R, d, dprime, e, f)
-    _series_invariants(gens)
+    _series_invariants(gens, pairs)
     return gens
 
 
@@ -322,7 +350,9 @@ def _inverse_defect(x, y):
     return None
 
 
-def _series_invariants(gens):
+def _series_invariants(gens, pairs):
+    """The invariants of the series; pairs[i] = (d_i, d_i') for i >= 2, on
+    the classes generator_series made them on."""
     rep = gens.rep
     pyr = rep.pyramid
     N = rep.dim
@@ -334,7 +364,7 @@ def _series_invariants(gens):
             raise InvariantViolation("d_%d^{(0)} is not the identity" % i)
         # defining property of d', on the side that series_inverse(d_i')
         # did not solve; d_1' is a_1^{-1}, whose check has run
-        r = _inverse_defect(gens._d[i], gens._dprime[i]) if i > 1 else None
+        r = _inverse_defect(*pairs[i]) if i > 1 else None
         if r is not None:
             raise InvariantViolation("d_%d' fails its defining relation at r=%d"
                                      % (i, r))

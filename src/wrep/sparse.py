@@ -36,7 +36,11 @@ relation check meet few pattern pairs many times.
 The dense form is there because the Gelfand-Tsetlin subalgebra acts by
 characters: on the pattern basis the A coefficients, the a_i and a_i^{-1}
 series and the d_i and d_i' series are all diagonal, and they are the
-operands of most products.
+operands of most products.  A character takes few distinct values, so
+``compress_diagonals`` turns a list of such series into diagonal
+matrices with one position per distinct column of numerators, on which
+the same arithmetic runs, and expands a result back to the full
+dimension with one gather.
 
 Every sum, scaled sum, product and commutator is accumulated by a
 ``Combination`` over one running denominator, so it does integer
@@ -56,12 +60,14 @@ contributions; the outputs are sorted by their number of contributions,
 so each layer is a prefix, and the numeric phase is a few ``map(mul)``
 and ``map(add)`` passes.  The combination keeps one value list per
 output pattern, and a term on a pattern it holds adds with one
-``map(add)``.  ``is_zero`` and ``finish`` merge distinct patterns (and
+``map(add)``.  ``is_zero`` and ``finish`` sum distinct patterns (and
 the dense diagonal) by one direct pass and keep no plan: a relation
 check merges 84 times against its 881 general products, and cached
-merge plans measured no faster.  Plans hang off
-their left pattern and name other patterns by key only, so no reference
-cycle keeps a pattern alive, and no plan outlives the matrices of a run.
+merge plans measured no faster.  ``is_zero`` tests the sums alone, and
+only ``finish`` sorts their positions and interns the pattern.  Plans
+hang off their left pattern and name other patterns by key only, so no
+reference cycle keeps a pattern alive, and no plan outlives the matrices
+of a run.
 Fractions appear only at the boundary: ``get``, ``entries`` and
 ``scalar_part`` return reduced Fractions, and ``from_entries`` and
 ``diagonal`` accept them.  ``inverse`` inverts only a diagonal matrix, the
@@ -258,18 +264,16 @@ class _Plan:
         return acc if self.order is None else self.order(acc)
 
 
-def _merged(parts):
-    """(pattern, values) of the sum of [(pattern, values)], by one pass."""
-    (p, v), *rest = parts
-    if not rest:
-        return p, v
-    out = dict(zip(p.flat, v))
+def _summed(parts):
+    """{flat position: value} of the sum of [(flat positions, values)], by
+    one pass."""
+    (f, v), *rest = parts
+    out = dict(zip(f, v))
     get = out.get
-    for p, v in rest:
-        for f, x in zip(p.flat, v):
-            out[f] = get(f, 0) + x
-    flat = sorted(out)
-    return Pattern.of(p.dim, flat), _gather(flat)(out)
+    for f, v in rest:
+        for i, x in zip(f, v):
+            out[i] = get(i, 0) + x
+    return out
 
 
 class SparseMatrix:
@@ -494,6 +498,49 @@ class SparseMatrix:
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
 
 
+def compress_diagonals(series):
+    """(compressed, expand) for a list of coefficient lists of diagonal
+    matrices of one dimension dim.
+
+    Positions i and j are in one class when every matrix of every list
+    has equal numerators at i and at j; the classes are read from the
+    numerators alone, so an entry that differs from its neighbours is a
+    class of its own.  ``compressed`` holds the lists again, each matrix
+    k x k with one position per class (its first position), and ``expand``
+    maps a k x k diagonal matrix back to dim, the value of each class at
+    each of its positions, by one gather.  Diagonal arithmetic is
+    entrywise, so any sum, product or inverse of compressed matrices,
+    expanded, is that of the originals; and each compressed matrix holds
+    every distinct numerator of the original, so its content, and with it
+    every denominator, is the same.  With k == dim, or when some matrix is
+    not diagonal, the lists come back unchanged and ``expand`` is the
+    identity."""
+    dim = series[0][0].dim
+    diags = [m.diag for coeffs in series for m in coeffs if m.diag is not None]
+    if not diags or any(m.diag is None and m.vals for coeffs in series for m in coeffs):
+        return series, _same
+    first = {}  # column of numerators -> its first position
+    firsts = list(map(first.setdefault, zip(*diags), range(dim)))
+    if len(first) == dim:
+        return series, _same
+    reps = list(first.values())
+    k = len(reps)
+    classes = _gather(list(map(dict(zip(reps, range(k))).__getitem__, firsts)))
+    pick = _gather(reps)
+
+    def compress(m):
+        return SparseMatrix._of(k, m.den, list(pick(m.diag))) if m else SparseMatrix(k)
+
+    def expand(m):
+        return SparseMatrix._of(dim, m.den, list(classes(m.diag))) if m else SparseMatrix(dim)
+
+    return [list(map(compress, coeffs)) for coeffs in series], expand
+
+
+def _same(m):
+    return m
+
+
 class Combination:
     """A sum of scaled matrices and signed products and commutators,
     accumulated as integer numerators over one running denominator
@@ -505,7 +552,7 @@ class Combination:
     and rescales every list in one pass; otherwise the term adds with
     integer multiply-adds only.  Nothing is reduced while terms are added:
     ``finish`` merges the lists and reduces once, and ``is_zero`` tests
-    the merged sum as it stands.  No list held is changed in place, so it
+    their summed numerators as they stand.  No list held is changed in place, so it
     may be shared with a matrix.  Each term method returns the
     combination, so calls chain.
     """
@@ -594,26 +641,36 @@ class Combination:
             self._add_part(a.pattern, a.vals, scale)
         return self
 
-    def _all_parts(self):
-        parts = list(self.parts.items())
-        if self.diag is not None and parts:
-            parts.append((Pattern.diagonal(self.dim), self.diag))
+    def _flat_parts(self):
+        """[(flat positions, values)] of every accumulator, the dense
+        diagonal last."""
+        parts = [(p.flat, v) for p, v in self.parts.items()]
+        if self.diag is not None:
+            parts.append((range(0, self.dim * self.dim, self.dim + 1), self.diag))
         return parts
 
     def is_zero(self):
-        """Whether the sum vanishes: every numerator of the merged
-        accumulators is 0."""
-        parts = self._all_parts()
-        if not parts:
-            return self.diag is None or not any(self.diag)
-        return not any(_merged(parts)[1])
+        """Whether the sum vanishes: every numerator of the summed
+        accumulators is 0.  Only the sums are formed; no pattern is
+        sorted or interned."""
+        parts = self._flat_parts()
+        if len(parts) == 1:
+            return not any(parts[0][1])
+        return not parts or not any(_summed(parts).values())
 
     def finish(self):
         """The matrix of the sum, in canonical form; the accumulators are
-        left as they were."""
-        parts = self._all_parts()
-        if not parts:
+        left as they were.  A single general part keeps its pattern;
+        otherwise the sums of _summed go on the interned pattern of their
+        sorted positions."""
+        if not self.parts:
             if self.diag is None:
                 return SparseMatrix(self.dim)
             return SparseMatrix._dense(self.dim, self.den, self.diag)
-        return SparseMatrix._reduce(self.dim, self.den, *_merged(parts))
+        if self.diag is None and len(self.parts) == 1:
+            (pattern, vals), = self.parts.items()
+        else:
+            out = _summed(self._flat_parts())
+            flat = sorted(out)
+            pattern, vals = Pattern.of(self.dim, flat), _gather(flat)(out)
+        return SparseMatrix._reduce(self.dim, self.den, pattern, vals)

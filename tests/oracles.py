@@ -5,7 +5,14 @@ from fractions import Fraction
 from itertools import permutations
 from math import prod
 
-from wrep.arith import UniPoly, perm_sign
+from wrep.arith import (
+    UniPoly,
+    perm_sign,
+    poly_shift,
+    poly_to_inv_series,
+    series_inverse,
+    series_product,
+)
 from wrep.center import higher_root_coefficients
 from wrep.errors import EvaluationError, InvariantViolation
 from wrep.gamma import gamma_coefficients
@@ -239,3 +246,31 @@ def gelfand_tsetlin_diagonals(rep, i, order):
         d.append(quotient(top, below))
         dprime.append(quotient(below, top))
     return d, dprime
+
+
+def full_dimension_series(rep, R):
+    """(d, d', e, f) of ``rep.generator_series`` as tables {i: [M_0..M_R]},
+    every diagonal series inverted and multiplied on the full dimension:
+    a_i = A_i(v) u^{-P_i} with v = u + i - 1, d_1 = a_1, d_1' = a_1^{-1},
+    d_i' = A_{i-1}(v) u^{-P_{i-1}} a_i^{-1} and d_i = d_i'^{-1} (i >= 2),
+    e_i = a_i^{-1} B_i(v) u^{-P_i-s_{i,i+1}} and f_i = C_i(v) u^{-P_i}
+    a_i^{-1}; nothing is checked."""
+    pyr = rep.pyramid
+
+    def read(p, k, i):
+        return poly_to_inv_series(poly_shift(p, i - 1), k, R)
+
+    d, dprime, e, f = {}, {}, {}, {}
+    for i in range(1, pyr.n + 1):
+        P = pyr.row_block_size(i)
+        a = read(rep.A[i], P, i)
+        x = series_inverse(a)
+        if i == 1:
+            d[i], dprime[i] = a, x
+        else:
+            dprime[i] = series_product(read(rep.A[i - 1], pyr.row_block_size(i - 1), i), x)
+            d[i] = series_inverse(dprime[i])
+        if i < pyr.n:
+            e[i] = series_product(x, read(rep.B[i], P + pyr.shift(i, i + 1), i))
+            f[i] = series_product(read(rep.C[i], P, i), x)
+    return d, dprime, e, f

@@ -11,6 +11,7 @@ from wrep.arith import (
     UniPoly,
     column_det,
     lagrange_basis,
+    leading_minors,
     perm_sign,
     poly_shift,
     poly_to_inv_series,
@@ -378,3 +379,27 @@ def test_matrix_poly_to_inv_series_times_denominator(monic, data):
     R = data.draw(st.integers(1, 5))
     got = series_product(poly_to_inv_series(p, j, R), poly_to_inv_series(q, k, R))
     assert got == [c or SparseMatrix(3) for c in poly_to_inv_series(p * q, j + k, R)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(dim3, min_size=n * n, max_size=n * n))))
+def test_leading_minor_chain_equals_each_column_det(drawn):
+    # on noncommuting entries: element c of the chain of one n x n
+    # recursion is the column determinant of the top-left (c+1) x (c+1) block
+    n, cells = drawn
+    entry = lambda i, c: cells[n * i + c]  # noqa: E731
+    chain = leading_minors(n, entry)
+    assert len(chain) == n
+    assert chain == [column_det(m, entry) for m in range(1, n + 1)]
+
+
+def test_poly_shift_keeps_int_coefficients_for_an_integral_shift():
+    p = UniPoly.from_roots([3, -1, 4])
+    for c in (2, -1, Fraction(6, 3)):
+        shifted = poly_shift(p, c)
+        assert all(type(x) is int for x in shifted.coeffs)
+        assert shifted(5) == p(5 + c)
+    half = poly_shift(p, Fraction(1, 2))
+    assert all(type(x) is Fraction for x in half.coeffs[:-1])
+    assert half(5) == p(Fraction(11, 2))

@@ -159,6 +159,18 @@ def test_points_option_is_gone(capsys):
     assert "unrecognized arguments: --points" in capsys.readouterr().err
 
 
+def test_parser_is_built_once(capsys):
+    # main parses each call with one parser; a usage error after a run
+    # still exits 2 with the usage message
+    parser = cli._parser()
+    assert main(["dim", "--rows", "1 1"]) == 0
+    assert cli._parser() is parser
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--rows", "1 1", "--bogus"])
+    assert exc.value.code == 2
+    assert "usage: wrep" in capsys.readouterr().err
+
+
 _WEIGHT = "[weight]\nlambda1 = 5/2\nlambda2 = 1/2\n"
 
 

@@ -5,7 +5,10 @@ for rows (2,3,3) (the largest jobs of the spectra workload), of ``verify
 --rmax 3`` and ``center`` for rows (1,2,2,3) (dimension 512, where the
 sparse kernel reuses its product plans most), of ``build``
 for rows (2,2,3) at a weight whose denominators 2, 7 and 11 differ and
-whose entries are negative, of ``verify --rmax 4`` for rows (2,3,3) (the
+whose entries are negative, and of ``verify --rmax 4`` and ``center`` at
+that weight and ``center`` for rows (2,3,3) at a drawn weight (both split
+the basis into Gelfand-Tsetlin classes of uneven sizes), of ``verify
+--rmax 4`` for rows (2,3,3) (the
 largest relations job of the benchmark), and the exit
 status and sha256 of the symbolic commands' records (``noether-demo``,
 ``leading``, ``galois-check``).  Kernel work that changes a single record
@@ -59,6 +62,37 @@ def test_build_at_a_weight_over_several_denominators_is_pinned(tmp_path):
     assert main(["build", "--config", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6d40667b00ef208443cdcaeb2c90ab8302a97f6d3e343ca0497f0af2d4e05182")
+
+
+# rows (2,3,3) at a weight drawn like the benchmark's: unit row gaps, and
+# fractional parts 2/5, 1/7 and 2/3 in the three columns
+DRAWN_233 = ("[pyramid]\nrows = 2,3,3\n\n[weight]\n"
+             "lambda1 = 12/5, 15/7\nlambda2 = 7/5, 8/7, 5/3\n"
+             "lambda3 = 2/5, 1/7, 2/3\n")
+SEVERAL_DENOMINATORS = ("[pyramid]\nrows = 2,2,3\n\n[weight]\n"
+                        "lambda1 = 3/2, -5/7\nlambda2 = 1/2, -12/7\n"
+                        "lambda3 = -1/2, -19/7, 4/11\n")
+
+# (name, config, command line) -> sha256, at weights where the Gelfand-Tsetlin
+# characters split the basis into classes of uneven sizes
+WEIGHTED = {
+    ("2,2,3-verify", SEVERAL_DENOMINATORS, "verify --rmax 4"):
+        "b2fb9eeae1e5273ea609f3f9de9d5073e93ac013c7152c3a893d184a621c2dfe",
+    ("2,2,3-center", SEVERAL_DENOMINATORS, "center"):
+        "fd4bb0d0934c7c7e33baf558ade90248ddef68a36865f097e497deb96261a3f3",
+    ("2,3,3-center", DRAWN_233, "center"):
+        "85a488436873bcdd02fa35cb119d76a5afec62902f3ea2e51003a4fdbc90e5d1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTED), ids=[c[0] for c in sorted(WEIGHTED)])
+def test_record_at_a_drawn_weight_is_pinned(tmp_path, case):
+    _, config_text, line = case
+    config = tmp_path / "run.ini"
+    config.write_text(config_text)
+    out = tmp_path / "record.json"
+    assert main(line.split() + ["--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WEIGHTED[case]
 
 
 # command line -> (exit status, sha256); leading (2,2,3) is a known FAIL

@@ -8,7 +8,7 @@ from wrep.grord import (
     GradedRing,
     build_weight,
     check_weight_conditions,
-    dcoeff_determinant,
+    dcoeff_determinants,
     dcoeff_direct,
     predicted_leading,
     variable_slots,
@@ -29,7 +29,7 @@ def test_variable_slots():
 def test_hand_checked_coefficients():
     ring = GradedRing(Pyramid(rows=(1, 2)))
     x = ring.var
-    d2 = dcoeff_determinant(ring, 2)
+    d2 = dcoeff_determinants(ring, 2)[1]
     assert d2[1] == x(1, 1, 1) + x(2, 2, 1)
     assert d2[2] == x(1, 1, 1) * x(2, 2, 1) + x(2, 2, 2)
     d23 = d2[3]
@@ -39,8 +39,8 @@ def test_hand_checked_coefficients():
 def test_direct_matches_determinant():
     for rows in [(1, 2), (2, 2), (1, 1, 1)]:
         ring = GradedRing(Pyramid(rows=rows))
-        for r in range(1, ring.pyramid.n + 1):
-            d, direct = dcoeff_determinant(ring, r), dcoeff_direct(ring, r)
+        for r, d in enumerate(dcoeff_determinants(ring, ring.pyramid.n), 1):
+            direct = dcoeff_direct(ring, r)
             assert len(direct) == len(d) == ring.pyramid.row_block_size(r) + 1
             for s in range(1, ring.pyramid.row_block_size(r) + 1):
                 assert d[s] == direct[s]
@@ -96,7 +96,7 @@ def test_leading_monomial_of_d23():
     pyr = Pyramid(rows=(1, 2))
     ring = GradedRing(pyr)
     _, w = build_weight(pyr)
-    d23 = dcoeff_determinant(ring, 2)[3]
+    d23 = dcoeff_determinants(ring, 2)[1][3]
     lead = weighted_leading_monomial(ring, w, d23)
     want, slot = predicted_leading(ring, 2, 3)
     assert lead == want
@@ -130,6 +130,7 @@ def test_raw_d33_leads_with_d23_at_223():
     pyr = Pyramid(rows=(2, 2, 3))
     ring = GradedRing(pyr)
     _, w = build_weight(pyr)
-    lead = weighted_leading_monomial(ring, w, dcoeff_determinant(ring, 3)[3])
-    assert lead == weighted_leading_monomial(ring, w, dcoeff_determinant(ring, 2)[3])
+    d2, d3 = dcoeff_determinants(ring, 3)[1:]
+    lead = weighted_leading_monomial(ring, w, d3[3])
+    assert lead == weighted_leading_monomial(ring, w, d2[3])
     assert lead != predicted_leading(ring, 3, 3)[0]

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import fraction_build, gelfand_tsetlin_diagonals
+from oracles import fraction_build, full_dimension_series, gelfand_tsetlin_diagonals
 from random_weights import MULTI_DENOMINATOR, dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
@@ -449,6 +449,56 @@ def test_diagonal_series_equal_the_gelfand_tsetlin_oracle(weight):
                 m = series(i, r)
                 assert m.is_diagonal()
                 assert [m.get(c, c) for c in range(rep.dim)] == [w[r] for w in want]
+
+
+def _tables(gens):
+    return gens._d, gens._dprime, gens._e, gens._f
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+@example(MULTI_DENOMINATOR)
+def test_series_tables_equal_the_full_dimension_oracle(weight):
+    # the diagonal series are made on the distinct columns of their inputs
+    # and expanded; every coefficient equals the one made on all patterns
+    rep = build_representation(weight.pyramid, weight)
+    assert _tables(generator_series(rep, 8)) == full_dimension_series(rep, 8)
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_bumped_a_entry_keeps_the_tables_equal_to_the_oracle(i):
+    # one diagonal entry of the u^0 coefficient of A_i moves, at a pattern
+    # whose A_i column other patterns share: the classes are read from the
+    # numerators, so the moved entry is a class of its own, as it would be
+    # under any faulty build, and no other pattern takes its value
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(pyr, MULTI_DENOMINATOR)
+    col = rep.dim // 2
+    columns = list(zip(*(m.diag for m in rep.A[i].coeffs)))
+    assert columns.count(columns[col]) > 1
+    _bump(rep.A[i].coeffs, 0, col, col)
+    assert _tables(generator_series(rep, 8)) == full_dimension_series(rep, 8)
+
+
+def test_diagonal_series_work_budget(monkeypatch):
+    # the sum of the operand dimensions of the diagonal x diagonal products
+    # that generator_series takes at (2,3,3), R = 6: on the distinct
+    # columns of their inputs, a_1, a_2, a_3 and d_3 run on 9, 32, 1 and 32
+    # of the 128 patterns, and d_2 on all 128 (76,288 on the full dimension)
+    pyr = Pyramid(rows=(2, 3, 3))
+    rep = build_representation(pyr, generic_weight(pyr))
+    rep.B, rep.C  # assembled before the count starts
+    product, work = Combination.product, [0]
+
+    def counted(self, a, b, sign=1):
+        if a.diag is not None and b.diag is not None:
+            work[0] += a.dim + b.dim
+        return product(self, a, b, sign)
+
+    monkeypatch.setattr(Combination, "product", counted)
+    generator_series(rep, 6)
+    assert work[0] <= 28068
 
 
 def test_bumped_d_fails_the_dprime_check(monkeypatch):

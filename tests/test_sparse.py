@@ -8,7 +8,7 @@ from wrep import sparse
 from wrep.arith import UniPoly
 from wrep.errors import SingularLead
 from wrep.mpoly import MPoly
-from wrep.sparse import Combination, Pattern, SparseMatrix
+from wrep.sparse import Combination, Pattern, SparseMatrix, compress_diagonals
 
 
 def entry_list(dim, max_size=12):
@@ -541,3 +541,43 @@ def test_patterns_and_a_dense_diagonal_in_one_combination(data):
 def test_unhashable(value):
     with pytest.raises(TypeError):
         hash(value)
+
+
+def test_is_zero_interns_no_pattern(monkeypatch):
+    # is_zero tests the sums of parts on distinct patterns (and the dense
+    # diagonal) without sorting their positions into a pattern
+    a = SparseMatrix.from_entries(3, [(0, 1, 2), (1, 2, 1)])
+    b = SparseMatrix.from_entries(3, [(0, 1, -2), (2, 0, 5)])
+    c = SparseMatrix.diagonal([1, 0, 4])
+    interned = []
+    of = Pattern.of
+    monkeypatch.setattr(Pattern, "of", lambda dim, flat: interned.append(dim) or of(dim, flat))
+    comb = Combination(3).add(a).add(b).add(c)
+    assert not comb.is_zero()
+    assert comb.add(a, -1).add(b, -1).add(c, -1).is_zero()
+    assert interned == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.lists(
+    st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+             .map(SparseMatrix.diagonal), min_size=1, max_size=3),
+    min_size=1, max_size=3)))
+def test_compressed_diagonals_expand_to_their_originals(series):
+    # one position per distinct column of numerators; expanding each
+    # compressed matrix gives back the original, in canonical form, and
+    # entrywise arithmetic commutes with the compression
+    dim = series[0][0].dim
+    compressed, expand = compress_diagonals(series)
+    diags = [m.diag for coeffs in series for m in coeffs if m]
+    assert compressed[0][0].dim == (len(set(zip(*diags))) if diags else dim)
+    assert [list(map(expand, coeffs)) for coeffs in compressed] == series
+    a, b = compressed[0][0], compressed[-1][-1]
+    assert expand(a * b - a) == series[0][0] * series[-1][-1] - series[0][0]
+
+
+def test_compression_leaves_a_general_matrix_alone():
+    general = SparseMatrix.from_entries(2, [(0, 1, 1)])
+    series = [[SparseMatrix.identity(2), general]]
+    compressed, expand = compress_diagonals(series)
+    assert compressed is series and expand(general) is general
