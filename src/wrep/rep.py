@@ -34,18 +34,23 @@ The relation suite (verify_defining_relations) builds the series once and
 then runs its families, which are independent, from a queue of one-byte
 tickets in a pipe that this process and forked children take from, each
 in the same loop (_run_taken); the report is the same for any number of
-workers.  Each relation instance is two lists of signed matrix products,
-summed after equal products merge (_canonical).  Index ranges start past
-the shift matrix (Pyramid.shift), and each f-side family is the
-transpose of its e-side one (_transposed).
+workers.  Each relation instance is two lists of signed products of named
+matrices, summed after equal products merge (_canonical).  Index ranges
+start past the shift matrix (Pyramid.shift), and each f-side family is
+the transpose of its e-side one (_transposed).  A ticket holds a family
+with its transpose: where the anti-involution tau(X) = S^{-1} X^T S of
+the shifted Yangian, for one diagonal S, takes each e_i^(r) to an f_i
+(_anti_involution, on integers), an instance whose tau-image passed is
+verified with it, since tau maps a vanishing sum to a vanishing sum.
 """
 
 import marshal
 import os
 import threading
 from functools import cached_property
-from math import lcm
-from operator import mul
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, floordiv, mod, mul
 
 from .arith import (
     UniPoly,
@@ -402,7 +407,8 @@ class RelationReport:
 
 
 # Relation terms: groups of signed products (coefficient, operands), one
-# operand for a plain matrix; lhs and rhs are lists of these groups.
+# operand for a plain matrix; an operand is a pair (name, matrix), and lhs
+# and rhs are lists of these groups.
 def _comm(a, b, sign=1):
     return ((sign, (a, b)), (-sign, (b, a)))
 
@@ -415,6 +421,11 @@ def _mat(a, sign=1):
     return ((sign, (a,)),)
 
 
+def _bracket(a, b):
+    """The named commutator [a, b] of two named operands."""
+    return ("[,]", a[0], b[0]), a[1].commutator(b[1])
+
+
 def _transposed(cases, sign):
     """The transpose of cases: every product reversed, every coefficient times sign."""
     def flip(side):
@@ -423,45 +434,180 @@ def _transposed(cases, sign):
         yield label, flip(lhs), flip(rhs)
 
 
+def _key(pairs):
+    """The sorted tuple of (operand names, coefficient) pairs, negated if
+    need be so that its first coefficient is positive."""
+    key = sorted(pairs)
+    if key and key[0][1] < 0:
+        key = [(names, -c) for names, c in key]
+    return tuple(key)
+
+
 def _canonical(lhs, rhs):
     """lhs - rhs as (key, terms), a signed sum of distinct products.
 
     Equal products (and equal plain matrices) merge, and zero coefficients
-    and terms with a zero operand drop.  terms lists (coefficient,
-    operands) in order of first appearance; key is the sorted tuple of
-    (operand ids, coefficient), negated if need be so that its first
-    coefficient is positive.  Two instances with equal keys are the same
-    linear combination of the same matrix products, up to sign, so they
-    vanish together; the ids stay meaningful only while the operands
-    live."""
+    and terms with a zero operand drop.  terms lists [coefficient,
+    operands] in order of first appearance; key is _key of the (operand
+    names, coefficient) pairs.  A name stands for one matrix of the run,
+    so two instances with equal keys are the same linear combination of
+    the same matrix products, up to sign, and vanish together; the key
+    holds no matrix."""
     merged = {}
     for groups, side in ((lhs, 1), (rhs, -1)):
         for group in groups:
             for c, ops in group:
-                if not all(ops):
+                names, mats = zip(*ops)
+                if not all(mats):
                     continue
-                k = tuple(map(id, ops))
-                if k in merged:
-                    merged[k][0] += c * side
+                term = merged.get(names)
+                if term is None:
+                    merged[names] = [c * side, ops]
                 else:
-                    merged[k] = [c * side, ops]
-    merged = {k: t for k, t in merged.items() if t[0]}
-    key = sorted((k, c) for k, (c, _) in merged.items())
-    if key and key[0][1] < 0:
-        key = [(k, -c) for k, c in key]
-    return tuple(key), list(merged.values())
+                    term[0] += c * side
+    merged = {names: t for names, t in merged.items() if t[0]}
+    return _key((names, c) for names, (c, _) in merged.items()), list(merged.values())
+
+
+def _image_key(terms, tau):
+    """The key of tau applied to the terms of _canonical, or None when
+    some operand has no image: tau ({name: image name}) swaps the e and f
+    it pairs, fixes d and d', and takes a commutator [a, b], named ("[,]",
+    a, b), to [tau b, tau a] = -[tau a, tau b].  tau reverses a product; a
+    product of d and d' alone keeps its order, since diagonal matrices
+    commute."""
+    pairs = []
+    for c, ops in terms:
+        names, moved = [], False
+        for name, _ in ops:
+            kind = name[0]
+            if kind == "d" or kind == "d'":
+                names.append(name)
+                continue
+            moved = True
+            if kind == "[,]":
+                image = tau.get(name[1]), tau.get(name[2])
+                if None in image:
+                    return None
+                names.append(("[,]", *image))
+                c = -c
+            else:
+                image = tau.get(name)
+                if image is None:
+                    return None
+                names.append(image)
+        if moved:
+            names.reverse()
+        pairs.append((tuple(names), c))
+    return _key(pairs)
 
 
 def _combine(dim, terms):
-    """The Combination summing the (coefficient, operands) terms of
+    """The Combination summing the [coefficient, operands] terms of
     _canonical: lhs - rhs of the instance."""
     comb = Combination(dim)
     for c, ops in terms:
         if len(ops) == 2:
-            comb.product(*ops, c)
+            (_, a), (_, b) = ops
+            comb.product(a, b, c)
         else:
-            comb.add(*ops, c)
+            comb.add(ops[0][1], c)
     return comb
+
+
+def _anti_involution(gens):
+    """{name: image name} of tau(X) = S^{-1} X^T S on the e and f of gens,
+    for one diagonal S, or None when no such S takes e_i^(r + s_i) to
+    f_i^(r) for every r with both in range, s_i = shift(i, i+1) -
+    shift(i+1, i), or some d_i^(r) or d_i'^(r), which tau must fix, is
+    not diagonal.  A ladder matrix stored as a dense diagonal, which no
+    e_i or f_i is, also gives None.
+
+    Integers only.  f = S^{-1} e^T S reads f[b,a] = e[a,b] S_a / S_b, so
+    S is read from the ratios on the ladder edges (a, b) of every i, along
+    a spanning forest of all of them (_forest_diagonal), and then every
+    entry of every pair is checked by cross-multiplication, the supports
+    included."""
+    rep = gens.rep
+    pyr, N, R = rep.pyramid, rep.dim, gens.order
+    n = pyr.n
+    for i in range(1, n + 1):
+        for r in range(R + 1):
+            if not (gens.d(i, r).is_diagonal() and gens.dprime(i, r).is_diagonal()):
+                return None
+    tau = {}
+    pairs = []  # (e pattern, e numerators, f numerators at e's transposed positions, dens)
+    edges = {}  # flat position a * N + b -> (x, y) with S_b / S_a = x / y
+    align = {}  # (e pattern, f pattern) -> f's index at each transposed e position
+    for i in range(1, n):
+        s = pyr.shift(i, i + 1) - pyr.shift(i + 1, i)
+        for r in range(max(0, -s), min(R, R - s) + 1):
+            e, f = gens.e(i, r + s), gens.f(i, r)
+            tau["e", i, r + s] = "f", i, r
+            tau["f", i, r] = "e", i, r + s
+            if e.diag is not None or f.diag is not None or len(e.vals) != len(f.vals):
+                return None
+            if not e.vals:
+                continue
+            order = align.get((e.pattern, f.pattern))
+            if order is None:
+                # f[b,a] sits at b * N + a, e[a,b] at a * N + b
+                fflat = f.pattern.flat
+                at = dict(zip(map(add, map(mul, map(mod, fflat, repeat(N)), repeat(N)),
+                                  map(floordiv, fflat, repeat(N))), range(len(fflat))))
+                order = align[e.pattern, f.pattern] = list(map(at.get, e.pattern.flat))
+                if None in order:
+                    return None
+                # a new pair of supports: its edges join the forest
+                fv = list(map(f.vals.__getitem__, order))
+                edges.update(zip(e.pattern.flat, zip(map(mul, e.vals, repeat(f.den)),
+                                                     map(mul, fv, repeat(e.den)))))
+            pairs.append((e.pattern, e.vals, list(map(f.vals.__getitem__, order)),
+                          e.den, f.den))
+    S = _forest_diagonal(N, edges)
+    factors = {}  # e pattern -> na * db and da * nb at each of its positions
+    for pattern, ev, fv, eden, fden in pairs:
+        # f[b,a] S_b == e[a,b] S_a, with S_a = na / da and S_b = nb / db
+        if pattern not in factors:
+            rows, cols = map(floordiv, pattern.flat, repeat(N)), map(mod, pattern.flat, repeat(N))
+            factors[pattern] = tuple(zip(*((S[a][0] * S[b][1], S[a][1] * S[b][0])
+                                           for a, b in zip(rows, cols))))
+        to_e, to_f = factors[pattern]
+        if list(map(mul, map(mul, fv, to_f), repeat(eden))) != list(
+                map(mul, map(mul, ev, to_e), repeat(fden))):
+            return None
+    return tau
+
+
+def _forest_diagonal(dim, edges):
+    """[(num, den)] of a diagonal S with S_b / S_a = x / y on the edges
+    {a * dim + b: (x, y)} of a spanning forest of them, each tree rooted at
+    1; a position on no edge gets 1."""
+    adjacent = [[] for _ in range(dim)]
+    for p in edges:
+        a, b = divmod(p, dim)
+        if a != b:
+            adjacent[a].append(p)
+            adjacent[b].append(p)
+    S = [None] * dim
+    for root in range(dim):
+        if S[root] is not None:
+            continue
+        S[root] = (1, 1)
+        stack = [root]
+        while stack:
+            c = stack.pop()
+            for p in adjacent[c]:
+                a, b = divmod(p, dim)
+                x, y = edges[p]
+                if a != c:  # c is b, and S_a / S_b = y / x
+                    a, b, x, y = b, a, y, x
+                if S[b] is None:
+                    num, den = S[a][0] * x, S[a][1] * y
+                    g = gcd(num, den) if den > 0 else -gcd(num, den)
+                    S[b] = num // g, den // g
+                    stack.append(b)
+    return S
 
 
 # Relation families in the order verify_defining_relations reports them.
@@ -469,12 +615,16 @@ RELATION_FAMILIES = ("[d,d]=0", "[e,f]", "[d,e]", "[d,f]", "e same-row", "f same
                      "e adjacent", "f adjacent", "distant rows", "Serre e", "Serre f",
                      "d_1 vanishing")
 
-# The order in which the workers take the families: the largest first, so
-# that the last ones taken are short (at verify (2,3,3) --rmax 4, Serre f
-# takes 50 ms, Serre e 32, [e,f] 26, [d,f] 17 and [d,e] 15 of the suite's
-# 177), then the rest in report order.
-_LARGEST = ("Serre f", "Serre e", "[e,f]", "[d,f]", "[d,e]")
-_QUEUE = _LARGEST + tuple(n for n in RELATION_FAMILIES if n not in _LARGEST)
+# The tickets of the family queue, in the order the workers take them:
+# each f-side family with its e-side transpose, which tau verifies from
+# the f-side sums that passed (the f side first builds fewer product
+# plans), and [e,f], its own image, alone.  The largest first, so that
+# the last ones taken are short: at verify (2,3,3) --rmax 4, one worker,
+# the Serre ticket takes 61 ms, [e,f] 22, [d,f] with [d,e] 21, adjacent
+# 10, same-row 10 and [d,d]=0 3 of the suite's 156.
+_QUEUE = (("Serre f", "Serre e"), ("[e,f]",), ("[d,f]", "[d,e]"), ("f adjacent", "e adjacent"),
+          ("f same-row", "e same-row"), ("[d,d]=0",), ("distant rows",), ("d_1 vanishing",))
+_TICKET = {name: ticket for ticket in _QUEUE for name in ticket}
 
 
 def verify_defining_relations(rep, R):
@@ -483,52 +633,77 @@ def verify_defining_relations(rep, R):
     The index ranges start past the shift matrix (e_start, f_start), and
     each f-side family is the transpose of its e-side one (_transposed).
     Each instance is a pair of lists, lhs and rhs, of groups of signed
-    products (_comm, _prod, _mat).  lhs - rhs is brought to its canonical
-    form (_canonical), and each distinct form is summed once per family in
-    one Combination and zero-tested: a mirrored instance, such as
-    [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a Serre (s, r, t)
-    beside (r, s, t), is verified because its canonical sum is identical
-    to one that passed, and an empty form is formally zero.  Every
-    instance is still counted and labelled, and a failing instance's
-    witness is read from the matrix of that sum.  The only errors raised
-    are those of generator_series(rep, 2 * R) and of a family's own run; a
-    failing instance is reported.  generator_series does not check that
-    d_1^{(r)} vanishes for r > p_1; the d_1 vanishing family does, so such
-    a fault in the series is a failed instance.
+    products (_comm, _prod, _mat) of named operands: ("e", i, r), ("f",
+    i, r), ("d", i, r), ("d'", i, r), and ("[,]", a, b) for a Serre block
+    [a, b] of two of those (_bracket).  lhs - rhs is brought to its
+    canonical form (_canonical), keyed by the names, and each distinct form
+    is summed once per ticket in one Combination and zero-tested: a
+    mirrored instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r),
+    d_j^(s)] or a Serre (s, r, t) beside (r, s, t), is verified because
+    its canonical sum is identical to one that passed, and an empty form
+    is formally zero.  The keys hold names, not matrices, so what passed
+    keeps no matrix alive.
+
+    When the anti-involution tau(X) = S^{-1} X^T S exists
+    (_anti_involution: one diagonal S with f_i^(r) = tau(e_i^(r + s_i))
+    for every pair in range, and d, d' diagonal, so fixed), an instance
+    whose tau-image key (_image_key) is that of a sum that passed is
+    verified too.  That is exact: tau is an involutive linear
+    anti-automorphism, so a sum vanishes exactly when its image does.  So
+    each e-side family is verified from the sums of its f-side transpose
+    that passed, which its ticket runs first, and half of [e,f] (and of
+    the distant rows) from the other half; only the instances whose image
+    falls outside the index ranges are summed.  A failing instance never
+    passes, so its image is still summed, and where tau does not exist the
+    suite runs without it.  Every instance is still counted and labelled,
+    and a failing instance's witness is read from the matrix of that sum.
+    The only errors raised are those of generator_series(rep, 2 * R) and
+    of a family's own run; a failing instance is reported.
+    generator_series does not check that d_1^{(r)} vanishes for r > p_1;
+    the d_1 vanishing family does, so such a fault in the series is a
+    failed instance.
 
     The families are independent once the series are built, so this
     process builds them and registers each family's cases, and the
-    families then run from a queue on several processes (_run_families):
-    one per core this process may use, at most one per family, and 1
-    where os.fork does not exist or another thread runs
-    (_default_workers).  The report lists the families in
-    RELATION_FAMILIES order whichever process ran them, so it does not
+    tickets of _QUEUE, each family with its transpose, then run from a
+    queue on several processes (_run_families): one per core this process
+    may use, at most one per ticket, and 1 where os.fork does not exist or
+    another thread runs (_default_workers).  The report lists the families
+    in RELATION_FAMILIES order whichever process ran them, so it does not
     depend on the number of workers."""
     gens = generator_series(rep, 2 * R)
     pyr = rep.pyramid
     n = pyr.n
     N = rep.dim
+    tau = _anti_involution(gens)
 
+    def named(kind, get):
+        return lambda i, r: ((kind, i, r), get(i, r))
+
+    d, dprime, e, f = (named(kind, get) for kind, get in (
+        ("d", gens.d), ("d'", gens.dprime), ("e", gens.e), ("f", gens.f)))
     estart, fstart = gens.e_start, gens.f_start
     cases = {}  # family name -> its case generator, registered unrun
 
-    def check(name):
-        # canonical key -> terms of an instance that passed; the terms pin
-        # their operands, so no id in a key is reused by a later matrix
-        passed = {}
-        fails = []
-        count = 0
-        for label, lhs, rhs in cases[name]():
-            count += 1
-            key, terms = _canonical(lhs, rhs)
-            if key in passed:
-                continue
-            comb = _combine(N, terms)
-            if comb.is_zero():
-                passed[key] = terms
-            else:
-                fails.append("%s: %s" % (label, _first_diff(comb.finish(), rep.basis)))
-        return count, fails
+    def check(ticket):
+        # canonical keys of the sums that vanished, for the whole ticket
+        passed = set()
+        done = {}
+        for name in ticket:
+            fails = []
+            count = 0
+            for label, lhs, rhs in cases[name]():
+                count += 1
+                key, terms = _canonical(lhs, rhs)
+                if key in passed or tau is not None and _image_key(terms, tau) in passed:
+                    continue
+                comb = _combine(N, terms)
+                if comb.is_zero():
+                    passed.add(key)
+                else:
+                    fails.append("%s: %s" % (label, _first_diff(comb.finish(), rep.basis)))
+            done[name] = count, fails
+        return done
 
     def cases_dd():
         for i in range(1, n + 1):
@@ -536,7 +711,7 @@ def verify_defining_relations(rep, R):
                 for r in range(1, R + 1):
                     for s in range(1, R + 1):
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.d(i, r), gens.d(j, s))], [])
+                               [_comm(d(i, r), d(j, s))], [])
     cases["[d,d]=0"] = cases_dd
 
     def cases_ef():
@@ -546,10 +721,10 @@ def verify_defining_relations(rep, R):
                     for s in range(fstart(j), R + 1):
                         rhs = []
                         if i == j:
-                            rhs = [_prod(gens.dprime(i, t), gens.d(i + 1, r + s - t - 1), -1)
+                            rhs = [_prod(dprime(i, t), d(i + 1, r + s - t - 1), -1)
                                    for t in range(r + s)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.e(i, r), gens.f(j, s))], rhs)
+                               [_comm(e(i, r), f(j, s))], rhs)
     cases["[e,f]"] = cases_ef
 
     # each e-side family is stated once over x = e or f and its start
@@ -562,13 +737,13 @@ def verify_defining_relations(rep, R):
                     for s in range(start(j), R + 1):
                         rhs = []
                         if sign:
-                            rhs = [_prod(gens.d(i, t), x(j, r + s - t - 1), sign)
+                            rhs = [_prod(d(i, t), x(j, r + s - t - 1), sign)
                                    for t in range(r)]
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(gens.d(i, r), x(j, s))], rhs)
-    cases["[d,e]"] = lambda: cases_de(gens.e, estart)
+                               [_comm(d(i, r), x(j, s))], rhs)
+    cases["[d,e]"] = lambda: cases_de(e, estart)
     # the transpose of [d_i^(r), e_j^(s)] is [f_j^(s), d_i^(r)] = -[d_i^(r), f_j^(s)]
-    cases["[d,f]"] = lambda: _transposed(cases_de(gens.f, fstart), -1)
+    cases["[d,f]"] = lambda: _transposed(cases_de(f, fstart), -1)
 
     def cases_same(x, start):
         for i in range(1, n):
@@ -577,8 +752,8 @@ def verify_defining_relations(rep, R):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
                            [_comm(x(i, r), x(i, s + 1)), _comm(x(i, r + 1), x(i, s), -1)],
                            [_prod(x(i, r), x(i, s)), _prod(x(i, s), x(i, r))])
-    cases["e same-row"] = lambda: cases_same(gens.e, estart)
-    cases["f same-row"] = lambda: _transposed(cases_same(gens.f, fstart), 1)
+    cases["e same-row"] = lambda: cases_same(e, estart)
+    cases["f same-row"] = lambda: _transposed(cases_same(f, fstart), 1)
 
     def cases_adj(x, start):
         for i in range(1, n - 1):
@@ -588,8 +763,8 @@ def verify_defining_relations(rep, R):
                            [_comm(x(i, r), x(i + 1, s + 1)),
                             _comm(x(i, r + 1), x(i + 1, s), -1)],
                            [_prod(x(i, r), x(i + 1, s), -1)])
-    cases["e adjacent"] = lambda: cases_adj(gens.e, estart)
-    cases["f adjacent"] = lambda: _transposed(cases_adj(gens.f, fstart), 1)
+    cases["e adjacent"] = lambda: cases_adj(e, estart)
+    cases["f adjacent"] = lambda: _transposed(cases_adj(f, fstart), 1)
 
     # distant rows and Serre are sums of commutators of their own operands,
     # which the transpose with sign -1 fixes: their f side is just x = f
@@ -598,7 +773,7 @@ def verify_defining_relations(rep, R):
             for j in range(1, n):
                 if abs(i - j) <= 1:
                     continue
-                for name, x, start in (("e", gens.e, estart), ("f", gens.f, fstart)):
+                for name, x, start in (("e", e, estart), ("f", f, fstart)):
                     for r in range(start(i), R + 1):
                         for s in range(start(j), R + 1):
                             yield ("%s i=%d j=%d r=%d s=%d" % (name, i, j, r, s),
@@ -606,10 +781,11 @@ def verify_defining_relations(rep, R):
     cases["distant rows"] = cases_far
 
     def cases_serre(x, start):
-        # inner[(s, t)] = [x_{i,s}, x_{i+1,t}], built once per adjacent pair;
-        # the block (i+1, i) reads [x_{i+1,s}, x_{i,t}] = -inner[(t, s)]
+        # inner[(s, t)] = [x_{i,s}, x_{i+1,t}], named ("[,]", its operands'
+        # names) and built once per adjacent pair; the block (i+1, i) reads
+        # [x_{i+1,s}, x_{i,t}] = -inner[(t, s)]
         for k in range(1, n - 1):
-            inner = {(s, t): x(k, s).commutator(x(k + 1, t))
+            inner = {(s, t): _bracket(x(k, s), x(k + 1, t))
                      for s in range(start(k), R + 1) for t in range(start(k + 1), R + 1)}
             mirror = {(t, s): m for (s, t), m in inner.items()}
             for i, j, block, sign in ((k, k + 1, inner, 1), (k + 1, k, mirror, -1)):
@@ -620,12 +796,12 @@ def verify_defining_relations(rep, R):
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
                                    [_comm(x(i, r), block[(s, t)], sign),
                                     _comm(x(i, s), block[(r, t)], sign)], [])
-    cases["Serre e"] = lambda: cases_serre(gens.e, estart)
-    cases["Serre f"] = lambda: cases_serre(gens.f, fstart)
+    cases["Serre e"] = lambda: cases_serre(e, estart)
+    cases["Serre f"] = lambda: cases_serre(f, fstart)
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):
-            yield ("r=%d" % r, [_mat(gens.d(1, r))], [])
+            yield ("r=%d" % r, [_mat(d(1, r))], [])
     cases["d_1 vanishing"] = cases_quotient
 
     done = _run_families(check, _default_workers())
@@ -636,29 +812,31 @@ def verify_defining_relations(rep, R):
 
 
 def _default_workers():
-    """Every core this process may use, at most one per family; 1 where
-    os.fork does not exist, and in a process with threads, where a lock
-    another thread holds at the fork would stay held in the child."""
+    """Every core this process may use, at most one per ticket of _QUEUE;
+    1 where os.fork does not exist, and in a process with threads, where a
+    lock another thread holds at the fork would stay held in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return min(cores, len(RELATION_FAMILIES))
+    return min(cores, len(_QUEUE))
 
 
 def _run_families(run, workers):
-    """{family: run(family)} for every family of RELATION_FAMILIES.
+    """{family: (count, fails)} for every family of RELATION_FAMILIES, from
+    run(ticket), which returns that dict for the families of one ticket.
 
-    One ticket per family goes into a pipe in _QUEUE order, and this
+    One byte per ticket goes into a pipe in _QUEUE order, and this
     process forks workers - 1 children (none for one worker).  It and
-    every child take and run families in one loop (_run_taken), and a
+    every child take and run tickets in one loop (_run_taken), and a
     child sends its results back through a pipe of its own (_child).  A
-    family no process delivered, because a child died or the family
-    raised, is run here again in RELATION_FAMILIES order, so the first
-    family in that order that raises raises, as in a serial run.  Every
-    child is killed and reaped before the call returns or raises."""
+    family no process delivered, because a child died or its ticket
+    raised, is run here again, with its ticket, in RELATION_FAMILIES
+    order, so the first family in that order that raises raises, as in a
+    serial run.  Every child is killed and reaped before the call returns
+    or raises."""
     tickets, refill = os.pipe()
     os.write(refill, bytes(range(len(_QUEUE))))
     os.close(refill)  # an empty queue then reads as end of file
@@ -687,19 +865,18 @@ def _run_families(run, workers):
         _reap(children)
     for name in RELATION_FAMILIES:
         if name not in done:
-            done[name] = run(name)
+            done.update(run(_TICKET[name]))
     return done
 
 
 def _run_taken(run, tickets):
-    """{family: run(family)} for the families taken from the queue, one
-    ticket at a time until it is empty; a family that raises is left out,
-    for _run_families to run again."""
+    """{family: (count, fails)} for the tickets taken from the queue, one
+    at a time until it is empty; a ticket that raises is left out, for
+    _run_families to run again."""
     out = {}
     while ticket := os.read(tickets, 1):
-        name = _QUEUE[ticket[0]]
         try:
-            out[name] = run(name)
+            out.update(run(_QUEUE[ticket[0]]))
         except Exception:
             pass
     return out

@@ -62,7 +62,7 @@ and ``map(add)`` passes.  The combination keeps one value list per
 output pattern, and a term on a pattern it holds adds with one
 ``map(add)``.  ``is_zero`` and ``finish`` sum distinct patterns (and
 the dense diagonal) by one direct pass and keep no plan: a relation
-check merges 84 times against its 881 general products, and cached
+check merges 63 times against its 546 general products, and cached
 merge plans measured no faster.  ``is_zero`` tests the sums alone, and
 only ``finish`` sorts their positions and interns the pattern.  Plans
 hang off their left pattern and name other patterns by key only, so no

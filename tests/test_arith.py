@@ -243,7 +243,7 @@ def linear_product(roots):
     return out
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(st.lists(fractions, max_size=6), fractions)
 def test_from_roots_against_linear_factors(roots, x):
     poly = UniPoly.from_roots(roots)

@@ -621,18 +621,21 @@ def test_a_d1_fault_reaches_its_family(monkeypatch, capsys):
 
 
 def _ops(dim, *entry_lists):
-    return [SparseMatrix.from_entries(dim, entries) for entries in entry_lists]
+    # named operands ("a", matrix), ("b", matrix), ...
+    return [(name, SparseMatrix.from_entries(dim, entries))
+            for name, entries in zip("abcdefgh", entry_lists)]
 
 
 def test_canonical_form_of_relation_terms():
     a, b, c, d = _ops(3, [(0, 1, 1)], [(1, 2, 2)], [(2, 0, 3), (0, 0, 1)], [(1, 1, 5)])
-    zero = SparseMatrix(3)
+    zero = ("zero", SparseMatrix(3))
     canonical = rep_mod._canonical
     comm, prod = rep_mod._comm, rep_mod._prod
     # [a,b] = -[b,a]: the same sum up to sign
     assert canonical([comm(a, b)], [])[0] == canonical([comm(b, a)], [])[0]
     # a Serre instance (r, s, t) is (s, r, t) with its two terms swapped
-    inner_s, inner_r = a.commutator(c), b.commutator(c)
+    inner_s = ("[a,c]", a[1].commutator(c[1]))
+    inner_r = ("[b,c]", b[1].commutator(c[1]))
     assert (canonical([comm(a, inner_r), comm(b, inner_s)], [])[0]
             == canonical([comm(b, inner_s), comm(a, inner_r)], [])[0])
     # [a,a], and a product equal on both sides, are formally zero
@@ -645,6 +648,31 @@ def test_canonical_form_of_relation_terms():
     assert terms == [[2, (a, b)], [-2, (b, a)]]
     assert sorted(coeff for _, coeff in key) == [-2, 2]
     assert key[0][1] > 0
+    # the key names the operands and holds no matrix
+    assert key == ((("a", "b"), 2), (("b", "a"), -2))
+
+
+def test_image_key_reverses_products_and_fixes_diagonal_ones():
+    # tau swaps the e and f it pairs, fixes d and d', and takes [a, b] to
+    # -[tau a, tau b]: the image of [e, d] + 3 d' d is [d, f] + 3 d' d,
+    # whose key is -1 times that of [f, d] - 3 d' d
+    e, f, d, dp, e2, f2 = _ops(3, [(0, 1, 1)], [(1, 0, 1)], [(0, 0, 1)], [(1, 1, 2)],
+                               [(1, 2, 1)], [(2, 1, 1)])
+    e, f, e2, f2 = (("e", 1, 2), e[1]), (("f", 1, 1), f[1]), (("e", 2, 1), e2[1]), \
+        (("f", 2, 1), f2[1])
+    d, dp = (("d", 1, 1), d[1]), (("d'", 1, 1), dp[1])
+    tau = {e[0]: f[0], f[0]: e[0], e2[0]: f2[0], f2[0]: e2[0]}
+    canonical, image_key = rep_mod._canonical, rep_mod._image_key
+    comm, prod = rep_mod._comm, rep_mod._prod
+    _, terms = canonical([comm(e, d), prod(dp, d, 3)], [])
+    assert image_key(terms, tau) == canonical([comm(f, d)], [prod(dp, d, 3)])[0]
+    # a Serre block [e, e2] maps to -[f, f2]: [e, [e, e2]] to [f, [f, f2]]
+    _, terms = canonical([comm(e, rep_mod._bracket(e, e2))], [])
+    assert image_key(terms, tau) == canonical([comm(f, rep_mod._bracket(f, f2))], [])[0]
+    # an operand tau does not pair has no image, nor does a block of one
+    g = (("e", 1, 9), e[1])
+    assert image_key(canonical([prod(e, g)], [])[1], tau) is None
+    assert image_key(canonical([comm(e, rep_mod._bracket(g, e2))], [])[1], tau) is None
 
 
 def _unmemoized_report(monkeypatch, rep, R):
@@ -710,9 +738,151 @@ def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mu
     assert any(fails for _, _, fails in memoized) == (mutate is not None)
 
 
+def _mutated_series(mutate):
+    """rep_mod.generator_series, with mutate applied to the series it builds."""
+    series = rep_mod.generator_series
+
+    def mutated(rep, R):
+        gens = series(rep, R)
+        mutate(gens)
+        return gens
+
+    return mutated
+
+
+def _tau_run(rep, R, workers=1, tau=True):
+    """(whether the tau check passed, the number of sums zero-tested here,
+    the families) of verify_defining_relations(rep, R); tau=False runs the
+    suite as if the check had failed."""
+    found, sums = [], [0]
+    anti, combine = rep_mod._anti_involution, rep_mod._combine
+
+    def recorded(gens):
+        out = anti(gens) if tau else None
+        found.append(out is not None)
+        return out
+
+    def counted(dim, terms):
+        sums[0] += 1
+        return combine(dim, terms)
+
+    with mock.patch.object(rep_mod, "_anti_involution", recorded), \
+            mock.patch.object(rep_mod, "_combine", counted):
+        families = _families(rep, R, workers)
+    return found, sums[0], families
+
+
+def _assert_tau_skips(weight):
+    # the tau check passes, and the suite sums fewer instances with it,
+    # with the report unchanged; a one-row pyramid has no e or f to skip.
+    # R reaches two past every e_i's start, so each [e,f] meets its image
+    pyr = weight.pyramid
+    R = 2 + max([pyr.shift(i, i + 1) for i in range(1, pyr.n)], default=0)
+    rep = build_representation(pyr, weight)
+    found, sums, families = _tau_run(rep, R)
+    assert found == [True]
+    without, sums_without, families_without = _tau_run(rep, R, tau=False)
+    assert without == [False]
+    assert families == families_without
+    assert (sums < sums_without) == (pyr.n > 1)
+
+
+def _tau_pyramids():
+    """Every pyramid of at most 7 boxes and at most 4 rows whose basis at
+    generic_weight has at most 64 vectors."""
+    def rows(total, least, left):
+        yield ()
+        for p in range(least, total + 1):
+            if left:
+                for rest in rows(total - p, p, left - 1):
+                    yield (p,) + rest
+    pyramids = (Pyramid(rows=r) for r in rows(7, 1, 4) if r)
+    return [p for p in pyramids if len(enumerate_patterns(generic_weight(p))) <= 64]
+
+
+def test_tau_holds_and_skips_on_every_small_pyramid():
+    pyramids = _tau_pyramids()
+    assert len(pyramids) == 34
+    for pyr in pyramids:
+        _assert_tau_skips(generic_weight(pyr))
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_pyramid_weights())
+@example(MULTI_DENOMINATOR)
+def test_tau_holds_and_skips_at_random_weights(weight):
+    _assert_tau_skips(weight)
+
+
+def _bump_d22(gens):
+    # one diagonal entry of d_2^{(2)}: d stays diagonal, so tau still fixes it
+    m = gens._d[2][2]
+    gens._d[2][2] = m + SparseMatrix.from_entries(m.dim, [(0, 0, 1)])
+
+
+def _twist_e1(gens):
+    # e_1^{(1 + s_1)} -> e + e D and f_1^{(1)} -> f + D f for the 0/1
+    # diagonal D = diag(i mod 2): tau(e + e D) = f + D f, so tau still
+    # pairs them
+    pyr = gens.rep.pyramid
+    s = pyr.shift(1, 2) - pyr.shift(2, 1)
+    D = SparseMatrix.diagonal([i % 2 for i in range(gens.rep.dim)])
+    e, f = gens._e[1][1 + s], gens._f[1][1]
+    gens._e[1][1 + s], gens._f[1][1] = e + e * D, f + D * f
+
+
+@pytest.mark.parametrize("rows, mutate, failing", [
+    ((1, 1, 1, 1), _bump_d22, {"[e,f]", "[d,e]", "[d,f]"}),
+    ((2, 2, 3), _bump_d22, {"[e,f]", "[d,e]", "[d,f]"}),
+    ((1, 1, 1, 1), _twist_e1, set(RELATION_FAMILIES) - {"[d,d]=0", "d_1 vanishing"}),
+    ((1, 2, 2, 2), _twist_e1, set(RELATION_FAMILIES) - {"[d,d]=0", "d_1 vanishing"}),
+], ids=["d22-1-1-1-1", "d22-2-2-3", "eD-1-1-1-1", "eD-1-2-2-2"])
+def test_tau_preserving_faults_report_as_without_memo(monkeypatch, rows, mutate, failing):
+    # tau still exists, so the suite skips tau-images; a failing sum never
+    # passes, so its image is summed too, and the report is that of
+    # summing every instance, on one worker and on two
+    pyr = Pyramid(rows=rows)
+    rep = build_representation(pyr, generic_weight(pyr))
+    monkeypatch.setattr(rep_mod, "generator_series", _mutated_series(mutate))
+    expected = _unmemoized_report(monkeypatch, rep, 2)
+    for workers in (1, 2):
+        found, _, families = _tau_run(rep, 2, workers)
+        assert found == [True]
+        assert families == expected
+        _assert_no_child_left()
+    assert {name for name, _, fails in expected if fails} == failing
+
+
+def _offdiagonal_d21(rep, monkeypatch):
+    def mutate(gens):
+        m = gens._d[2][1]
+        gens._d[2][1] = m + SparseMatrix.from_entries(m.dim, [(0, 1, 1)])
+
+    monkeypatch.setattr(rep_mod, "generator_series", _mutated_series(mutate))
+
+
+@pytest.mark.parametrize("rows, mutate", [
+    ((1, 1, 1), _bump_e1), ((2, 2, 3), _bump_e1), ((1, 1, 1), _bump_f1),
+    ((1, 1, 1), _bump_b2), ((1, 1, 1), _offdiagonal_d21), ((2, 2, 3), _offdiagonal_d21),
+], ids=["e1-1-1-1", "e1-2-2-3", "f1", "B2", "d21-1-1-1", "d21-2-2-3"])
+def test_tau_breaking_faults_turn_tau_off(monkeypatch, rows, mutate):
+    # e_1 or f_1 alone moves, or d_2^{(1)} is no longer diagonal: the tau
+    # check fails, and the suite reports as it does without tau
+    pyr = Pyramid(rows=rows)
+    rep = build_representation(pyr, generic_weight(pyr))
+    mutate(rep, monkeypatch)
+    found, _, families = _tau_run(rep, 3)
+    assert found == [False]
+    assert families == _tau_run(rep, 3, tau=False)[2]
+    assert families == _unmemoized_report(monkeypatch, rep, 3)
+    assert any(fails for _, _, fails in families)
+
+
 def test_relation_suite_work_budget(monkeypatch):
     # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
-    # lost dedup of canonical sums (or a second inverse check) exceeds it.
+    # lost dedup of canonical sums, a lost skip of a tau-image (or a second
+    # inverse check) exceeds it.
     # Plans built: one per product pattern pair, on its first product; a
     # plan built per call, or a cache that misses, changes the count.  One
     # worker, so that every family runs, and is counted, in this process
@@ -734,8 +904,8 @@ def test_relation_suite_work_budget(monkeypatch):
     monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
     report = verify_defining_relations(rep, 3)
     assert report.ok
-    assert calls[0] <= 1282
-    assert plans[0] == 24
+    assert calls[0] <= 983
+    assert plans[0] == 16
     assert [(name, count) for name, count, _ in report.families] == [
         ("[d,d]=0", 81), ("[e,f]", 30), ("[d,e]", 45), ("[d,f]", 54), ("e same-row", 13),
         ("f same-row", 18), ("e adjacent", 6), ("f adjacent", 9), ("distant rows", 0),
@@ -944,4 +1114,14 @@ def test_a_process_with_threads_does_not_fork():
         thread.join(10)
     assert not thread.is_alive()
     assert rep_mod._default_workers() == min(len(os.sched_getaffinity(0)),
-                                             len(RELATION_FAMILIES))
+                                             len(rep_mod._QUEUE))
+
+
+def test_workers_are_capped_at_the_tickets(monkeypatch):
+    # 16 usable cores, 8 tickets: a ninth worker would find the queue empty
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert len(rep_mod._QUEUE) == 8
+    assert rep_mod._default_workers() == 8
+    # every family is in exactly one ticket
+    assert sorted(name for ticket in rep_mod._QUEUE for name in ticket) == sorted(
+        RELATION_FAMILIES)
