@@ -59,7 +59,7 @@ def _values(kind, text, source):
     return [_value(kind, tok, source) for tok in text.replace(",", " ").split()]
 
 
-# The keys each config section may hold; _weight_from checks lambdaN
+# The keys each config section may hold; _basis checks lambdaN
 # against the pyramid.
 _CONFIG_KEYS = {"pyramid": "rows|cols", "weight": "lambda[1-9][0-9]*", "run": "rmax"}
 
@@ -98,9 +98,11 @@ def _pyramid_from(args, cfg):
     raise WrepError("no pyramid given (use --rows/--cols or a [pyramid] section)")
 
 
-def _weight_from(pyr, cfg):
+def _basis(args, cfg):
+    """The patterns whose top row is the [weight] weight, else the generic one."""
+    pyr = _pyramid_from(args, cfg)
     if "weight" not in cfg:
-        return generic_weight(pyr)
+        return enumerate_patterns(generic_weight(pyr))
     sec = cfg["weight"]
     keys = ["lambda%d" % i for i in range(1, pyr.n + 1)]
     for key in sorted(set(keys).symmetric_difference(sec)):
@@ -108,7 +110,8 @@ def _weight_from(pyr, cfg):
             raise ConfigError("unknown key %r in config section [weight] "
                               "(%d-row pyramid)" % (key, pyr.n))
         raise WrepError("missing %s in [weight]" % key)
-    return HighestWeight(pyr, [_values(Fraction, sec[key], "[weight] " + key) for key in keys])
+    return enumerate_patterns(HighestWeight(
+        pyr, [_values(Fraction, sec[key], "[weight] " + key) for key in keys]))
 
 
 def _run_params(args, cfg):
@@ -127,10 +130,7 @@ def _run_params(args, cfg):
 
 
 def _run_dim(args, cfg):
-    pyr = _pyramid_from(args, cfg)
-    w = _weight_from(pyr, cfg)
-    basis = enumerate_patterns(w)
-    return {"dimension": len(basis)}, []
+    return {"dimension": len(_basis(args, cfg))}, []
 
 
 def _fraction_str(f):
@@ -160,9 +160,8 @@ def _dump_matrices(rep):
 
 
 def _representation(args, cfg):
-    """The representation of the configured pyramid and weight."""
-    pyr = _pyramid_from(args, cfg)
-    return build_representation(pyr, _weight_from(pyr, cfg))
+    """The representation on the configured basis."""
+    return build_representation(_basis(args, cfg))
 
 
 def _check(name, passed, witness):

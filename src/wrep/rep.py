@@ -13,12 +13,13 @@ l-value at key position p of a pattern is L_p / q with the integer
 L_p = Q_p + q * key_p (Representation.q and .offsets, which galois
 evaluates on too).  In v = q u the eigenvalue polynomials prod (v + L)
 and the Lagrange pairs at the nodes -L have integer coefficients, and the
-powers of q move into the matrix denominators.  build_representation
+powers of q move into the matrix denominators.  build_representation(basis)
 makes A and, once per distinct row, the eigenvalue polynomials and
 Lagrange pairs; B and C are assembled on their first read, each ladder in
 one walk over the basis and one pass per power of u over one lcm
 (_assemble_ladders), so `wrep fibers`, which reads only A, never builds
-them.
+them.  The matrices are the generators restricted to the span of the
+basis, a representation when it holds every pattern with its top row.
 
 generator_series works each diagonal series (a_i, its inverse, d_i and
 d_i') on the distinct columns of its inputs' numerators, one position of
@@ -61,7 +62,7 @@ from .arith import (
     series_product,
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
-from .patterns import enumerate_patterns, key_slots, row_spans
+from .patterns import key_slots, row_spans
 from .sparse import Combination, SparseMatrix, compress_diagonals
 
 
@@ -74,12 +75,12 @@ class Representation:
     assembled from eig and lagrange on the first read of either, which
     then releases those two tables."""
 
-    def __init__(self, pyramid, basis):
-        self.pyramid = pyramid
+    def __init__(self, basis):
+        self.pyramid = pyramid = basis[0].pyramid
         self.basis = basis
         self.index = {mu.key(): idx for idx, mu in enumerate(basis)}
         self.dim = len(basis)
-        self.q, self.offsets = _scaled_offsets(pyramid, basis[0])
+        self.q, self.offsets = _scaled_offsets(basis[0])
         self.spans = row_spans(pyramid)
         self.A = {}  # A[r] for r=1..n, UniPoly over SparseMatrix
         # eig[r][row slice of a key]: the A_r eigenvalue in v = q u (row 0
@@ -110,22 +111,22 @@ class Representation:
     def shifted(self, col, steps):
         """Column of the pattern basis[col] with the entry at each key
         position of ``steps`` moved by its step, or None when that array is
-        no pattern.
-
-        The basis holds every pattern with the weight as top row, so an
-        array is a pattern exactly when its key is indexed; a shifted top
-        row never is."""
+        not in the basis: no pattern, when the basis holds every pattern
+        with its top row (see build_representation)."""
         key = list(self.basis[col].key())
         for pos, step in steps.items():
             key[pos] += step
         return self.index.get(tuple(key))
 
 
-def build_representation(pyramid, weight):
-    """Construct the pattern basis, the A polynomial matrices, and the
-    eigenvalue polynomials and Lagrange pairs of B and C."""
-    rep = Representation(pyramid, enumerate_patterns(weight))
-    n, spans, eig, lagrange = pyramid.n, rep.spans, rep.eig, rep.lagrange
+def build_representation(basis):
+    """A, and the eigenvalue polynomials and Lagrange pairs of B and C, on
+    ``basis``: a non-empty list of patterns of one pyramid and top row.
+    The matrices are the generators restricted to its span, a move to an
+    array outside it dropped, and a representation exactly when the basis
+    holds every pattern with its top row, as the basis of a weight does."""
+    rep = Representation(basis)
+    n, spans, eig, lagrange = rep.n, rep.spans, rep.eig, rep.lagrange
     q, offsets = rep.q, rep.offsets
     for r in range(1, n + 1):
         eigs = []
@@ -143,7 +144,7 @@ def build_representation(pyramid, weight):
                                               % (r, mu)) from None
             eigs.append(eig[r][row].coeffs)
         # the u^d coefficient of A_r is the v^d one over q^(p_r - d)
-        p_r = pyramid.row_block_size(r)
+        p_r = rep.pyramid.row_block_size(r)
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column, q ** (p_r - d))
                             for d, column in enumerate(zip(*eigs))])
     _check_a(rep)
@@ -202,13 +203,13 @@ def _class_polynomial(dim, entries, pairs, den=1):
     return UniPoly(coeffs)
 
 
-def _scaled_offsets(pyramid, mu):
+def _scaled_offsets(mu):
     """(q, [Q_p per key position]): q times the l-value at key position p
     of any basis pattern is Q_p + q * key_p.  The l-value minus the key
     entry is the same for every pattern of the basis (the column's top-row
     entry, less i - 1), so it is read from mu."""
     fixed = []
-    for (r, i, k), z in zip(key_slots(pyramid), mu.key()):
+    for (r, i, k), z in zip(key_slots(mu.pyramid), mu.key()):
         e = mu.entry(r, i, k)
         fixed.append((e.numerator - (z + i - 1) * e.denominator, e.denominator))
     q = lcm(*(den for _, den in fixed))

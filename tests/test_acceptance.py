@@ -32,7 +32,7 @@ _REPS = {}
 def reference_rep(rows):
     if rows not in _REPS:
         pyr = Pyramid(rows=rows)
-        _REPS[rows] = build_representation(pyr, generic_weight(pyr))
+        _REPS[rows] = build_representation(enumerate_patterns(generic_weight(pyr)))
     return _REPS[rows]
 
 

@@ -18,7 +18,7 @@ from wrep.center import (
 )
 from wrep.cli import main
 from wrep.errors import InvariantViolation
-from wrep.patterns import HighestWeight, generic_weight
+from wrep.patterns import HighestWeight, enumerate_patterns, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation, generator_series
 from wrep.sparse import SparseMatrix
@@ -28,7 +28,7 @@ def make(rows, weight=None):
     """Representation, T matrix and column determinant for a shape."""
     pyr = Pyramid(rows=rows)
     w = weight if weight is not None else generic_weight(pyr)
-    rep = build_representation(pyr, w)
+    rep = build_representation(enumerate_patterns(w))
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
     return rep, T, column_determinant(T, pyr.n)
 
@@ -36,7 +36,7 @@ def make(rows, weight=None):
 @pytest.mark.parametrize("rows", [(1, 2), (2, 2), (1, 1, 1), (2, 2, 3)])
 def test_t_matrix_against_gauss_products(rows):
     pyr = Pyramid(rows=rows)
-    gens = generator_series(build_representation(pyr, generic_weight(pyr)),
+    gens = generator_series(build_representation(enumerate_patterns(generic_weight(pyr))),
                             max(pyr.rows) + 3)
     assert build_t_matrix(gens) == gauss_t_matrix(gens)
 
@@ -45,7 +45,7 @@ def test_t_matrix_against_gauss_products(rows):
 @given(small_pyramid_weights())
 def test_t_matrix_against_gauss_products_for_random_pyramids(weight):
     pyr = weight.pyramid
-    gens = generator_series(build_representation(pyr, weight), max(pyr.rows) + 3)
+    gens = generator_series(build_representation(enumerate_patterns(weight)), max(pyr.rows) + 3)
     assert build_t_matrix(gens) == gauss_t_matrix(gens)
 
 
@@ -53,7 +53,7 @@ def test_t_matrix_tail_fault_detected():
     # d_1(u) = a_1(u) = 1 + c u^{-1} at rows (1,2); a nonzero d_1^{(5)}
     # gives t_{11}(u) a term u^{-5} below the column degree p_1 = 1
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     gens = generator_series(rep, 5)
     build_t_matrix(gens)
     gens._d[1][5] = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])

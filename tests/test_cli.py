@@ -109,8 +109,8 @@ def test_fibers_and_leading(capsys, config):
 
 def test_fibers_character_mismatch_is_a_failed_check(capsys, monkeypatch):
     # a diagonal entry of a_1^{(2)} no longer matches the pattern's character
-    def bumped(pyr, w):
-        rep = build_representation(pyr, w)
+    def bumped(basis):
+        rep = build_representation(basis)
         a = rep.A[1].coeffs[0]
         rep.A[1].coeffs[0] = a + SparseMatrix.from_entries(rep.dim, [(0, 0, 1)])
         return rep
@@ -224,8 +224,8 @@ def test_bad_rmax_fails_before_the_build(capsys, monkeypatch, tmp_path, argv, te
     # a usage error in rmax costs no work: the representation is not built
     built = []
 
-    def build(pyr, w):
-        built.append(pyr)
+    def build(basis):
+        built.append(basis)
         raise AssertionError("built before rmax was read")
 
     monkeypatch.setattr(cli, "build_representation", build)
@@ -448,8 +448,8 @@ _TOP = "4/3 1/3 1/4 | 7/3 4/3 5/4 1/3 1/4]"
              "row pattern GTPattern[1/3 | %s, column pattern GTPattern[1/3 | %s"),
 ], ids=["B", "C", "A"])
 def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witness):
-    def bumped(pyr, w):
-        rep = build_representation(pyr, w)
+    def bumped(basis):
+        rep = build_representation(basis)
         poly = getattr(rep, family)[index]
         coeff = poly.coeffs[0]
         i, j, _ = min(coeff.entries())
@@ -464,8 +464,8 @@ def test_galois_mutation_names_witness(capsys, monkeypatch, family, index, witne
 def test_galois_mutation_vanishing_at_old_sample_points(capsys, monkeypatch):
     # u(u-7)(u+3) E_{0,1} added to B_2 at rows (2,2,3) vanishes at u = 0, 7
     # and -3; compared as a polynomial in u it fails at its u^1 coefficient
-    def bumped(pyr, w):
-        rep = build_representation(pyr, w)
+    def bumped(basis):
+        rep = build_representation(basis)
         unit = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
         bump = UniPoly([c * unit for c in UniPoly.from_roots([0, 7, -3]).coeffs])
         rep.B[2] = rep.B[2] + bump

@@ -24,7 +24,7 @@ from wrep.galois import (
     t_image_c,
 )
 from wrep.mpoly import MPoly, MRat
-from wrep.patterns import HighestWeight, generic_weight, key_slots
+from wrep.patterns import HighestWeight, enumerate_patterns, generic_weight, key_slots
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation, generator_series
 from wrep.sparse import SparseMatrix
@@ -33,7 +33,7 @@ from wrep.sparse import SparseMatrix
 def gl2():
     pyr = Pyramid(rows=(1, 1))
     w = HighestWeight(pyr, [[Fraction(5, 2)], [Fraction(1, 2)]])
-    return build_representation(pyr, w)
+    return build_representation(enumerate_patterns(w))
 
 
 def test_variable_order():
@@ -88,7 +88,7 @@ def test_non_invariant_image_fails_cross_check(monkeypatch):
     monkeypatch.setattr(galois, "t_image_c", one_term)
     pyr = Pyramid(rows=(2, 2))
     with pytest.raises(NotInvariant, match="lowering image of row 1"):
-        cross_check(build_representation(pyr, generic_weight(pyr)))
+        cross_check(build_representation(enumerate_patterns(generic_weight(pyr))))
 
 
 def test_orbit_sum_identity():
@@ -109,7 +109,8 @@ def test_cross_check_builds_each_raising_image_once(monkeypatch):
 
     monkeypatch.setattr(galois, "t_image_b", counted)
     pyr = Pyramid(rows=(1, 2, 2))
-    assert cross_check(build_representation(pyr, generic_weight(pyr))) == 3 * pyr.n - 2
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
+    assert cross_check(rep) == 3 * pyr.n - 2
     assert built == [1, 2]
 
 
@@ -132,7 +133,7 @@ def test_action_matches_matrices_gl2():
 @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2), (1, 2, 2), (2, 2, 2)])
 def test_cross_check(rows):
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     # one comparison for each of A_1..A_n, B_r and C_r
     assert cross_check(rep) == 3 * pyr.n - 2
 
@@ -141,7 +142,7 @@ def test_mutation_vanishing_at_sample_points_detected():
     # u(u-7)(u+3) E_{0,1} added to B_2 vanishes at u = 0, 7 and -3, so only
     # a comparison of whole polynomials in u sees it
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     bump = UniPoly.from_roots([0, 7, -3])
     unit = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
     rep.B[2] = rep.B[2] + UniPoly([c * unit for c in bump.coeffs])
@@ -176,7 +177,7 @@ def _images(model):
 def test_integer_action_equals_the_fraction_oracle(weight):
     # the q-scaled, memoised action against Fraction l-values read from the
     # pattern entries, evaluated afresh at every column
-    rep = build_representation(weight.pyramid, weight)
+    rep = build_representation(enumerate_patterns(weight))
     model = GaloisModel(weight.pyramid)
     for img in _images(model):
         assert act_on_basis(model, rep, img) == fraction_act_on_basis(model, rep, img)
@@ -186,7 +187,7 @@ def test_integer_action_equals_the_fraction_oracle(weight):
 def test_scaled_l_values_match_the_pattern_entries(weight):
     # the one l-value source of the build and the skew model against
     # GTPattern's own reader
-    rep = build_representation(weight.pyramid, weight)
+    rep = build_representation(enumerate_patterns(weight))
     q = rep.q
     assert type(q) is int and all(type(Q) is int for Q in rep.offsets)
     slots = key_slots(weight.pyramid)
@@ -199,7 +200,7 @@ def test_cross_check_fraction_work_budget(monkeypatch):
     # Fraction arithmetic of one (2,2,3) cross-check, the representation
     # built beforehand; evaluation in Fractions makes 42,609 such calls
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     calls = [0]
 
     def counted(op):
@@ -222,7 +223,7 @@ def test_mutation_of_a_scaled_offset_detected(r):
     # q * l = Q_p + q * key_p is read from the representation; one Q_p of
     # row r moved by 1 after the build breaks the first image reading it
     pyr = Pyramid(rows=(1, 2, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     model = GaloisModel(pyr)
     rep.offsets[model.rows[r][0]] += 1
     with pytest.raises(InvariantViolation,
@@ -235,7 +236,7 @@ def test_vanishing_denominator_names_its_pattern():
     # (1,1,1) equals the entry above it; the first such column is named,
     # after the memo has been filled by the columns before it
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     model = GaloisModel(pyr)
     pos = key_slots(pyr).index
     pole = Factored(1, [], [model.difference(pos((1, 1, 1)), pos((2, 1, 1)))])
@@ -253,7 +254,7 @@ def test_vanishing_denominator_names_its_pattern():
 @given(small_pyramid_weights())
 def test_identities_in_u_for_random_pyramids(weight):
     pyr = weight.pyramid
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     assert cross_check(rep) == 3 * pyr.n - 2
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
     assert cdet_vs_top_row(rep, column_determinant(T, pyr.n))
@@ -263,7 +264,7 @@ def test_identities_in_u_for_random_pyramids(weight):
 def test_identities_in_u_for_one_row_pyramids(rows):
     # no B or C ladders and a 1x1 column determinant
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     assert rep.dim == 1
     assert cross_check(rep) == 1
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))

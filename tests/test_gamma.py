@@ -19,7 +19,7 @@ from wrep.gamma import (
     gamma_coefficients,
     gamma_commutes,
 )
-from wrep.patterns import generic_weight
+from wrep.patterns import enumerate_patterns, generic_weight
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation
 from wrep.sparse import SparseMatrix
@@ -30,7 +30,7 @@ def reps():
     out = {}
     for rows in [(1, 1), (1, 2), (2, 2), (1, 1, 1)]:
         pyr = Pyramid(rows=rows)
-        out[rows] = build_representation(pyr, generic_weight(pyr))
+        out[rows] = build_representation(enumerate_patterns(generic_weight(pyr)))
     return out
 
 
@@ -115,7 +115,7 @@ def test_fibers_make_one_symmetric_function_list_per_distinct_row(monkeypatch):
 
     monkeypatch.setattr(gamma_mod, "elementary_symmetric", counted)
     pyr = Pyramid(rows=(2, 3, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     fib, singl = fibers(rep)
     assert rep.dim == 128 and len(fib) == 128 and singl
     assert len(calls) == 9 + 32 + 1
@@ -144,8 +144,7 @@ def test_character_mismatch_detected(reps):
 def test_integer_characters_equal_the_fraction_oracle(weight):
     # the value at a_r^{(k)} is the integer character entry over q^k, and
     # the integer keys partition the basis as the Fraction characters do
-    pyr = weight.pyramid
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     order = sorted(gamma_mod.gamma_coefficients(rep))
     integer = gamma_mod._character_reader(rep)
     oracle = fraction_character_reader(rep)
@@ -164,7 +163,7 @@ def test_fibers_fraction_work_budget(monkeypatch):
     # the Fraction reader made 1,458 Fraction operations and 3,840
     # Fraction __eq__ and __hash__ calls here
     pyr = Pyramid(rows=(2, 3, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     calls = {"arithmetic": 0, "compare": 0}
 
     def counted(kind, op):
@@ -223,7 +222,7 @@ def test_fiber_bound():
     assert fiber_bound(Pyramid(rows=(2, 2))) == 2
     for rows in [(1, 1), (2, 2), (1, 2, 2)]:
         pyr = Pyramid(rows=rows)
-        rep = build_representation(pyr, generic_weight(pyr))
+        rep = build_representation(enumerate_patterns(generic_weight(pyr)))
         fib, _ = fibers(rep)
         biggest, ok = check_fiber_bound(pyr, fib)
         assert ok and biggest == 1

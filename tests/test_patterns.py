@@ -74,7 +74,7 @@ def test_l_values_and_lam():
 
 def test_shifted():
     w = gl2_weight()
-    rep = build_representation(w.pyramid, w)
+    rep = build_representation(enumerate_patterns(w))
     lo, mid, hi = range(3)
     pos = key_slots(w.pyramid).index
     assert rep.basis[mid] == enumerate_patterns(w)[1]
@@ -90,7 +90,7 @@ def test_shifted():
 def test_shifted_matches_interlacing_oracle(rows):
     pyr = Pyramid(rows=rows)
     w = generic_weight(pyr)
-    rep = build_representation(pyr, w)
+    rep = build_representation(enumerate_patterns(w))
     slots = [(r, i, k) for r in range(1, pyr.n) for (i, k) in entry_slots(pyr, r)]
     pos = key_slots(pyr).index
     for col, mu in enumerate(rep.basis):
@@ -124,7 +124,7 @@ def test_shifted_rejects_top_row_and_non_interlacing_steps():
     pyr = Pyramid(rows=(2, 3, 3))
     n = pyr.n
     w = generic_weight(pyr)
-    rep = build_representation(pyr, w)
+    rep = build_representation(enumerate_patterns(w))
     top = [(n, i, k) for (i, k) in entry_slots(pyr, n)]
     lower = [(r, i, k) for r in range(1, n) for (i, k) in entry_slots(pyr, r)]
     pos = key_slots(pyr).index

@@ -36,7 +36,7 @@ from wrep.sparse import Combination, SparseMatrix
 def gl2_rep():
     pyr = Pyramid(rows=(1, 1))
     w = HighestWeight(pyr, [[Fraction(5, 2)], [Fraction(1, 2)]])
-    return build_representation(pyr, w)
+    return build_representation(enumerate_patterns(w))
 
 
 def test_gl2_matrices():
@@ -91,7 +91,7 @@ def test_series_accessors():
 
 def test_series_e_start_index():
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     gens = generator_series(rep, 5)
     # e_1 starts at s_12 + 1 = p_2 - p_1 + 1 = 2, f_1 at s_21 + 1 = 1
     assert gens.e_start(1) == 2
@@ -103,7 +103,7 @@ def test_series_e_start_index():
 @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2)])
 def test_relations_small_shapes(rows):
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     report = verify_defining_relations(rep, 4)
     assert report.ok, [f for _, _, f in report.families if f]
 
@@ -125,7 +125,7 @@ def _failures(rep):
 
 def _assert_ladder_mutation_detected(family, diff):
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     poly = getattr(rep, family)[1]
     coeff = poly.coeffs[0]
     (i, j, _), = coeff.entries()
@@ -157,7 +157,7 @@ def test_verify_center_fibers_for_random_pyramids(weight):
     # the checks of `wrep verify --rmax 2`, `center` (its central scalars)
     # and `fibers`, on random pyramids rather than fixed shapes
     pyr = weight.pyramid
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     report = verify_defining_relations(rep, 2)
     assert report.ok, [f for _, _, f in report.families if f]
     T = build_t_matrix(generator_series(rep, max(pyr.rows) + 3))
@@ -169,17 +169,16 @@ def test_verify_center_fibers_for_random_pyramids(weight):
     assert check_fiber_bound(pyr, fib) == (1, True)
 
 
-def test_degenerate_nodes_name_row_and_pattern(monkeypatch):
+def test_degenerate_nodes_name_row_and_pattern():
     # a non-generic pattern (equal entries in row 1) that enumeration
-    # would reject, injected directly
+    # would reject, passed as the basis
     pyr = Pyramid(rows=(2, 2))
     third = Fraction(1, 3)
     mu = GTPattern(pyr, {(1, 1, 1): third, (1, 1, 2): third,
                          (2, 1, 1): third + 1, (2, 1, 2): third + 1,
                          (2, 2, 1): third, (2, 2, 2): third})
-    monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda weight: [mu])
     with pytest.raises(DegenerateNodes, match=r"row 1 of pattern"):
-        build_representation(pyr, None)
+        build_representation([mu])
 
 
 def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
@@ -201,7 +200,7 @@ def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
     monkeypatch.setattr(rep_mod, "lagrange_basis", counted_lagrange)
     monkeypatch.setattr(UniPoly, "from_roots", classmethod(counted_roots))
     pyr = Pyramid(rows=(2, 3, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     distinct = [len({tuple(mu.row_l_values(r)) for mu in rep.basis})
                 for r in range(1, pyr.n + 1)]
     assert rep.dim == 128 and distinct == [9, 32, 1]
@@ -213,7 +212,7 @@ def test_ladder_tables_are_released_on_the_first_read():
     # the eigenvalue polynomials and Lagrange pairs feed only the ladder
     # assembly; fibers, which never reads B or C, keeps them
     pyr = Pyramid(rows=(2, 3, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     assert fibers(rep)[0]
     assert rep.eig[3] and rep.lagrange[2]
     B = rep.B
@@ -231,7 +230,7 @@ def test_integer_build_equals_the_fraction_oracle(weight):
     # the q-scaled integer build and the direct Fraction formulas give equal
     # matrices, for weights with several denominators and negative entries
     pyr = weight.pyramid
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     assert (rep.A, rep.B, rep.C) == fraction_build(pyr, weight)
 
 
@@ -252,7 +251,7 @@ def test_each_ladder_is_built_on_the_pattern_of_its_shifts(weight):
     # coefficient with a vanishing Lagrange coefficient N_{k,d}, which
     # drawn weights give, keeps a subset, and the generic weight has none
     pyr = weight.pyramid
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     for r in range(1, pyr.n):
         slots = range(rep.spans[r].start, rep.spans[r].stop)
         for table, step in ((rep.B, 1), (rep.C, -1)):
@@ -269,13 +268,35 @@ def test_each_ladder_is_built_on_the_pattern_of_its_shifts(weight):
                 assert len(full) == len(coeffs) == pyr.row_block_size(r)
 
 
+def _entries_by_key(rep):
+    """{(generator, r, power of u, row key, column key): entry} of A, B, C."""
+    keys = [mu.key() for mu in rep.basis]
+    return {(name, r, d, keys[i], keys[j]): v
+            for name, table in (("A", rep.A), ("B", rep.B), ("C", rep.C))
+            for r, poly in table.items() for d, m in enumerate(poly.coeffs)
+            for i, j, v in m.entries()}
+
+
+def test_a_sub_basis_drops_the_moves_out_of_it():
+    # the (2,2,3) basis less an interior pattern nu, to which both B and C
+    # move kept patterns: every entry between kept patterns is the full
+    # build's, and a kept pattern's move to nu is dropped, not sent to
+    # another pattern (its column holds no entry besides the full one's)
+    pyr = Pyramid(rows=(2, 2, 3))
+    full = build_representation(enumerate_patterns(generic_weight(pyr)))
+    entries = _entries_by_key(full)
+    nu = full.basis[full.dim // 2].key()
+    assert {k[0] for k in entries if k[3] == nu and k[4] != nu} == {"B", "C"}
+    sub = build_representation([mu for mu in full.basis if mu.key() != nu])
+    assert sub.dim == full.dim - 1
+    assert _entries_by_key(sub) == {k: v for k, v in entries.items() if nu not in k[3:]}
+
+
 def test_build_fraction_work_budget(monkeypatch):
     # Fraction arithmetic of one (2,3,3) build, its basis enumerated
     # beforehand; a build in Fractions makes 12,668 such calls
     pyr = Pyramid(rows=(2, 3, 3))
-    weight = generic_weight(pyr)
-    basis = enumerate_patterns(weight)
-    monkeypatch.setattr(rep_mod, "enumerate_patterns", lambda w: basis)
+    basis = enumerate_patterns(generic_weight(pyr))
     calls = [0]
 
     def counted(op):
@@ -287,7 +308,7 @@ def test_build_fraction_work_budget(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
-    rep = build_representation(pyr, weight)
+    rep = build_representation(basis)
     monkeypatch.undo()
     assert rep.dim == 128
     assert calls[0] <= 100
@@ -296,7 +317,7 @@ def test_build_fraction_work_budget(monkeypatch):
 def test_serre_mutation_detected():
     # Serre needs three rows; one bumped B_2 entry breaks the e series
     pyr = Pyramid(rows=(1, 1, 1))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     coeff = rep.B[2].coeffs[0]
     i, j, _ = min(coeff.entries())
     rep.B[2].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
@@ -329,7 +350,7 @@ def _names_patterns(witness):
 def test_a_coefficient_mutation_detected():
     # A_1 stays diagonal, so [d,d] holds, but the ladder relations break
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     coeff = rep.A[1].coeffs[0]
     i, _, _ = min(coeff.entries())
     rep.A[1].coeffs[0] = coeff + SparseMatrix.from_entries(rep.dim, [(i, i, 1)])
@@ -345,7 +366,7 @@ def test_e_series_mutation_reaches_failure_branch(monkeypatch):
     # one bumped entry of e_1^{(1)}, injected after the series are built,
     # so only the zero test of each relation instance can catch it
     pyr = Pyramid(rows=(1, 1, 1))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     built = []
 
     def mutated_series(rep, R):
@@ -377,7 +398,7 @@ def test_relations_hold_for_random_generic_weights(rows):
     @given(dominant_weights(rows))
     def run(weight):
         pyr = weight.pyramid
-        rep = build_representation(pyr, weight)
+        rep = build_representation(enumerate_patterns(weight))
         report = verify_defining_relations(rep, 3)
         assert report.ok, [f for _, _, f in report.families if f]
         # one comparison, an identity in u, for each of A_1..A_n, B_r and C_r
@@ -390,7 +411,7 @@ def test_a_inverse_is_checked_on_the_side_series_inverse_did_not_solve(monkeypat
     # series_inverse solves a * x = 1 term by term; generator_series checks
     # only x * a = 1, which a wrong a_1^{-1} must still fail
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     inverse, calls = rep_mod.series_inverse, []
 
     def bumped(s):
@@ -410,7 +431,7 @@ def test_gamma_coefficients_are_stored_dense(monkeypatch):
     # d' series are diagonal on the pattern basis, and the kernel's
     # diagonal paths run only on matrices stored in the dense form
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     inverse, inverses = rep_mod.series_inverse, []
 
     def recorded(s):
@@ -439,7 +460,7 @@ def test_gamma_coefficients_are_stored_dense(monkeypatch):
 def test_diagonal_series_equal_the_gelfand_tsetlin_oracle(weight):
     # d_i and d_i' act on each pattern by the product formula in its
     # l-values shifted by i - 1
-    rep = build_representation(weight.pyramid, weight)
+    rep = build_representation(enumerate_patterns(weight))
     R = 7
     gens = generator_series(rep, R)
     for i in range(1, rep.n + 1):
@@ -462,7 +483,7 @@ def _tables(gens):
 def test_series_tables_equal_the_full_dimension_oracle(weight):
     # the diagonal series are made on the distinct columns of their inputs
     # and expanded; every coefficient equals the one made on all patterns
-    rep = build_representation(weight.pyramid, weight)
+    rep = build_representation(enumerate_patterns(weight))
     assert _tables(generator_series(rep, 8)) == full_dimension_series(rep, 8)
 
 
@@ -472,8 +493,7 @@ def test_bumped_a_entry_keeps_the_tables_equal_to_the_oracle(i):
     # whose A_i column other patterns share: the classes are read from the
     # numerators, so the moved entry is a class of its own, as it would be
     # under any faulty build, and no other pattern takes its value
-    pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, MULTI_DENOMINATOR)
+    rep = build_representation(enumerate_patterns(MULTI_DENOMINATOR))  # rows (2,2,3)
     col = rep.dim // 2
     columns = list(zip(*(m.diag for m in rep.A[i].coeffs)))
     assert columns.count(columns[col]) > 1
@@ -487,7 +507,7 @@ def test_diagonal_series_work_budget(monkeypatch):
     # columns of their inputs, a_1, a_2, a_3 and d_3 run on 9, 32, 1 and 32
     # of the 128 patterns, and d_2 on all 128 (76,288 on the full dimension)
     pyr = Pyramid(rows=(2, 3, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     rep.B, rep.C  # assembled before the count starts
     product, work = Combination.product, [0]
 
@@ -505,7 +525,7 @@ def test_bumped_d_fails_the_dprime_check(monkeypatch):
     # d_2 is series_inverse(d_2'), its third call; a bumped d_2^{(1)} fails
     # d_2 d_2' = 1, the side that series_inverse did not solve
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     inverse, calls = rep_mod.series_inverse, []
 
     def bumped(s):
@@ -540,7 +560,7 @@ def _off_diagonal_a2(rep):
 ], ids=["deg-A", "diagonal-A", "deg-B", "deg-C"])
 def test_each_build_invariant_can_fail(mutate, message):
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     mutate(rep)
     with pytest.raises(InvariantViolation, match=message):
         rep_mod._sanity_check(rep)
@@ -562,7 +582,7 @@ def test_a_doubled_eigenvalue_lead_is_not_monic(monkeypatch):
 
     monkeypatch.setattr(UniPoly, "from_roots", classmethod(doubled))
     with pytest.raises(InvariantViolation, match="A_2 is not monic"):
-        build_representation(pyr, weight)
+        build_representation(enumerate_patterns(weight))
 
 
 def _bump_result(monkeypatch, name, call, r):
@@ -591,7 +611,7 @@ def _bump_result(monkeypatch, name, call, r):
 ], ids=["a", "d", "e", "f"])
 def test_each_series_invariant_can_fail(monkeypatch, name, call, r, message):
     pyr = Pyramid(rows=(1, 2))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     _bump_result(monkeypatch, name, call, r)
     with pytest.raises(InvariantViolation, match=message):
         generator_series(rep, 4)
@@ -730,7 +750,7 @@ def _bump_f1(rep, monkeypatch):
 ], ids=["1-2", "1-1-1", "2-2-3", "B2", "A1", "e1", "f1"])
 def test_memo_of_canonical_sums_is_invisible_in_the_report(monkeypatch, rows, mutate):
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     if mutate:
         mutate(rep, monkeypatch)
     memoized = verify_defining_relations(rep, 3).families
@@ -778,7 +798,7 @@ def _assert_tau_skips(weight):
     # R reaches two past every e_i's start, so each [e,f] meets its image
     pyr = weight.pyramid
     R = 2 + max([pyr.shift(i, i + 1) for i in range(1, pyr.n)], default=0)
-    rep = build_representation(pyr, weight)
+    rep = build_representation(enumerate_patterns(weight))
     found, sums, families = _tau_run(rep, R)
     assert found == [True]
     without, sums_without, families_without = _tau_run(rep, R, tau=False)
@@ -843,7 +863,7 @@ def test_tau_preserving_faults_report_as_without_memo(monkeypatch, rows, mutate,
     # passes, so its image is summed too, and the report is that of
     # summing every instance, on one worker and on two
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     monkeypatch.setattr(rep_mod, "generator_series", _mutated_series(mutate))
     expected = _unmemoized_report(monkeypatch, rep, 2)
     for workers in (1, 2):
@@ -870,7 +890,7 @@ def test_tau_breaking_faults_turn_tau_off(monkeypatch, rows, mutate):
     # e_1 or f_1 alone moves, or d_2^{(1)} is no longer diagonal: the tau
     # check fails, and the suite reports as it does without tau
     pyr = Pyramid(rows=rows)
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     mutate(rep, monkeypatch)
     found, _, families = _tau_run(rep, 3)
     assert found == [False]
@@ -887,7 +907,7 @@ def test_relation_suite_work_budget(monkeypatch):
     # plan built per call, or a cache that misses, changes the count.  One
     # worker, so that every family runs, and is counted, in this process
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     product, calls = Combination.product, [0]
     plan_init, plans = sparse._Plan.__init__, [0]
 
@@ -918,7 +938,7 @@ def test_bumped_value_on_a_planned_pattern_fails(monkeypatch):
     # e_1^{(2)}, which must read the new value.  The witnesses are those
     # of the dict-of-rows kernel this one replaced.
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     series = rep_mod.generator_series
     patterns = []
 
@@ -950,7 +970,7 @@ def test_bumped_f_value_fails_on_the_f_side(monkeypatch):
     # fail, [d,f], f same-row and f adjacent as the transposes of their
     # e-side families; the witnesses are those of the hand-written f side
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     _bump_f1(rep, monkeypatch)
     monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
     families = verify_defining_relations(rep, 3).families
@@ -991,7 +1011,7 @@ def test_no_pattern_outlives_the_relation_suite():
 
     def job():
         pyr = Pyramid(rows=(2, 2, 3))
-        rep = build_representation(pyr, generic_weight(pyr))
+        rep = build_representation(enumerate_patterns(generic_weight(pyr)))
         report = verify_defining_relations(rep, 3)
         # the ladder patterns of rep.B and rep.C carry the plans built
         assert any(p.plans for p in set(sparse._PATTERNS.values()) - before)
@@ -1029,7 +1049,7 @@ def _serial_and_forked(rep, R):
 def test_two_workers_report_what_one_does(weight):
     # counts, witnesses and their order do not depend on which process
     # ran a family, and no child outlives the call
-    rep = build_representation(weight.pyramid, weight)
+    rep = build_representation(enumerate_patterns(weight))
     serial, forked = _serial_and_forked(rep, 2)
     assert forked == serial
 
@@ -1037,7 +1057,7 @@ def test_two_workers_report_what_one_does(weight):
 def test_two_workers_report_the_witnesses_one_does(monkeypatch):
     # the bumped e_1^{(3)} of test_bumped_value_on_a_planned_pattern_fails
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     _bump_e1(rep, monkeypatch, 3)
     serial, forked = _serial_and_forked(rep, 3)
     assert forked == serial
@@ -1051,7 +1071,7 @@ def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
     # the parent's first family waits for that, so the parent always has
     # families of the child to run again
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     serial = _families(rep, 3, 1)
     parent, combine, dropped = os.getpid(), rep_mod._combine, tmp_path / "dropped"
 
@@ -1077,7 +1097,7 @@ def test_a_family_that_raises_raises_as_in_a_serial_run(monkeypatch):
     # witness raises with a message of its own in each: whichever process
     # runs them, the first of them in report order, [e,f], raises
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     _bump_e1(rep, monkeypatch, 3)
 
     def raising(diff, basis):
@@ -1092,7 +1112,7 @@ def test_a_family_that_raises_raises_as_in_a_serial_run(monkeypatch):
 
 def test_no_fork_to_spare_runs_every_family_here(monkeypatch):
     pyr = Pyramid(rows=(2, 2, 3))
-    rep = build_representation(pyr, generic_weight(pyr))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     serial = _families(rep, 3, 1)
 
     def no_fork():
