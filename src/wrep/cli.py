@@ -190,7 +190,12 @@ def _fault(name, exc, dependents):
 
 def _run_build(args, cfg):
     rep = _representation(args, cfg)
-    return {"dimension": rep.dim, "matrices": _dump_matrices(rep)}, []
+    try:
+        matrices = _dump_matrices(rep)
+    except WrepError as exc:
+        # B and C are assembled, and their degrees checked, on first read
+        return {"dimension": rep.dim}, _fault("B and C within their degree bounds", exc, [])
+    return {"dimension": rep.dim, "matrices": matrices}, []
 
 
 def _rmax_from(args, cfg):

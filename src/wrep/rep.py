@@ -41,17 +41,17 @@ start past the shift matrix (Pyramid.shift), and each f-side family is
 the transpose of its e-side one (_transposed).  A ticket holds a family
 with its transpose: where the anti-involution tau(X) = S^{-1} X^T S of
 the shifted Yangian, for one diagonal S, takes each e_i^(r) to an f_i
-(_anti_involution, on integers), an instance whose tau-image passed is
-verified with it, since tau maps a vanishing sum to a vanishing sum.
+(_anti_involution, which finds S with sparse.diagonal_gauge), an
+instance whose tau-image passed is verified with it, since tau maps a
+vanishing sum to a vanishing sum.
 """
 
 import marshal
 import os
 import threading
 from functools import cached_property
-from itertools import repeat
-from math import gcd, lcm
-from operator import add, floordiv, mod, mul
+from math import lcm
+from operator import mul
 
 from .arith import (
     UniPoly,
@@ -63,7 +63,7 @@ from .arith import (
 )
 from .errors import DegenerateNodes, InvariantViolation, OrderError
 from .patterns import key_slots, row_spans
-from .sparse import Combination, SparseMatrix, compress_diagonals
+from .sparse import Combination, SparseMatrix, compress_diagonals, diagonal_gauge
 
 
 class Representation:
@@ -521,94 +521,24 @@ def _anti_involution(gens):
     for one diagonal S, or None when no such S takes e_i^(r + s_i) to
     f_i^(r) for every r with both in range, s_i = shift(i, i+1) -
     shift(i+1, i), or some d_i^(r) or d_i'^(r), which tau must fix, is
-    not diagonal.  A ladder matrix stored as a dense diagonal, which no
-    e_i or f_i is, also gives None.
-
-    Integers only.  f = S^{-1} e^T S reads f[b,a] = e[a,b] S_a / S_b, so
-    S is read from the ratios on the ladder edges (a, b) of every i, along
-    a spanning forest of all of them (_forest_diagonal), and then every
-    entry of every pair is checked by cross-multiplication, the supports
-    included."""
-    rep = gens.rep
-    pyr, N, R = rep.pyramid, rep.dim, gens.order
+    not diagonal.  S is found, or shown not to exist, by
+    sparse.diagonal_gauge on the pairs (e_i^(r + s_i) transposed,
+    f_i^(r)); with no pair, as on one row, tau holds."""
+    pyr, R = gens.rep.pyramid, gens.order
     n = pyr.n
     for i in range(1, n + 1):
         for r in range(R + 1):
             if not (gens.d(i, r).is_diagonal() and gens.dprime(i, r).is_diagonal()):
                 return None
     tau = {}
-    pairs = []  # (e pattern, e numerators, f numerators at e's transposed positions, dens)
-    edges = {}  # flat position a * N + b -> (x, y) with S_b / S_a = x / y
-    align = {}  # (e pattern, f pattern) -> f's index at each transposed e position
+    pairs = []
     for i in range(1, n):
         s = pyr.shift(i, i + 1) - pyr.shift(i + 1, i)
         for r in range(max(0, -s), min(R, R - s) + 1):
-            e, f = gens.e(i, r + s), gens.f(i, r)
             tau["e", i, r + s] = "f", i, r
             tau["f", i, r] = "e", i, r + s
-            if e.diag is not None or f.diag is not None or len(e.vals) != len(f.vals):
-                return None
-            if not e.vals:
-                continue
-            order = align.get((e.pattern, f.pattern))
-            if order is None:
-                # f[b,a] sits at b * N + a, e[a,b] at a * N + b
-                fflat = f.pattern.flat
-                at = dict(zip(map(add, map(mul, map(mod, fflat, repeat(N)), repeat(N)),
-                                  map(floordiv, fflat, repeat(N))), range(len(fflat))))
-                order = align[e.pattern, f.pattern] = list(map(at.get, e.pattern.flat))
-                if None in order:
-                    return None
-                # a new pair of supports: its edges join the forest
-                fv = list(map(f.vals.__getitem__, order))
-                edges.update(zip(e.pattern.flat, zip(map(mul, e.vals, repeat(f.den)),
-                                                     map(mul, fv, repeat(e.den)))))
-            pairs.append((e.pattern, e.vals, list(map(f.vals.__getitem__, order)),
-                          e.den, f.den))
-    S = _forest_diagonal(N, edges)
-    factors = {}  # e pattern -> na * db and da * nb at each of its positions
-    for pattern, ev, fv, eden, fden in pairs:
-        # f[b,a] S_b == e[a,b] S_a, with S_a = na / da and S_b = nb / db
-        if pattern not in factors:
-            rows, cols = map(floordiv, pattern.flat, repeat(N)), map(mod, pattern.flat, repeat(N))
-            factors[pattern] = tuple(zip(*((S[a][0] * S[b][1], S[a][1] * S[b][0])
-                                           for a, b in zip(rows, cols))))
-        to_e, to_f = factors[pattern]
-        if list(map(mul, map(mul, fv, to_f), repeat(eden))) != list(
-                map(mul, map(mul, ev, to_e), repeat(fden))):
-            return None
-    return tau
-
-
-def _forest_diagonal(dim, edges):
-    """[(num, den)] of a diagonal S with S_b / S_a = x / y on the edges
-    {a * dim + b: (x, y)} of a spanning forest of them, each tree rooted at
-    1; a position on no edge gets 1."""
-    adjacent = [[] for _ in range(dim)]
-    for p in edges:
-        a, b = divmod(p, dim)
-        if a != b:
-            adjacent[a].append(p)
-            adjacent[b].append(p)
-    S = [None] * dim
-    for root in range(dim):
-        if S[root] is not None:
-            continue
-        S[root] = (1, 1)
-        stack = [root]
-        while stack:
-            c = stack.pop()
-            for p in adjacent[c]:
-                a, b = divmod(p, dim)
-                x, y = edges[p]
-                if a != c:  # c is b, and S_a / S_b = y / x
-                    a, b, x, y = b, a, y, x
-                if S[b] is None:
-                    num, den = S[a][0] * x, S[a][1] * y
-                    g = gcd(num, den) if den > 0 else -gcd(num, den)
-                    S[b] = num // g, den // g
-                    stack.append(b)
-    return S
+            pairs.append((gens.e(i, r + s).transpose(), gens.f(i, r)))
+    return tau if diagonal_gauge(pairs) is not None else None
 
 
 # Relation families in the order verify_defining_relations reports them.
@@ -647,16 +577,16 @@ def verify_defining_relations(rep, R):
 
     When the anti-involution tau(X) = S^{-1} X^T S exists
     (_anti_involution: one diagonal S with f_i^(r) = tau(e_i^(r + s_i))
-    for every pair in range, and d, d' diagonal, so fixed), an instance
-    whose tau-image key (_image_key) is that of a sum that passed is
-    verified too.  That is exact: tau is an involutive linear
-    anti-automorphism, so a sum vanishes exactly when its image does.  So
-    each e-side family is verified from the sums of its f-side transpose
-    that passed, which its ticket runs first, and half of [e,f] (and of
-    the distant rows) from the other half; only the instances whose image
-    falls outside the index ranges are summed.  A failing instance never
-    passes, so its image is still summed, and where tau does not exist the
-    suite runs without it.  Every instance is still counted and labelled,
+    for every pair in range, found by sparse.diagonal_gauge, and d, d'
+    diagonal, so fixed), an instance whose tau-image key (_image_key) is
+    that of a sum that passed is verified too.  That is exact: tau is an
+    involutive linear anti-automorphism, so a sum vanishes exactly when
+    its image does.  So each e-side family is verified from the sums of
+    its f-side transpose that passed, which its ticket runs first, and
+    half of [e,f] (and of the distant rows) from the other half; only the
+    instances whose image falls outside the index ranges are summed.  A
+    failing instance never passes, so its image is still summed, and
+    where tau does not exist the suite runs without it.  Every instance is still counted and labelled,
     and a failing instance's witness is read from the matrix of that sum.
     The only errors raised are those of generator_series(rep, 2 * R) and
     of a family's own run; a failing instance is reported.

@@ -117,13 +117,13 @@ class Pattern:
 
     Caches that live as long as the pattern: the gathers of a dense
     diagonal by the row or column indices, the row starts (the per-row
-    index) and ``plans`` {key of the right pattern: _Plan}.  A pattern
-    refers to other patterns only by their keys, so patterns form no
-    reference cycle and each one dies, with its caches, as soon as
-    nothing refers to it."""
+    index), the transposed key with its value gather and ``plans`` {key
+    of the right pattern: _Plan}.  A pattern refers to other patterns
+    only by their keys, so patterns form no reference cycle and each one
+    dies, with its caches, as soon as nothing refers to it."""
 
     __slots__ = ("dim", "key", "flat", "_ri", "_ci", "is_diag", "_by_row", "_by_col",
-                 "_starts", "plans", "__weakref__")
+                 "_starts", "_transposed", "plans", "__weakref__")
 
     def __init__(self, dim, key):
         self.dim = dim
@@ -132,7 +132,7 @@ class Pattern:
         # i * dim + i is a multiple of dim + 1; the scan stops at the
         # first position off the diagonal
         self.is_diag = not any(map(mod, flat, repeat(dim + 1)))
-        self._ri = self._ci = self._by_row = self._by_col = self._starts = None
+        self._ri = self._ci = self._by_row = self._by_col = self._starts = self._transposed = None
         self.plans = {}
 
     @property
@@ -186,6 +186,17 @@ class Pattern:
                 counts[i + 1] += 1
             self._starts = array("i", accumulate(counts))
         return self._starts
+
+    def transposed(self):
+        """(key, order): the key of the transposed positions j * dim + i,
+        and the gather that puts values on this pattern in their order (a
+        stable sort by column, since the positions are sorted by row)."""
+        if self._transposed is None:
+            ri, ci = self.ri, self.ci
+            order = _gather(sorted(range(len(ci)), key=ci.__getitem__))
+            flat = map(add, map(mul, order(ci), repeat(self.dim)), order(ri))
+            self._transposed = array("q", flat).tobytes(), order
+        return self._transposed
 
     def __len__(self):
         return len(self.flat)
@@ -482,6 +493,15 @@ class SparseMatrix:
                 d[f // step] = v
         return d
 
+    def transpose(self):
+        """The transposed matrix: a diagonal one, zero included, is its
+        own, and a general one moves to the interned transposed pattern."""
+        if self.is_diagonal():
+            return self
+        key, order = self.pattern.transposed()
+        return SparseMatrix._of(self.dim, self.den, None, Pattern.interned(self.dim, key),
+                                order(self.vals))
+
     def inverse(self):
         """Exact inverse of a diagonal matrix, entrywise; SingularLead if
         it is singular.  No command inverts any other matrix."""
@@ -496,6 +516,53 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(dim=%d, nnz=%d)" % (self.dim, self.nnz())
+
+
+def diagonal_gauge(pairs):
+    """Integer numerators s, over one common denominator, of a diagonal S
+    with S^{-1} X S == Y for every pair (X, Y) of a list of matrices of
+    one dimension, or None when no such S exists; an empty list gives [].
+
+    S^{-1} X S is X with entry (a, b) scaled by S_b / S_a.  So a diagonal
+    X (the zero matrix included) must equal its Y, and a general X must
+    sit on Y's pattern.  S is read from the ratios Y[a,b] / X[a,b] off
+    the diagonal, of one pair per distinct pattern, along a spanning
+    forest of those positions, each tree rooted at 1.  Every entry of
+    every pair is then checked by cross-multiplication."""
+    general = [(x, y) for x, y in pairs if not x.is_diagonal()]
+    if any(y.pattern is not x.pattern for x, y in general) or any(
+            x != y for x, y in pairs if x.is_diagonal()):
+        return None
+    dim = pairs[0][0].dim if pairs else 0
+    adjacent = [[] for _ in range(dim)]  # a -> [(b, x, y)] with S_b / S_a = x / y
+    for p, (x, y) in {x.pattern: (x, y) for x, y in general}.items():
+        for a, b, xv, yv in zip(p.ri, p.ci, map(mul, x.vals, repeat(y.den)),
+                                map(mul, y.vals, repeat(x.den))):
+            if a != b:
+                adjacent[a].append((b, yv, xv))
+                adjacent[b].append((a, xv, yv))
+    S = [None] * dim  # (num, den) of each S_a, in lowest terms
+    for root in range(dim):
+        if S[root] is None:
+            S[root] = (1, 1)
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                na, da = S[a]
+                for b, x, y in adjacent[a]:
+                    if S[b] is None:
+                        num, den = na * x, da * y
+                        g = gcd(num, den) if den > 0 else -gcd(num, den)
+                        S[b] = num // g, den // g
+                        stack.append(b)
+    L = lcm(*(den for _, den in S))
+    s = [num * (L // den) for num, den in S]
+    for x, y in general:
+        p = x.pattern
+        if list(map(mul, map(mul, y.vals, p.by_row(s)), repeat(x.den))) != list(
+                map(mul, map(mul, x.vals, p.by_col(s)), repeat(y.den))):
+            return None
+    return s
 
 
 def compress_diagonals(series):

@@ -599,7 +599,7 @@ def test_fibers_runs_where_the_ladders_cannot_be_assembled(capsys, monkeypatch, 
     ("verify", 1, "generator series"),
     ("center", 1, "generator series and T-matrix"),
     ("galois-check", 1, "skew-model action matches the matrices"),
-    ("build", 2, None),
+    ("build", 1, "B and C within their degree bounds"),
     ("fibers", 0, None),
 ])
 def test_exit_status_of_a_ladder_fault(capsys, monkeypatch, command, status, failed):

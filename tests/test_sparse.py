@@ -1,14 +1,16 @@
+import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from wrep import sparse
 from wrep.arith import UniPoly
 from wrep.errors import SingularLead
 from wrep.mpoly import MPoly
-from wrep.sparse import Combination, Pattern, SparseMatrix, compress_diagonals
+from wrep.sparse import Combination, Pattern, SparseMatrix, compress_diagonals, diagonal_gauge
 
 
 def entry_list(dim, max_size=12):
@@ -581,3 +583,96 @@ def test_compression_leaves_a_general_matrix_alone():
     series = [[SparseMatrix.identity(2), general]]
     compressed, expand = compress_diagonals(series)
     assert compressed is series and expand(general) is general
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands(4))
+@example(SparseMatrix(4))
+@example(SparseMatrix.diagonal([1, 0, 2, 3]))
+def test_transpose_swaps_the_entries(m):
+    t = m.transpose()
+    assert_canonical(t)
+    assert t == SparseMatrix.from_entries(4, [(j, i, v) for i, j, v in m.entries()])
+    assert t.transpose() == m
+    if m.is_diagonal():
+        assert t is m
+
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+def conjugated(x, s):
+    """S^{-1} X S for the diagonal S of the values s."""
+    S = SparseMatrix.diagonal(s)
+    return S.inverse() * x * S
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda dim: st.tuples(
+    st.lists(nonzero_fractions, min_size=dim, max_size=dim),
+    st.lists(operands(dim, 10), max_size=4))))
+def test_diagonal_gauge_finds_a_planted_diagonal(planted):
+    # Y = S^{-1} X S for a signed S: the gauge returns nonzero integers,
+    # one per position, that take every X to its Y; they are S only up to
+    # one factor on each connected set of positions
+    s, xs = planted
+    found = diagonal_gauge([(x, conjugated(x, s)) for x in xs])
+    assert found is not None and all(type(v) is int and v for v in found)
+    assert len(found) == (len(s) if xs else 0)
+    assert all(conjugated(x, found) == conjugated(x, s) for x in xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(nonzero_fractions, min_size=3, max_size=3),
+       st.lists(nonzero_fractions, min_size=4, max_size=4), st.integers(0, 3))
+def test_diagonal_gauge_rejects_a_bumped_entry_on_a_cycle(s, values, bumped):
+    # (0,1), (1,2) and (0,2) close a cycle 0-1-2, and (2,1) a second one
+    # with (1,2), so one bumped entry of Y leaves no S; a tree alone takes
+    # any ratios, but not against a pair that fixes them otherwise
+    positions = [(0, 1), (1, 2), (0, 2), (2, 1)]
+    x = SparseMatrix.from_entries(3, [(i, j, v) for (i, j), v in zip(positions, values)])
+    y = conjugated(x, s)
+    i, j = positions[bumped]
+    bump = SparseMatrix.from_entries(3, [(i, j, y.get(i, j))])
+    assert diagonal_gauge([(x, y)]) is not None
+    assert diagonal_gauge([(x, y + bump)]) is None
+    tree = SparseMatrix.from_entries(3, [(0, 1, 1), (1, 2, 1)])
+    flipped = conjugated(tree, s[:2] + [-s[2]])
+    assert diagonal_gauge([(tree, flipped)]) is not None
+    assert diagonal_gauge([(x, y), (tree, flipped)]) is None
+
+
+def test_diagonal_gauge_rejects_what_no_diagonal_can_conjugate():
+    x = SparseMatrix.from_entries(3, [(0, 1, 2), (1, 2, 3)])
+    diag = SparseMatrix.diagonal([1, 2, 3])
+    cases = [
+        # a support mismatch: an entry dropped, one added
+        (x, SparseMatrix.from_entries(3, [(0, 1, 2)])),
+        (x, x + SparseMatrix.from_entries(3, [(2, 0, 1)])),
+        (x, SparseMatrix(3)),
+        # a diagonal X is its own conjugate, the zero matrix included
+        (diag, 2 * diag),
+        (SparseMatrix(3), diag),
+        # a dense diagonal against a general matrix, either way round
+        (diag, x),
+        (x, diag),
+        # a general X with a diagonal entry, which no S scales
+        (x + SparseMatrix.from_entries(3, [(1, 1, 1)]),
+         x + SparseMatrix.from_entries(3, [(1, 1, 2)])),
+    ]
+    for pair in cases:
+        assert diagonal_gauge([pair]) is None
+        assert diagonal_gauge([(x, x), pair]) is None
+    assert diagonal_gauge([(diag, diag), (x, x)]) == [1, 1, 1]
+    assert diagonal_gauge([]) == []
+
+
+def test_only_sparse_reads_the_storage_form():
+    # diag, vals and pattern are the storage form of a SparseMatrix; a
+    # module other than sparse reads the matrix through its methods, so
+    # the form can change in one place
+    field = re.compile(r"\.(diag|vals|pattern)\b")
+    found = ["%s:%d: %s" % (path.name, number, line.strip())
+             for path in sorted(Path(sparse.__file__).parent.glob("*.py")) if path.name != "sparse.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1) if field.search(line)]
+    assert found == []
