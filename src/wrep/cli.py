@@ -147,7 +147,7 @@ def _dump_matrices(rep):
             pm = table[r]
             entries = []
             for power, mat in enumerate(pm.coeffs):
-                for i, j, v in sorted(mat.entries()):
+                for i, j, v in mat.entries():
                     entries.append([i, j, _fraction_str(v), power])
             entries.sort()
             out.append({

@@ -14,12 +14,13 @@ L_p = Q_p + q * key_p (Representation.q and .offsets, which galois
 evaluates on too).  In v = q u the eigenvalue polynomials prod (v + L)
 and the Lagrange pairs at the nodes -L have integer coefficients, and the
 powers of q move into the matrix denominators.  build_representation(basis)
-makes A and, once per distinct row, the eigenvalue polynomials and
-Lagrange pairs; B and C are assembled on their first read, each ladder in
-one walk over the basis and one pass per power of u over one lcm
-(_assemble_ladders), so `wrep fibers`, which reads only A, never builds
-them.  The matrices are the generators restricted to the span of the
-basis, a representation when it holds every pattern with its top row.
+makes A from one eigenvalue polynomial per distinct row.  B and C are
+assembled on their first read from the Lagrange pairs of each distinct
+row, each ladder in one walk over the basis and one pass per power of u
+over one lcm (_assemble_ladders), so `wrep fibers`, which reads only A,
+builds neither them nor a Lagrange pair.  The matrices are the
+generators restricted to the span of the basis, a representation when it
+holds every pattern with its top row.
 
 generator_series works each diagonal series (a_i, its inverse, d_i and
 d_i') on the distinct columns of its inputs' numerators, one position of
@@ -35,10 +36,11 @@ The relation suite (verify_defining_relations) builds the series once and
 then runs its families, which are independent, from a queue of one-byte
 tickets in a pipe that this process and forked children take from, each
 in the same loop (_run_taken); the report is the same for any number of
-workers.  Each relation instance is two lists of signed products of named
-matrices, summed after equal products merge (_canonical).  Index ranges
-start past the shift matrix (Pyramid.shift), and each f-side family is
-the transpose of its e-side one (_transposed).  A ticket holds a family
+workers.  Each relation instance is one list of signed products of
+names, which one table per run maps to matrices (_NameTable), summed
+after equal products merge (_canonical).  Index ranges start past the
+shift matrix (Pyramid.shift), and each f-side family is the transpose
+of its e-side one (_transposed).  A ticket holds a family
 with its transpose: where the anti-involution tau(X) = S^{-1} X^T S of
 the shifted Yangian, for one diagonal S, takes each e_i^(r) to an f_i
 (_anti_involution, which finds S with sparse.diagonal_gauge), an
@@ -50,7 +52,7 @@ import marshal
 import os
 import threading
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .arith import (
@@ -72,8 +74,7 @@ class Representation:
     q and offsets give the l-values of the basis on integers: q times the
     l-value at key position p of a pattern is offsets[p] + q * key_p (see
     _scaled_offsets); the build and galois both read them.  B and C are
-    assembled from eig and lagrange on the first read of either, which
-    then releases those two tables."""
+    assembled on the first read of either."""
 
     def __init__(self, basis):
         self.pyramid = pyramid = basis[0].pyramid
@@ -83,10 +84,6 @@ class Representation:
         self.q, self.offsets = _scaled_offsets(basis[0])
         self.spans = row_spans(pyramid)
         self.A = {}  # A[r] for r=1..n, UniPoly over SparseMatrix
-        # eig[r][row slice of a key]: the A_r eigenvalue in v = q u (row 0
-        # is 1); lagrange[r][row slice]: (nodes -q l, Lagrange pairs), r < n
-        self.eig = [{(): UniPoly([1])}] + [{} for _ in range(pyramid.n)]
-        self.lagrange = [{} for _ in range(pyramid.n)]
 
     @property
     def n(self):
@@ -99,7 +96,6 @@ class Representation:
     def _ladders(self):
         B, C = _assemble_ladders(self)
         _check_ladders(self.pyramid, B, C)
-        del self.eig, self.lagrange  # nothing reads them once B and C exist
         return B, C
 
     def a_coefficient(self, r, k):
@@ -120,29 +116,24 @@ class Representation:
 
 
 def build_representation(basis):
-    """A, and the eigenvalue polynomials and Lagrange pairs of B and C, on
-    ``basis``: a non-empty list of patterns of one pyramid and top row.
-    The matrices are the generators restricted to its span, a move to an
-    array outside it dropped, and a representation exactly when the basis
-    holds every pattern with its top row, as the basis of a weight does."""
+    """A on ``basis``: a non-empty list of patterns of one pyramid and top
+    row.  The matrices are the generators restricted to its span, a move
+    to an array outside it dropped, and a representation exactly when the
+    basis holds every pattern with its top row, as the basis of a weight
+    does.  The eigenvalue polynomial of A_r is made once per distinct row;
+    B and C wait for their first read (_assemble_ladders)."""
     rep = Representation(basis)
-    n, spans, eig, lagrange = rep.n, rep.spans, rep.eig, rep.lagrange
-    q, offsets = rep.q, rep.offsets
+    n, spans, q = rep.n, rep.spans, rep.q
     for r in range(1, n + 1):
-        eigs = []
+        eig, eigs = {}, []  # row-r slice of a key -> eigenvalue in v = q u
         for mu in rep.basis:
             row = mu.key()[spans[r]]
-            if row not in eig[r]:
-                # the nodes -L, L = q l for the l-values of the row
-                nodes = [-offsets[p] - q * z for p, z in enumerate(row, spans[r].start)]
-                eig[r][row] = UniPoly.from_roots(nodes)
-                if r < n:
-                    try:
-                        lagrange[r][row] = nodes, lagrange_basis(nodes)
-                    except DegenerateNodes:
-                        raise DegenerateNodes("repeated l-values in row %d of pattern %r"
-                                              % (r, mu)) from None
-            eigs.append(eig[r][row].coeffs)
+            if row not in eig:
+                nodes = _nodes(rep, r, row)
+                if r < n and len(set(nodes)) < len(nodes):
+                    raise DegenerateNodes("repeated l-values in row %d of pattern %r" % (r, mu))
+                eig[row] = UniPoly.from_roots(nodes)
+            eigs.append(eig[row].coeffs)
         # the u^d coefficient of A_r is the v^d one over q^(p_r - d)
         p_r = rep.pyramid.row_block_size(r)
         rep.A[r] = UniPoly([SparseMatrix.diagonal(column, q ** (p_r - d))
@@ -151,36 +142,47 @@ def build_representation(basis):
     return rep
 
 
+def _nodes(rep, r, row):
+    """The nodes -L, L = q l for the l-values of ``row``, a row-r slice of a key."""
+    return [-rep.offsets[p] - rep.q * z for p, z in enumerate(row, rep.spans[r].start)]
+
+
 def _assemble_ladders(rep):
     """(B, C), each {r: UniPoly over SparseMatrix} for r=1..n-1.  For each
     row-r node X = -L of a pattern whose raised (lowered) array is a
-    pattern, its column holds -1 (+1) times E, the row r+1 (r-1) eigenvalue
-    at X over q^p_adj, times the Lagrange polynomial sum_d N_{k,d} (q u)^d /
-    D_k of X, whose pair k the class (row-r slice, slot) fixes.  A ladder is
-    one walk over the basis listing (flat position, class, sign * E), E
-    memoised per (adjacent-row slice, node), and _class_polynomial."""
+    pattern, its column holds -1 (+1) times E = prod (X - Y) over the nodes
+    Y of its row r+1 (r-1), over q^p_adj, times the Lagrange polynomial
+    sum_d N_{k,d} (q u)^d / D_k of X, whose pair k the class (row-r slice,
+    slot) fixes.  The nodes and Lagrange pairs are made once per distinct
+    row.  A ladder is one walk over the basis listing (flat position,
+    class, sign * E), E memoised per (adjacent-row slice, node), and
+    _class_polynomial."""
     pyr, index, N, spans, q = rep.pyramid, rep.index, rep.dim, rep.spans, rep.q
+    # nodes[r][row-r slice of a key]: its nodes, rows in basis order; row 0 has none
+    nodes = [{row: _nodes(rep, r, row) for row in dict.fromkeys(key[spans[r]] for key in index)}
+             for r in range(pyr.n + 1)]
     B, C = {}, {}
     for r in range(1, pyr.n):
-        span, first, lag = spans[r], spans[r].start, rep.lagrange[r]
+        span, first = spans[r], spans[r].start
         # pairs[k] = ([q^d N_{k,d}], D_k); base[row] + p is the class of
         # the slot at key position p
         base, pairs = {}, []
-        for row, (_, row_pairs) in lag.items():
+        for row, row_nodes in nodes[r].items():
             base[row] = len(pairs) - first
             pairs += [([c * q ** d for d, c in enumerate(num.coeffs)], den)
-                      for num, den in row_pairs]
+                      for num, den in lagrange_basis(row_nodes)]
         for table, step, adj, sign in ((B, 1, r + 1, -1), (C, -1, r - 1, 1)):
-            eig, adj_span, memo, entries = rep.eig[adj], spans[adj], {}, []
+            adj_nodes, adj_span, memo, entries = nodes[adj], spans[adj], {}, []
             for col, key in enumerate(index):  # the keys in basis order
                 row, adj_row = key[span], key[adj_span]
                 k = base[row]
-                for p, node in enumerate(lag[row][0], first):
+                for p, node in enumerate(nodes[r][row], first):
                     tgt = index.get(key[:p] + (key[p] + step,) + key[p + 1:])
                     if tgt is not None:
                         value = memo.get((adj_row, node))
                         if value is None:
-                            value = memo[adj_row, node] = sign * eig[adj_row](node)
+                            value = memo[adj_row, node] = sign * prod(
+                                node - y for y in adj_nodes[adj_row])
                         entries.append((tgt * N + col, k + p, value))
             table[r] = _class_polynomial(N, entries, pairs, q ** pyr.row_block_size(adj))
     return B, C
@@ -407,32 +409,30 @@ class RelationReport:
         return sum(c for _, c, _ in self.families)
 
 
-# Relation terms: groups of signed products (coefficient, operands), one
-# operand for a plain matrix; an operand is a pair (name, matrix), and lhs
-# and rhs are lists of these groups.
-def _comm(a, b, sign=1):
-    return ((sign, (a, b)), (-sign, (b, a)))
+# A relation instance is (label, terms), terms a flat list of signed products
+# (coefficient, names) that sums to lhs - rhs; one name is a plain matrix.
+def _comm(a, b, c=1):
+    """c [a, b] as the terms c ab and -c ba."""
+    return [(c, (a, b)), (-c, (b, a))]
 
 
-def _prod(a, b, sign=1):
-    return ((sign, (a, b)),)
+class _NameTable(dict):
+    """{name: matrix} for one run of the relation suite, made with every d,
+    d', e and f name in range.  A Serre block ("[,]", a, b) is formed as
+    [a, b] the first time it is looked up; any other name outside the
+    table raises OrderError."""
 
-
-def _mat(a, sign=1):
-    return ((sign, (a,)),)
-
-
-def _bracket(a, b):
-    """The named commutator [a, b] of two named operands."""
-    return ("[,]", a[0], b[0]), a[1].commutator(b[1])
+    def __missing__(self, name):
+        if name[0] != "[,]":
+            raise OrderError("no matrix %r within the verified order" % (name,))
+        block = self[name] = self[name[1]].commutator(self[name[2]])
+        return block
 
 
 def _transposed(cases, sign):
     """The transpose of cases: every product reversed, every coefficient times sign."""
-    def flip(side):
-        return [tuple((sign * c, ops[::-1]) for c, ops in group) for group in side]
-    for label, lhs, rhs in cases:
-        yield label, flip(lhs), flip(rhs)
+    for label, terms in cases:
+        yield label, [(sign * c, names[::-1]) for c, names in terms]
 
 
 def _key(pairs):
@@ -444,75 +444,61 @@ def _key(pairs):
     return tuple(key)
 
 
-def _canonical(lhs, rhs):
-    """lhs - rhs as (key, terms), a signed sum of distinct products.
+def _canonical(terms, matrix):
+    """(key, pairs): the terms of an instance as a sum of distinct products.
 
     Equal products (and equal plain matrices) merge, and zero coefficients
-    and terms with a zero operand drop.  terms lists [coefficient,
-    operands] in order of first appearance; key is _key of the (operand
-    names, coefficient) pairs.  A name stands for one matrix of the run,
-    so two instances with equal keys are the same linear combination of
-    the same matrix products, up to sign, and vanish together; the key
+    and terms with an operand that matrix (the _NameTable) maps to zero
+    drop.  pairs lists (operand names, coefficient) in order of first
+    appearance, and key is their _key.  A name stands for one matrix of the
+    run, so two instances with equal keys are the same linear combination
+    of the same matrix products, up to sign, and vanish together; the key
     holds no matrix."""
     merged = {}
-    for groups, side in ((lhs, 1), (rhs, -1)):
-        for group in groups:
-            for c, ops in group:
-                names, mats = zip(*ops)
-                if not all(mats):
-                    continue
-                term = merged.get(names)
-                if term is None:
-                    merged[names] = [c * side, ops]
-                else:
-                    term[0] += c * side
-    merged = {names: t for names, t in merged.items() if t[0]}
-    return _key((names, c) for names, (c, _) in merged.items()), list(merged.values())
+    for c, names in terms:
+        if all(map(matrix.__getitem__, names)):
+            merged[names] = merged.get(names, 0) + c
+    pairs = [(names, c) for names, c in merged.items() if c]
+    return _key(pairs), pairs
 
 
-def _image_key(terms, tau):
-    """The key of tau applied to the terms of _canonical, or None when
+def _image_key(pairs, tau):
+    """The key of tau applied to the pairs of _canonical, or None when
     some operand has no image: tau ({name: image name}) swaps the e and f
     it pairs, fixes d and d', and takes a commutator [a, b], named ("[,]",
     a, b), to [tau b, tau a] = -[tau a, tau b].  tau reverses a product; a
     product of d and d' alone keeps its order, since diagonal matrices
     commute."""
-    pairs = []
-    for c, ops in terms:
-        names, moved = [], False
-        for name, _ in ops:
+    image = []
+    for names, c in pairs:
+        moved = []
+        for name in names:
             kind = name[0]
-            if kind == "d" or kind == "d'":
-                names.append(name)
-                continue
-            moved = True
             if kind == "[,]":
-                image = tau.get(name[1]), tau.get(name[2])
-                if None in image:
+                a, b = tau.get(name[1]), tau.get(name[2])
+                if a is None or b is None:
                     return None
-                names.append(("[,]", *image))
-                c = -c
-            else:
-                image = tau.get(name)
-                if image is None:
+                name, c = ("[,]", a, b), -c
+            elif kind != "d" and kind != "d'":
+                name = tau.get(name)
+                if name is None:
                     return None
-                names.append(image)
-        if moved:
-            names.reverse()
-        pairs.append((tuple(names), c))
-    return _key(pairs)
+            moved.append(name)
+        if any(name[0] not in ("d", "d'") for name in names):
+            moved.reverse()
+        image.append((tuple(moved), c))
+    return _key(image)
 
 
-def _combine(dim, terms):
-    """The Combination summing the [coefficient, operands] terms of
-    _canonical: lhs - rhs of the instance."""
+def _combine(dim, pairs, matrix):
+    """The Combination summing the (names, coefficient) pairs of
+    _canonical, each name read from matrix: lhs - rhs of the instance."""
     comb = Combination(dim)
-    for c, ops in terms:
-        if len(ops) == 2:
-            (_, a), (_, b) = ops
-            comb.product(a, b, c)
+    for names, c in pairs:
+        if len(names) == 2:
+            comb.product(matrix[names[0]], matrix[names[1]], c)
         else:
-            comb.add(ops[0][1], c)
+            comb.add(matrix[names[0]], c)
     return comb
 
 
@@ -563,16 +549,16 @@ def verify_defining_relations(rep, R):
 
     The index ranges start past the shift matrix (e_start, f_start), and
     each f-side family is the transpose of its e-side one (_transposed).
-    Each instance is a pair of lists, lhs and rhs, of groups of signed
-    products (_comm, _prod, _mat) of named operands: ("e", i, r), ("f",
-    i, r), ("d", i, r), ("d'", i, r), and ("[,]", a, b) for a Serre block
-    [a, b] of two of those (_bracket).  lhs - rhs is brought to its
-    canonical form (_canonical), keyed by the names, and each distinct form
-    is summed once per ticket in one Combination and zero-tested: a
-    mirrored instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r),
-    d_j^(s)] or a Serre (s, r, t) beside (r, s, t), is verified because
-    its canonical sum is identical to one that passed, and an empty form
-    is formally zero.  The keys hold names, not matrices, so what passed
+    Each instance is a label and one list of signed products of names
+    that sums to lhs - rhs: ("e", i, r), ("f", i, r), ("d", i, r), ("d'",
+    i, r), and ("[,]", a, b) for a Serre block [a, b] of two of those,
+    which the run's _NameTable forms on its first lookup.  The list is
+    brought to its canonical form (_canonical), keyed by the names, and
+    each distinct form is summed once per ticket in one Combination and
+    zero-tested: a mirrored instance, such as [d_j^(s), d_i^(r)] beside
+    [d_i^(r), d_j^(s)] or a Serre (s, r, t) beside (r, s, t), is verified
+    because its canonical sum is identical to one that passed, and an
+    empty form is formally zero.  The keys hold names, not matrices, so what passed
     keeps no matrix alive.
 
     When the anti-involution tau(X) = S^{-1} X^T S exists
@@ -586,8 +572,9 @@ def verify_defining_relations(rep, R):
     half of [e,f] (and of the distant rows) from the other half; only the
     instances whose image falls outside the index ranges are summed.  A
     failing instance never passes, so its image is still summed, and
-    where tau does not exist the suite runs without it.  Every instance is still counted and labelled,
-    and a failing instance's witness is read from the matrix of that sum.
+    where tau does not exist the suite runs without it.  Every instance is
+    still counted and labelled, and a failing instance's witness is read
+    from the matrix of that sum.
     The only errors raised are those of generator_series(rep, 2 * R) and
     of a family's own run; a failing instance is reported.
     generator_series does not check that d_1^{(r)} vanishes for r > p_1;
@@ -607,12 +594,10 @@ def verify_defining_relations(rep, R):
     n = pyr.n
     N = rep.dim
     tau = _anti_involution(gens)
-
-    def named(kind, get):
-        return lambda i, r: ((kind, i, r), get(i, r))
-
-    d, dprime, e, f = (named(kind, get) for kind, get in (
-        ("d", gens.d), ("d'", gens.dprime), ("e", gens.e), ("f", gens.f)))
+    matrix = _NameTable(((kind, i, r), get(i, r))
+                        for kind, get, rows in (("d", gens.d, n), ("d'", gens.dprime, n),
+                                                ("e", gens.e, n - 1), ("f", gens.f, n - 1))
+                        for i in range(1, rows + 1) for r in range(gens.order + 1))
     estart, fstart = gens.e_start, gens.f_start
     cases = {}  # family name -> its case generator, registered unrun
 
@@ -623,12 +608,12 @@ def verify_defining_relations(rep, R):
         for name in ticket:
             fails = []
             count = 0
-            for label, lhs, rhs in cases[name]():
+            for label, terms in cases[name]():
                 count += 1
-                key, terms = _canonical(lhs, rhs)
-                if key in passed or tau is not None and _image_key(terms, tau) in passed:
+                key, pairs = _canonical(terms, matrix)
+                if key in passed or tau is not None and _image_key(pairs, tau) in passed:
                     continue
-                comb = _combine(N, terms)
+                comb = _combine(N, pairs, matrix)
                 if comb.is_zero():
                     passed.add(key)
                 else:
@@ -642,7 +627,7 @@ def verify_defining_relations(rep, R):
                 for r in range(1, R + 1):
                     for s in range(1, R + 1):
                         yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(d(i, r), d(j, s))], [])
+                               _comm(("d", i, r), ("d", j, s)))
     cases["[d,d]=0"] = cases_dd
 
     def cases_ef():
@@ -650,89 +635,85 @@ def verify_defining_relations(rep, R):
             for j in range(1, n):
                 for r in range(estart(i), R + 1):
                     for s in range(fstart(j), R + 1):
-                        rhs = []
+                        terms = _comm(("e", i, r), ("f", j, s))
                         if i == j:
-                            rhs = [_prod(dprime(i, t), d(i + 1, r + s - t - 1), -1)
-                                   for t in range(r + s)]
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(e(i, r), f(j, s))], rhs)
+                            terms += [(1, (("d'", i, t), ("d", i + 1, r + s - t - 1)))
+                                      for t in range(r + s)]
+                        yield "i=%d j=%d r=%d s=%d" % (i, j, r, s), terms
     cases["[e,f]"] = cases_ef
 
-    # each e-side family is stated once over x = e or f and its start
-    # index; the f side is the transpose of its x = f instances
+    # each e-side family is stated once over x = "e" or "f" and its start
+    # index; the f side is the transpose of its x = "f" instances
     def cases_de(x, start):
         for i in range(1, n + 1):
             for j in range(1, n):
                 sign = (1 if i == j else 0) - (1 if i == j + 1 else 0)
                 for r in range(1, R + 1):
                     for s in range(start(j), R + 1):
-                        rhs = []
+                        terms = _comm(("d", i, r), (x, j, s))
                         if sign:
-                            rhs = [_prod(d(i, t), x(j, r + s - t - 1), sign)
-                                   for t in range(r)]
-                        yield ("i=%d j=%d r=%d s=%d" % (i, j, r, s),
-                               [_comm(d(i, r), x(j, s))], rhs)
-    cases["[d,e]"] = lambda: cases_de(e, estart)
+                            terms += [(-sign, (("d", i, t), (x, j, r + s - t - 1)))
+                                      for t in range(r)]
+                        yield "i=%d j=%d r=%d s=%d" % (i, j, r, s), terms
+    cases["[d,e]"] = lambda: cases_de("e", estart)
     # the transpose of [d_i^(r), e_j^(s)] is [f_j^(s), d_i^(r)] = -[d_i^(r), f_j^(s)]
-    cases["[d,f]"] = lambda: _transposed(cases_de(f, fstart), -1)
+    cases["[d,f]"] = lambda: _transposed(cases_de("f", fstart), -1)
 
     def cases_same(x, start):
         for i in range(1, n):
             for r in range(start(i), R + 1):
                 for s in range(start(i), R + 1):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(x(i, r), x(i, s + 1)), _comm(x(i, r + 1), x(i, s), -1)],
-                           [_prod(x(i, r), x(i, s)), _prod(x(i, s), x(i, r))])
-    cases["e same-row"] = lambda: cases_same(e, estart)
-    cases["f same-row"] = lambda: _transposed(cases_same(f, fstart), 1)
+                           _comm((x, i, r), (x, i, s + 1)) + _comm((x, i, r + 1), (x, i, s), -1)
+                           + [(-1, ((x, i, r), (x, i, s))), (-1, ((x, i, s), (x, i, r)))])
+    cases["e same-row"] = lambda: cases_same("e", estart)
+    cases["f same-row"] = lambda: _transposed(cases_same("f", fstart), 1)
 
     def cases_adj(x, start):
         for i in range(1, n - 1):
             for r in range(start(i), R + 1):
                 for s in range(start(i + 1), R + 1):
                     yield ("i=%d r=%d s=%d" % (i, r, s),
-                           [_comm(x(i, r), x(i + 1, s + 1)),
-                            _comm(x(i, r + 1), x(i + 1, s), -1)],
-                           [_prod(x(i, r), x(i + 1, s), -1)])
-    cases["e adjacent"] = lambda: cases_adj(e, estart)
-    cases["f adjacent"] = lambda: _transposed(cases_adj(f, fstart), 1)
+                           _comm((x, i, r), (x, i + 1, s + 1))
+                           + _comm((x, i, r + 1), (x, i + 1, s), -1)
+                           + [(1, ((x, i, r), (x, i + 1, s)))])
+    cases["e adjacent"] = lambda: cases_adj("e", estart)
+    cases["f adjacent"] = lambda: _transposed(cases_adj("f", fstart), 1)
 
     # distant rows and Serre are sums of commutators of their own operands,
-    # which the transpose with sign -1 fixes: their f side is just x = f
+    # which the transpose with sign -1 fixes: their f side is just x = "f"
     def cases_far():
         for i in range(1, n):
             for j in range(1, n):
                 if abs(i - j) <= 1:
                     continue
-                for name, x, start in (("e", e, estart), ("f", f, fstart)):
+                for x, start in (("e", estart), ("f", fstart)):
                     for r in range(start(i), R + 1):
                         for s in range(start(j), R + 1):
-                            yield ("%s i=%d j=%d r=%d s=%d" % (name, i, j, r, s),
-                                   [_comm(x(i, r), x(j, s))], [])
+                            yield ("%s i=%d j=%d r=%d s=%d" % (x, i, j, r, s),
+                                   _comm((x, i, r), (x, j, s)))
     cases["distant rows"] = cases_far
 
     def cases_serre(x, start):
-        # inner[(s, t)] = [x_{i,s}, x_{i+1,t}], named ("[,]", its operands'
-        # names) and built once per adjacent pair; the block (i+1, i) reads
-        # [x_{i+1,s}, x_{i,t}] = -inner[(t, s)]
+        # [x_{i,s}, x_{j,t}] is sign times the block of its operands in row
+        # order: ("[,]", x_{i,s}, x_{j,t}) for j = i + 1, and for j = i - 1
+        # ("[,]", x_{j,t}, x_{i,s}), the name the block (j, i) reads
         for k in range(1, n - 1):
-            inner = {(s, t): _bracket(x(k, s), x(k + 1, t))
-                     for s in range(start(k), R + 1) for t in range(start(k + 1), R + 1)}
-            mirror = {(t, s): m for (s, t), m in inner.items()}
-            for i, j, block, sign in ((k, k + 1, inner, 1), (k + 1, k, mirror, -1)):
+            for i, j, sign in ((k, k + 1, 1), (k + 1, k, -1)):
                 si, sj = range(start(i), R + 1), range(start(j), R + 1)
+                block = {(s, t): ("[,]", *((x, i, s), (x, j, t))[::sign]) for s in si for t in sj}
                 for r in si:
                     for s in si:
                         for t in sj:
                             yield ("i=%d j=%d r=%d s=%d t=%d" % (i, j, r, s, t),
-                                   [_comm(x(i, r), block[(s, t)], sign),
-                                    _comm(x(i, s), block[(r, t)], sign)], [])
-    cases["Serre e"] = lambda: cases_serre(e, estart)
-    cases["Serre f"] = lambda: cases_serre(f, fstart)
+                                   _comm((x, i, r), block[s, t], sign)
+                                   + _comm((x, i, s), block[r, t], sign))
+    cases["Serre e"] = lambda: cases_serre("e", estart)
+    cases["Serre f"] = lambda: cases_serre("f", fstart)
 
     def cases_quotient():
         for r in range(pyr.p(1) + 1, gens.order + 1):
-            yield ("r=%d" % r, [_mat(d(1, r))], [])
+            yield "r=%d" % r, [(1, (("d", 1, r),))]
     cases["d_1 vanishing"] = cases_quotient
 
     done = _run_families(check, _default_workers())

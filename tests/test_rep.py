@@ -181,11 +181,9 @@ def test_degenerate_nodes_name_row_and_pattern():
         build_representation([mu])
 
 
-def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
-    # (2,3,3) has 128 patterns but 9, 32 and 1 distinct l-value rows in
-    # rows 1, 2 and 3: one eigenvalue polynomial per distinct row of each
-    # A_r, one Lagrange basis (and its master polynomial) per distinct
-    # row below the top
+def _counted_interpolation(monkeypatch):
+    """{"lagrange": lagrange_basis calls, "roots": UniPoly.from_roots calls}
+    from now on; lagrange_basis makes its master polynomial by from_roots."""
     calls = {"lagrange": 0, "roots": 0}
     lagrange, from_roots = rep_mod.lagrange_basis, UniPoly.from_roots.__func__
 
@@ -199,25 +197,42 @@ def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
 
     monkeypatch.setattr(rep_mod, "lagrange_basis", counted_lagrange)
     monkeypatch.setattr(UniPoly, "from_roots", classmethod(counted_roots))
+    return calls
+
+
+def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
+    # (2,3,3) has 128 patterns but 9, 32 and 1 distinct l-value rows in
+    # rows 1, 2 and 3: the build makes one eigenvalue polynomial per
+    # distinct row of each A_r and no Lagrange basis; the first read of B
+    # makes one Lagrange basis (and its master polynomial) per distinct
+    # row below the top
+    calls = _counted_interpolation(monkeypatch)
     pyr = Pyramid(rows=(2, 3, 3))
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     distinct = [len({tuple(mu.row_l_values(r)) for mu in rep.basis})
                 for r in range(1, pyr.n + 1)]
     assert rep.dim == 128 and distinct == [9, 32, 1]
-    assert calls["lagrange"] == 9 + 32
-    assert calls["roots"] == (9 + 32 + 1) + calls["lagrange"]
+    assert calls == {"lagrange": 0, "roots": 9 + 32 + 1}
+    calls.update(lagrange=0, roots=0)
+    assert rep.B[1].coeffs
+    assert calls == {"lagrange": 9 + 32, "roots": 9 + 32}
 
 
-def test_ladder_tables_are_released_on_the_first_read():
-    # the eigenvalue polynomials and Lagrange pairs feed only the ladder
-    # assembly; fibers, which never reads B or C, keeps them
+def test_ladder_tables_are_released_on_the_first_read(monkeypatch):
+    # the nodes and Lagrange pairs of the ladders live only while B and C
+    # are assembled: fibers, which never reads B or C, makes none, the
+    # representation keeps none, and a second read of B or C makes none
     pyr = Pyramid(rows=(2, 3, 3))
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
+    calls = _counted_interpolation(monkeypatch)
     assert fibers(rep)[0]
-    assert rep.eig[3] and rep.lagrange[2]
+    assert calls == {"lagrange": 0, "roots": 0}
     B = rep.B
-    assert not hasattr(rep, "eig") and not hasattr(rep, "lagrange")
+    assert calls["lagrange"] == 9 + 32
+    calls.update(lagrange=0, roots=0)
     assert rep.B is B and rep.C[1].coeffs
+    assert calls == {"lagrange": 0, "roots": 0}
+    assert not hasattr(rep, "eig") and not hasattr(rep, "lagrange")
 
 
 @settings(max_examples=25, deadline=None,
@@ -326,7 +341,7 @@ def test_serre_mutation_detected():
     assert failed["Serre e"][0] == (
         "i=1 j=2 r=1 s=1 t=2: entry (6,0) differs by 8; row pattern %r, "
         "column pattern %r" % (rep.basis[6], rep.basis[0]))
-    # the suite builds each inner commutator once per (i, j) block; every
+    # the suite forms each Serre block once, on its first lookup; every
     # witness must match the instance built from plain nested commutators
     gens = generator_series(rep, 6)
     e = gens.e
@@ -640,32 +655,31 @@ def test_a_d1_fault_reaches_its_family(monkeypatch, capsys):
                          "witness": "t_{11}^{(2)} nonzero beyond the column degree 1"}
 
 
-def _ops(dim, *entry_lists):
-    # named operands ("a", matrix), ("b", matrix), ...
-    return [(name, SparseMatrix.from_entries(dim, entries))
-            for name, entries in zip("abcdefgh", entry_lists)]
+def _canonical_on(matrix):
+    """rep_mod._canonical on one table of names."""
+    return lambda terms: rep_mod._canonical(terms, matrix)
 
 
 def test_canonical_form_of_relation_terms():
-    a, b, c, d = _ops(3, [(0, 1, 1)], [(1, 2, 2)], [(2, 0, 3), (0, 0, 1)], [(1, 1, 5)])
-    zero = ("zero", SparseMatrix(3))
-    canonical = rep_mod._canonical
-    comm, prod = rep_mod._comm, rep_mod._prod
+    matrix = {name: SparseMatrix.from_entries(3, entries) for name, entries in zip(
+        "abcd", ([(0, 1, 1)], [(1, 2, 2)], [(2, 0, 3), (0, 0, 1)], [(1, 1, 5)]))}
+    matrix["zero"] = SparseMatrix(3)
+    matrix["[a,c]"] = matrix["a"].commutator(matrix["c"])
+    matrix["[b,c]"] = matrix["b"].commutator(matrix["c"])
+    canonical, comm = _canonical_on(matrix), rep_mod._comm
     # [a,b] = -[b,a]: the same sum up to sign
-    assert canonical([comm(a, b)], [])[0] == canonical([comm(b, a)], [])[0]
+    assert canonical(comm("a", "b"))[0] == canonical(comm("b", "a"))[0]
     # a Serre instance (r, s, t) is (s, r, t) with its two terms swapped
-    inner_s = ("[a,c]", a[1].commutator(c[1]))
-    inner_r = ("[b,c]", b[1].commutator(c[1]))
-    assert (canonical([comm(a, inner_r), comm(b, inner_s)], [])[0]
-            == canonical([comm(b, inner_s), comm(a, inner_r)], [])[0])
+    assert (canonical(comm("a", "[b,c]") + comm("b", "[a,c]"))[0]
+            == canonical(comm("b", "[a,c]") + comm("a", "[b,c]"))[0])
     # [a,a], and a product equal on both sides, are formally zero
-    assert canonical([comm(a, a)], []) == ((), [])
-    assert canonical([prod(a, b)], [prod(a, b)]) == ((), [])
-    # a zero operand drops its term
-    assert canonical([comm(d, zero), prod(a, b)], []) == canonical([prod(a, b)], [])
+    assert canonical(comm("a", "a")) == ((), [])
+    assert canonical([(1, ("a", "b")), (-1, ("a", "b"))]) == ((), [])
+    # a zero operand drops its term: the table maps "zero" to the zero matrix
+    assert canonical(comm("d", "zero") + [(1, ("a", "b"))]) == canonical([(1, ("a", "b"))])
     # r = s in Serre: two equal commutators merge into 2[a,b]
-    key, terms = canonical([comm(a, b), comm(a, b)], [])
-    assert terms == [[2, (a, b)], [-2, (b, a)]]
+    key, pairs = canonical(comm("a", "b") + comm("a", "b"))
+    assert pairs == [(("a", "b"), 2), (("b", "a"), -2)]
     assert sorted(coeff for _, coeff in key) == [-2, 2]
     assert key[0][1] > 0
     # the key names the operands and holds no matrix
@@ -676,31 +690,51 @@ def test_image_key_reverses_products_and_fixes_diagonal_ones():
     # tau swaps the e and f it pairs, fixes d and d', and takes [a, b] to
     # -[tau a, tau b]: the image of [e, d] + 3 d' d is [d, f] + 3 d' d,
     # whose key is -1 times that of [f, d] - 3 d' d
-    e, f, d, dp, e2, f2 = _ops(3, [(0, 1, 1)], [(1, 0, 1)], [(0, 0, 1)], [(1, 1, 2)],
-                               [(1, 2, 1)], [(2, 1, 1)])
-    e, f, e2, f2 = (("e", 1, 2), e[1]), (("f", 1, 1), f[1]), (("e", 2, 1), e2[1]), \
-        (("f", 2, 1), f2[1])
-    d, dp = (("d", 1, 1), d[1]), (("d'", 1, 1), dp[1])
-    tau = {e[0]: f[0], f[0]: e[0], e2[0]: f2[0], f2[0]: e2[0]}
-    canonical, image_key = rep_mod._canonical, rep_mod._image_key
-    comm, prod = rep_mod._comm, rep_mod._prod
-    _, terms = canonical([comm(e, d), prod(dp, d, 3)], [])
-    assert image_key(terms, tau) == canonical([comm(f, d)], [prod(dp, d, 3)])[0]
+    e, f, d, dp, e2, f2 = names = (("e", 1, 2), ("f", 1, 1), ("d", 1, 1), ("d'", 1, 1),
+                                   ("e", 2, 1), ("f", 2, 1))
+    matrix = rep_mod._NameTable(zip(names, (SparseMatrix.from_entries(3, entries) for entries in (
+        [(0, 1, 1)], [(1, 0, 1)], [(0, 0, 1)], [(1, 1, 2)], [(1, 2, 1)], [(2, 1, 1)]))))
+    tau = {e: f, f: e, e2: f2, f2: e2}
+    canonical, comm, image_key = _canonical_on(matrix), rep_mod._comm, rep_mod._image_key
+    _, pairs = canonical(comm(e, d) + [(3, (dp, d))])
+    assert image_key(pairs, tau) == canonical(comm(f, d) + [(-3, (dp, d))])[0]
     # a Serre block [e, e2] maps to -[f, f2]: [e, [e, e2]] to [f, [f, f2]]
-    _, terms = canonical([comm(e, rep_mod._bracket(e, e2))], [])
-    assert image_key(terms, tau) == canonical([comm(f, rep_mod._bracket(f, f2))], [])[0]
+    _, pairs = canonical(comm(e, ("[,]", e, e2)))
+    assert image_key(pairs, tau) == canonical(comm(f, ("[,]", f, f2)))[0]
     # an operand tau does not pair has no image, nor does a block of one
-    g = (("e", 1, 9), e[1])
-    assert image_key(canonical([prod(e, g)], [])[1], tau) is None
-    assert image_key(canonical([comm(e, rep_mod._bracket(g, e2))], [])[1], tau) is None
+    g = ("e", 1, 9)
+    matrix[g] = matrix[e]
+    assert image_key(canonical([(1, (e, g))])[1], tau) is None
+    assert image_key(canonical(comm(e, ("[,]", g, e2)))[1], tau) is None
+
+
+def test_name_table_forms_each_serre_block_once(monkeypatch):
+    # a block is the commutator of its operands' matrices, formed on its
+    # first lookup and kept; any other name outside the table raises
+    a, b = SparseMatrix.from_entries(3, [(0, 1, 1)]), SparseMatrix.from_entries(3, [(1, 2, 2)])
+    matrix = rep_mod._NameTable({("e", 1, 1): a, ("e", 2, 1): b})
+    block = ("[,]", ("e", 1, 1), ("e", 2, 1))
+    commutator, calls = SparseMatrix.commutator, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return commutator(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "commutator", counted)
+    assert matrix[block] == a * b - b * a
+    assert matrix[block] is matrix[block] and calls == [1]
+    for name in (("e", 1, 2), ("f", 1, 1), ("[,]", ("e", 1, 1), ("e", 1, 5))):
+        with pytest.raises(OrderError):
+            matrix[name]
+    assert calls == [1] and len(matrix) == 3
 
 
 def _unmemoized_report(monkeypatch, rep, R):
     # every instance gets a key of its own, so each one is summed
     canonical, fresh = rep_mod._canonical, itertools.count()
 
-    def unique(lhs, rhs):
-        return (next(fresh),), canonical(lhs, rhs)[1]
+    def unique(terms, matrix):
+        return (next(fresh),), canonical(terms, matrix)[1]
 
     with monkeypatch.context() as m:
         m.setattr(rep_mod, "_canonical", unique)
@@ -782,9 +816,9 @@ def _tau_run(rep, R, workers=1, tau=True):
         found.append(out is not None)
         return out
 
-    def counted(dim, terms):
+    def counted(*args):
         sums[0] += 1
-        return combine(dim, terms)
+        return combine(*args)
 
     with mock.patch.object(rep_mod, "_anti_involution", recorded), \
             mock.patch.object(rep_mod, "_combine", counted):
@@ -932,6 +966,53 @@ def test_relation_suite_work_budget(monkeypatch):
         ("Serre e", 30), ("Serre f", 54), ("d_1 vanishing", 4)]
 
 
+@pytest.mark.parametrize("rows, R, blocks", [
+    ((2, 3, 3), 4, 28), ((2, 2, 3), 3, 15), ((1, 2, 2, 3), 3, 30),
+], ids=["2-3-3", "2-2-3", "1-2-2-3"])
+def test_relation_suite_commutator_count(monkeypatch, rows, R, blocks):
+    # SparseMatrix.commutator runs once per Serre block of a one-worker
+    # suite, on its first lookup in the name table: a block formed per
+    # instance, or per side of a ticket, changes the count
+    rep = build_representation(enumerate_patterns(generic_weight(Pyramid(rows=rows))))
+    commutator, calls = SparseMatrix.commutator, [0]
+
+    def counted(self, other):
+        calls[0] += 1
+        return commutator(self, other)
+
+    monkeypatch.setattr(SparseMatrix, "commutator", counted)
+    assert not any(fails for _, _, fails in _families(rep, R, 1))
+    assert calls[0] == blocks
+
+
+def _is_name(name):
+    """A name is a tuple of str, int and names."""
+    return type(name) is tuple and all(type(part) in (str, int) or _is_name(part)
+                                       for part in name)
+
+
+def test_relation_terms_hold_only_names(monkeypatch):
+    # every term _canonical receives is (int coefficient, names): no
+    # matrix rides along with a name.  A forked worker that met one would
+    # raise, and its ticket would run again here and raise
+    pyr = Pyramid(rows=(2, 2, 3))
+    rep = build_representation(enumerate_patterns(generic_weight(pyr)))
+    canonical, terms_seen = rep_mod._canonical, [0]
+
+    def guarded(terms, matrix):
+        for c, names in terms:
+            assert type(c) is int and type(names) is tuple, (c, names)
+            assert names and all(map(_is_name, names)), names
+        terms_seen[0] += len(terms)
+        return canonical(terms, matrix)
+
+    monkeypatch.setattr(rep_mod, "_canonical", guarded)
+    assert not any(fails for _, _, fails in _families(rep, 3, 1))
+    assert terms_seen[0] > 0  # every family ran in this process
+    assert not any(fails for _, _, fails in _families(rep, 3, 2))
+    _assert_no_child_left()
+
+
 def test_bumped_value_on_a_planned_pattern_fails(monkeypatch):
     # one value of e_1^{(3)} at (2,2,3) moves and its pattern stays: the
     # products of e_1^{(3)} run through plans built for e_1^{(1)} and
@@ -1075,7 +1156,7 @@ def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
     serial = _families(rep, 3, 1)
     parent, combine, dropped = os.getpid(), rep_mod._combine, tmp_path / "dropped"
 
-    def faulty(dim, terms):
+    def faulty(*args):
         if os.getpid() != parent:
             dropped.touch()
             if fault == "exit":
@@ -1084,7 +1165,7 @@ def test_a_family_a_child_drops_is_run_again(monkeypatch, tmp_path, fault):
         deadline = time.monotonic() + 30
         while not dropped.exists() and time.monotonic() < deadline:
             time.sleep(0.001)
-        return combine(dim, terms)
+        return combine(*args)
 
     monkeypatch.setattr(rep_mod, "_combine", faulty)
     assert _families(rep, 3, 2) == serial
