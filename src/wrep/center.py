@@ -62,15 +62,11 @@ def build_t_matrix(gens):
         for j in range(1, n + 1):
             t = []
             for m in range(R + 1):
-                comb = Combination(N)
-                for k in range(1, min(i, j) + 1):
-                    if k == j:
-                        comb.add(g[(i, k)][m])
-                        continue
-                    gik, ekj = g[(i, k)], e_table[(k, j)]
-                    for s in range(m + 1):
-                        comb.product(gik[s], ekj[m - s])
-                t.append(comb)
+                # k < j takes the products; k == j <= i adds g_{ij} (e_jj = 1)
+                t.append(Combination.of(
+                    N, [(g[(i, k)][s], e_table[(k, j)][m - s], 1)
+                        for k in range(1, min(i + 1, j)) for s in range(m + 1)],
+                    [(g[(i, j)][m], 1)] if j <= i else ()))
             pj = pyr.p(j)
             for r in range(pj + 1, R + 1):
                 if not t[r].is_zero():

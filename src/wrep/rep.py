@@ -348,11 +348,8 @@ def _inverse_defect(x, y):
     or None: each sum is zero-tested without building a Fraction."""
     dim = x[0].dim
     for r in range(len(x)):
-        comb = Combination(dim)
-        for t in range(r + 1):
-            comb.product(x[t], y[r - t])
-        if r == 0:
-            comb.add(SparseMatrix.identity(dim), -1)
+        comb = Combination.of(dim, [(x[t], y[r - t], 1) for t in range(r + 1)],
+                              [(SparseMatrix.identity(dim), -1)] if r == 0 else ())
         if not comb.is_zero():
             return r
     return None
@@ -419,8 +416,9 @@ def _comm(a, b, c=1):
 class _NameTable(dict):
     """{name: matrix} for one run of the relation suite, made with every d,
     d', e and f name in range.  A Serre block ("[,]", a, b) is formed as
-    [a, b] the first time it is looked up; any other name outside the
-    table raises OrderError."""
+    [a, b] the first time it is looked up, and dropped when the ticket
+    that looked it up ends; any other name outside the table raises
+    OrderError."""
 
     def __missing__(self, name):
         if name[0] != "[,]":
@@ -493,13 +491,9 @@ def _image_key(pairs, tau):
 def _combine(dim, pairs, matrix):
     """The Combination summing the (names, coefficient) pairs of
     _canonical, each name read from matrix: lhs - rhs of the instance."""
-    comb = Combination(dim)
-    for names, c in pairs:
-        if len(names) == 2:
-            comb.product(matrix[names[0]], matrix[names[1]], c)
-        else:
-            comb.add(matrix[names[0]], c)
-    return comb
+    products = [(matrix[names[0]], matrix[names[1]], c) for names, c in pairs if len(names) == 2]
+    scaled = [(matrix[names[0]], c) for names, c in pairs if len(names) == 1]
+    return Combination.of(dim, products, scaled)
 
 
 def _anti_involution(gens):
@@ -552,11 +546,13 @@ def verify_defining_relations(rep, R):
     Each instance is a label and one list of signed products of names
     that sums to lhs - rhs: ("e", i, r), ("f", i, r), ("d", i, r), ("d'",
     i, r), and ("[,]", a, b) for a Serre block [a, b] of two of those,
-    which the run's _NameTable forms on its first lookup.  The list is
-    brought to its canonical form (_canonical), keyed by the names, and
-    each distinct form is summed once per ticket in one Combination and
-    zero-tested: a mirrored instance, such as [d_j^(s), d_i^(r)] beside
-    [d_i^(r), d_j^(s)] or a Serre (s, r, t) beside (r, s, t), is verified
+    which the run's _NameTable forms on its first lookup and drops when
+    the ticket ends.  The list is brought to its canonical form
+    (_canonical), keyed by the names, and each distinct form is summed
+    once per ticket in one Combination, started on the lcm of its terms'
+    denominators (Combination.of), and zero-tested: a mirrored instance,
+    such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a Serre (s, r,
+    t) beside (r, s, t), is verified
     because its canonical sum is identical to one that passed, and an
     empty form is formally zero.  The keys hold names, not matrices, so what passed
     keeps no matrix alive.
@@ -619,6 +615,10 @@ def verify_defining_relations(rep, R):
                 else:
                     fails.append("%s: %s" % (label, _first_diff(comb.finish(), rep.basis)))
             done[name] = count, fails
+        # the blocks this ticket formed (only the Serre ticket forms any)
+        # go with it; a later lookup forms a block again
+        for block in [name for name in matrix if name[0] == "[,]"]:
+            del matrix[block]
         return done
 
     def cases_dd():

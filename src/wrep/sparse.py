@@ -44,16 +44,26 @@ dimension with one gather.
 
 Every sum, scaled sum, product and commutator is accumulated by a
 ``Combination`` over one running denominator, so it does integer
-multiply-adds only.  Each term takes a path from its operands' forms:
-diagonal times diagonal is one pass over two lists into a dense
-accumulator; diagonal times general gathers the diagonal by the
-pattern's row indices, general times diagonal by its column indices, and
-one ``map(mul)`` gives the values on the general operand's pattern.
+multiply-adds only.  A sum whose terms are known before the first one is
+added (``sum_products``, ``sum_scaled``, ``+``, ``-``, and the T-matrix
+coefficients and relation sums of ``center`` and ``rep``) starts on the
+lcm of their denominators, through ``Combination.of``, so that no term
+rescales the lists already stored; a term with a zero operand adds
+nothing.  Each term takes a path from its operands' forms: diagonal
+times diagonal is one pass over two lists into a dense accumulator;
+diagonal times general gathers the diagonal by the pattern's row
+indices, general times diagonal by its column indices, and one
+``map(mul)`` gives the values on the general operand's pattern.  A term
+whose factor onto the running denominator is not 1 or -1 multiplies the
+shortest list it can by it: the diagonal when it is shorter than the
+general operand's values, the shorter of two general operands when it is
+shorter than the output, and otherwise the output.
 General times general is split into a symbolic and a numeric phase
 (Gustavson).  The first product of a pattern pair builds its ``_Plan``, in
-a few passes in C, and caches it on the left pattern under the right
-one's key, and every later product of the pair reads it: a relation check
-or a T-matrix meets few pairs, nearly all of them many times.  A plan
+a few passes in C with no Python loop over positions or terms, and caches
+it on the left pattern under the right one's key, and every later product
+of the pair reads it: a relation check or a T-matrix meets few pairs,
+nearly all of them many times.  A plan
 holds the output pattern and, for each contribution layer t, the gather
 lists of the t-th multiplicand pair of every output with more than t
 contributions; the outputs are sorted by their number of contributions,
@@ -221,24 +231,28 @@ class _Plan:
 
     def __init__(self, left, right):
         # term c lands at position flat[c] and multiplies left value ka[c]
-        # by right value kb[c]; each step after the first loop is a pass in
-        # C, none a Python loop over the terms
+        # by right value kb[c]; every step is a pass in C, none a Python
+        # loop over the left positions or the terms: the bounds of the
+        # right row each left position meets are gathered by its column,
+        # each left position repeats once per term of that row, the right
+        # indices are slices of one list (so the layers' gathers share one
+        # int object per right position, not one per term), and the rows
+        # and columns of the terms are one gather each
         starts, rci = right.starts(), right.ci
-        index = list(range(len(rci)))  # one int object per right position
-        self.dim = dim = left.dim
-        flat, ka, kb = [], [], []
-        for k_left, (i, k) in enumerate(zip(left.ri, left.ci)):
-            lo, hi = starts[k], starts[k + 1]
-            if lo < hi:
-                flat += map((i * dim).__add__, rci[lo:hi])
-                ka += repeat(k_left, hi - lo)
-                kb += index[lo:hi]
+        self.dim = left.dim
+        by_col = _gather(left.ci)
+        lo, hi = by_col(starts), by_col(starts[1:])
+        ka = list(chain.from_iterable(map(repeat, range(len(lo)), map(sub, hi, lo))))
         self._out = _DEAD
         self.layers = []
         self.order = None
-        if not flat:
+        if not ka:
             self.out_key = b""
             return
+        index = list(range(len(rci)))
+        kb = list(chain.from_iterable(map(index.__getitem__, map(slice, lo, hi))))
+        row_base = array("q", map(sub, left.flat, left.ci))  # i * dim of each left position
+        flat = list(map(add, _gather(ka)(row_base), _gather(kb)(rci)))
         by_out = _gather(sorted(range(len(flat)), key=flat.__getitem__))
         ka, kb = by_out(ka), by_out(kb)
         counts = Counter(by_out(flat))  # keys in increasing order
@@ -427,10 +441,10 @@ class SparseMatrix:
         return len(self.vals)
 
     def __add__(self, other):
-        return Combination(self.dim).add(self).add(other).finish()
+        return Combination.of(self.dim, (), [(self, 1), (other, 1)]).finish()
 
     def __sub__(self, other):
-        return Combination(self.dim).add(self).add(other, -1).finish()
+        return Combination.of(self.dim, (), [(self, 1), (other, -1)]).finish()
 
     def __neg__(self):
         d = self.diag
@@ -448,20 +462,14 @@ class SparseMatrix:
     @classmethod
     def sum_products(cls, pairs):
         """The sum of a*b over a nonempty list of (a, b) pairs, reduced
-        once."""
-        comb = Combination(pairs[0][0].dim)
-        for a, b in pairs:
-            comb.product(a, b)
-        return comb.finish()
+        once, over the lcm of the products' denominators."""
+        return Combination.of(pairs[0][0].dim, [(a, b, 1) for a, b in pairs]).finish()
 
     @classmethod
     def sum_scaled(cls, pairs):
         """The sum of a*f over a nonempty list of (a, f) pairs, each f a
-        scalar, reduced once."""
-        comb = Combination(pairs[0][0].dim)
-        for a, f in pairs:
-            comb.add(a, f)
-        return comb.finish()
+        scalar, reduced once, over the lcm of the terms' denominators."""
+        return Combination.of(pairs[0][0].dim, (), pairs).finish()
 
     def commutator(self, other):
         """self*other - other*self, summed before it is reduced."""
@@ -608,6 +616,11 @@ def _same(m):
     return m
 
 
+def _scaled(values, scale):
+    """The list of scale times each of values."""
+    return list(map(mul, values, repeat(scale)))
+
+
 class Combination:
     """A sum of scaled matrices and signed products and commutators,
     accumulated as integer numerators over one running denominator
@@ -615,13 +628,19 @@ class Combination:
     (None until the first such term), all others to ``parts``
     {pattern: values}, one value list per pattern met.
 
-    A term whose denominator does not divide ``den`` raises it to the lcm
-    and rescales every list in one pass; otherwise the term adds with
-    integer multiply-adds only.  Nothing is reduced while terms are added:
-    ``finish`` merges the lists and reduces once, and ``is_zero`` tests
-    their summed numerators as they stand.  No list held is changed in place, so it
-    may be shared with a matrix.  Each term method returns the
-    combination, so calls chain.
+    A sum whose terms are known before the first one is added starts on
+    the lcm of their denominators (``Combination.of``), so each term adds
+    with integer multiply-adds only, times the factor that puts it on that
+    denominator: a product puts the factor on the shortest of its
+    operands' value lists and its output, and a factor of 1 or -1 adds or
+    subtracts the term as it stands.  A term added to a plain
+    ``Combination(dim)`` whose denominator does not divide ``den`` raises
+    it to the lcm and rescales every list in one pass.  A term with a zero
+    operand or factor adds nothing and leaves ``den`` alone.  Nothing is
+    reduced while terms are added: ``finish`` merges the lists and reduces
+    once, and ``is_zero`` tests their summed numerators as they stand.  No
+    list held is changed in place, so it may be shared with a matrix.
+    Each term method returns the combination, so calls chain.
     """
 
     __slots__ = ("dim", "den", "parts", "diag")
@@ -631,6 +650,22 @@ class Combination:
         self.den = 1
         self.parts = {}
         self.diag = None
+
+    @classmethod
+    def of(cls, dim, products=(), scaled=()):
+        """The sum of the signed products sign * a*b, from a list of
+        triples (a, b, sign), and of the scaled matrices factor * a, from a
+        list of pairs (a, factor), started on the lcm of their
+        denominators, so that no term raises it.  A term with a zero
+        operand or factor adds nothing and is left out of the lcm."""
+        comb = cls(dim)
+        comb.den = lcm(*(a.den * b.den for a, b, _ in products if a and b),
+                       *(factor.denominator * a.den for a, factor in scaled if factor and a))
+        for a, b, sign in products:
+            comb.product(a, b, sign)
+        for a, factor in scaled:
+            comb.add(a, factor)
+        return comb
 
     def _check(self, m):
         if m.dim != self.dim:
@@ -643,9 +678,9 @@ class Combination:
             m = d // gcd(self.den, d)
             parts = self.parts
             for p, v in parts.items():
-                parts[p] = list(map(m.__mul__, v))
+                parts[p] = _scaled(v, m)
             if self.diag is not None:
-                self.diag = list(map(m.__mul__, self.diag))
+                self.diag = _scaled(self.diag, m)
             self.den *= m
         return self.den // d
 
@@ -653,7 +688,7 @@ class Combination:
         """Add scale times the numerator list (or iterator) ``values`` to
         the dense accumulator."""
         if scale != 1:
-            values = map(scale.__mul__, values)
+            values = map(mul, values, repeat(scale))
         acc = self.diag
         self.diag = list(values) if acc is None else list(map(add, acc, values))
 
@@ -666,30 +701,47 @@ class Combination:
             self.parts[pattern] = (list(map(neg, values)) if acc is None
                                    else list(map(sub, acc, values)))
         else:
-            values = map(scale.__mul__, values)
+            values = map(mul, values, repeat(scale))
             self.parts[pattern] = list(values) if acc is None else list(map(add, acc, values))
 
     def product(self, a, b, sign=1):
-        """Add sign * a*b; the path follows the operands' storage forms."""
+        """Add sign * a*b, nothing when an operand is zero; the path
+        follows the operands' storage forms.  A scale other than 1 or -1
+        goes on the shortest of the value lists it can: an operand's, when
+        it is shorter than the output, or the output's."""
         self._check(a)
         self._check(b)
-        scale = sign * self._over(a.den * b.den)
         ad, bd = a.diag, b.diag
+        if ad is None and not a.vals or bd is None and not b.vals:
+            return self
+        scale = sign * self._over(a.den * b.den)
+        plain = scale == 1 or scale == -1
         if ad is not None and bd is not None:
             self._add_diag(map(mul, ad, bd), scale)
         elif ad is not None:
-            if b.vals:
-                self._add_part(b.pattern, list(map(mul, b.pattern.by_row(ad), b.vals)), scale)
+            p = b.pattern
+            if not plain and len(ad) < len(p):
+                ad, scale = _scaled(ad, scale), 1
+            self._add_part(p, list(map(mul, p.by_row(ad), b.vals)), scale)
         elif bd is not None:
-            if a.vals:
-                self._add_part(a.pattern, list(map(mul, a.vals, a.pattern.by_col(bd))), scale)
-        elif a.vals and b.vals:
+            p = a.pattern
+            if not plain and len(bd) < len(p):
+                bd, scale = _scaled(bd, scale), 1
+            self._add_part(p, list(map(mul, a.vals, p.by_col(bd))), scale)
+        else:
             plans, key = a.pattern.plans, b.pattern.key
             plan = plans.get(key)
             if plan is None:
                 plan = plans[key] = _Plan(a.pattern, b.pattern)
             if plan.layers:
-                self._add_part(plan.out(), plan.multiply(a.vals, b.vals), scale)
+                av, bv = a.vals, b.vals
+                if not plain and min(len(av), len(bv)) < plan.layers[0][0]:
+                    if len(av) <= len(bv):
+                        av = _scaled(av, scale)
+                    else:
+                        bv = _scaled(bv, scale)
+                    scale = 1
+                self._add_part(plan.out(), plan.multiply(av, bv), scale)
         return self
 
     def commutator(self, a, b, sign=1):

@@ -985,6 +985,35 @@ def test_relation_suite_commutator_count(monkeypatch, rows, R, blocks):
     assert calls[0] == blocks
 
 
+def test_serre_blocks_go_with_their_ticket(monkeypatch):
+    # one worker takes the tickets in _QUEUE order, the Serre ticket first:
+    # every sum of that ticket sees the blocks it formed, and every later
+    # sum sees none, so no block outlives the ticket that reads it
+    assert rep_mod._QUEUE[0] == ("Serre f", "Serre e")
+    rep = build_representation(enumerate_patterns(generic_weight(Pyramid(rows=(2, 2, 3)))))
+    tables, held = [], []
+    combine = rep_mod._combine
+
+    class Recorded(rep_mod._NameTable):
+        def __init__(self, items):
+            super().__init__(items)
+            tables.append(self)
+
+    def counted(dim, pairs, matrix):
+        held.append(sum(name[0] == "[,]" for name in matrix))
+        return combine(dim, pairs, matrix)
+
+    monkeypatch.setattr(rep_mod, "_NameTable", Recorded)
+    monkeypatch.setattr(rep_mod, "_combine", counted)
+    monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
+    assert verify_defining_relations(rep, 3).ok
+    assert 0 in held
+    serre = held.index(0)
+    assert serre > 0 and all(held[:serre]) and not any(held[serre:])
+    table, = tables
+    assert not any(name[0] == "[,]" for name in table)
+
+
 def _is_name(name):
     """A name is a tuple of str, int and names."""
     return type(name) is tuple and all(type(part) in (str, int) or _is_name(part)

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -367,7 +368,8 @@ def mixed_entry_list(dim, max_size=6):
                           mixed_entry_list(3)), min_size=1, max_size=5))
 def test_running_denominator_rescales(terms):
     # after every term the finished sum equals the dense reference, and the
-    # running denominator is a multiple of each term's denominator so far
+    # running denominator is a multiple of each nonzero term's denominator
+    # so far; a term with a zero operand or factor leaves it alone
     comb = Combination(3)
     want = [[Fraction(0)] * 3 for _ in range(3)]
     for is_product, factor, ea, eb in terms:
@@ -382,8 +384,10 @@ def test_running_denominator_rescales(terms):
             term, den = [[factor * x for x in row] for row in dense(a)], factor.denominator * a.den
         want = [[w + t for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
         assert comb.den % before == 0
-        if is_product or (factor and a):
+        if a and (b if is_product else factor):
             assert comb.den % den == 0
+        else:
+            assert comb.den == before
         got = comb.finish()
         assert_canonical(got)
         assert dense(got) == want
@@ -533,6 +537,149 @@ def test_patterns_and_a_dense_diagonal_in_one_combination(data):
         assert dense(got) == want
         assert comb.is_zero() == (not any(x for row in want for x in row))
     assume(len(comb.parts) >= 2 and comb.diag is not None)
+
+
+# The storage forms of an operand at dim 4: the zero matrix, a dense
+# diagonal (4 numerators), and general matrices whose value lists are
+# shorter (1 to 3) and longer (5 to 16) than a diagonal's, so that either
+# side of a diagonal x general product may be the shorter one.
+STORAGE_FORMS = ("zero", "diagonal", "short", "long")
+mixed_nonzero = mixed_fractions.filter(bool)
+
+
+def storage_form(data, form):
+    if form == "zero":
+        return SparseMatrix(4)
+    if form == "diagonal":
+        m = SparseMatrix.diagonal(data.draw(st.lists(mixed_fractions, min_size=4, max_size=4)
+                                            .filter(any)))
+        assert m.diag is not None
+        return m
+    low, high = (1, 3) if form == "short" else (5, 16)
+    where = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=low,
+                               max_size=high, unique=True)
+                      .filter(lambda ps: any(i != j for i, j in ps)))
+    m = SparseMatrix.from_entries(4, [(i, j, data.draw(mixed_nonzero)) for i, j in where])
+    assert m.diag is None and len(m.vals) == len(where)
+    return m
+
+
+def linear(*terms):
+    """The dense sum of coefficient * dense matrix over a nonempty list of
+    (coefficient, matrix)."""
+    n = len(terms[0][1])
+    return [[sum((c * m[i][j] for c, m in terms), Fraction(0)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("form_b", STORAGE_FORMS)
+@pytest.mark.parametrize("form_a", STORAGE_FORMS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_pair_of_storage_forms_matches_dense_reference(form_a, form_b, data):
+    a, b = storage_form(data, form_a), storage_form(data, form_b)
+    c = storage_form(data, data.draw(st.sampled_from(STORAGE_FORMS)))
+    f, g = data.draw(mixed_fractions), data.draw(mixed_fractions)
+    da, db, dc = dense(a), dense(b), dense(c)
+    ab, ba, ca = dense_mul(da, db), dense_mul(db, da), dense_mul(dc, da)
+    third = SparseMatrix.diagonal([Fraction(1, 7)] * 4)
+    results = {
+        "a*b": (a * b, ab),
+        "[a,b]": (a.commutator(b), linear((1, ab), (-1, ba))),
+        "sum_products": (SparseMatrix.sum_products([(a, b), (c, a), (b, a)]),
+                         linear((1, ab), (1, ca), (1, ba))),
+        "sum_scaled": (SparseMatrix.sum_scaled([(a, f), (b, g), (c, 3)]),
+                       linear((f, da), (g, db), (3, dc))),
+        # sign -2 puts every factor of the product off 1 and -1, so a scale
+        # goes on an operand or on the output; the 1/7 term moves the
+        # running denominator off the product's own
+        "scaled product": (Combination(4).add(third).product(a, b, -2).finish(),
+                           linear((1, dense(third)), (-2, ab))),
+        "scaled commutator": (Combination.of(4, [(a, b, 3), (b, a, -3)], [(third, 1)]).finish(),
+                              linear((3, ab), (-3, ba), (1, dense(third)))),
+    }
+    for label, (got, want) in results.items():
+        assert_canonical(got)
+        assert dense(got) == want, label
+
+
+def test_a_scale_goes_on_the_shortest_value_list(monkeypatch):
+    # at dim 3 a diagonal holds 3 numerators: fewer than g4's 4 values and
+    # more than g2's 2.  A product scaled by 5 scales the diagonal before it
+    # multiplies only when it is the shorter operand, and a general product
+    # its shorter operand only when that is shorter than the output; a
+    # scale of -1 subtracts and scales nothing
+    lengths = []
+    scaled = sparse._scaled
+
+    def counted(values, scale):
+        lengths.append(len(values))
+        return scaled(values, scale)
+
+    monkeypatch.setattr(sparse, "_scaled", counted)
+    d = SparseMatrix.diagonal([1, 2, 3])
+    g4 = SparseMatrix.from_entries(3, [(0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 2, 5)])
+    g2 = SparseMatrix.from_entries(3, [(0, 1, 1), (2, 0, 1)])
+    row = SparseMatrix.from_entries(3, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
+    col = SparseMatrix.from_entries(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+    for a, b, sign, want in [(d, g4, 5, [3]), (g4, d, 5, [3]), (d, g2, 5, []), (g2, d, 5, []),
+                             (d, g4, -1, []), (g2, g4, 5, [2]), (g4, g2, 5, [2]),
+                             (row, col, 5, [])]:  # row * col has one output position
+        lengths.clear()
+        got = Combination(3).product(a, b, sign).finish()
+        assert lengths == want
+        assert_canonical(got)
+        assert dense(got) == [[sign * x for x in r] for r in dense_mul(dense(a), dense(b))]
+
+
+def test_plan_edge_cases():
+    # left column 2 meets an empty right row, and left column 0 a row of
+    # one position: those left positions make one term and none
+    left = SparseMatrix.from_entries(3, [(0, 1, 2), (0, 2, 1), (2, 0, Fraction(1, 3))])
+    right = SparseMatrix.from_entries(3, [(0, 1, 5), (1, 0, 1), (1, 2, Fraction(4, 7))])
+    one = SparseMatrix.from_entries(3, [(2, 1, Fraction(3, 4))])
+    for a, b in [(left, right), (one, right), (right, one), (left, one), (one, left)]:
+        got = a * b
+        assert_canonical(got)
+        assert dense(got) == dense_mul(dense(a), dense(b))
+    plan = left.pattern.plans[right.pattern.key]
+    out = plan.out()
+    assert list(zip(out.ri, out.ci)) == [(0, 0), (0, 2), (2, 1)]
+    assert [n for n, _, _ in plan.layers] == [3]
+    # one x one: column 1 of the left meets row 1 of the right, which is
+    # empty, so the plan has no term, no layer and no output pattern
+    plan = sparse._Plan(one.pattern, one.pattern)
+    assert plan.layers == [] and plan.out_key == b"" and plan.order is None
+    assert one * one == SparseMatrix(3)
+    comb = Combination(3).product(one, one)
+    assert one.pattern.plans[one.pattern.key].out_key == b""
+    assert not comb.parts and comb.diag is None and comb.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(mixed_entry_list(3), mixed_entry_list(3), mixed_fractions),
+                min_size=1, max_size=6))
+def test_sum_products_and_sum_scaled_rescale_nothing(terms):
+    # both start on the lcm of their terms' denominators, so no term raises
+    # the running denominator of a sum that already holds a list
+    over, rescales = Combination._over, []
+
+    def counted(self, d):
+        if self.den % d and (self.parts or self.diag is not None):
+            rescales.append(d)
+        return over(self, d)
+
+    pairs = [(SparseMatrix.from_entries(3, ea), SparseMatrix.from_entries(3, eb))
+             for ea, eb, _ in terms]
+    scaled = [(a, f) for (a, _), (_, _, f) in zip(pairs, terms)]
+    with mock.patch.object(Combination, "_over", counted):
+        products = SparseMatrix.sum_products(pairs)
+        sums = SparseMatrix.sum_scaled(scaled)
+    assert rescales == []
+    assert dense(products) == linear(*((1, dense_mul(dense(a), dense(b))) for a, b in pairs))
+    assert dense(sums) == linear(*((f, dense(a)) for a, f in scaled))
+    assert_canonical(products)
+    assert_canonical(sums)
 
 
 @pytest.mark.parametrize("value", [
