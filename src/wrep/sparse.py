@@ -441,10 +441,10 @@ class SparseMatrix:
         return len(self.vals)
 
     def __add__(self, other):
-        return Combination.of(self.dim, (), [(self, 1), (other, 1)]).finish()
+        return SparseMatrix.sum_scaled([(self, 1), (other, 1)])
 
     def __sub__(self, other):
-        return Combination.of(self.dim, (), [(self, 1), (other, -1)]).finish()
+        return SparseMatrix.sum_scaled([(self, 1), (other, -1)])
 
     def __neg__(self):
         d = self.diag
