@@ -22,18 +22,18 @@ def higher_root_coefficients(gens):
     e = {}
     f = {}
     for i in range(1, n):
-        e[(i, i + 1)] = [gens.e(i, r) for r in range(R + 1)]
-        f[(i + 1, i)] = [gens.f(i, r) for r in range(R + 1)]
+        e[(i, i + 1)] = [gens["e", i, r] for r in range(R + 1)]
+        f[(i + 1, i)] = [gens["f", i, r] for r in range(R + 1)]
     for span in range(2, n):
         for i in range(1, n - span + 1):
             j = i + span
             step = pyr.shift(j - 1, j)
-            pivot = gens.e(j - 1, step + 1)
+            pivot = gens["e", j - 1, step + 1]
             # e_{ij} starts at s_ij + 1 > s_{j-1,j} = step, as s_ij = s_{i,j-1} + step
             start = pyr.shift(i, j) + 1
             e[(i, j)] = [e[(i, j - 1)][r - step].commutator(pivot) if r >= start else zero
                          for r in range(R + 1)]
-            fpivot = gens.f(j - 1, gens.f_start(j - 1))
+            fpivot = gens["f", j - 1, gens.f_start(j - 1)]
             f[(j, i)] = [fpivot.commutator(f[(j - 1, i)][r]) for r in range(R + 1)]
     return e, f
 
@@ -54,7 +54,7 @@ def build_t_matrix(gens):
     e_table, f_table = higher_root_coefficients(gens)
     g = {}
     for i in range(1, n + 1):
-        g[(i, i)] = [gens.d(i, r) for r in range(R + 1)]
+        g[(i, i)] = [gens["d", i, r] for r in range(R + 1)]
         for k in range(1, i):
             g[(i, k)] = series_product(f_table[(i, k)], g[(k, k)])
     T = {}
@@ -63,7 +63,7 @@ def build_t_matrix(gens):
             t = []
             for m in range(R + 1):
                 # k < j takes the products; k == j <= i adds g_{ij} (e_jj = 1)
-                t.append(Combination.of(
+                t.append(Combination(
                     N, [(g[(i, k)][s], e_table[(k, j)][m - s], 1)
                         for k in range(1, min(i + 1, j)) for s in range(m + 1)],
                     [(g[(i, j)][m], 1)] if j <= i else ()))

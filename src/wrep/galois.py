@@ -23,7 +23,6 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import UniPoly
 from .errors import EvaluationError, InvariantViolation, NotInvariant
 from .patterns import key_slots, row_spans
 from .rep import _class_polynomial, _first_diff

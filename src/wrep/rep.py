@@ -37,15 +37,15 @@ then runs its families, which are independent, from a queue of one-byte
 tickets in a pipe that this process and forked children take from, each
 in the same loop (_run_taken); the report is the same for any number of
 workers.  Each relation instance is one list of signed products of
-names, which one table per run maps to matrices (_NameTable), summed
-after equal products merge (_canonical).  Index ranges start past the
-shift matrix (Pyramid.shift), and each f-side family is the transpose
-of its e-side one (_transposed).  A ticket holds a family
-with its transpose: where the anti-involution tau(X) = S^{-1} X^T S of
-the shifted Yangian, for one diagonal S, takes each e_i^(r) to an f_i
-(_anti_involution, which finds S with sparse.diagonal_gauge), an
-instance whose tau-image passed is verified with it, since tau maps a
-vanishing sum to a vanishing sum.
+names, which the series table that generator_series returns maps to
+matrices (SeriesGenerators), summed after equal products merge
+(_canonical).  Index ranges start past the shift matrix
+(Pyramid.shift), and each f-side family is the transpose of its e-side
+one (_transposed).  A ticket holds a family with its transpose: where
+the anti-involution tau(X) = S^{-1} X^T S of the shifted Yangian, for
+one diagonal S, takes each e_i^(r) to an f_i (_anti_involution, which
+finds S with sparse.diagonal_gauge), an instance whose tau-image passed
+is verified with it, since tau maps a vanishing sum to a vanishing sum.
 """
 
 import marshal
@@ -244,36 +244,25 @@ def _check_ladders(pyr, B, C):
                                          % (name, r, p.degree, bound))
 
 
-class SeriesGenerators:
-    """Matrices of the series generators through a truncation order."""
+class SeriesGenerators(dict):
+    """{name: matrix} of the series coefficients through order ``order``:
+    ("d", i, r) and ("d'", i, r) for i = 1..n, ("e", i, r) and ("f", i, r)
+    for i = 1..n-1, each for r = 0..order; e_i and f_i are zero below
+    their start index.  A Serre block ("[,]", a, b) is formed as [a, b]
+    the first time it is looked up (the relation suite drops it when the
+    ticket that looked it up ends); any other name outside the table
+    raises OrderError."""
 
-    def __init__(self, rep, order, d, dprime, e, f):
+    def __init__(self, rep, order, coeffs):
+        super().__init__(coeffs)
         self.rep = rep
         self.order = order
-        self._d = d          # {i: [M_0..M_R]}
-        self._dprime = dprime
-        self._e = e          # {i: [M_0..M_R]}, zeros below the start index
-        self._f = f
-        self._zero = SparseMatrix(rep.dim)
 
-    def _get(self, table, i, r):
-        if r < 0:
-            return self._zero
-        if r > self.order:
-            raise OrderError("index %d beyond the verified order %d" % (r, self.order))
-        return table[i][r]
-
-    def d(self, i, r):
-        return self._get(self._d, i, r)
-
-    def dprime(self, i, r):
-        return self._get(self._dprime, i, r)
-
-    def e(self, i, r):
-        return self._get(self._e, i, r)
-
-    def f(self, i, r):
-        return self._get(self._f, i, r)
+    def __missing__(self, name):
+        if name[0] != "[,]":
+            raise OrderError("no matrix %r within the verified order %d" % (name, self.order))
+        block = self[name] = self[name[1]].commutator(self[name[2]])
+        return block
 
     def e_start(self, i):
         return self.rep.pyramid.shift(i, i + 1) + 1
@@ -283,7 +272,8 @@ class SeriesGenerators:
 
 
 def generator_series(rep, R):
-    """Recover d_i, d_i', e_i, f_i coefficient matrices through order R.
+    """The table (SeriesGenerators) of the d_i, d_i', e_i and f_i
+    coefficient matrices through order R, by name.
 
     With v = u + i - 1, P_i = p_1 + ... + p_i and a_i = A_i(v) u^{-P_i},
     each series is read off the coefficients of a shifted polynomial:
@@ -338,7 +328,9 @@ def generator_series(rep, R):
             e[i] = series_product(x_full, read(rep.B[i], P + pyr.shift(i, i + 1), i))
             f[i] = series_product(read(rep.C[i], P, i), x_full)
 
-    gens = SeriesGenerators(rep, R, d, dprime, e, f)
+    gens = SeriesGenerators(rep, R, (
+        ((kind, i, r), m) for kind, table in (("d", d), ("d'", dprime), ("e", e), ("f", f))
+        for i, series in table.items() for r, m in enumerate(series)))
     _series_invariants(gens, pairs)
     return gens
 
@@ -348,8 +340,8 @@ def _inverse_defect(x, y):
     or None: each sum is zero-tested without building a Fraction."""
     dim = x[0].dim
     for r in range(len(x)):
-        comb = Combination.of(dim, [(x[t], y[r - t], 1) for t in range(r + 1)],
-                              [(SparseMatrix.identity(dim), -1)] if r == 0 else ())
+        comb = Combination(dim, [(x[t], y[r - t], 1) for t in range(r + 1)],
+                           [(SparseMatrix.identity(dim), -1)] if r == 0 else ())
         if not comb.is_zero():
             return r
     return None
@@ -358,14 +350,11 @@ def _inverse_defect(x, y):
 def _series_invariants(gens, pairs):
     """The invariants of the series; pairs[i] = (d_i, d_i') for i >= 2, on
     the classes generator_series made them on."""
-    rep = gens.rep
-    pyr = rep.pyramid
-    N = rep.dim
-    zero = SparseMatrix(N)
-    ident = SparseMatrix.identity(N)
+    pyr = gens.rep.pyramid
+    ident = SparseMatrix.identity(gens.rep.dim)
     R = gens.order
     for i in range(1, pyr.n + 1):
-        if gens.d(i, 0) != ident:
+        if gens["d", i, 0] != ident:
             raise InvariantViolation("d_%d^{(0)} is not the identity" % i)
         # defining property of d', on the side that series_inverse(d_i')
         # did not solve; d_1' is a_1^{-1}, whose check has run
@@ -374,9 +363,9 @@ def _series_invariants(gens, pairs):
             raise InvariantViolation("d_%d' fails its defining relation at r=%d"
                                      % (i, r))
     for i in range(1, pyr.n):
-        for name, x, start in (("e", gens.e, gens.e_start(i)), ("f", gens.f, gens.f_start(i))):
+        for name, start in (("e", gens.e_start(i)), ("f", gens.f_start(i))):
             for r in range(0, min(start, R + 1)):
-                if x(i, r) != zero:
+                if gens[name, i, r]:
                     raise InvariantViolation("%s_%d^{(%d)} nonzero below the start index %d"
                                              % (name, i, r, start))
 
@@ -413,20 +402,6 @@ def _comm(a, b, c=1):
     return [(c, (a, b)), (-c, (b, a))]
 
 
-class _NameTable(dict):
-    """{name: matrix} for one run of the relation suite, made with every d,
-    d', e and f name in range.  A Serre block ("[,]", a, b) is formed as
-    [a, b] the first time it is looked up, and dropped when the ticket
-    that looked it up ends; any other name outside the table raises
-    OrderError."""
-
-    def __missing__(self, name):
-        if name[0] != "[,]":
-            raise OrderError("no matrix %r within the verified order" % (name,))
-        block = self[name] = self[name[1]].commutator(self[name[2]])
-        return block
-
-
 def _transposed(cases, sign):
     """The transpose of cases: every product reversed, every coefficient times sign."""
     for label, terms in cases:
@@ -446,7 +421,7 @@ def _canonical(terms, matrix):
     """(key, pairs): the terms of an instance as a sum of distinct products.
 
     Equal products (and equal plain matrices) merge, and zero coefficients
-    and terms with an operand that matrix (the _NameTable) maps to zero
+    and terms with an operand that matrix (the series table) maps to zero
     drop.  pairs lists (operand names, coefficient) in order of first
     appearance, and key is their _key.  A name stands for one matrix of the
     run, so two instances with equal keys are the same linear combination
@@ -493,7 +468,7 @@ def _combine(dim, pairs, matrix):
     _canonical, each name read from matrix: lhs - rhs of the instance."""
     products = [(matrix[names[0]], matrix[names[1]], c) for names, c in pairs if len(names) == 2]
     scaled = [(matrix[names[0]], c) for names, c in pairs if len(names) == 1]
-    return Combination.of(dim, products, scaled)
+    return Combination(dim, products, scaled)
 
 
 def _anti_involution(gens):
@@ -508,7 +483,7 @@ def _anti_involution(gens):
     n = pyr.n
     for i in range(1, n + 1):
         for r in range(R + 1):
-            if not (gens.d(i, r).is_diagonal() and gens.dprime(i, r).is_diagonal()):
+            if not (gens["d", i, r].is_diagonal() and gens["d'", i, r].is_diagonal()):
                 return None
     tau = {}
     pairs = []
@@ -517,7 +492,7 @@ def _anti_involution(gens):
         for r in range(max(0, -s), min(R, R - s) + 1):
             tau["e", i, r + s] = "f", i, r
             tau["f", i, r] = "e", i, r + s
-            pairs.append((gens.e(i, r + s).transpose(), gens.f(i, r)))
+            pairs.append((gens["e", i, r + s].transpose(), gens["f", i, r]))
     return tau if diagonal_gauge(pairs) is not None else None
 
 
@@ -546,16 +521,16 @@ def verify_defining_relations(rep, R):
     Each instance is a label and one list of signed products of names
     that sums to lhs - rhs: ("e", i, r), ("f", i, r), ("d", i, r), ("d'",
     i, r), and ("[,]", a, b) for a Serre block [a, b] of two of those,
-    which the run's _NameTable forms on its first lookup and drops when
-    the ticket ends.  The list is brought to its canonical form
-    (_canonical), keyed by the names, and each distinct form is summed
-    once per ticket in one Combination, started on the lcm of its terms'
-    denominators (Combination.of), and zero-tested: a mirrored instance,
-    such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a Serre (s, r,
-    t) beside (r, s, t), is verified
-    because its canonical sum is identical to one that passed, and an
-    empty form is formally zero.  The keys hold names, not matrices, so what passed
-    keeps no matrix alive.
+    which the series table (SeriesGenerators) forms on its first lookup
+    and drops when the ticket ends.  The list is brought to its canonical
+    form (_canonical), keyed by the names, and each distinct form is
+    summed once per ticket in one Combination, built from its whole term
+    list on the lcm of their denominators, and zero-tested: a mirrored
+    instance, such as [d_j^(s), d_i^(r)] beside [d_i^(r), d_j^(s)] or a
+    Serre (s, r, t) beside (r, s, t), is verified because its canonical
+    sum is identical to one that passed, and an empty form is formally
+    zero.  The keys hold names, not matrices, so what passed keeps no
+    matrix alive.
 
     When the anti-involution tau(X) = S^{-1} X^T S exists
     (_anti_involution: one diagonal S with f_i^(r) = tau(e_i^(r + s_i))
@@ -590,10 +565,6 @@ def verify_defining_relations(rep, R):
     n = pyr.n
     N = rep.dim
     tau = _anti_involution(gens)
-    matrix = _NameTable(((kind, i, r), get(i, r))
-                        for kind, get, rows in (("d", gens.d, n), ("d'", gens.dprime, n),
-                                                ("e", gens.e, n - 1), ("f", gens.f, n - 1))
-                        for i in range(1, rows + 1) for r in range(gens.order + 1))
     estart, fstart = gens.e_start, gens.f_start
     cases = {}  # family name -> its case generator, registered unrun
 
@@ -606,10 +577,10 @@ def verify_defining_relations(rep, R):
             count = 0
             for label, terms in cases[name]():
                 count += 1
-                key, pairs = _canonical(terms, matrix)
+                key, pairs = _canonical(terms, gens)
                 if key in passed or tau is not None and _image_key(pairs, tau) in passed:
                     continue
-                comb = _combine(N, pairs, matrix)
+                comb = _combine(N, pairs, gens)
                 if comb.is_zero():
                     passed.add(key)
                 else:
@@ -617,8 +588,8 @@ def verify_defining_relations(rep, R):
             done[name] = count, fails
         # the blocks this ticket formed (only the Serre ticket forms any)
         # go with it; a later lookup forms a block again
-        for block in [name for name in matrix if name[0] == "[,]"]:
-            del matrix[block]
+        for block in [name for name in gens if name[0] == "[,]"]:
+            del gens[block]
         return done
 
     def cases_dd():

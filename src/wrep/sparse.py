@@ -42,19 +42,16 @@ matrices with one position per distinct column of numerators, on which
 the same arithmetic runs, and expands a result back to the full
 dimension with one gather.
 
-Every sum, scaled sum, product and commutator is accumulated by a
-``Combination`` over one running denominator, so it does integer
-multiply-adds only.  A sum whose terms are known before the first one is
-added (``sum_products``, ``sum_scaled``, ``+``, ``-``, and the T-matrix
-coefficients and relation sums of ``center`` and ``rep``) starts on the
-lcm of their denominators, through ``Combination.of``, so that no term
-rescales the lists already stored; a term with a zero operand adds
-nothing.  Each term takes a path from its operands' forms: diagonal
+Every sum, scaled sum, product and commutator is one ``Combination``,
+built from its whole list of terms: it starts on the lcm of their
+denominators, a term with a zero operand left out (it adds nothing), so
+every term adds with integer multiply-adds only and no stored list is
+ever rescaled.  Each term takes a path from its operands' forms: diagonal
 times diagonal is one pass over two lists into a dense accumulator;
 diagonal times general gathers the diagonal by the pattern's row
 indices, general times diagonal by its column indices, and one
 ``map(mul)`` gives the values on the general operand's pattern.  A term
-whose factor onto the running denominator is not 1 or -1 multiplies the
+whose factor onto the sum's denominator is not 1 or -1 multiplies the
 shortest list it can by it: the diagonal when it is shorter than the
 general operand's values, the shorter of two general operands when it is
 shorter than the output, and otherwise the output.
@@ -454,8 +451,8 @@ class SparseMatrix:
 
     def __mul__(self, other):
         if not isinstance(other, SparseMatrix):
-            return Combination(self.dim).add(self, Fraction(other)).finish()
-        return Combination(self.dim).product(self, other).finish()
+            return Combination(self.dim, (), [(self, Fraction(other))]).finish()
+        return Combination(self.dim, [(self, other, 1)]).finish()
 
     __rmul__ = __mul__
 
@@ -463,17 +460,17 @@ class SparseMatrix:
     def sum_products(cls, pairs):
         """The sum of a*b over a nonempty list of (a, b) pairs, reduced
         once, over the lcm of the products' denominators."""
-        return Combination.of(pairs[0][0].dim, [(a, b, 1) for a, b in pairs]).finish()
+        return Combination(pairs[0][0].dim, [(a, b, 1) for a, b in pairs]).finish()
 
     @classmethod
     def sum_scaled(cls, pairs):
         """The sum of a*f over a nonempty list of (a, f) pairs, each f a
         scalar, reduced once, over the lcm of the terms' denominators."""
-        return Combination.of(pairs[0][0].dim, (), pairs).finish()
+        return Combination(pairs[0][0].dim, (), pairs).finish()
 
     def commutator(self, other):
         """self*other - other*self, summed before it is reduced."""
-        return Combination(self.dim).commutator(self, other).finish()
+        return Combination(self.dim, [(self, other, 1), (other, self, -1)]).finish()
 
     def scalar_part(self):
         """Return c if the matrix equals c * identity, else None."""
@@ -622,67 +619,40 @@ def _scaled(values, scale):
 
 
 class Combination:
-    """A sum of scaled matrices and signed products and commutators,
-    accumulated as integer numerators over one running denominator
-    ``den``: terms on the diagonal alone go to the dense list ``diag``
-    (None until the first such term), all others to ``parts``
+    """The sum of the signed products sign * a*b of a list of triples
+    (a, b, sign) and of the scaled matrices factor * a of a list of pairs
+    (a, factor), int or Fraction factors, accumulated as integer numerators
+    over one denominator ``den``: terms on the diagonal alone go to the
+    dense list ``diag`` (None when there is none), all others to ``parts``
     {pattern: values}, one value list per pattern met.
 
-    A sum whose terms are known before the first one is added starts on
-    the lcm of their denominators (``Combination.of``), so each term adds
-    with integer multiply-adds only, times the factor that puts it on that
-    denominator: a product puts the factor on the shortest of its
-    operands' value lists and its output, and a factor of 1 or -1 adds or
-    subtracts the term as it stands.  A term added to a plain
-    ``Combination(dim)`` whose denominator does not divide ``den`` raises
-    it to the lcm and rescales every list in one pass.  A term with a zero
-    operand or factor adds nothing and leaves ``den`` alone.  Nothing is
+    ``den`` is the lcm of the terms' denominators, fixed before the first
+    term is added, so each term adds with integer multiply-adds only, times
+    the factor that puts it on ``den``: a product puts the factor on the
+    shortest of its operands' value lists and its output, and a factor of 1
+    or -1 adds or subtracts the term as it stands.  A term with a zero
+    operand or factor adds nothing and is left out of the lcm.  Nothing is
     reduced while terms are added: ``finish`` merges the lists and reduces
     once, and ``is_zero`` tests their summed numerators as they stand.  No
     list held is changed in place, so it may be shared with a matrix.
-    Each term method returns the combination, so calls chain.
     """
 
     __slots__ = ("dim", "den", "parts", "diag")
 
-    def __init__(self, dim):
+    def __init__(self, dim, products=(), scaled=()):
         self.dim = dim
-        self.den = 1
         self.parts = {}
         self.diag = None
-
-    @classmethod
-    def of(cls, dim, products=(), scaled=()):
-        """The sum of the signed products sign * a*b, from a list of
-        triples (a, b, sign), and of the scaled matrices factor * a, from a
-        list of pairs (a, factor), started on the lcm of their
-        denominators, so that no term raises it.  A term with a zero
-        operand or factor adds nothing and is left out of the lcm."""
-        comb = cls(dim)
-        comb.den = lcm(*(a.den * b.den for a, b, _ in products if a and b),
+        self.den = lcm(*(a.den * b.den for a, b, _ in products if a and b),
                        *(factor.denominator * a.den for a, factor in scaled if factor and a))
         for a, b, sign in products:
-            comb.product(a, b, sign)
+            self._product(a, b, sign)
         for a, factor in scaled:
-            comb.add(a, factor)
-        return comb
+            self._add(a, factor)
 
     def _check(self, m):
         if m.dim != self.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, m.dim))
-
-    def _over(self, d):
-        """The factor that puts a term over denominator d onto the running
-        denominator, first raised to the lcm when d does not divide it."""
-        if self.den % d:
-            m = d // gcd(self.den, d)
-            parts = self.parts
-            for p, v in parts.items():
-                parts[p] = _scaled(v, m)
-            if self.diag is not None:
-                self.diag = _scaled(self.diag, m)
-            self.den *= m
-        return self.den // d
 
     def _add_diag(self, values, scale):
         """Add scale times the numerator list (or iterator) ``values`` to
@@ -704,7 +674,7 @@ class Combination:
             values = map(mul, values, repeat(scale))
             self.parts[pattern] = list(values) if acc is None else list(map(add, acc, values))
 
-    def product(self, a, b, sign=1):
+    def _product(self, a, b, sign):
         """Add sign * a*b, nothing when an operand is zero; the path
         follows the operands' storage forms.  A scale other than 1 or -1
         goes on the shortest of the value lists it can: an operand's, when
@@ -713,8 +683,8 @@ class Combination:
         self._check(b)
         ad, bd = a.diag, b.diag
         if ad is None and not a.vals or bd is None and not b.vals:
-            return self
-        scale = sign * self._over(a.den * b.den)
+            return
+        scale = sign * (self.den // (a.den * b.den))
         plain = scale == 1 or scale == -1
         if ad is not None and bd is not None:
             self._add_diag(map(mul, ad, bd), scale)
@@ -742,23 +712,17 @@ class Combination:
                         bv = _scaled(bv, scale)
                     scale = 1
                 self._add_part(plan.out(), plan.multiply(av, bv), scale)
-        return self
 
-    def commutator(self, a, b, sign=1):
-        """Add sign * (a*b - b*a)."""
-        return self.product(a, b, sign).product(b, a, -sign)
-
-    def add(self, a, factor=1):
+    def _add(self, a, factor):
         """Add factor * a, for an int or Fraction factor."""
         self._check(a)
         if not factor or not a:
-            return self
-        scale = factor.numerator * self._over(factor.denominator * a.den)
+            return
+        scale = factor.numerator * (self.den // (factor.denominator * a.den))
         if a.diag is not None:
             self._add_diag(a.diag, scale)
         else:
             self._add_part(a.pattern, a.vals, scale)
-        return self
 
     def _flat_parts(self):
         """[(flat positions, values)] of every accumulator, the dense

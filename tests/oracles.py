@@ -58,7 +58,7 @@ def gauss_t_series(gens):
             for k in range(1, min(i, j) + 1):
                 fik = one if i == k else f_table[(i, k)]
                 ekj = one if j == k else e_table[(k, j)]
-                dk = [gens.d(k, r) for r in range(R + 1)]
+                dk = [gens["d", k, r] for r in range(R + 1)]
                 term = plain_series_product(plain_series_product(fik, dk), ekj)
                 total = term if total is None else [x + y for x, y in zip(total, term)]
             out[(i, j)] = total

@@ -5,8 +5,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from wrep.gamma import check_fiber_bound, fiber_bound, fibers, gamma_commutes
 from wrep.patterns import (
     HighestWeight,

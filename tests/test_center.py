@@ -56,7 +56,7 @@ def test_t_matrix_tail_fault_detected():
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     gens = generator_series(rep, 5)
     build_t_matrix(gens)
-    gens._d[1][5] = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
+    gens["d", 1, 5] = SparseMatrix.from_entries(rep.dim, [(0, 1, 1)])
     message = "t_{11}^{(5)} nonzero beyond the column degree 1"
     with pytest.raises(InvariantViolation, match="^%s$" % re.escape(message)):
         build_t_matrix(gens)
@@ -154,17 +154,12 @@ def test_center_builds_one_plan_per_pattern_pair(monkeypatch, capsys):
 
 
 def test_center_work_budget(monkeypatch, capsys):
-    # `center` at (2,2,3), generic weight: Combination.product calls, plans
-    # built, and raises of the running denominator of a sum that already
-    # holds terms.  Every sum that knows its terms starts on their lcm, and
-    # a product with a zero operand leaves the denominator alone, so no
-    # stored list is ever rescaled (102 rescales, of 5383 numerators, when
-    # each term raised the denominator in turn)
-    product, calls = sparse.Combination.product, [0]
+    # `center` at (2,2,3), generic weight: Combination._product calls and
+    # plans built
+    product, calls = sparse.Combination._product, [0]
     plan_init, plans = sparse._Plan.__init__, [0]
-    over, rescales = sparse.Combination._over, [0]
 
-    def counted(self, a, b, sign=1):
+    def counted(self, a, b, sign):
         calls[0] += 1
         return product(self, a, b, sign)
 
@@ -172,16 +167,9 @@ def test_center_work_budget(monkeypatch, capsys):
         plans[0] += 1
         plan_init(self, left, right)
 
-    def counted_over(self, d):
-        if self.den % d and (self.parts or self.diag is not None):
-            rescales[0] += 1
-        return over(self, d)
-
-    monkeypatch.setattr(sparse.Combination, "product", counted)
+    monkeypatch.setattr(sparse.Combination, "_product", counted)
     monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
-    monkeypatch.setattr(sparse.Combination, "_over", counted_over)
     assert main(["center", "--rows", "2,2,3"]) == 0
     capsys.readouterr()
     assert calls[0] <= 844
     assert plans[0] == 13
-    assert rescales[0] == 0

@@ -16,7 +16,6 @@ from wrep.noether import (
     check_shift_iso,
     check_weyl_relations,
     derivations,
-    elementary_poly,
     falling,
     jacobian_inverse,
     rewrite_in_sigma,

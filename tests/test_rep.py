@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import re
 import errno
 import json
 import os
@@ -83,10 +84,23 @@ def test_a_coefficient_accessor():
 def test_series_accessors():
     rep = gl2_rep()
     gens = generator_series(rep, 4)
-    assert gens.d(1, 0) == SparseMatrix.identity(3)
-    assert gens.e(1, 0) == SparseMatrix(3)
-    with pytest.raises(OrderError):
-        gens.d(1, 5)
+    assert gens["d", 1, 0] == SparseMatrix.identity(3)
+    assert gens["e", 1, 0] == SparseMatrix(3)
+    # d and d' for both rows, e and f for the first, r = 0..4
+    assert len(gens) == (2 + 2 + 1 + 1) * 5
+    assert {name[0] for name in gens} == {"d", "d'", "e", "f"}
+
+
+@pytest.mark.parametrize("name", [("d", 1, 5), ("d'", 2, 5), ("e", 1, 5), ("f", 1, 5),
+                                  ("d", 1, -1), ("e", 1, -1), ("f", 2, 0), ("x", 1, 0)])
+def test_series_name_outside_the_table_raises(name):
+    # r = order + 1 and r = -1 are outside, as is f_n or an unknown kind;
+    # the message names the missing name, and nothing is added
+    gens = generator_series(gl2_rep(), 4)
+    size = len(gens)
+    with pytest.raises(OrderError, match=re.escape(repr(name))):
+        gens[name]
+    assert len(gens) == size
 
 
 def test_series_e_start_index():
@@ -96,8 +110,8 @@ def test_series_e_start_index():
     # e_1 starts at s_12 + 1 = p_2 - p_1 + 1 = 2, f_1 at s_21 + 1 = 1
     assert gens.e_start(1) == 2
     assert gens.f_start(1) == 1
-    assert gens.e(1, 1) == SparseMatrix(rep.dim)
-    assert gens.e(1, 2) != SparseMatrix(rep.dim)
+    assert gens["e", 1, 1] == SparseMatrix(rep.dim)
+    assert gens["e", 1, 2] != SparseMatrix(rep.dim)
 
 
 @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2)])
@@ -344,7 +358,10 @@ def test_serre_mutation_detected():
     # the suite forms each Serre block once, on its first lookup; every
     # witness must match the instance built from plain nested commutators
     gens = generator_series(rep, 6)
-    e = gens.e
+
+    def e(i, r):
+        return gens["e", i, r]
+
     want = []
     for i, j in ((1, 2), (2, 1)):
         for r in range(gens.e_start(i), 4):
@@ -386,9 +403,9 @@ def test_e_series_mutation_reaches_failure_branch(monkeypatch):
 
     def mutated_series(rep, R):
         gens = generator_series(rep, R)
-        coeff = gens.e(1, 1)
+        coeff = gens["e", 1, 1]
         i, j, _ = min(coeff.entries())
-        gens._e[1][1] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+        gens["e", 1, 1] = coeff + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
         built.append(gens)
         return gens
 
@@ -398,9 +415,8 @@ def test_e_series_mutation_reaches_failure_branch(monkeypatch):
     assert all(_names_patterns(w) for fails in failed.values() for w in fails)
     # the witness is the difference of the two sides built as plain matrices
     gens, = built
-    d, e = gens.d, gens.e
-    lhs = d(1, 2).commutator(e(1, 1))
-    rhs = d(1, 0) * e(1, 2) + d(1, 1) * e(1, 1)
+    lhs = gens["d", 1, 2].commutator(gens["e", 1, 1])
+    rhs = gens["d", 1, 0] * gens["e", 1, 2] + gens["d", 1, 1] * gens["e", 1, 1]
     assert lhs != rhs
     assert failed["[d,e]"][0] == "i=1 j=1 r=2 s=1: %s" % rep_mod._first_diff(
         lhs - rhs, rep.basis)
@@ -460,12 +476,15 @@ def test_gamma_coefficients_are_stored_dense(monkeypatch):
         nonzero = [m for m in coeffs if m]
         return bool(nonzero) and all(m.diag is not None for m in nonzero)
 
+    def series(kind, i):
+        return [gens[kind, i, r] for r in range(gens.order + 1)]
+
     assert all(dense(rep.A[r].coeffs) for r in range(1, pyr.n + 1))
     # a_1^{-1}, a_2^{-1}, d_2, a_3^{-1}, d_3
     assert len(inverses) == 2 * pyr.n - 1 and all(dense(x) for x in inverses)
-    assert all(dense(gens._d[i]) and dense(gens._dprime[i]) for i in range(1, pyr.n + 1))
+    assert all(dense(series("d", i)) and dense(series("d'", i)) for i in range(1, pyr.n + 1))
     # the ladder series move patterns, so they stay general
-    assert all(m.diag is None for i in (1, 2) for m in gens._e[i] + gens._f[i])
+    assert all(m.diag is None for i in (1, 2) for m in series("e", i) + series("f", i))
 
 
 @settings(max_examples=25, deadline=None,
@@ -480,15 +499,18 @@ def test_diagonal_series_equal_the_gelfand_tsetlin_oracle(weight):
     gens = generator_series(rep, R)
     for i in range(1, rep.n + 1):
         want_d, want_dprime = gelfand_tsetlin_diagonals(rep, i, R)
-        for series, want in ((gens.d, want_d), (gens.dprime, want_dprime)):
+        for kind, want in (("d", want_d), ("d'", want_dprime)):
             for r in range(R + 1):
-                m = series(i, r)
+                m = gens[kind, i, r]
                 assert m.is_diagonal()
                 assert [m.get(c, c) for c in range(rep.dim)] == [w[r] for w in want]
 
 
-def _tables(gens):
-    return gens._d, gens._dprime, gens._e, gens._f
+def _by_name(tables):
+    """The {name: matrix} form of the (d, d', e, f) tables of
+    full_dimension_series."""
+    return {(kind, i, r): m for kind, table in zip(("d", "d'", "e", "f"), tables)
+            for i, series in table.items() for r, m in enumerate(series)}
 
 
 @settings(max_examples=20, deadline=None,
@@ -499,7 +521,7 @@ def test_series_tables_equal_the_full_dimension_oracle(weight):
     # the diagonal series are made on the distinct columns of their inputs
     # and expanded; every coefficient equals the one made on all patterns
     rep = build_representation(enumerate_patterns(weight))
-    assert _tables(generator_series(rep, 8)) == full_dimension_series(rep, 8)
+    assert generator_series(rep, 8) == _by_name(full_dimension_series(rep, 8))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -513,7 +535,7 @@ def test_bumped_a_entry_keeps_the_tables_equal_to_the_oracle(i):
     columns = list(zip(*(m.diag for m in rep.A[i].coeffs)))
     assert columns.count(columns[col]) > 1
     _bump(rep.A[i].coeffs, 0, col, col)
-    assert _tables(generator_series(rep, 8)) == full_dimension_series(rep, 8)
+    assert generator_series(rep, 8) == _by_name(full_dimension_series(rep, 8))
 
 
 def test_diagonal_series_work_budget(monkeypatch):
@@ -524,14 +546,14 @@ def test_diagonal_series_work_budget(monkeypatch):
     pyr = Pyramid(rows=(2, 3, 3))
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     rep.B, rep.C  # assembled before the count starts
-    product, work = Combination.product, [0]
+    product, work = Combination._product, [0]
 
-    def counted(self, a, b, sign=1):
+    def counted(self, a, b, sign):
         if a.diag is not None and b.diag is not None:
             work[0] += a.dim + b.dim
         return product(self, a, b, sign)
 
-    monkeypatch.setattr(Combination, "product", counted)
+    monkeypatch.setattr(Combination, "_product", counted)
     generator_series(rep, 6)
     assert work[0] <= 28068
 
@@ -692,8 +714,9 @@ def test_image_key_reverses_products_and_fixes_diagonal_ones():
     # whose key is -1 times that of [f, d] - 3 d' d
     e, f, d, dp, e2, f2 = names = (("e", 1, 2), ("f", 1, 1), ("d", 1, 1), ("d'", 1, 1),
                                    ("e", 2, 1), ("f", 2, 1))
-    matrix = rep_mod._NameTable(zip(names, (SparseMatrix.from_entries(3, entries) for entries in (
-        [(0, 1, 1)], [(1, 0, 1)], [(0, 0, 1)], [(1, 1, 2)], [(1, 2, 1)], [(2, 1, 1)]))))
+    matrix = rep_mod.SeriesGenerators(None, 2, zip(names, (
+        SparseMatrix.from_entries(3, entries) for entries in (
+            [(0, 1, 1)], [(1, 0, 1)], [(0, 0, 1)], [(1, 1, 2)], [(1, 2, 1)], [(2, 1, 1)]))))
     tau = {e: f, f: e, e2: f2, f2: e2}
     canonical, comm, image_key = _canonical_on(matrix), rep_mod._comm, rep_mod._image_key
     _, pairs = canonical(comm(e, d) + [(3, (dp, d))])
@@ -710,9 +733,13 @@ def test_image_key_reverses_products_and_fixes_diagonal_ones():
 
 def test_name_table_forms_each_serre_block_once(monkeypatch):
     # a block is the commutator of its operands' matrices, formed on its
-    # first lookup and kept; any other name outside the table raises
-    a, b = SparseMatrix.from_entries(3, [(0, 1, 1)]), SparseMatrix.from_entries(3, [(1, 2, 2)])
-    matrix = rep_mod._NameTable({("e", 1, 1): a, ("e", 2, 1): b})
+    # first lookup in the series table and kept; any other name outside
+    # the table raises
+    rep = build_representation(enumerate_patterns(generic_weight(Pyramid(rows=(1, 1, 1)))))
+    gens = generator_series(rep, 2)
+    a, b = gens["e", 1, 1], gens["e", 2, 1]
+    assert a and b
+    size = len(gens)
     block = ("[,]", ("e", 1, 1), ("e", 2, 1))
     commutator, calls = SparseMatrix.commutator, [0]
 
@@ -721,12 +748,12 @@ def test_name_table_forms_each_serre_block_once(monkeypatch):
         return commutator(self, other)
 
     monkeypatch.setattr(SparseMatrix, "commutator", counted)
-    assert matrix[block] == a * b - b * a
-    assert matrix[block] is matrix[block] and calls == [1]
-    for name in (("e", 1, 2), ("f", 1, 1), ("[,]", ("e", 1, 1), ("e", 1, 5))):
+    assert gens[block] == a * b - b * a
+    assert gens[block] is gens[block] and calls == [1]
+    for name in (("e", 1, 3), ("f", 3, 1), ("[,]", ("e", 1, 1), ("e", 1, 3))):
         with pytest.raises(OrderError):
-            matrix[name]
-    assert calls == [1] and len(matrix) == 3
+            gens[name]
+    assert calls == [1] and len(gens) == size + 1
 
 
 def _unmemoized_report(monkeypatch, rep, R):
@@ -762,8 +789,8 @@ def _bump_series(x, rep, monkeypatch, r=1):
 
     def mutated_series(rep, R):
         gens = series(rep, R)
-        i, j, _ = min(getattr(gens, x)(1, r).entries())
-        _bump(getattr(gens, "_" + x)[1], r, i, j)
+        i, j, _ = min(gens[x, 1, r].entries())
+        gens[x, 1, r] = gens[x, 1, r] + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
         return gens
 
     monkeypatch.setattr(rep_mod, "generator_series", mutated_series)
@@ -871,8 +898,8 @@ def test_tau_holds_and_skips_at_random_weights(weight):
 
 def _bump_d22(gens):
     # one diagonal entry of d_2^{(2)}: d stays diagonal, so tau still fixes it
-    m = gens._d[2][2]
-    gens._d[2][2] = m + SparseMatrix.from_entries(m.dim, [(0, 0, 1)])
+    m = gens["d", 2, 2]
+    gens["d", 2, 2] = m + SparseMatrix.from_entries(m.dim, [(0, 0, 1)])
 
 
 def _twist_e1(gens):
@@ -882,8 +909,8 @@ def _twist_e1(gens):
     pyr = gens.rep.pyramid
     s = pyr.shift(1, 2) - pyr.shift(2, 1)
     D = SparseMatrix.diagonal([i % 2 for i in range(gens.rep.dim)])
-    e, f = gens._e[1][1 + s], gens._f[1][1]
-    gens._e[1][1 + s], gens._f[1][1] = e + e * D, f + D * f
+    e, f = gens["e", 1, 1 + s], gens["f", 1, 1]
+    gens["e", 1, 1 + s], gens["f", 1, 1] = e + e * D, f + D * f
 
 
 @pytest.mark.parametrize("rows, mutate, failing", [
@@ -910,8 +937,8 @@ def test_tau_preserving_faults_report_as_without_memo(monkeypatch, rows, mutate,
 
 def _offdiagonal_d21(rep, monkeypatch):
     def mutate(gens):
-        m = gens._d[2][1]
-        gens._d[2][1] = m + SparseMatrix.from_entries(m.dim, [(0, 1, 1)])
+        m = gens["d", 2, 1]
+        gens["d", 2, 1] = m + SparseMatrix.from_entries(m.dim, [(0, 1, 1)])
 
     monkeypatch.setattr(rep_mod, "generator_series", _mutated_series(mutate))
 
@@ -934,7 +961,7 @@ def test_tau_breaking_faults_turn_tau_off(monkeypatch, rows, mutate):
 
 
 def test_relation_suite_work_budget(monkeypatch):
-    # Combination.product calls of the whole suite at (2,2,3), rmax 3; a
+    # Combination._product calls of the whole suite at (2,2,3), rmax 3; a
     # lost dedup of canonical sums, a lost skip of a tau-image (or a second
     # inverse check) exceeds it.
     # Plans built: one per product pattern pair, on its first product; a
@@ -942,10 +969,10 @@ def test_relation_suite_work_budget(monkeypatch):
     # worker, so that every family runs, and is counted, in this process
     pyr = Pyramid(rows=(2, 2, 3))
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
-    product, calls = Combination.product, [0]
+    product, calls = Combination._product, [0]
     plan_init, plans = sparse._Plan.__init__, [0]
 
-    def counted(self, a, b, sign=1):
+    def counted(self, a, b, sign):
         calls[0] += 1
         return product(self, a, b, sign)
 
@@ -953,7 +980,7 @@ def test_relation_suite_work_budget(monkeypatch):
         plans[0] += 1
         plan_init(self, left, right)
 
-    monkeypatch.setattr(Combination, "product", counted)
+    monkeypatch.setattr(Combination, "_product", counted)
     monkeypatch.setattr(sparse._Plan, "__init__", counted_plan)
     monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
     report = verify_defining_relations(rep, 3)
@@ -994,16 +1021,12 @@ def test_serre_blocks_go_with_their_ticket(monkeypatch):
     tables, held = [], []
     combine = rep_mod._combine
 
-    class Recorded(rep_mod._NameTable):
-        def __init__(self, items):
-            super().__init__(items)
-            tables.append(self)
-
     def counted(dim, pairs, matrix):
+        assert matrix is tables[0]  # the series table itself, no copy
         held.append(sum(name[0] == "[,]" for name in matrix))
         return combine(dim, pairs, matrix)
 
-    monkeypatch.setattr(rep_mod, "_NameTable", Recorded)
+    monkeypatch.setattr(rep_mod, "generator_series", _mutated_series(tables.append))
     monkeypatch.setattr(rep_mod, "_combine", counted)
     monkeypatch.setattr(rep_mod, "_default_workers", lambda: 1)
     assert verify_defining_relations(rep, 3).ok
@@ -1054,10 +1077,10 @@ def test_bumped_value_on_a_planned_pattern_fails(monkeypatch):
 
     def mutated_series(rep, R):
         gens = series(rep, R)
-        m = gens.e(1, 3)
+        m = gens["e", 1, 3]
         i, j, _ = min(m.entries())
-        _bump(gens._e[1], 3, i, j)
-        patterns.extend([m.pattern, gens.e(1, 3).pattern])
+        gens["e", 1, 3] = m + SparseMatrix.from_entries(rep.dim, [(i, j, 1)])
+        patterns.extend([m.pattern, gens["e", 1, 3].pattern])
         return gens
 
     monkeypatch.setattr(rep_mod, "generator_series", mutated_series)

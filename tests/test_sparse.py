@@ -1,6 +1,6 @@
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -202,9 +202,9 @@ def test_commutator_drops_cancelled_entries():
     assert d.commutator(d) == SparseMatrix(2) and not d.commutator(d).rows
 
 
-# entries over denominators up to 5, so running sums take the lcm path;
-# operands of both storage forms, so every product path and both
-# accumulators meet in one sum
+# entries over denominators up to 5, so the terms of a sum have different
+# denominators and each goes onto their lcm; operands of both storage
+# forms, so every product path and both accumulators meet in one sum
 combination_terms = st.lists(
     st.tuples(st.sampled_from(["add", "product", "commutator"]),
               st.sampled_from([1, -1, 3]), operands(3, 5), operands(3, 5)),
@@ -215,28 +215,30 @@ combination_terms = st.lists(
 @settings(max_examples=80)
 @given(combination_terms)
 def test_combination_matches_dense_reference(terms):
-    comb = Combination(3)
+    products, scaled = [], []
     want = [[Fraction(0)] * 3 for _ in range(3)]
     for kind, sign, a, b in terms:
         if kind == "add":
-            comb.add(a, sign)
+            scaled.append((a, sign))
             term = dense(a)
         elif kind == "product":
-            comb.product(a, b, sign)
+            products.append((a, b, sign))
             term = dense_mul(dense(a), dense(b))
         else:
-            comb.commutator(a, b, sign)
+            products += [(a, b, sign), (b, a, -sign)]
             term = dense_commutator(dense(a), dense(b))
         want = [[w + sign * t for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
+    comb = Combination(3, products, scaled)
     got = comb.finish()
     assert_canonical(got)
     assert dense(got) == want
     assert comb.is_zero() == (not any(x for row in want for x in row))
-    # finish leaves the accumulator as it was: taking the sum away again
-    # cancels every entry, across whatever denominators it carries
+    # finish leaves the accumulator as it was, and the same terms with the
+    # sum taken away cancel every entry, across whatever denominators
     assert comb.finish() == got
-    assert comb.add(got, -1).is_zero()
-    assert comb.finish() == SparseMatrix(3) and not comb.finish().rows
+    cancelled = Combination(3, products, scaled + [(got, -1)])
+    assert cancelled.is_zero()
+    assert cancelled.finish() == SparseMatrix(3) and not cancelled.finish().rows
 
 
 def test_dense_accumulator_cancels_against_a_general_product():
@@ -248,24 +250,24 @@ def test_dense_accumulator_cancels_against_a_general_product():
     assert swap.diag is None and b.diag is None and d.diag == [3, 2]
     product = swap * b
     assert product == -d and product.diag == [-3, -2]
-    comb = Combination(2).add(d).product(swap, b)
+    comb = Combination(2, [(swap, b, 1)], [(d, 1)])
     assert comb.diag is not None and list(comb.parts) == [Pattern.diagonal(2)]
     assert comb.is_zero()
     zero = comb.finish()
     assert zero == SparseMatrix(2) and zero.den == 1 and not zero
     # one diagonal entry left over: nonzero, and finished dense
-    comb = Combination(2).add(d, 2).product(swap, b)
+    comb = Combination(2, [(swap, b, 1)], [(d, 2)])
     assert not comb.is_zero()
     assert comb.finish() == d and comb.finish().diag == [3, 2]
     # an off-diagonal entry left over: the finished sum is general
     off = SparseMatrix.from_entries(2, [(0, 1, Fraction(1, 5))])
-    comb = Combination(2).add(d).product(swap, b).add(off)
+    comb = Combination(2, [(swap, b, 1)], [(d, 1), (off, 1)])
     assert not comb.is_zero()
     got = comb.finish()
     assert_canonical(got)
     assert got == off and got.diag is None
     # the same with the dense accumulator holding a product of diagonals
-    comb = Combination(2).product(d, d).add(d * d, -1).add(off).add(off, -1)
+    comb = Combination(2, [(d, d, 1)], [(d * d, -1), (off, 1), (off, -1)])
     assert comb.is_zero() and not comb.finish()
 
 
@@ -309,13 +311,12 @@ scale_factors = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 @settings(max_examples=50)
 @given(st.lists(st.tuples(scale_factors, operands(3, 5)), min_size=1, max_size=4))
 def test_scaled_add_matches_dense_reference(terms):
-    comb = Combination(3)
     want = [[Fraction(0)] * 3 for _ in range(3)]
     pairs = []
     for factor, a in terms:
-        comb.add(a, factor)
         pairs.append((a, factor))
         want = [[w + factor * x for w, x in zip(rw, ra)] for rw, ra in zip(want, dense(a))]
+    comb = Combination(3, (), pairs)
     got = comb.finish()
     assert_canonical(got)
     assert dense(got) == want
@@ -334,27 +335,29 @@ def test_from_entries_drops_cancelled_sums():
 
 
 def test_combination_cancels_across_denominators():
-    # (ab)_00 = 1/2 * 2/3 + 1/5 * 3/7 sums as 2/6, then 88/210 through the
-    # lcm; the finished ab holds 44/105, a third denominator
+    # (ab)_00 = 1/2 * 2/3 + 1/5 * 3/7 sums as 88/210 over a.den * b.den =
+    # 10 * 21; the finished ab holds 44/105, a third denominator
     a = SparseMatrix.from_entries(2, [(0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 5))])
     b = SparseMatrix.from_entries(2, [(0, 0, Fraction(2, 3)), (1, 0, Fraction(3, 7))])
     ab = a * b
     assert ab.get(0, 0) == Fraction(44, 105)
-    assert not Combination(2).product(a, b).is_zero()
-    comb = Combination(2).product(a, b).add(ab, -1)
+    assert not Combination(2, [(a, b, 1)]).is_zero()
+    comb = Combination(2, [(a, b, 1)], [(ab, -1)])
     assert comb.is_zero()
     assert comb.finish().rows == {}
     # [a, b] + ba - ab = 0, each term over its own denominators
-    comb = Combination(2).commutator(a, b).product(b, a).add(ab, -1)
+    comb = Combination(2, [(a, b, 1), (b, a, -1), (b, a, 1)], [(ab, -1)])
     assert comb.is_zero()
     assert comb.finish().rows == {}
-    assert not Combination(2).commutator(a, b).add(ab, -1).is_zero()
+    assert not Combination(2, [(a, b, 1), (b, a, -1)], [(ab, -1)]).is_zero()
     with pytest.raises(ValueError, match="dimension mismatch"):
-        Combination(3).add(a)
+        Combination(3, (), [(a, 1)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Combination(2, [(a, SparseMatrix.identity(3), 1)])
 
 
-# Denominators 1..9 mix coprime and shared factors, so a later term's
-# denominator often fails to divide the running one.
+# Denominators 1..9 mix coprime and shared factors, so the lcm of a sum's
+# terms is often none of their own denominators.
 mixed_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
@@ -366,49 +369,30 @@ def mixed_entry_list(dim, max_size=6):
 @settings(max_examples=30)
 @given(st.lists(st.tuples(st.booleans(), mixed_fractions, mixed_entry_list(3),
                           mixed_entry_list(3)), min_size=1, max_size=5))
-def test_running_denominator_rescales(terms):
-    # after every term the finished sum equals the dense reference, and the
-    # running denominator is a multiple of each nonzero term's denominator
-    # so far; a term with a zero operand or factor leaves it alone
-    comb = Combination(3)
+def test_denominator_is_the_lcm_of_nonzero_terms(terms):
+    # the sum of every prefix of the terms equals the dense reference, and
+    # its denominator is the lcm of the denominators of its terms; a term
+    # with a zero operand or factor is left out of it
+    products, scaled, dens = [], [], []
     want = [[Fraction(0)] * 3 for _ in range(3)]
     for is_product, factor, ea, eb in terms:
         a = SparseMatrix.from_entries(3, ea)
         b = SparseMatrix.from_entries(3, eb)
-        before = comb.den
         if is_product:
-            comb.product(a, b)
-            term, den = dense_mul(dense(a), dense(b)), a.den * b.den
+            products.append((a, b, 1))
+            term, den, nonzero = dense_mul(dense(a), dense(b)), a.den * b.den, a and b
         else:
-            comb.add(a, factor)
-            term, den = [[factor * x for x in row] for row in dense(a)], factor.denominator * a.den
+            scaled.append((a, factor))
+            term = [[factor * x for x in row] for row in dense(a)]
+            den, nonzero = factor.denominator * a.den, a and factor
         want = [[w + t for w, t in zip(rw, rt)] for rw, rt in zip(want, term)]
-        assert comb.den % before == 0
-        if a and (b if is_product else factor):
-            assert comb.den % den == 0
-        else:
-            assert comb.den == before
+        if nonzero:
+            dens.append(den)
+        comb = Combination(3, products, scaled)
+        assert comb.den == lcm(*dens)
         got = comb.finish()
         assert_canonical(got)
         assert dense(got) == want
-
-
-def test_rescale_path_by_hand():
-    a = SparseMatrix.from_entries(2, [(0, 0, Fraction(1, 4)), (0, 1, Fraction(1, 2))])
-    b = SparseMatrix.from_entries(2, [(0, 1, Fraction(1, 6)), (1, 1, Fraction(5, 6))])
-    assert (a.den, a.rows) == (4, {0: {0: 1, 1: 2}})
-    comb = Combination(2).add(a)
-    assert comb.den == 4
-    # 6 * 3 does not divide 4: the running denominator becomes 36 and the
-    # accumulated numerators are scaled by 9
-    comb.add(b, Fraction(2, 3))
-    assert comb.den == 36 and comb.parts == {a.pattern: [9, 18], b.pattern: [4, 20]}
-    got = comb.finish()
-    assert (got.den, got.rows) == (36, {0: {0: 9, 1: 22}, 1: {1: 20}})
-    assert dense(got) == [[Fraction(1, 4), Fraction(11, 18)], [0, Fraction(5, 9)]]
-    # a term over a divisor of 36 adds without rescaling
-    comb.add(a, -1)
-    assert comb.den == 36 and comb.finish() == Fraction(2, 3) * b
 
 
 @settings(max_examples=40)
@@ -416,7 +400,7 @@ def test_rescale_path_by_hand():
 def test_sum_cancelling_to_zero_is_the_zero_matrix(entries, factor):
     m = SparseMatrix.from_entries(3, entries)
     scalar = SparseMatrix.diagonal([factor] * 3)
-    comb = Combination(3).add(m, factor).product(m, scalar, -1)
+    comb = Combination(3, [(m, scalar, -1)], [(m, factor)])
     assert comb.is_zero()
     zero = comb.finish()
     assert zero == SparseMatrix(3) and zero.den == 1 and not zero.rows
@@ -508,7 +492,7 @@ def test_finish_shrinks_a_cancelling_sum(data):
     c = SparseMatrix.from_entries(4, [(i, j, -a.get(i, j)) for i, j in cancelled] + extra)
     want = [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(dense(a), dense(c))]
     union = {(i, j) for i, j, _ in a.entries()} | {(i, j) for i, j, _ in c.entries()}
-    comb = Combination(4).add(a).add(c)
+    comb = Combination(4, (), [(a, 1), (c, 1)])
     got = comb.finish()
     assert_canonical(got)
     assert dense(got) == want
@@ -529,9 +513,7 @@ def test_patterns_and_a_dense_diagonal_in_one_combination(data):
                 for rw, rx in zip(want, dense_mul(dense(a), dense(b)))]
     # built three times over: plans built, then read twice
     for _ in range(3):
-        comb = Combination(4).add(diag)
-        for sign, a, b in terms:
-            comb.product(a, b, sign)
+        comb = Combination(4, [(a, b, sign) for sign, a, b in terms], [(diag, 1)])
         got = comb.finish()
         assert_canonical(got)
         assert dense(got) == want
@@ -592,15 +574,37 @@ def test_every_pair_of_storage_forms_matches_dense_reference(form_a, form_b, dat
                        linear((f, da), (g, db), (3, dc))),
         # sign -2 puts every factor of the product off 1 and -1, so a scale
         # goes on an operand or on the output; the 1/7 term moves the
-        # running denominator off the product's own
-        "scaled product": (Combination(4).add(third).product(a, b, -2).finish(),
+        # sum's denominator off the product's own
+        "scaled product": (Combination(4, [(a, b, -2)], [(third, 1)]).finish(),
                            linear((1, dense(third)), (-2, ab))),
-        "scaled commutator": (Combination.of(4, [(a, b, 3), (b, a, -3)], [(third, 1)]).finish(),
+        "scaled commutator": (Combination(4, [(a, b, 3), (b, a, -3)], [(third, 1)]).finish(),
                               linear((3, ab), (-3, ba), (1, dense(third)))),
     }
     for label, (got, want) in results.items():
         assert_canonical(got)
         assert dense(got) == want, label
+
+
+@pytest.mark.parametrize("form_b", STORAGE_FORMS)
+@pytest.mark.parametrize("form_a", STORAGE_FORMS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_combination_starts_on_the_lcm_of_its_nonzero_terms(form_a, form_b, data):
+    # den is the lcm of the terms' denominators with every term of a zero
+    # operand or a zero factor left out (1 when none is left), and the sum
+    # matches the dense reference
+    a, b = storage_form(data, form_a), storage_form(data, form_b)
+    f, g = data.draw(mixed_fractions), data.draw(mixed_fractions)
+    sign = data.draw(st.sampled_from([1, -1, 2]))
+    products, scaled = [(a, b, sign), (b, a, 1)], [(a, f), (b, g)]
+    comb = Combination(4, products, scaled)
+    assert comb.den == lcm(*([x.den * y.den for x, y, _ in products if x and y]
+                             + [c.denominator * x.den for x, c in scaled if x and c]))
+    got = comb.finish()
+    assert_canonical(got)
+    da, db = dense(a), dense(b)
+    assert dense(got) == linear((sign, dense_mul(da, db)), (1, dense_mul(db, da)),
+                                (f, da), (g, db))
 
 
 def test_a_scale_goes_on_the_shortest_value_list(monkeypatch):
@@ -626,7 +630,7 @@ def test_a_scale_goes_on_the_shortest_value_list(monkeypatch):
                              (d, g4, -1, []), (g2, g4, 5, [2]), (g4, g2, 5, [2]),
                              (row, col, 5, [])]:  # row * col has one output position
         lengths.clear()
-        got = Combination(3).product(a, b, sign).finish()
+        got = Combination(3, [(a, b, sign)]).finish()
         assert lengths == want
         assert_canonical(got)
         assert dense(got) == [[sign * x for x in r] for r in dense_mul(dense(a), dense(b))]
@@ -651,7 +655,7 @@ def test_plan_edge_cases():
     plan = sparse._Plan(one.pattern, one.pattern)
     assert plan.layers == [] and plan.out_key == b"" and plan.order is None
     assert one * one == SparseMatrix(3)
-    comb = Combination(3).product(one, one)
+    comb = Combination(3, [(one, one, 1)])
     assert one.pattern.plans[one.pattern.key].out_key == b""
     assert not comb.parts and comb.diag is None and comb.is_zero()
 
@@ -660,22 +664,23 @@ def test_plan_edge_cases():
 @given(st.lists(st.tuples(mixed_entry_list(3), mixed_entry_list(3), mixed_fractions),
                 min_size=1, max_size=6))
 def test_sum_products_and_sum_scaled_rescale_nothing(terms):
-    # both start on the lcm of their terms' denominators, so no term raises
-    # the running denominator of a sum that already holds a list
-    over, rescales = Combination._over, []
+    # each is one Combination, on the lcm of the denominators of its
+    # nonzero terms, so every term goes onto it and no stored list is
+    # rescaled
+    finish, dens = Combination.finish, []
 
-    def counted(self, d):
-        if self.den % d and (self.parts or self.diag is not None):
-            rescales.append(d)
-        return over(self, d)
+    def recorded(self):
+        dens.append(self.den)
+        return finish(self)
 
     pairs = [(SparseMatrix.from_entries(3, ea), SparseMatrix.from_entries(3, eb))
              for ea, eb, _ in terms]
     scaled = [(a, f) for (a, _), (_, _, f) in zip(pairs, terms)]
-    with mock.patch.object(Combination, "_over", counted):
+    with mock.patch.object(Combination, "finish", recorded):
         products = SparseMatrix.sum_products(pairs)
         sums = SparseMatrix.sum_scaled(scaled)
-    assert rescales == []
+    assert dens == [lcm(*(a.den * b.den for a, b in pairs if a and b)),
+                    lcm(*(f.denominator * a.den for a, f in scaled if a and f))]
     assert dense(products) == linear(*((1, dense_mul(dense(a), dense(b))) for a, b in pairs))
     assert dense(sums) == linear(*((f, dense(a)) for a, f in scaled))
     assert_canonical(products)
@@ -701,9 +706,9 @@ def test_is_zero_interns_no_pattern(monkeypatch):
     interned = []
     of = Pattern.of
     monkeypatch.setattr(Pattern, "of", lambda dim, flat: interned.append(dim) or of(dim, flat))
-    comb = Combination(3).add(a).add(b).add(c)
+    comb = Combination(3, (), [(a, 1), (b, 1), (c, 1)])
     assert not comb.is_zero()
-    assert comb.add(a, -1).add(b, -1).add(c, -1).is_zero()
+    assert Combination(3, (), [(a, 1), (b, 1), (c, 1), (a, -1), (b, -1), (c, -1)]).is_zero()
     assert interned == []
 
 
