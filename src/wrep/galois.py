@@ -111,7 +111,7 @@ class Factored:
             return NotImplemented
         return (self.const, self.num, self.den) == (other.const, other.num, other.den)
 
-    def evaluate(self, point, q=1, num=None):
+    def evaluate(self, point, q, num=None):
         """(numerator, denominator > 0) of the value at point[i] / q for
         each variable index i, point holding ints; ``num``, a sublist of
         the numerator forms, replaces the numerator."""
@@ -127,7 +127,7 @@ class Factored:
             bottom *= d
         return (-top, -bottom) if bottom < 0 else (top, bottom)
 
-    def in_u(self, point, q=1):
+    def in_u(self, point, q):
         """(numerators, denominator > 0) of the polynomial in u, sum_d
         numerators[d] u^d / denominator, with each other variable i at
         point[i] / q; point[0] is not read.  A form c u + y contributes
@@ -292,11 +292,9 @@ def orbit_sum(model, coeff, delta):
     return SkewElement(model, table)
 
 
-def orbit_sum_identity(model, r, img=None):
-    """The raising image must equal the orbit sum of its first term; img is
-    t_image_b(model, r) when the caller has built it already."""
-    if img is None:
-        img = t_image_b(model, r)
+def orbit_sum_identity(model, r, img):
+    """The raising image img = t_image_b(model, r) must equal the orbit sum
+    of its first term."""
     d = model.delta(model.rows[r][0], +1)
     return orbit_sum(model, img.terms[d], d) == img
 

@@ -17,7 +17,9 @@ the denominator's lex-leading coefficient 1.
 
 No wrep command uses MRat, MPoly.gcd or MPoly.exact_div: they are the
 reference the tests compare galois's factored coefficients and noether's
-operators against, and sympy is imported only when they run.
+operators against, and sympy is imported only when they run.  They stay
+here while the benchmark's tracer (perfbench/tracer.py) binds MPoly.gcd
+and MRat.__eq__; every other test-only reference lives in tests/oracles.py.
 """
 
 from fractions import Fraction
@@ -140,12 +142,6 @@ class MPoly(Terms):
 
     def constant_value(self):
         return self.terms.get((0,) * len(self.names), 0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, index):
-        return max((e[index] for e in self.terms), default=0)
 
     def evaluate(self, point):
         """Substitute point[i] for the i-th variable.  The points are all
@@ -332,9 +328,6 @@ class MRat:
         if isinstance(other, MPoly):
             other = MRat.from_poly(other)
         return MRat(self.num * other.den, self.den * other.num)
-
-    def is_polynomial(self):
-        return self.den.is_constant()
 
     def evaluate(self, point):
         d = self.den.evaluate(point)

@@ -2,11 +2,15 @@
 
 Entries are indexed by triples (r, i, k) with 1 <= i <= r <= n and
 1 <= k <= p_i; the top row r = n carries the highest weight itself.
-Interlacing couples only entries with equal superscript k.
+Interlacing couples only entries with equal superscript k.  The program
+decides whether an array is a pattern by looking its key up in the basis
+index (``Representation.shifted``), and reads l-values, entry - i + 1, as
+scaled integers (``rep._scaled_offsets``); the direct interlacing check
+and the Fraction l-values are the tests' oracles (``tests/oracles.py``).
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .errors import ValidationError
 
@@ -97,11 +101,7 @@ def generic_weight(pyramid):
     n = pyramid.n
     parts = [[(n - i) + Fraction(1, k + 2) for k in range(1, pyramid.p(i) + 1)]
              for i in range(1, n + 1)]
-    w = HighestWeight(pyramid, parts)
-    problems = validate_highest_weight(w)
-    if problems:
-        raise ValidationError("generic recipe produced an invalid weight: %r" % problems)
-    return w
+    return HighestWeight(pyramid, parts)
 
 
 class GTPattern:
@@ -114,8 +114,8 @@ class GTPattern:
     __slots__ = ("pyramid", "entries", "_key")
 
     def __init__(self, pyramid, entries, key=None):
-        """``key``, when given, must be the offsets of ``entries``; it is
-        not checked (enumerate_patterns passes the offsets it ran on)."""
+        """``key``, when given, must be the offsets of ``entries``, as ints;
+        it is not checked (enumerate_patterns passes the offsets it ran on)."""
         self.pyramid = pyramid
         self.entries = dict(entries)
         if key is None:
@@ -124,17 +124,11 @@ class GTPattern:
                    for slot in key_slots(pyramid)]
             if any(z.denominator != 1 for z in key):
                 raise ValidationError("entries of a column differ by a non-integer: %r" % self)
-        self._key = tuple(int(z) for z in key)
+            key = map(int, key)
+        self._key = tuple(key)
 
     def entry(self, r, i, k):
         return self.entries[(r, i, k)]
-
-    def l_value(self, r, i, k):
-        return self.entries[(r, i, k)] - i + 1
-
-    def row_l_values(self, r):
-        """All l-values of row r in slot order (the interpolation nodes)."""
-        return [self.l_value(r, i, k) for (i, k) in entry_slots(self.pyramid, r)]
 
     def key(self):
         return self._key
@@ -154,43 +148,11 @@ class GTPattern:
         return "GTPattern[%s]" % " | ".join(rows)
 
 
-def _interlaces(pyramid, entries, r, i, k):
-    """Check the two interlacing conditions binding entry (r,i,k) upward."""
-    n = pyramid.n
-    if r == n:
-        return True
-    v = entries[(r, i, k)]
-    up = entries[(r + 1, i, k)] - v
-    if up.denominator != 1 or up < 0:
-        return False
-    low = v - entries[(r + 1, i + 1, k)]
-    if low.denominator != 1 or low < 0:
-        return False
-    return True
-
-
-def is_pattern(pyramid, entries, weight=None):
-    """Full validity: top row matches the weight, interlacing everywhere.
-
-    An oracle for the tests: the program decides membership by looking a
-    key up in the basis index (``Representation.shifted``)."""
-    n = pyramid.n
-    if weight is not None:
-        for i in range(1, n + 1):
-            for k in range(1, pyramid.p(i) + 1):
-                if entries[(n, i, k)] != weight.part(i, k):
-                    return False
-    for r in range(1, n):
-        for (i, k) in entry_slots(pyramid, r):
-            if not _interlaces(pyramid, entries, r, i, k):
-                return False
-    return True
-
-
 def enumerate_patterns(weight):
     """All patterns with the given top row, ordered lexicographically on the
     flattened entry tuple (rows bottom-up), which is the order of their
-    integer keys.  Enumeration runs on the keys' offsets."""
+    integer keys.  The keys are built row by row from the top row down,
+    each lower row's offsets put in front of the key built so far."""
     pyramid = weight.pyramid
     problems = validate_highest_weight(weight)
     if problems:
@@ -198,30 +160,22 @@ def enumerate_patterns(weight):
     n = pyramid.n
     base = {k: weight.part(n, k) for k in range(1, pyramid.p(n) + 1)}
     # integers: dominance makes each column's differences integral
-    top = {(n, i, k): int(weight.part(i, k) - base[k])
-           for i in range(1, n + 1) for k in range(1, pyramid.p(i) + 1)}
-    partials = [top]
+    top = [(k, int(weight.part(i, k) - base[k])) for (i, k) in entry_slots(pyramid, n)]
+    keys = [tuple(z for _, z in top)]
     for r in range(n - 1, 0, -1):
-        slots = entry_slots(pyramid, r)
-        extended = []
-        for offsets in partials:
-            choices = [offsets]
-            for (i, k) in slots:
-                lo, hi = offsets[(r + 1, i + 1, k)], offsets[(r + 1, i, k)]
-                choices = [cur | {(r, i, k): z}
-                           for cur in choices for z in range(lo, hi + 1)]
-            extended.extend(choices)
-        partials = extended
+        # entry (r, i, k) lies between (r+1, i+1, k) and (r+1, i, k), read
+        # from row r+1 at the front of each key built so far
+        above = {slot: pos for pos, slot in enumerate(entry_slots(pyramid, r + 1))}
+        bounds = [(above[(i + 1, k)], above[(i, k)]) for (i, k) in entry_slots(pyramid, r)]
+        keys = [row + key for key in keys
+                for row in product(*(range(key[lo], key[hi] + 1) for lo, hi in bounds))]
+    keys.sort()
     # every offset of column k lies between 0 and the top row's largest
     value = {(k, z): b + z for k, b in base.items()
-             for z in range(max(top[(n, i, k)] for i in range(1, n + 1)
-                                if pyramid.p(i) >= k) + 1)}
+             for z in range(max(z for c, z in top if c == k) + 1)}
     slots = key_slots(pyramid)
-    pats = [GTPattern(pyramid, {slot: value[slot[2], z] for slot, z in offsets.items()},
-                      tuple(offsets[slot] for slot in slots))
-            for offsets in partials]
-    pats.sort(key=GTPattern.key)
-    return pats
+    return [GTPattern(pyramid, {slot: value[slot[2], z] for slot, z in zip(slots, key)}, key)
+            for key in keys]
 
 
 def weyl_dimension(top_row):

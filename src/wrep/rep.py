@@ -218,12 +218,6 @@ def _scaled_offsets(mu):
     return q, [num * (q // den) for num, den in fixed]
 
 
-def _sanity_check(rep):
-    """Check the invariants of A, and of B and C."""
-    _check_a(rep)
-    _check_ladders(rep.pyramid, rep.B, rep.C)
-
-
 def _check_a(rep):
     for r, A in rep.A.items():
         block = rep.pyramid.row_block_size(r)

@@ -169,10 +169,6 @@ class Pattern:
             p = _PATTERNS[(dim, key)] = Pattern(dim, key)
         return p
 
-    @staticmethod
-    def diagonal(dim):
-        return Pattern.of(dim, range(0, dim * dim, dim + 1))
-
     def by_row(self, diag):
         """diag[i] for the row i of each position."""
         if self._by_row is None:

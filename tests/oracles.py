@@ -16,8 +16,49 @@ from wrep.arith import (
 from wrep.center import higher_root_coefficients
 from wrep.errors import EvaluationError, InvariantViolation
 from wrep.gamma import gamma_coefficients
-from wrep.patterns import enumerate_patterns, key_slots, row_spans
+from wrep.patterns import entry_slots, enumerate_patterns, key_slots, row_spans
 from wrep.sparse import SparseMatrix
+
+
+def l_value(mu, r, i, k):
+    """The l-value of the entry (r, i, k) of the pattern mu: entry - i + 1."""
+    return mu.entry(r, i, k) - i + 1
+
+
+def row_l_values(mu, r):
+    """All l-values of row r of mu in slot order (the interpolation nodes)."""
+    return [l_value(mu, r, i, k) for (i, k) in entry_slots(mu.pyramid, r)]
+
+
+def _interlaces(pyramid, entries, r, i, k):
+    """Check the two interlacing conditions binding entry (r,i,k) upward."""
+    n = pyramid.n
+    if r == n:
+        return True
+    v = entries[(r, i, k)]
+    up = entries[(r + 1, i, k)] - v
+    if up.denominator != 1 or up < 0:
+        return False
+    low = v - entries[(r + 1, i + 1, k)]
+    if low.denominator != 1 or low < 0:
+        return False
+    return True
+
+
+def is_pattern(pyramid, entries, weight):
+    """Full validity: top row matches the weight, interlacing everywhere.
+    The program decides membership by looking a key up in the basis index
+    (``Representation.shifted``)."""
+    n = pyramid.n
+    for i in range(1, n + 1):
+        for k in range(1, pyramid.p(i) + 1):
+            if entries[(n, i, k)] != weight.part(i, k):
+                return False
+    for r in range(1, n):
+        for (i, k) in entry_slots(pyramid, r):
+            if not _interlaces(pyramid, entries, r, i, k):
+                return False
+    return True
 
 
 def leibniz_det(n, entry):
@@ -93,7 +134,7 @@ def fraction_build(pyramid, weight):
     for r in range(1, n + 1):
         eig.append({})
         for mu in basis:
-            eig[r][mu.key()[spans[r]]] = UniPoly.from_roots([-l for l in mu.row_l_values(r)])
+            eig[r][mu.key()[spans[r]]] = UniPoly.from_roots([-l for l in row_l_values(mu, r)])
         A[r] = UniPoly([SparseMatrix.diagonal(column) for column in
                         zip(*(eig[r][mu.key()[spans[r]]].coeffs for mu in basis))])
     for r in range(1, n):
@@ -101,7 +142,7 @@ def fraction_build(pyramid, weight):
             per_degree = [[] for _ in range(pyramid.row_block_size(r))]
             for col, mu in enumerate(basis):
                 key = mu.key()
-                nodes = [-l for l in mu.row_l_values(r)]
+                nodes = [-l for l in row_l_values(mu, r)]
                 for k, x in enumerate(nodes):
                     shifted = list(key)
                     shifted[spans[r].start + k] += step
@@ -144,13 +185,13 @@ def fraction_in_u(coeff, point):
 def fraction_act_on_basis(model, rep, element):
     """``galois.act_on_basis`` in Fraction arithmetic: for every basis
     pattern mu and term a * phi, the Fraction l-values of mu read from its
-    entries (``GTPattern.l_value``), the array mu + phi looked up by its
+    entries (``l_value``), the array mu + phi looked up by its
     key, and a(l-values of mu, u) (``fraction_in_u``) entered at (mu + phi,
     mu), with no memo."""
     slots = key_slots(model.pyramid)
     entries = defaultdict(list)  # power of u -> [(row, column, value)]
     for col, mu in enumerate(rep.basis):
-        point = [None] + [mu.l_value(*slot) for slot in slots]
+        point = [None] + [l_value(mu, *slot) for slot in slots]
         for d, a in element.terms.items():
             tgt = rep.index.get(tuple(z + s for z, s in zip(mu.key(), d)))
             if tgt is None:
@@ -164,7 +205,7 @@ def fraction_act_on_basis(model, rep, element):
 def fraction_character_reader(rep):
     """``gamma._character_reader`` in Fraction arithmetic: a function mu ->
     {(r, k): e_k of the Fraction l-values of row r of mu}
-    (``GTPattern.row_l_values``), the e_k of a row formed once per distinct
+    (``row_l_values``), the e_k of a row formed once per distinct
     slice of the key in that row and each value checked against the entry
     (col, col) of a_r^{(k)} read by ``SparseMatrix.get``."""
     spans = row_spans(rep.pyramid)
@@ -186,7 +227,7 @@ def fraction_character_reader(rep):
             row = mu.key()[spans[r]]
             esym = esym_of[r].get(row)
             if esym is None:
-                esym = esym_of[r][row] = elementary_symmetric(mu.row_l_values(r))
+                esym = esym_of[r][row] = elementary_symmetric(row_l_values(mu, r))
             for k in range(1, len(esym)):
                 predicted = esym[k]
                 actual = coeffs[(r, k)].get(col, col)
@@ -222,7 +263,7 @@ def fraction_fibers(rep):
 def gelfand_tsetlin_diagonals(rep, i, order):
     """(d, d'): for each basis pattern mu, the entry (mu, mu) of d_i(u) and
     of d_i'(u) at u^0 .. u^{-order}, from the Fraction l-values of mu
-    (``GTPattern.row_l_values``).  With w = 1/u, d_i at mu is
+    (``row_l_values``).  With w = 1/u, d_i at mu is
     prod_{row i} (1 + (l + i - 1) w) / prod_{row i-1} (1 + (l + i - 1) w),
     row 0 holding no l-value, and d_i' is its reciprocal; each quotient is
     expanded in w one coefficient at a time."""
@@ -241,8 +282,8 @@ def gelfand_tsetlin_diagonals(rep, i, order):
 
     d, dprime = [], []
     for mu in rep.basis:
-        top = linear_product(l + i - 1 for l in mu.row_l_values(i))
-        below = linear_product(l + i - 1 for l in mu.row_l_values(i - 1)) if i > 1 else [Fraction(1)]
+        top = linear_product(l + i - 1 for l in row_l_values(mu, i))
+        below = linear_product(l + i - 1 for l in row_l_values(mu, i - 1)) if i > 1 else [Fraction(1)]
         d.append(quotient(top, below))
         dprime.append(quotient(below, top))
     return d, dprime

@@ -35,8 +35,6 @@ def test_poly_arithmetic():
     p = (x() + y()) * (x() - y())
     assert p == x() ** 2 - y() ** 2
     assert p.evaluate([Fraction(3), Fraction(2)]) == 5
-    assert p.total_degree() == 2
-    assert p.degree_in(0) == 2
 
 
 def test_substitute_and_permute():
@@ -64,7 +62,7 @@ def test_gcd_and_exact_div():
 
 def test_mrat_reduction_and_equality():
     r = MRat((x() ** 2 - y() ** 2), (x() + y()))
-    assert r.is_polynomial()
+    assert r.den.is_constant()
     assert r == MRat.from_poly(x() - y())
     s = MRat(MPoly.const(N, 1), x() - y())
     assert (s * (x() - y())) == 1

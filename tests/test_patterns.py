@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import is_pattern, l_value
 from random_weights import dominant_weights, small_pyramid_weights
 
 from wrep.errors import ValidationError
@@ -11,13 +14,19 @@ from wrep.patterns import (
     entry_slots,
     enumerate_patterns,
     generic_weight,
-    is_pattern,
     key_slots,
     validate_highest_weight,
     weyl_dimension,
 )
 from wrep.pyramid import Pyramid
 from wrep.rep import build_representation
+
+
+# every pyramid of at most 8 boxes and at most 5 rows (59 of them); the
+# generic basis of a column of height q has 2^(q(q-1)/2) patterns, so six
+# rows would mean 32768
+SMALL_PYRAMIDS = [rows for n in range(1, 6)
+                  for rows in combinations_with_replacement(range(1, 9), n) if sum(rows) <= 8]
 
 
 def gl2_weight():
@@ -45,7 +54,7 @@ def test_weight_validation():
 
 
 def test_generic_weight_is_valid():
-    for rows in [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 2, 2)]:
+    for rows in SMALL_PYRAMIDS:
         w = generic_weight(Pyramid(rows=rows))
         assert validate_highest_weight(w) == []
 
@@ -68,8 +77,8 @@ def test_enumeration_rejects_bad_weight():
 
 def test_l_values_and_lam():
     mu = enumerate_patterns(gl2_weight())[0]
-    assert mu.l_value(1, 1, 1) == Fraction(1, 2)
-    assert mu.l_value(2, 2, 1) == Fraction(-1, 2)
+    assert l_value(mu, 1, 1, 1) == Fraction(1, 2)
+    assert l_value(mu, 2, 2, 1) == Fraction(-1, 2)
 
 
 def test_shifted():
@@ -174,6 +183,31 @@ def test_one_column_counts_match_weyl():
     pyr = Pyramid(rows=(1, 1, 1))
     w = HighestWeight(pyr, [[2], [1], [0]])
     assert len(enumerate_patterns(w)) == weyl_dimension([2, 1, 0])
+
+
+def column_dimensions(weight):
+    """The gl_{q_k} Weyl dimension of each column k's top row: the parts
+    (i, k) of the rows i that reach column k."""
+    pyr = weight.pyramid
+    return [weyl_dimension([weight.part(i, k) for i in range(1, pyr.n + 1) if pyr.p(i) >= k])
+            for k in range(1, pyr.p(pyr.n) + 1)]
+
+
+def test_dimension_is_a_product_over_columns():
+    # interlacing couples only entries of one column, so a pattern is one
+    # classical Gelfand-Tsetlin pattern per column
+    for rows in SMALL_PYRAMIDS:
+        w = generic_weight(Pyramid(rows=rows))
+        assert len(enumerate_patterns(w)) == prod(column_dimensions(w)), rows
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.one_of(small_pyramid_weights(),
+                 st.sampled_from([(1, 2), (2, 2), (1, 1, 2), (1, 2, 2), (2, 2, 3)])
+                 .flatmap(dominant_weights)))
+def test_drawn_dimensions_are_products_over_columns(weight):
+    assert len(enumerate_patterns(weight)) == prod(column_dimensions(weight))
 
 
 @settings(max_examples=20, deadline=None,

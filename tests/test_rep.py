@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
-from oracles import fraction_build, full_dimension_series, gelfand_tsetlin_diagonals
+from oracles import fraction_build, full_dimension_series, gelfand_tsetlin_diagonals, row_l_values
 from random_weights import MULTI_DENOMINATOR, dominant_weights, small_pyramid_weights
 
 from wrep.arith import UniPoly
@@ -223,7 +223,7 @@ def test_build_makes_one_lagrange_basis_per_distinct_row(monkeypatch):
     calls = _counted_interpolation(monkeypatch)
     pyr = Pyramid(rows=(2, 3, 3))
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
-    distinct = [len({tuple(mu.row_l_values(r)) for mu in rep.basis})
+    distinct = [len({tuple(row_l_values(mu, r)) for mu in rep.basis})
                 for r in range(1, pyr.n + 1)]
     assert rep.dim == 128 and distinct == [9, 32, 1]
     assert calls == {"lagrange": 0, "roots": 9 + 32 + 1}
@@ -600,7 +600,8 @@ def test_each_build_invariant_can_fail(mutate, message):
     rep = build_representation(enumerate_patterns(generic_weight(pyr)))
     mutate(rep)
     with pytest.raises(InvariantViolation, match=message):
-        rep_mod._sanity_check(rep)
+        rep_mod._check_a(rep)
+        rep_mod._check_ladders(rep.pyramid, rep.B, rep.C)
 
 
 def test_a_doubled_eigenvalue_lead_is_not_monic(monkeypatch):

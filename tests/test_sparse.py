@@ -251,7 +251,7 @@ def test_dense_accumulator_cancels_against_a_general_product():
     product = swap * b
     assert product == -d and product.diag == [-3, -2]
     comb = Combination(2, [(swap, b, 1)], [(d, 1)])
-    assert comb.diag is not None and list(comb.parts) == [Pattern.diagonal(2)]
+    assert comb.diag is not None and list(comb.parts) == [Pattern.of(2, (0, 3))]
     assert comb.is_zero()
     zero = comb.finish()
     assert zero == SparseMatrix(2) and zero.den == 1 and not zero
